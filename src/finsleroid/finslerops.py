@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numdiff
 from .core import GParameter, MetricContext, scalar_bundle
 from .errors import CollinearError, NumericalDomainError
 from .geodesics import GeodesicChord, _clamped_arccos, solve_chord, geodesic_point
-from .quasimap import mu_map, sigma_map
+from .quasimap import mu_map, sigma_jacobian, sigma_map
 from .tensors import gradient_covector
+from .twovector import two_vector_metric
 
 __all__ = [
     "FinslerPairProduct",
@@ -103,20 +103,10 @@ def s_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
     return m_vector(par, ctx, R, S) * sb_r.K / (w * sb_r.B)
 
 
-def _s_matrix(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
-    """s_pq = K(S) d s_p(R, S)/dS^q by central differences.
-
-    The s-vector turns over the pair-separation scale near coincidence,
-    so the step shrinks with sin(h alpha) and a fourth-order stencil
-    keeps the truncation error below the separation itself.
-    """
-    _, _, sb_r, sb_s, _, num, w, _ = _pair_core(par, ctx, R, S)
-    sin_sep = w / math.sqrt(sb_r.B * sb_s.B)
-    scale = min(numdiff.DEFAULT_SCALE, max(sin_sep / 50.0, 1e-9))
-    jac = numdiff.jacobian4(
-        lambda y: s_vector(par, ctx, R, y), np.asarray(S, dtype=float), scale=scale
-    )
-    return sb_s.K * jac
+def _pullback_tensor(par, ctx, R, S):
+    """G = sigma'(R)^T n(sigma(R), sigma(S)) sigma'(S), without the collinearity guard."""
+    n = two_vector_metric(par, ctx, sigma_map(par, ctx, R), sigma_map(par, ctx, S)).n_lower
+    return sigma_jacobian(par, ctx, R).T @ n @ sigma_jacobian(par, ctx, S)
 
 
 @dataclass(frozen=True)
@@ -151,35 +141,22 @@ def finsler_product(par: GParameter, ctx: MetricContext, R, S) -> FinslerPairPro
         w=w,
         m_r=m_r,
         s_r=s_r,
-        g_lower=finsler_two_vector_tensor(par, ctx, R, S),
+        g_lower=_pullback_tensor(par, ctx, R, S),
     )
 
 
 def finsler_two_vector_tensor(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
     """G_pq(g; R, S), the mixed second derivative of the scalar product.
 
-    Closed form up to s_pq, which is a finite-difference derivative of
-    the closed-form s-vector.  Reduces to the one-vector metric tensor in
-    the coincidence limit and to the Jacobian pullback of the two-vector
-    image tensor.
+    The scalar product is the image-space product <sigma(R), sigma(S)>,
+    so by the chain rule G = sigma'(R)^T n(sigma(R), sigma(S)) sigma'(S),
+    with the closed-form two-vector tensor n and Jacobian sigma'.
+    Reduces to the one-vector metric tensor in the coincidence limit.
     """
-    R, S, sb_r, sb_s, _, _, w, alpha = _pair_core(par, ctx, R, S)
+    _, _, sb_r, sb_s, _, _, w, _ = _pair_core(par, ctx, R, S)
     if w <= _COLLINEAR_W * math.sqrt(sb_r.B * sb_s.B):
         raise CollinearError("two-vector tensor needs image-independent vectors")
-    r_low = gradient_covector(par, ctx, R)
-    s_low = gradient_covector(par, ctx, S)
-    s_rs = s_vector(par, ctx, R, S)
-    s_sr = s_vector(par, ctx, S, R)
-    s_pq = _s_matrix(par, ctx, R, S)
-    ca = math.cos(alpha)
-    sa = math.sin(alpha)
-    term_c = np.outer(r_low, s_low) / (sb_r.K * sb_s.K) - par.h**2 * np.outer(s_rs, s_sr)
-    term_s = (
-        np.outer(r_low / sb_r.K, s_sr)
-        + np.outer(s_rs, s_low / sb_s.K)
-        + s_pq
-    )
-    return term_c * ca + par.h * term_s * sa
+    return _pullback_tensor(par, ctx, R, S)
 
 
 def product_gradients(par: GParameter, ctx: MetricContext, R, S):

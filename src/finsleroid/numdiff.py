@@ -76,31 +76,6 @@ def hessian(f, x, scale: float = HESSIAN_SCALE) -> np.ndarray:
     return out
 
 
-def jacobian4(f, x, scale: float = DEFAULT_SCALE) -> np.ndarray:
-    """Fourth-order central derivative of an array-valued function.
-
-    Five-point stencil at the same step convention; used where the
-    differentiated function has large higher derivatives (for instance
-    near coincidence limits) and the second-order stencil is too coarse.
-    """
-    x = np.asarray(x, dtype=float)
-    h = steps(x, scale)
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h[i]
-        cols.append(
-            (
-                -np.asarray(f(x + 2 * e))
-                + 8.0 * np.asarray(f(x + e))
-                - 8.0 * np.asarray(f(x - e))
-                + np.asarray(f(x - 2 * e))
-            )
-            / (12.0 * h[i])
-        )
-    return np.stack(cols, axis=-1)
-
-
 def mixed_second(f, x, y, scale: float = HESSIAN_SCALE) -> np.ndarray:
     """Mixed partial d^2 f / dx^p dy^q of a scalar two-vector function.
 

@@ -71,13 +71,11 @@ def mu_map(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
 def sigma_jacobian(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
     """J[p, q] = d sigma^p / dR^q in closed form; det = h^(N-1) J^N.
 
-    The off-diagonal blocks carry 1/q factors (removable but conical),
-    so the axis q = 0 is rejected.
+    The 1/q term of the transverse block is O(q), so on the axis q = 0 it
+    is dropped, as in ``metric_tensor``.
     """
     R = ctx.check_vector(R, nonzero=True)
     sb = scalar_bundle(par, ctx, R)
-    if sb.q == 0.0:
-        raise OnAxisError("sigma_jacobian closed form needs q != 0")
     n = ctx.n
     g = par.g
     z = R[-1]
@@ -89,9 +87,10 @@ def sigma_jacobian(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
     # -g (Z A - B) / (2q) simplifies to g L / 2 since Z A - B = -q L
     out[-1, :-1] = 0.5 * g * sb.L * sb.J * rr / sb.B
     out[:-1, -1] = 0.5 * g * q * sb.J * par.h * R[:-1] / sb.B
-    out[:-1, :-1] = (
-        np.eye(n - 1) - 0.5 * g * np.outer(R[:-1], rr) * z / (q * sb.B)
-    ) * sb.J * par.h
+    block = np.eye(n - 1)
+    if q > 0.0:
+        block = block - 0.5 * g * np.outer(R[:-1], rr) * z / (q * sb.B)
+    out[:-1, :-1] = block * sb.J * par.h
     return out
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import GParameter, MetricContext
 from .errors import (
@@ -292,48 +291,72 @@ def _co_angle_sides(par, tt11, tt22, tt12, cap_u, alpha):
     return cos_side, sin_side
 
 
+def _decreasing_root(fun, lo, hi, x0, max_iter=100):
+    """Root of a decreasing function on [lo, hi] with fun(lo) >= 0 >= fun(hi).
+
+    ``fun`` returns the value and the derivative.  Newton steps from x0
+    are kept inside the bracket, which every evaluation shrinks; a step
+    that leaves it, or a derivative that is not negative, falls back to
+    bisection (Brent 1973, ch. 4).
+    """
+    x = min(max(x0, lo), hi)
+    for _ in range(max_iter):
+        f, df = fun(x)
+        if f > 0.0:
+            lo = x
+        elif f < 0.0:
+            hi = x
+        else:
+            return x
+        tol = 1e-15 + 8.9e-16 * abs(x)
+        x_new = x - f / df if df < 0.0 else math.nan
+        if abs(x_new - x) <= tol:
+            return x_new
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+            if hi - lo <= tol:
+                return x_new
+        x = x_new
+    raise MaxIterationsError("bracketed Newton iteration did not converge")
+
+
 def solve_co_angle(par: GParameter, ctx: MetricContext, T1, T2) -> float:
     """Solve the implicit co-angle equation for alpha in (0, pi/h).
 
-    The cosine equation alone admits spurious roots, so the solver works
-    with the matched (cos, sin) pair: it brackets the zero of
-    h*alpha - atan2(sin_side, cos_side) and polishes with Brent.
+    The matched (cos, sin) sides of the equation are the cosine and sine
+    of 2 phi1(alpha) - eps beta, with beta the euclidean angle of the
+    co-pair, eps = co_orientation(alpha) and phi1 the continuous branch
+    of atan2(sin(alpha)/h, cos(alpha)).  So the equation reads
+    F(alpha) = h alpha - 2 phi1(alpha) = -eps beta (mod 2 pi), where F
+    starts at F(0) = 0 and falls with F' <= -h: each target -beta - 2 pi k
+    (main regime, eps = +1) or beta - 2 pi (k + 1) (eps = -1) has at most
+    one root in [0, pi/h].  The solver returns the smallest main-regime
+    root, that of -beta.  Since beta - 2 pi <= -pi <= -beta, F passes
+    -beta before any other-regime target, so a pair with an other-regime
+    root always has this main-regime root as well.
     """
     big_t1 = ctx.check_vector(T1, nonzero=True)
     big_t2 = ctx.check_vector(T2, nonzero=True)
     tt11, tt22, tt12, cap_u = _co_gram(ctx, big_t1, big_t2)
     if cap_u <= 1e-12 * math.sqrt(tt11 * tt22):
         raise CollinearError("co-vector pair is collinear")
+    h = par.h
+    beta = math.atan2(cap_u, tt12)
 
-    def wfun(alpha):
-        cos_side, sin_side = _co_angle_sides(par, tt11, tt22, tt12, cap_u, alpha)
-        return par.h * alpha - math.atan2(sin_side, cos_side)
+    def f_and_df(alpha):
+        ca = math.cos(alpha)
+        sa = math.sin(alpha)
+        phi1 = alpha + math.atan((1.0 / h - 1.0) * sa * ca / (ca * ca + sa * sa / h))
+        return h * alpha - 2.0 * phi1 + beta, h - 2.0 * h / (h * h * ca * ca + sa * sa)
 
-    def cos_residual(alpha):
-        cos_side, _ = _co_angle_sides(par, tt11, tt22, tt12, cap_u, alpha)
-        return abs(math.cos(par.h * alpha) - cos_side)
-
-    lo, hi = 1e-12, math.pi / par.h - 1e-12
-    grid = np.linspace(lo, hi, 4001)
-    vals = np.array([wfun(a) for a in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            root = grid[i]
-        elif vals[i] * vals[i + 1] < 0.0 and abs(vals[i + 1] - vals[i]) < math.pi:
-            root = brentq(wfun, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
-        else:
-            continue
-        res = cos_residual(root)
-        if res < 1e-10:
-            roots.append((root, res))
-    if not roots:
-        raise NoRootError("implicit co-angle equation has no admissible root in (0, pi/h)")
-    # the co-pair determines the primal pair only up to a two-fold regime
-    # ambiguity; return the main-regime representative when it exists
-    main = [r for r in roots if co_orientation(par, r[0]) > 0.0]
-    pool = main if main else roots
-    return float(min(pool, key=lambda r: r[1])[0])
+    hi = math.pi / h
+    if f_and_df(hi)[0] <= 0.0:
+        # Newton from the root of the tangent at 0, where F' = h - 2/h
+        root = _decreasing_root(f_and_df, 0.0, hi, beta / (2.0 / h - h))
+        cos_side, _ = _co_angle_sides(par, tt11, tt22, tt12, cap_u, root)
+        if abs(math.cos(h * root) - cos_side) < 1e-10:
+            return root
+    raise NoRootError("implicit co-angle equation has no admissible root in (0, pi/h)")
 
 
 def _euclid_angle(ctx, x, y) -> float:
@@ -437,14 +460,19 @@ def parallelogram_refine(
     def gap(rho):
         return par.h * (math.acos(c1(rho)) + math.acos(c2(rho))) - theta12
 
+    def gap_and_slope(rho):
+        # d(acos c1 + acos c2)/d rho = -rho / (2 area) = -1 / (s1 sin(acos c1))
+        sin1 = math.sqrt(1.0 - c1(rho) ** 2)
+        slope = -par.h / (s1 * sin1) if sin1 > 0.0 else math.nan
+        return gap(rho), slope
+
     lo = abs(s1 - s2) + 1e-14 * (s1 + s2)
     hi = (s1 + s2) * (1.0 - 1e-15)
     if lo >= hi or gap(lo) * gap(hi) > 0.0:
         raise MaxIterationsError("failed to bracket the sum-vector radius")
-    try:
-        rho = brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=max_iter)
-    except (ValueError, RuntimeError) as exc:
-        raise MaxIterationsError("sum-vector radius iteration did not converge") from exc
+    # Newton from the euclidean sum length, the root at g = 0
+    rho0 = math.sqrt(s1 * s1 + s2 * s2 + 2.0 * inv.dot12)
+    rho = _decreasing_root(gap_and_slope, lo, hi, rho0, max_iter=max_iter)
 
     theta13 = par.h * math.acos(c1(rho))
     e1 = t1 / s1

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finsleroid
 from finsleroid.cli import main
 
 
@@ -153,3 +156,14 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "5.0" in proc.stdout
+
+
+def test_import_pulls_in_no_scipy():
+    src = Path(finsleroid.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import finsleroid, finsleroid.cli, finsleroid.verify, sys; "
+        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -276,6 +276,95 @@ def test_co_angle_euclidean_is_angle(ctx, rng):
     )
 
 
+def regime_gap(par, alpha):
+    return math.sin(par.h * alpha - 2.0 * math.atan2(math.sin(alpha) / par.h, math.cos(alpha)))
+
+
+def co_angle_scan(par, ctx, T1, T2, points=100001):
+    """Brute-force roots of the co-angle equation, split by regime.
+
+    Dense sign-change scan of h*alpha - atan2(sin_side, cos_side) over
+    (0, pi/h), each bracket refined by bisection and kept when the cosine
+    residual is below 1e-10.  Returns (main-regime roots, other roots).
+    """
+    h = par.h
+    tt11, tt22, tt12 = ctx.codot(T1, T1), ctx.codot(T2, T2), ctx.codot(T1, T2)
+    cap_u = math.sqrt(max(tt11 * tt22 - tt12**2, 0.0))
+
+    def sides(alpha):
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        phi1 = np.arctan2(sa / h, ca)
+        eps = np.where(np.sin(h * alpha - 2.0 * phi1) > 0.0, -1.0, 1.0)
+        cc, ss = ca * ca, sa * sa / h**2
+        den = (cc + ss) * math.sqrt(tt11 * tt22)
+        cos_side = ((cc - ss) * tt12 + (2.0 / h) * sa * ca * eps * cap_u) / den
+        sin_side = ((2.0 / h) * tt12 * sa * ca - (cc - ss) * eps * cap_u) / den
+        return cos_side, sin_side
+
+    def w(alpha):
+        cos_side, sin_side = sides(alpha)
+        return h * alpha - np.arctan2(sin_side, cos_side)
+
+    grid = np.linspace(1e-12, math.pi / h - 1e-12, points)
+    vals = w(grid)
+    brackets = np.nonzero((vals[:-1] * vals[1:] < 0.0) & (np.abs(np.diff(vals)) < math.pi))[0]
+    main, other = [], []
+    for i in brackets:
+        lo, hi, f_lo = grid[i], grid[i + 1], vals[i]
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            f_mid = float(w(mid))
+            if f_mid * f_lo > 0.0:
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        root = 0.5 * (lo + hi)
+        if abs(math.cos(h * root) - float(sides(root)[0])) < 1e-10:
+            (main if co_orientation(par, root) > 0.0 else other).append(root)
+    return main, other
+
+
+def wide_pair(rng, ctx, theta):
+    """A pair at euclidean angle theta in a random plane."""
+    t1 = draw_vector(rng, ctx)
+    e1 = t1 / ctx.s_norm(t1)
+    v = draw_vector(rng, ctx)
+    perp = v - ctx.dot(v, e1) * e1
+    e2 = perp / ctx.s_norm(perp)
+    return t1, rng.uniform(0.5, 2.0) * (math.cos(theta) * e1 + math.sin(theta) * e2)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.7, -1.1, 1.5, -1.5, 1.7])
+def test_co_angle_matches_scan(g, ctx, rng):
+    """The solver returns the smallest main-regime root of a dense scan.
+
+    The angle of a pair in the other regime (co_orientation = -1) is an
+    other-regime root, and a main-regime root always precedes it, since
+    F(alpha) = h alpha - 2 phi1(alpha) falls from 0 and reaches -beta
+    before beta - 2 pi.  At g = 1.7 a main-regime pair can have several
+    main-regime roots, its own angle among them; the smallest is returned.
+    """
+    par = fl.make_parameter(g)
+    pairs = [draw_pair(rng, ctx, par, regime_margin=0.05) for _ in range(4)]
+    pairs += [wide_pair(rng, ctx, theta) for theta in np.linspace(0.6, 0.98, 8) * math.pi]
+    regimes = set()
+    for t1, t2 in pairs:
+        alpha = fl.pair_invariants(par, ctx, t1, t2).alpha
+        if abs(regime_gap(par, alpha)) < 0.05:
+            continue
+        cp = fl.covector_pair(par, ctx, t1, t2)
+        main, other = co_angle_scan(par, ctx, cp.T1, cp.T2)
+        al = fl.solve_co_angle(par, ctx, cp.T1, cp.T2)
+        assert main
+        assert al == pytest.approx(min(main), abs=1e-12)
+        regime = co_orientation(par, alpha)
+        regimes.add(regime)
+        # the pair's own angle is a root of its regime, at or after the returned one
+        assert min(abs(r - alpha) for r in (main if regime > 0.0 else other)) < 1e-9
+        assert al < alpha + 1e-9
+    assert regimes == ({1.0} if g == 0.0 else {1.0, -1.0})
+
+
 def test_oplus_euclidean_exact(ctx, rng):
     par = fl.make_parameter(0.0)
     t1, t2 = draw_pair(rng, ctx, par, min_cos=0.1)

@@ -23,6 +23,12 @@ def test_report_structure_and_pass():
         assert c["samples"] >= 1
 
 
+def test_generating_derivatives_seed_105():
+    # seed 105 draws a w where a second difference of V sits at the 1e-6 gate
+    rep = run_verify(RunConfig(g=1.5, dim=3, seed=105, trials=50))
+    assert rep["overall_pass"] is True
+
+
 def test_report_determinism():
     cfg = RunConfig(g=-1.0, dim=2, seed=99, trials=8)
     assert report_to_json(run_verify(cfg)) == report_to_json(run_verify(cfg))
