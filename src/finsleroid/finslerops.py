@@ -15,8 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GParameter, MetricContext, scalar_bundle
-from .errors import CollinearError, NumericalDomainError
-from .geodesics import GeodesicChord, _clamped_arccos, solve_chord, geodesic_point
+from .errors import CollinearError
+from .geodesics import (
+    GeodesicChord,
+    _check_cosine,
+    _clamped_arccos,
+    _require_independent,
+    geodesic_point,
+    solve_chord,
+)
 from .quasimap import mu_map, sigma_jacobian, sigma_map
 from .tensors import gradient_covector
 from .twovector import two_vector_metric
@@ -34,19 +41,21 @@ __all__ = [
     "axis_angles",
 ]
 
-_COLLINEAR_W = 1e-12
-
 
 def _pair_core(par: GParameter, ctx: MetricContext, R, S):
+    """One evaluation of the pair: (R, S, sb_r, sb_s, dot_bold, w, alpha).
+
+    dot_bold, w and alpha are symmetric in the pair, so the record of
+    (S, R) is this one with the R and S fields swapped.  w/sqrt(B(R)B(S))
+    is the sine of the euclidean angle of the image pair.
+    """
     R = ctx.check_vector(R, nonzero=True)
     S = ctx.check_vector(S, nonzero=True)
     sb_r = scalar_bundle(par, ctx, R)
     sb_s = scalar_bundle(par, ctx, S)
     dot_bold = float(R[:-1] @ ctx.r_ab @ S[:-1])
     num = sb_r.A * sb_s.A + par.h**2 * dot_bold
-    root_b = math.sqrt(sb_r.B * sb_s.B)
-    if abs(num / root_b) > 1.0 + 1e-12:
-        raise NumericalDomainError("angle cosine outside [-1, 1] beyond rounding slack")
+    _check_cosine(num / math.sqrt(sb_r.B * sb_s.B))
     # W^2 = B(R)B(S) - num^2 loses half its digits near coincidence when
     # formed literally; expand with B = A^2 + h^2 q^2 and split off the
     # transverse unit-vector gap so every piece stays O(separation^2):
@@ -65,22 +74,10 @@ def _pair_core(par: GParameter, ctx: MetricContext, R, S):
         )
     w = par.h * math.sqrt(max(w2, 0.0))
     alpha = math.atan2(w, num) / par.h
-    return R, S, sb_r, sb_s, dot_bold, num, w, alpha
+    return R, S, sb_r, sb_s, dot_bold, w, alpha
 
 
-def finsler_angle(par: GParameter, ctx: MetricContext, R, S) -> float:
-    """Deformed angle between two vectors in the original coordinates."""
-    return _pair_core(par, ctx, R, S)[-1]
-
-
-def m_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
-    """The transverse covector M_p(g; R, S); satisfies M_p R^p = 0.
-
-    Simplified components: M_N = q(R)^2 A(S) - (r R S) A(R) and
-    M_a = r_ab(-Z R^b A(S) + S^b B(R) - (r R S)(q + g Z/2) R^b/q).
-    The axis q(R) = 0 is a removable limit: M_a -> r_ab S^b B(R).
-    """
-    R, S, sb_r, sb_s, dot_bold, _, _, _ = _pair_core(par, ctx, R, S)
+def _m_covector(par, ctx, R, S, sb_r, sb_s, dot_bold) -> np.ndarray:
     out = np.empty(ctx.n)
     out[-1] = sb_r.q**2 * sb_s.A - dot_bold * sb_r.A
     if sb_r.q > 0.0:
@@ -95,12 +92,31 @@ def m_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
     return out
 
 
+def _s_covector(m_r, sb_r, w) -> np.ndarray:
+    """s_p = M_p K(R) / (W B(R))."""
+    return m_r * sb_r.K / (w * sb_r.B)
+
+
+def finsler_angle(par: GParameter, ctx: MetricContext, R, S) -> float:
+    """Deformed angle between two vectors in the original coordinates."""
+    return _pair_core(par, ctx, R, S)[-1]
+
+
+def m_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
+    """The transverse covector M_p(g; R, S); satisfies M_p R^p = 0.
+
+    Simplified components: M_N = q(R)^2 A(S) - (r R S) A(R) and
+    M_a = r_ab(-Z R^b A(S) + S^b B(R) - (r R S)(q + g Z/2) R^b/q).
+    The axis q(R) = 0 is a removable limit: M_a -> r_ab S^b B(R).
+    """
+    return _m_covector(par, ctx, *_pair_core(par, ctx, R, S)[:5])
+
+
 def s_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
     """s_p(g; R, S) = M_p K(R) / (W B(R)); annihilates R^p."""
-    _, _, sb_r, sb_s, _, _, w, _ = _pair_core(par, ctx, R, S)
-    if w <= _COLLINEAR_W * math.sqrt(sb_r.B * sb_s.B):
-        raise CollinearError("s-vector undefined for image-collinear pairs")
-    return m_vector(par, ctx, R, S) * sb_r.K / (w * sb_r.B)
+    R, S, sb_r, sb_s, dot_bold, w, _ = _pair_core(par, ctx, R, S)
+    _require_independent(w, sb_r.B, sb_s.B, "s-vector undefined for image-collinear pairs")
+    return _s_covector(_m_covector(par, ctx, R, S, sb_r, sb_s, dot_bold), sb_r, w)
 
 
 def _pullback_tensor(par, ctx, R, S):
@@ -129,20 +145,14 @@ class FinslerPairProduct:
 def finsler_product(par: GParameter, ctx: MetricContext, R, S) -> FinslerPairProduct:
     """Scalar product <R, S>; equals K^2 at S = R and the euclidean
     product at g = 0."""
-    R, S, sb_r, sb_s, dot_bold, num, w, alpha = _pair_core(par, ctx, R, S)
-    product = sb_r.K * sb_s.K * math.cos(alpha)
-    m_r = m_vector(par, ctx, R, S)
-    if w <= _COLLINEAR_W * math.sqrt(sb_r.B * sb_s.B):
-        return FinslerPairProduct(product=product, alpha=alpha, w=w, m_r=m_r, s_r=None, g_lower=None)
-    s_r = m_r * sb_r.K / (w * sb_r.B)
-    return FinslerPairProduct(
-        product=product,
-        alpha=alpha,
-        w=w,
-        m_r=m_r,
-        s_r=s_r,
-        g_lower=_pullback_tensor(par, ctx, R, S),
-    )
+    R, S, sb_r, sb_s, dot_bold, w, alpha = _pair_core(par, ctx, R, S)
+    m_r = _m_covector(par, ctx, R, S, sb_r, sb_s, dot_bold)
+    try:
+        _require_independent(w, sb_r.B, sb_s.B, "s_r and g_lower need image-independent vectors")
+        s_r, g_lower = _s_covector(m_r, sb_r, w), _pullback_tensor(par, ctx, R, S)
+    except CollinearError:
+        s_r = g_lower = None
+    return FinslerPairProduct(sb_r.K * sb_s.K * math.cos(alpha), alpha, w, m_r, s_r, g_lower)
 
 
 def finsler_two_vector_tensor(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
@@ -153,25 +163,21 @@ def finsler_two_vector_tensor(par: GParameter, ctx: MetricContext, R, S) -> np.n
     with the closed-form two-vector tensor n and Jacobian sigma'.
     Reduces to the one-vector metric tensor in the coincidence limit.
     """
-    _, _, sb_r, sb_s, _, _, w, _ = _pair_core(par, ctx, R, S)
-    if w <= _COLLINEAR_W * math.sqrt(sb_r.B * sb_s.B):
-        raise CollinearError("two-vector tensor needs image-independent vectors")
+    R, S, sb_r, sb_s, _, w, _ = _pair_core(par, ctx, R, S)
+    _require_independent(w, sb_r.B, sb_s.B, "two-vector tensor needs image-independent vectors")
     return _pullback_tensor(par, ctx, R, S)
 
 
 def product_gradients(par: GParameter, ctx: MetricContext, R, S):
     """(d<R,S>/dR^p, d<R,S>/dS^q) in closed form."""
-    R, S, sb_r, sb_s, _, _, w, alpha = _pair_core(par, ctx, R, S)
-    if w <= _COLLINEAR_W * math.sqrt(sb_r.B * sb_s.B):
-        raise CollinearError("gradients need image-independent vectors")
+    R, S, sb_r, sb_s, dot_bold, w, alpha = _pair_core(par, ctx, R, S)
+    _require_independent(w, sb_r.B, sb_s.B, "gradients need image-independent vectors")
     product = sb_r.K * sb_s.K * math.cos(alpha)
     sa = math.sin(alpha)
-    d_r = gradient_covector(par, ctx, R) * product / sb_r.K**2 + par.h * sb_s.K * s_vector(
-        par, ctx, R, S
-    ) * sa
-    d_s = gradient_covector(par, ctx, S) * product / sb_s.K**2 + par.h * sb_r.K * s_vector(
-        par, ctx, S, R
-    ) * sa
+    s_rs = _s_covector(_m_covector(par, ctx, R, S, sb_r, sb_s, dot_bold), sb_r, w)
+    s_sr = _s_covector(_m_covector(par, ctx, S, R, sb_s, sb_r, dot_bold), sb_s, w)
+    d_r = gradient_covector(par, ctx, R) * product / sb_r.K**2 + par.h * sb_s.K * s_rs * sa
+    d_s = gradient_covector(par, ctx, S) * product / sb_s.K**2 + par.h * sb_r.K * s_sr * sa
     return d_r, d_s
 
 

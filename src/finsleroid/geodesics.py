@@ -35,45 +35,58 @@ _CLAMP_SLACK = 1e-12
 _COLLINEAR_TOL = 1e-12
 
 
+def _check_cosine(x: float) -> None:
+    if abs(x) > 1.0 + _CLAMP_SLACK:
+        raise NumericalDomainError(f"cosine {x!r} outside [-1, 1] beyond rounding slack")
+
+
 def _clamped_arccos(x: float) -> float:
-    if x > 1.0:
-        if x > 1.0 + _CLAMP_SLACK:
-            raise NumericalDomainError(f"arccos argument {x!r} exceeds 1 beyond rounding slack")
-        x = 1.0
-    elif x < -1.0:
-        if x < -1.0 - _CLAMP_SLACK:
-            raise NumericalDomainError(f"arccos argument {x!r} below -1 beyond rounding slack")
-        x = -1.0
-    return math.acos(x)
+    _check_cosine(x)
+    return math.acos(min(max(x, -1.0), 1.0))
 
 
-def _pair_dots(ctx: MetricContext, t1, t2):
-    """Euclidean pair data computed without cancellation.
+def _require_independent(u: float, dot11: float, dot22: float, what: str) -> None:
+    """The one pair-independence guard: sin(theta) = u/sqrt(dot11 dot22) > 1e-12."""
+    sin_theta = u / math.sqrt(dot11 * dot22)
+    if not sin_theta > _COLLINEAR_TOL:
+        raise CollinearError(f"{what}: sin(theta) = {sin_theta:.3e} <= {_COLLINEAR_TOL:.0e}")
 
+
+def _pair_dots(dot, t1, t2):
+    """Euclidean pair data under the bilinear form ``dot``, without cancellation.
+
+    ``dot`` is ``ctx.dot`` for vectors and ``ctx.codot`` for co-vectors.
     The Gram root u = sqrt((t1t1)(t2t2) - (t1t2)^2) loses half its digits
     near collinearity when formed literally, so it is built from the
     transverse projections t2 - ((t1t2)/(t1t1)) t1 and its mirror; the
     euclidean angle comes from atan2(u, (t1t2)), well conditioned at both
     ends of [0, pi].  Returns (dot11, dot22, dot12, u, theta).
     """
-    dot11 = ctx.dot(t1, t1)
-    dot22 = ctx.dot(t2, t2)
-    dot12 = ctx.dot(t1, t2)
-    arg = dot12 / math.sqrt(dot11 * dot22)
-    if abs(arg) > 1.0 + _CLAMP_SLACK:
-        raise NumericalDomainError(f"cosine {arg!r} outside [-1, 1] beyond rounding slack")
+    dot11 = dot(t1, t1)
+    dot22 = dot(t2, t2)
+    dot12 = dot(t1, t2)
+    _check_cosine(dot12 / math.sqrt(dot11 * dot22))
     t2p = t2 - (dot12 / dot11) * t1
     t1p = t1 - (dot12 / dot22) * t2
-    u = (dot11 * dot22 * ctx.dot(t2p, t2p) * ctx.dot(t1p, t1p)) ** 0.25
+    u = (dot11 * dot22 * dot(t2p, t2p) * dot(t1p, t1p)) ** 0.25
     theta = math.atan2(u, dot12)
     return dot11, dot22, dot12, u, theta
+
+
+def _companions(dot, t1, t2, what: str):
+    """_pair_dots of an independent pair plus the companions d1, d2 (see PairInvariants)."""
+    dot11, dot22, dot12, u, theta = _pair_dots(dot, t1, t2)
+    _require_independent(u, dot11, dot22, what)
+    d1 = (dot11 / u) * (t2 - (dot12 / dot11) * t1)
+    d2 = (dot22 / u) * (t1 - (dot12 / dot22) * t2)
+    return dot11, dot22, dot12, u, theta, d1, d2
 
 
 def angle(par: GParameter, ctx: MetricContext, t1, t2) -> float:
     """The deformed angle alpha = (1/h) * euclidean angle, in [0, pi/h]."""
     t1 = ctx.check_vector(t1, nonzero=True)
     t2 = ctx.check_vector(t2, nonzero=True)
-    return _pair_dots(ctx, t1, t2)[4] / par.h
+    return _pair_dots(ctx.dot, t1, t2)[4] / par.h
 
 
 @dataclass(frozen=True)
@@ -96,12 +109,9 @@ class PairInvariants:
 def pair_invariants(par: GParameter, ctx: MetricContext, t1, t2) -> PairInvariants:
     t1 = ctx.check_vector(t1, nonzero=True)
     t2 = ctx.check_vector(t2, nonzero=True)
-    dot11, dot22, dot12, u, theta = _pair_dots(ctx, t1, t2)
-    if u <= _COLLINEAR_TOL * math.sqrt(dot11 * dot22):
-        raise CollinearError("companion vectors undefined for a collinear pair")
-    # d1 = (dot11 t2 - dot12 t1)/u written through the transverse projection
-    d1 = (dot11 / u) * (t2 - (dot12 / dot11) * t1)
-    d2 = (dot22 / u) * (t1 - (dot12 / dot22) * t2)
+    dot11, dot22, dot12, u, theta, d1, d2 = _companions(
+        ctx.dot, t1, t2, "companion vectors undefined for a collinear pair"
+    )
     return PairInvariants(
         dot11=dot11, dot22=dot22, dot12=dot12, u=u, d1=d1, d2=d2, alpha=theta / par.h
     )
@@ -111,7 +121,7 @@ def scalar_product(par: GParameter, ctx: MetricContext, t1, t2) -> float:
     """<t1, t2> = |t1| |t2| cos(alpha); reduces to the euclidean product at g = 0."""
     t1 = ctx.check_vector(t1, nonzero=True)
     t2 = ctx.check_vector(t2, nonzero=True)
-    dot11, dot22, _, _, theta = _pair_dots(ctx, t1, t2)
+    dot11, dot22, _, _, theta = _pair_dots(ctx.dot, t1, t2)
     return math.sqrt(dot11 * dot22) * math.cos(theta / par.h)
 
 
@@ -119,7 +129,7 @@ def distance_squared(par: GParameter, ctx: MetricContext, t1, t2) -> float:
     """Squared two-point length (t1t1) + (t2t2) - 2 |t1||t2| cos(alpha)."""
     t1 = ctx.check_vector(t1, nonzero=True)
     t2 = ctx.check_vector(t2, nonzero=True)
-    dot11, dot22, _, _, theta = _pair_dots(ctx, t1, t2)
+    dot11, dot22, _, _, theta = _pair_dots(ctx.dot, t1, t2)
     root = math.sqrt(dot11 * dot22)
     return max(dot11 + dot22 - 2.0 * root * math.cos(theta / par.h), 0.0)
 
@@ -158,7 +168,7 @@ def solve_chord(par: GParameter, ctx: MetricContext, t1, t2) -> GeodesicChord:
     """
     t1 = ctx.check_vector(t1, nonzero=True)
     t2 = ctx.check_vector(t2, nonzero=True)
-    dot11, dot22, _, _, theta = _pair_dots(ctx, t1, t2)
+    dot11, dot22, _, _, theta = _pair_dots(ctx.dot, t1, t2)
     a = math.sqrt(dot11)
     s_end = math.sqrt(dot22)
     alpha = theta / par.h

@@ -5,7 +5,9 @@ The scalar product <t1, t2> = |t1||t2| cos(alpha) has a mixed second
 derivative n_pq(t1, t2) that reduces to the one-vector quasi-euclidean
 metric at coincidence.  Vector addition compatible with the geodesic
 tetragon ("equal opposite sides") is known in closed form only to first
-order in k = 1/h - 1; an exact numeric solver is provided on top.
+order in k = 1/h - 1; an exact numeric solver is provided on top.  Both
+need an acute pair, alpha < pi/2.  Gram roots, euclidean pair angles and
+collinearity tests, of vectors and co-vectors, come from geodesics.
 """
 
 from __future__ import annotations
@@ -17,14 +19,19 @@ import numpy as np
 
 from .core import GParameter, MetricContext
 from .errors import (
-    CollinearError,
     MaxIterationsError,
     NoRootError,
     NumericalDomainError,
     ObtuseInputError,
     ZeroVectorError,
 )
-from .geodesics import PairInvariants, pair_invariants
+from .geodesics import (
+    PairInvariants,
+    _companions,
+    _pair_dots,
+    _require_independent,
+    pair_invariants,
+)
 from .quasimap import quasi_metric
 
 __all__ = [
@@ -33,6 +40,7 @@ __all__ = [
     "CoincidenceReport",
     "two_vector_metric",
     "two_vector_determinant_reference",
+    "co_regime_gap",
     "co_orientation",
     "frame",
     "frame_reconstruct",
@@ -218,15 +226,14 @@ class CovectorPair:
     f_scale: float
 
 
-def _co_gram(ctx, big_t1, big_t2):
-    """Products of a covector pair with the cancellation-free Gram root."""
-    tt11 = ctx.codot(big_t1, big_t1)
-    tt22 = ctx.codot(big_t2, big_t2)
-    tt12 = ctx.codot(big_t1, big_t2)
-    t2p = big_t2 - (tt12 / tt11) * big_t1
-    t1p = big_t1 - (tt12 / tt22) * big_t2
-    cap_u = (tt11 * tt22 * ctx.codot(t2p, t2p) * ctx.codot(t1p, t1p)) ** 0.25
-    return tt11, tt22, tt12, cap_u
+def co_regime_gap(par: GParameter, alpha: float) -> float:
+    """sin(h*alpha - 2*atan2(sin(alpha)/h, cos(alpha))), the signed regime gap.
+
+    Negative in the main regime of the covariant pair map, positive in the
+    other; at zero the co-vectors of the pair are collinear.
+    """
+    phi1 = math.atan2(math.sin(alpha) / par.h, math.cos(alpha))
+    return math.sin(par.h * alpha - 2.0 * phi1)
 
 
 def co_orientation(par: GParameter, alpha: float) -> float:
@@ -237,9 +244,7 @@ def co_orientation(par: GParameter, alpha: float) -> float:
     h*alpha - 2*atan2(sin(alpha)/h, cos(alpha)) of the co-pair wraps past
     -pi, which happens for large alpha at large |g|.
     """
-    phi1 = math.atan2(math.sin(alpha) / par.h, math.cos(alpha))
-    s = math.sin(par.h * alpha - 2.0 * phi1)
-    return -1.0 if s > 0.0 else 1.0
+    return -1.0 if co_regime_gap(par, alpha) > 0.0 else 1.0
 
 
 def covector_pair(par: GParameter, ctx: MetricContext, t1, t2) -> CovectorPair:
@@ -250,11 +255,9 @@ def covector_pair(par: GParameter, ctx: MetricContext, t1, t2) -> CovectorPair:
     t2l = ctx.lower(ctx.check_vector(t2))
     big_t1 = (s2 / s1) * (ca * t1l + (sa / par.h) * ctx.lower(inv.d1))
     big_t2 = (s1 / s2) * (ca * t2l + (sa / par.h) * ctx.lower(inv.d2))
-    tt11, tt22, tt12, cap_u = _co_gram(ctx, big_t1, big_t2)
-    if cap_u <= 1e-12 * math.sqrt(tt11 * tt22):
-        raise CollinearError("co-vectors of the pair are collinear")
-    big_d1 = (tt11 * big_t2 - tt12 * big_t1) / cap_u
-    big_d2 = (tt22 * big_t1 - tt12 * big_t2) / cap_u
+    big_d1, big_d2 = _companions(
+        ctx.codot, big_t1, big_t2, "co-vectors of the pair are collinear"
+    )[5:]
     # direct form of the inversion denominator scale; equals
     # -co_orientation * cap_u / u
     f_scale = ca * ca - sa * sa / par.h**2 - 2.0 * sa * ca * inv.dot12 / (par.h * inv.u)
@@ -265,13 +268,11 @@ def invert_covectors(par: GParameter, ctx: MetricContext, T1, T2, alpha: float):
     """Recover (t1, t2) from the co-vector pair and the angle alpha."""
     big_t1 = ctx.check_vector(T1, nonzero=True)
     big_t2 = ctx.check_vector(T2, nonzero=True)
-    tt11, tt22, tt12, cap_u = _co_gram(ctx, big_t1, big_t2)
-    if cap_u <= 1e-12 * math.sqrt(tt11 * tt22):
-        raise CollinearError("co-vector pair is collinear")
+    tt11, tt22, _, _, _, big_d1, big_d2 = _companions(
+        ctx.codot, big_t1, big_t2, "co-vector pair is collinear"
+    )
     if not 0.0 < alpha < math.pi:
         raise NumericalDomainError("inversion needs 0 < alpha < pi")
-    big_d1 = (tt11 * big_t2 - tt12 * big_t1) / cap_u
-    big_d2 = (tt22 * big_t1 - tt12 * big_t2) / cap_u
     ca = math.cos(alpha)
     sa = math.sin(alpha)
     eps = co_orientation(par, alpha)
@@ -281,14 +282,12 @@ def invert_covectors(par: GParameter, ctx: MetricContext, T1, T2, alpha: float):
     return ctx.raise_(t1_low), ctx.raise_(t2_low)
 
 
-def _co_angle_sides(par, tt11, tt22, tt12, cap_u, alpha):
+def _co_angle_cos_side(par, tt11, tt22, tt12, cap_u, alpha):
     ca = math.cos(alpha)
     sa = math.sin(alpha)
     cap_u = co_orientation(par, alpha) * cap_u
     den = (ca * ca + sa * sa / par.h**2) * math.sqrt(tt11 * tt22)
-    cos_side = ((ca * ca - sa * sa / par.h**2) * tt12 + (2.0 / par.h) * sa * ca * cap_u) / den
-    sin_side = ((2.0 / par.h) * tt12 * sa * ca - (ca * ca - sa * sa / par.h**2) * cap_u) / den
-    return cos_side, sin_side
+    return ((ca * ca - sa * sa / par.h**2) * tt12 + (2.0 / par.h) * sa * ca * cap_u) / den
 
 
 def _decreasing_root(fun, lo, hi, x0, max_iter=100):
@@ -337,11 +336,9 @@ def solve_co_angle(par: GParameter, ctx: MetricContext, T1, T2) -> float:
     """
     big_t1 = ctx.check_vector(T1, nonzero=True)
     big_t2 = ctx.check_vector(T2, nonzero=True)
-    tt11, tt22, tt12, cap_u = _co_gram(ctx, big_t1, big_t2)
-    if cap_u <= 1e-12 * math.sqrt(tt11 * tt22):
-        raise CollinearError("co-vector pair is collinear")
+    tt11, tt22, tt12, cap_u, beta = _pair_dots(ctx.codot, big_t1, big_t2)
+    _require_independent(cap_u, tt11, tt22, "co-vector pair is collinear")
     h = par.h
-    beta = math.atan2(cap_u, tt12)
 
     def f_and_df(alpha):
         ca = math.cos(alpha)
@@ -353,15 +350,10 @@ def solve_co_angle(par: GParameter, ctx: MetricContext, T1, T2) -> float:
     if f_and_df(hi)[0] <= 0.0:
         # Newton from the root of the tangent at 0, where F' = h - 2/h
         root = _decreasing_root(f_and_df, 0.0, hi, beta / (2.0 / h - h))
-        cos_side, _ = _co_angle_sides(par, tt11, tt22, tt12, cap_u, root)
+        cos_side = _co_angle_cos_side(par, tt11, tt22, tt12, cap_u, root)
         if abs(math.cos(h * root) - cos_side) < 1e-10:
             return root
     raise NoRootError("implicit co-angle equation has no admissible root in (0, pi/h)")
-
-
-def _euclid_angle(ctx, x, y) -> float:
-    arg = ctx.dot(x, y) / (ctx.s_norm(x) * ctx.s_norm(y))
-    return math.acos(min(max(arg, -1.0), 1.0))
 
 
 def oplus_first_order(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray:
@@ -371,13 +363,13 @@ def oplus_first_order(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray
     g = 0; the defining-equation residuals are O(k^2) in k = 1/h - 1.
     """
     inv = pair_invariants(par, ctx, t1, t2)
-    if math.cos(inv.alpha) <= 0.0:
-        raise ObtuseInputError("parallelogram law assumes an acute pair")
+    if inv.alpha >= 0.5 * math.pi:
+        raise ObtuseInputError(f"parallelogram law needs alpha < pi/2, got {inv.alpha!r}")
     t1 = ctx.check_vector(t1)
     t2 = ctx.check_vector(t2)
     total = t1 + t2
-    th1 = _euclid_angle(ctx, t1, total)
-    th2 = _euclid_angle(ctx, t2, total)
+    th1 = _pair_dots(ctx.dot, t1, total)[4]
+    th2 = _pair_dots(ctx.dot, t2, total)[4]
     m12 = (inv.dot12 * th1 - inv.dot22 * th2) / inv.u
     m21 = (inv.dot12 * th2 - inv.dot11 * th1) / inv.u
     k = 1.0 / par.h - 1.0
@@ -391,15 +383,9 @@ def ominus_first_order(par: GParameter, ctx: MetricContext, t1, t3) -> np.ndarra
     v = t3 - t1
     if not np.any(v):
         raise ZeroVectorError("difference of coincident vectors")
-    dot11 = ctx.dot(t1, t1)
-    dot33 = ctx.dot(t3, t3)
-    dot13 = ctx.dot(t1, t3)
-    u2 = dot11 * dot33 - dot13 * dot13
-    u = math.sqrt(max(u2, 0.0))
-    if u <= 1e-12 * math.sqrt(dot11 * dot33):
-        raise CollinearError("difference undefined for a collinear configuration")
-    ang_a = _euclid_angle(ctx, t1, t3)
-    ang_b = _euclid_angle(ctx, v, t3)
+    dot11, dot33, _, u, ang_a = _pair_dots(ctx.dot, t1, t3)
+    _require_independent(u, dot11, dot33, "difference undefined for a collinear configuration")
+    ang_b = _pair_dots(ctx.dot, v, t3)[4]
     vt1 = ctx.dot(v, t1)
     vv = ctx.dot(v, v)
     s_vec = ((dot11 * ang_a - vt1 * ang_b) * v + (vv * ang_b - vt1 * ang_a) * t1) / u
@@ -412,13 +398,11 @@ def parallelogram_residuals(par: GParameter, ctx: MetricContext, t1, t2, t3):
     t1 = ctx.check_vector(t1, nonzero=True)
     t2 = ctx.check_vector(t2, nonzero=True)
     t3 = ctx.check_vector(t3, nonzero=True)
-    s1 = ctx.s_norm(t1)
-    s2 = ctx.s_norm(t2)
-    s3 = ctx.s_norm(t3)
-    a13 = _euclid_angle(ctx, t1, t3) / par.h
-    a23 = _euclid_angle(ctx, t2, t3) / par.h
-    r1 = s3 - (s2 * s2 - s1 * s1) / s3 - 2.0 * s1 * math.cos(a13)
-    r2 = s3 - (s1 * s1 - s2 * s2) / s3 - 2.0 * s2 * math.cos(a23)
+    dot11, dot33, _, _, theta13 = _pair_dots(ctx.dot, t1, t3)
+    dot22, _, _, _, theta23 = _pair_dots(ctx.dot, t2, t3)
+    s1, s2, s3 = math.sqrt(dot11), math.sqrt(dot22), math.sqrt(dot33)
+    r1 = s3 - (s2 * s2 - s1 * s1) / s3 - 2.0 * s1 * math.cos(theta13 / par.h)
+    r2 = s3 - (s1 * s1 - s2 * s2) / s3 - 2.0 * s2 * math.cos(theta23 / par.h)
     return r1, r2
 
 
@@ -440,8 +424,8 @@ def parallelogram_refine(
     Seeded and bracketed; first-order sum agreement is O(k^2).
     """
     inv = pair_invariants(par, ctx, t1, t2)
-    if math.cos(inv.alpha) <= 0.0:
-        raise ObtuseInputError("parallelogram law assumes an acute pair")
+    if inv.alpha >= 0.5 * math.pi:
+        raise ObtuseInputError(f"parallelogram law needs alpha < pi/2, got {inv.alpha!r}")
     t1 = ctx.check_vector(t1)
     t2 = ctx.check_vector(t2)
     if par.g == 0.0:
@@ -449,7 +433,7 @@ def parallelogram_refine(
 
     s1 = math.sqrt(inv.dot11)
     s2 = math.sqrt(inv.dot22)
-    theta12 = _euclid_angle(ctx, t1, t2)
+    theta12 = par.h * inv.alpha
 
     def c1(rho):
         return min(max((s1 * s1 + rho * rho - s2 * s2) / (2.0 * s1 * rho), -1.0), 1.0)

@@ -44,6 +44,7 @@ from .finslerops import (
     product_gradients,
 )
 from .geodesics import (
+    _pair_dots,
     angle,
     distance_squared,
     geodesic_point,
@@ -76,6 +77,7 @@ from .tensors import (
 )
 from .twovector import (
     co_orientation,
+    co_regime_gap,
     coincidence_limits,
     covector_pair,
     frame,
@@ -169,27 +171,29 @@ def draw_pair(rng, ctx, par, min_frac=0.0, unit=False, max_alpha=None, min_cos=N
               main_regime=False, regime_margin=0.0):
     """Pair sampler with the u-rejection plus per-check angle guards.
 
+    ``min_cos`` keeps acute pairs (alpha < pi/2) with cos(alpha) above it;
     ``regime_margin`` keeps the pair away from the orientation-regime
     boundary, where the co-vectors of the pair degenerate to a collinear
     pair; ``main_regime`` additionally restricts to the primary side.
     """
+    min_sin = 0.05
+    if min_cos is not None and par.h * math.acos(max(min_cos, 0.0)) <= math.asin(min_sin):
+        raise OutOfRangeError(
+            f"g = {par.g}: no pair has sin(theta) >= {min_sin} and alpha < pi/2 with cos > {min_cos}"
+        )
     while True:
         t1 = draw_vector(rng, ctx, min_frac=min_frac, unit=unit)
         t2 = draw_vector(rng, ctx, min_frac=min_frac, unit=unit)
-        dot11 = ctx.dot(t1, t1)
-        dot22 = ctx.dot(t2, t2)
-        dot12 = ctx.dot(t1, t2)
-        u2 = dot11 * dot22 - dot12 * dot12
-        if u2 < (0.05) ** 2 * dot11 * dot22:
+        dot11, dot22, _, u, theta = _pair_dots(ctx.dot, t1, t2)
+        if u < min_sin * math.sqrt(dot11 * dot22):
             continue
-        al = angle(par, ctx, t1, t2)
+        al = theta / par.h
         if max_alpha is not None and al >= max_alpha:
             continue
-        if min_cos is not None and math.cos(al) <= min_cos:
+        if min_cos is not None and (al >= 0.5 * math.pi or math.cos(al) <= min_cos):
             continue
         if main_regime or regime_margin > 0.0:
-            phi1 = math.atan2(math.sin(al) / par.h, math.cos(al))
-            gap = math.sin(par.h * al - 2.0 * phi1)
+            gap = co_regime_gap(par, al)
             if main_regime and gap > -0.05:
                 continue
             if regime_margin > 0.0 and abs(gap) < regime_margin:
@@ -1053,12 +1057,9 @@ def check_covector_closed(par, ctx, rng, trials, tol):
             float(np.max(np.abs(cp.T2 - t1 @ tv.n_lower))),
             abs(t1 @ cp.T1 + t2 @ cp.T2 - 2.0 * scalar_product(par, ctx, t1, t2)),
         )
-        tt11 = ctx.codot(cp.T1, cp.T1)
-        tt22 = ctx.codot(cp.T2, cp.T2)
-        tt12 = ctx.codot(cp.T1, cp.T2)
+        tt11, tt22, tt12, cap_u, _ = _pair_dots(ctx.codot, cp.T1, cp.T2)
         ca, sa = math.cos(inv.alpha), math.sin(inv.alpha)
         cc, ss = ca * ca, sa * sa / par.h**2
-        cap_u = math.sqrt(max(tt11 * tt22 - tt12 * tt12, 0.0))
         eps = co_orientation(par, inv.alpha)
         res = max(
             res,
@@ -1143,10 +1144,7 @@ def check_co_angle(par, ctx, rng, trials, tol):
         al = solve_co_angle(par, ctx, cp.T1, cp.T2)
         res = max(res, abs(al - inv.alpha) * 1e-3)  # forward consistency, own tolerance
         # residual of the implicit cosine equation at the returned root
-        tt11 = ctx.codot(cp.T1, cp.T1)
-        tt22 = ctx.codot(cp.T2, cp.T2)
-        tt12 = ctx.codot(cp.T1, cp.T2)
-        cap_u = math.sqrt(max(tt11 * tt22 - tt12 * tt12, 0.0))
+        tt11, tt22, tt12, cap_u, _ = _pair_dots(ctx.codot, cp.T1, cp.T2)
         ca, sa = math.cos(al), math.sin(al)
         cc, ss = ca * ca, sa * sa / par.h**2
         rhs = ((cc - ss) * tt12 + 2.0 / par.h * sa * ca * co_orientation(par, al) * cap_u) / (
@@ -1212,12 +1210,8 @@ def check_ominus(par, ctx, rng, trials, tol):
             res = max(res, float(np.max(np.abs(ominus_first_order(par, ctx, t1, t3) - v))))
             continue
         s_vec = (ominus_first_order(par, ctx, t1, t3) - v) / k
-        u13 = math.sqrt(max(ctx.dot(t1, t1) * ctx.dot(t3, t3) - ctx.dot(t1, t3) ** 2, 0.0))
-        ang_a = math.acos(
-            min(max(ctx.dot(t1, t3) / (ctx.s_norm(t1) * ctx.s_norm(t3)), -1.0), 1.0)
-        )
-        ang_b = math.acos(min(max(ctx.dot(v, t3) / (ctx.s_norm(v) * ctx.s_norm(t3)), -1.0), 1.0))
-        u_v3 = math.sqrt(max(ctx.dot(v, v) * ctx.dot(t3, t3) - ctx.dot(v, t3) ** 2, 0.0))
+        _, _, _, u13, ang_a = _pair_dots(ctx.dot, t1, t3)
+        _, _, _, u_v3, ang_b = _pair_dots(ctx.dot, v, t3)
         res = max(
             res,
             abs(ctx.dot(v, s_vec) - u13 * ang_a),
@@ -1325,12 +1319,16 @@ def check_finsler_two_vector(par, ctx, rng, trials, tol):
             sj_r = sigma_jacobian(par, ctx, r_vec)
             sj_s = sigma_jacobian(par, ctx, s_vec_)
             ntv = two_vector_metric(par, ctx, t1, t2).n_lower
+            d_r, d_s = product_gradients(par, ctx, r_vec, s_vec_)
         except FinsleroidError:
             continue
         cnt += 1
+        # Euler contractions (<R, S> is 1-homogeneous in each argument)
         res = max(
             res,
             float(np.max(np.abs(big_g - np.einsum("rp,sq,rs->pq", sj_r, sj_s, ntv)))),
+            float(np.max(np.abs(r_vec @ big_g - d_s))),
+            float(np.max(np.abs(big_g @ s_vec_ - d_r))),
         )
         res = max(
             res,
@@ -1516,7 +1514,7 @@ CHECKS = [
     ("twovector.parallelogram_refine", "twovector", "defining-equation residuals < 1e-10 after refinement; agrees with first order to O(k^2)", check_parallelogram_refine, 1e-10),
     ("finslerops.product", "finslerops", "<R,S> equals the image scalar product; <R,R> = K^2; homogeneity; M_p R^p = 0; W^2 >= 0", check_finsler_product, 1e-9),
     ("finslerops.gradients", "finslerops", "closed-form gradients match FD; simplified M equals the unsimplified display", check_finsler_gradients, 1e-9),
-    ("finslerops.two_vector", "finslerops", "G_pq equals the jacobian pullback of the image tensor; symmetry; FD mixed derivative", check_finsler_two_vector, 1e-8),
+    ("finslerops.two_vector", "finslerops", "G_pq equals the jacobian pullback of the image tensor; R^p G_pq = d<R,S>/dS^q and G_pq S^q = d<R,S>/dR^p; symmetry; FD mixed derivative", check_finsler_two_vector, 1e-8),
     ("finslerops.coincidence", "finslerops", "G_pq(R, S -> R) -> g_pq(R) monotonically", check_finsler_coincidence, 0.5),
     ("finslerops.geodesic", "finslerops", "pullback geodesic hits both endpoints", check_finsler_geodesic, 1e-9),
     ("finslerops.geodesic_arc", "finslerops", "arc length of the pullback geodesic in g_pq equals ds (relative)", check_finsler_arc, 1e-5),

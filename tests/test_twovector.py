@@ -454,3 +454,80 @@ def test_parallelogram_refine(g, ctx, rng):
         k = 1.0 / par.h - 1.0
         gap = np.max(np.abs(t3 - fl.oplus_first_order(par, ctx, t1, t2)))
         assert gap < 60.0 * k * k * max(ctx.s_norm(t1), ctx.s_norm(t2)) + 1e-12
+
+
+def test_parallelogram_law_needs_alpha_below_half_pi(ctx3, rng):
+    # at g = 1.9, pi/h > 3 pi/2: alpha in (3 pi/2, pi/h) has cos(alpha) > 0
+    par = fl.make_parameter(1.9)
+    theta = 1.7 * math.pi * par.h
+    o1 = np.array([1.0, 0.0, 0.0])
+    o2 = np.array([math.cos(theta), 0.0, math.sin(theta)])
+    for op in (fl.oplus_first_order, fl.parallelogram_refine):
+        with pytest.raises(fl.ObtuseInputError):
+            op(par, ctx3, o1, o2)
+    for _ in range(200):
+        t1, t2 = draw_pair(rng, ctx3, par, min_cos=0.05)
+        assert fl.angle(par, ctx3, t1, t2) < 0.5 * math.pi
+        r1, r2 = fl.parallelogram_residuals(
+            par, ctx3, t1, t2, fl.parallelogram_refine(par, ctx3, t1, t2)
+        )
+        assert max(abs(r1), abs(r2)) < 1e-10
+
+
+def _mp_first_order(ctx, g, t1, t2, op):
+    """mpmath reference of the first-order sum (op = "oplus", pair t1, t2)
+    or difference (op = "ominus", pair t1, t3 = t2), at 50 digits."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    r = [[mp.mpf(float(x)) for x in row] for row in ctx.r_pq]
+    t1 = [mp.mpf(float(x)) for x in t1]
+    t2 = [mp.mpf(float(x)) for x in t2]
+
+    def dot(x, y):
+        return mp.fsum(x[i] * r[i][j] * y[j] for i in range(len(x)) for j in range(len(y)))
+
+    def gram_angle(x, y):
+        u = mp.sqrt(dot(x, x) * dot(y, y) - dot(x, y) ** 2)
+        return u, mp.atan2(u, dot(x, y))
+
+    k = 1 / mp.sqrt(1 - mp.mpf(g) ** 2 / 4) - 1
+    if op == "oplus":
+        total = [a + b for a, b in zip(t1, t2)]
+        u = gram_angle(t1, t2)[0]
+        th1 = gram_angle(t1, total)[1]
+        th2 = gram_angle(t2, total)[1]
+        m12 = (dot(t1, t2) * th1 - dot(t2, t2) * th2) / u
+        m21 = (dot(t1, t2) * th2 - dot(t1, t1) * th1) / u
+        return np.array([float(s + k * (m12 * a + m21 * b)) for s, a, b in zip(total, t1, t2)])
+    v = [b - a for a, b in zip(t1, t2)]
+    u, ang_a = gram_angle(t1, t2)
+    ang_b = gram_angle(v, t2)[1]
+    c_v = (dot(t1, t1) * ang_a - dot(v, t1) * ang_b) / u
+    c_1 = (dot(v, v) * ang_b - dot(v, t1) * ang_a) / u
+    return np.array([float(x + k * (c_v * x + c_1 * a)) for x, a in zip(v, t1)])
+
+
+@pytest.mark.parametrize("g", [1.0, 1.5, -1.5])
+@pytest.mark.parametrize("sep", [1e-2, 1e-4, 1e-6])
+def test_first_order_sum_difference_near_collinear(g, sep, ctx, rng):
+    # pair separation sin(theta) ~ sep: a literal Gram root or an arccos
+    # angle loses digits here, the shared pair kernel does not
+    par = fl.make_parameter(g)
+    for _ in range(3):
+        t1 = draw_vector(rng, ctx)
+        d = draw_vector(rng, ctx)
+        d -= ctx.dot(d, t1) / ctx.dot(t1, t1) * t1
+        d *= ctx.s_norm(t1) / ctx.s_norm(d)
+        for op, t2 in (("oplus", 1.3 * t1 + sep * d), ("ominus", 2.2 * t1 + sep * d)):
+            got = (fl.oplus_first_order if op == "oplus" else fl.ominus_first_order)(
+                par, ctx, t1, t2
+            )
+            ref = _mp_first_order(ctx, g, t1, t2, op)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_collinear_error_names_sin_theta(ctx, rng):
+    par = fl.make_parameter(1.0)
+    t1 = draw_vector(rng, ctx)
+    with pytest.raises(fl.CollinearError, match=r"sin\(theta\) = [-+.0-9e]+ <= 1e-12"):
+        fl.ominus_first_order(par, ctx, t1, 2.0 * t1)
