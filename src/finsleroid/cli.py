@@ -35,20 +35,11 @@ def _context(args, dim: int) -> MetricContext:
     return MetricContext(dim, parse_metric_spec(args.metric, dim))
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def cmd_eval(args) -> int:
@@ -89,7 +80,7 @@ def cmd_eval(args) -> int:
         "cartan": cartan,
     }
     if args.format == "json":
-        print(json.dumps(_jsonify(payload), indent=2))
+        print(json.dumps(payload, indent=2, default=lambda arr: arr.tolist()))
     else:
         for key in ("q", "b_form", "phi", "j", "k", "det_metric", "det_identity"):
             print(f"{key:13s} = {payload[key]!r}")
@@ -113,13 +104,11 @@ def cmd_geodesic(args) -> int:
     chord = solve_chord(par, ctx, t1, t2)
     svals = np.linspace(0.0, chord.delta_s, args.samples + 1)
     pts = geodesic_point(chord, svals)
+    # one conversion per array; the rows are then built from plain Python values
     flags = in_segment(chord, svals, slack=1e-12)
-    rows = []
-    for i, s in enumerate(svals):
-        row = {"s": float(s), "t": pts[i], "in_segment": bool(flags[i])}
-        if args.pullback:
-            row["r"] = mu_map(par, ctx, pts[i])
-        rows.append(row)
+    cols = {"s": svals.tolist(), "t": pts.tolist(), "in_segment": flags.tolist()}
+    if args.pullback:
+        cols["r"] = mu_map(par, ctx, pts).tolist()
     meta = {
         "g": par.g,
         "a": chord.a,
@@ -129,22 +118,19 @@ def cmd_geodesic(args) -> int:
         "s_end": chord.s_end,
     }
     if args.format == "json":
-        print(json.dumps(_jsonify({"chord": meta, "samples": rows}), indent=2))
+        rows = [dict(zip(cols, row)) for row in zip(*cols.values())]
+        print(json.dumps({"chord": meta, "samples": rows}, indent=2))
     else:
-        n = t1.size
-        for key, val in meta.items():
-            print(f"# {key}={float(val)!r}")
-        header = ["s"] + [f"t{i + 1}" for i in range(n)]
+        lines = [f"# {key}={float(val)!r}" for key, val in meta.items()]
+        header = ["s"] + [f"t{i + 1}" for i in range(ctx.n)]
         if args.pullback:
-            header += [f"r{i + 1}" for i in range(n)]
+            header += [f"r{i + 1}" for i in range(ctx.n)]
         header.append("in_segment")
-        print(",".join(header))
-        for row in rows:
-            cells = [repr(row["s"])] + [repr(float(x)) for x in row["t"]]
-            if args.pullback:
-                cells += [repr(float(x)) for x in row["r"]]
-            cells.append("1" if row["in_segment"] else "0")
-            print(",".join(cells))
+        lines.append(",".join(header))
+        for s, t, flag, *r in zip(*cols.values()):
+            cells = [s, *t, *(r[0] if r else ())]
+            lines.append(",".join(map(repr, cells)) + (",1" if flag else ",0"))
+        print("\n".join(lines))
     return 0
 
 
@@ -181,7 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--metric", default="identity")
     p_geo.add_argument("--t1", type=_parse_vector, required=True)
     p_geo.add_argument("--t2", type=_parse_vector, required=True)
-    p_geo.add_argument("--samples", type=int, default=16, help="number of segments (emits samples+1 rows)")
+    p_geo.add_argument(
+        "--samples", type=positive_int, default=16, help="number of segments, >= 1 (emits samples+1 rows)"
+    )
     p_geo.add_argument("--pullback", action="store_true", help="also emit the original-space coordinates")
     p_geo.add_argument("--format", choices=("json", "csv"), default="json")
     p_geo.set_defaults(func=cmd_geodesic)

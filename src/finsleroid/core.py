@@ -77,15 +77,10 @@ def make_parameter(g: float) -> GParameter:
     )
 
 
-def _check_vector(x, n: int | None = None) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise OutOfRangeError(f"expected a 1-d vector, got shape {v.shape}")
-    if n is not None and v.size != n:
-        raise OutOfRangeError(f"expected a vector of length {n}, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise OutOfRangeError("vector components must be finite")
-    return v
+def _first_row(bad: np.ndarray) -> str:
+    """Names the first True of a per-row flag array; empty for one vector."""
+    idx = tuple(int(i) for i in np.argwhere(bad)[0])
+    return f" (row {idx[0] if len(idx) == 1 else idx})" if idx else ""
 
 
 class MetricContext:
@@ -157,11 +152,26 @@ class MetricContext:
     def raise_(self, xi) -> np.ndarray:
         return self.r_pq_inv @ np.asarray(xi, dtype=float)
 
-    def check_vector(self, x, nonzero: bool = False) -> np.ndarray:
-        v = _check_vector(x, self.n)
-        if nonzero and not np.any(v):
-            raise ZeroVectorError("operation requires a nonzero vector")
+    def check_rows(self, x, nonzero: bool = False) -> np.ndarray:
+        """Validate N-vectors stacked along leading axes, shape (..., N); a
+        non-finite (or, with ``nonzero``, zero) row raises naming its index."""
+        v = np.asarray(x, dtype=float)
+        if v.ndim == 0 or v.shape[-1] != self.n:
+            raise OutOfRangeError(f"expected vectors of length {self.n}, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            bad = ~np.isfinite(v).all(axis=-1)
+            raise OutOfRangeError("vector components must be finite" + _first_row(bad))
+        if nonzero:
+            filled = v.any(axis=-1)
+            if not filled.all():
+                raise ZeroVectorError("operation requires a nonzero vector" + _first_row(~filled))
         return v
+
+    def check_vector(self, x, nonzero: bool = False) -> np.ndarray:
+        """Validate one N-vector, shape (N,)."""
+        if np.ndim(x) != 1:
+            raise OutOfRangeError(f"expected a 1-d vector, got shape {np.shape(x)}")
+        return self.check_rows(x, nonzero)
 
     def __repr__(self):  # pragma: no cover
         return f"MetricContext(n={self.n})"

@@ -25,7 +25,7 @@ from .geodesics import (
     solve_chord,
 )
 from .quasimap import mu_map, sigma_jacobian, sigma_map
-from .tensors import gradient_covector
+from .tensors import _gradient_from_bundle
 from .twovector import two_vector_metric
 
 __all__ = [
@@ -176,8 +176,8 @@ def product_gradients(par: GParameter, ctx: MetricContext, R, S):
     sa = math.sin(alpha)
     s_rs = _s_covector(_m_covector(par, ctx, R, S, sb_r, sb_s, dot_bold), sb_r, w)
     s_sr = _s_covector(_m_covector(par, ctx, S, R, sb_s, sb_r, dot_bold), sb_s, w)
-    d_r = gradient_covector(par, ctx, R) * product / sb_r.K**2 + par.h * sb_s.K * s_rs * sa
-    d_s = gradient_covector(par, ctx, S) * product / sb_s.K**2 + par.h * sb_r.K * s_sr * sa
+    d_r = _gradient_from_bundle(par, ctx, R, sb_r) * product / sb_r.K**2 + par.h * sb_s.K * s_rs * sa
+    d_s = _gradient_from_bundle(par, ctx, S, sb_s) * product / sb_s.K**2 + par.h * sb_r.K * s_sr * sa
     return d_r, d_s
 
 
@@ -193,10 +193,7 @@ def finsler_geodesic(par: GParameter, ctx: MetricContext, R1, R2, s):
     the curve in the direction-dependent metric equals Delta s.
     """
     chord = finsler_chord(par, ctx, R1, R2)
-    pts = geodesic_point(chord, s)
-    if pts.ndim == 1:
-        return mu_map(par, ctx, pts)
-    return np.array([mu_map(par, ctx, t) for t in pts])
+    return mu_map(par, ctx, geodesic_point(chord, s))
 
 
 def axis_angles(par: GParameter, ctx: MetricContext, R):

@@ -55,16 +55,17 @@ def mu_map(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
     """Inverse of sigma_map: R^a = t^a/(h k), R^N = I/k.
 
     Here k = exp(G*phi/2) with phi the polar angle of t, and
-    I = t^N - (G/2) m(t).
+    I = t^N - (G/2) m(t).  ``t`` is one N-vector or N-vectors stacked
+    along leading axes, shape (..., N); R has the shape of t.  A zero or
+    non-finite row raises, naming the index of the first such row.
     """
-    t = ctx.check_vector(t, nonzero=True)
-    m = ctx.m(t)
-    phi = math.atan2(t[-1], m)
-    k = math.exp(0.5 * par.big_g * phi)
-    i_val = t[-1] - 0.5 * par.big_g * m
-    out = np.empty(ctx.n)
-    out[:-1] = t[:-1] / (par.h * k)
-    out[-1] = i_val / k
+    t = ctx.check_rows(t, nonzero=True)
+    bold = t[..., :-1]
+    tn = t[..., -1]
+    m = np.sqrt(np.maximum(((bold @ ctx.r_ab) * bold).sum(axis=-1), 0.0))
+    k = np.exp(0.5 * par.big_g * np.arctan2(tn, m))
+    out = t / (par.h * k)[..., None]
+    out[..., -1] = (tn - 0.5 * par.big_g * m) / k
     return out
 
 

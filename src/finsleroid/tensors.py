@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, scalar_bundle
+from .core import GParameter, MetricContext, ScalarBundle, scalar_bundle
 from .errors import OnAxisError
 
 __all__ = [
@@ -38,7 +38,11 @@ def gradient_covector(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
     Components: R_a = r_ab R^b K^2/B and R_N = (Z + g q) K^2/B.
     """
     R = ctx.check_vector(R, nonzero=True)
-    sb = scalar_bundle(par, ctx, R)
+    return _gradient_from_bundle(par, ctx, R, scalar_bundle(par, ctx, R))
+
+
+def _gradient_from_bundle(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> np.ndarray:
+    """R_p from a checked vector R and its scalar bundle sb."""
     scale = sb.K**2 / sb.B
     out = np.empty(ctx.n)
     out[:-1] = (ctx.r_ab @ R[:-1]) * scale

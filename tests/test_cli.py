@@ -126,6 +126,77 @@ def test_geodesic_pullback_round_trip(capsys):
     assert all("r" in row for row in payload["samples"])
 
 
+GEODESIC_ARGV = ["geodesic", "--g", "1.2", "--t1", "1,0,0.3", "--t2", "0.1,0.9,0.5"]
+
+GOLDEN_CSV = """\
+# g=1.2
+# a=1.044030650891055
+# b=-0.7773791689325019
+# delta_s=1.541786372123437
+# alpha=1.6714823444895133
+# s_end=1.03440804327886
+s,t1,t2,t3,in_segment
+0.0,1.0,0.0,0.3,1
+0.7708931860617185,0.470264605867541,0.38437293181769716,0.3418074683761708,1
+1.541786372123437,0.1,0.9,0.5,1
+"""
+
+GOLDEN_JSON = """\
+{
+  "chord": {
+    "g": 1.2,
+    "a": 1.044030650891055,
+    "b": -0.7773791689325019,
+    "delta_s": 1.541786372123437,
+    "alpha": 1.6714823444895133,
+    "s_end": 1.03440804327886
+  },
+  "samples": [
+    {
+      "s": 0.0,
+      "t": [
+        1.0,
+        0.0,
+        0.3
+      ],
+      "in_segment": true
+    },
+    {
+      "s": 1.541786372123437,
+      "t": [
+        0.1,
+        0.9,
+        0.5
+      ],
+      "in_segment": true
+    }
+  ]
+}
+"""
+
+
+def test_geodesic_golden_output(capsys):
+    assert run_cli(capsys, *GEODESIC_ARGV, "--samples", "2", "--format", "csv")[1] == GOLDEN_CSV
+    assert run_cli(capsys, *GEODESIC_ARGV, "--samples", "1", "--format", "json")[1] == GOLDEN_JSON
+
+
+def test_geodesic_pullback_formats(capsys):
+    argv = [*GEODESIC_ARGV, "--samples", "12", "--pullback", "--format"]
+    code, out, _ = run_cli(capsys, *argv, "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert [list(row) for row in doc["samples"]] == [["s", "t", "in_segment", "r"]] * 13
+    code, out, _ = run_cli(capsys, *argv, "csv")
+    assert code == 0
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0] == "s,t1,t2,t3,r1,r2,r3,in_segment"
+    for line, row in zip(lines[1:], doc["samples"], strict=True):
+        cells = line.split(",")
+        assert all(repr(float(c)) == c for c in cells[:-1])
+        assert cells == [repr(x) for x in [row["s"], *row["t"], *row["r"]]] + ["1"]
+
+
 def test_verify_determinism_and_exit(capsys):
     argv = ["verify", "--g", "0.5", "--dim", "2", "--seed", "11", "--trials", "8"]
     code1, out1, _ = run_cli(capsys, *argv)
@@ -145,6 +216,10 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+    for samples in ("-5", "-1", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["geodesic", "--g", "0.5", "--t1", "1,0", "--t2", "0,1", "--samples", samples])
+        assert exc.value.code == 2
 
 
 def test_console_entry_point():

@@ -2,6 +2,7 @@
 geodesics and axis angles in the original coordinates."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +111,23 @@ def test_product_gradients_euclidean(ctx, rng):
     d_r, d_s = fl.product_gradients(par, ctx, r_vec, s_vec)
     assert np.max(np.abs(d_r - ctx.lower(s_vec))) < 1e-12
     assert np.max(np.abs(d_s - ctx.lower(r_vec))) < 1e-12
+
+
+def test_product_gradients_evaluates_each_bundle_once(ctx, rng, monkeypatch):
+    real = fl.scalar_bundle
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    par = fl.make_parameter(0.9)
+    r_vec, s_vec = image_pair(rng, ctx, par)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("finsleroid.") and hasattr(mod, "scalar_bundle"):
+            monkeypatch.setattr(mod, "scalar_bundle", counting)
+    fl.product_gradients(par, ctx, r_vec, s_vec)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("g", GS)

@@ -254,3 +254,52 @@ def test_conformal_special_values(ctx, rng):
     t = t / ctx.s_norm(t) * math.sqrt(2.0)
     _, f = fl.conformal_flatten(par, ctx, t)
     assert f == pytest.approx(1.0, abs=1e-14)
+
+
+def _spd_context(rng, n):
+    a = rng.normal(size=(n - 1, n - 1))
+    return fl.MetricContext(n, a @ a.T + (n - 1) * np.eye(n - 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("g", GS)
+def test_mu_map_rows_match_single_vectors(g, n, rng):
+    par = fl.make_parameter(g)
+    ctx = _spd_context(rng, n)
+    T = rng.uniform(-1, 1, (24, n))
+    T[0, :-1] = 0.0  # on the axis
+    T[1, -1] = 0.0  # in the plane
+    single = np.array([fl.mu_map(par, ctx, t) for t in T])
+    ulp2 = 2 * np.spacing(np.abs(single).max(axis=-1, keepdims=True))
+    assert np.all(np.abs(fl.mu_map(par, ctx, T) - single) <= ulp2)
+    stacked = fl.mu_map(par, ctx, T[:8].reshape(2, 4, n))
+    assert stacked.shape == (2, 4, n)
+    assert np.all(np.abs(stacked - single[:8].reshape(2, 4, n)) <= ulp2[:8].reshape(2, 4, 1))
+    # sigma inverts mu row by row
+    back = np.array([fl.sigma_map(par, ctx, r) for r in fl.mu_map(par, ctx, T)])
+    assert np.allclose(back, T, rtol=0.0, atol=1e-12)
+
+
+def test_mu_map_rows_rejected(ctx):
+    par = fl.make_parameter(0.7)
+    n = ctx.n
+    T = np.ones((3, n))
+    T[2] = 0.0
+    with pytest.raises(fl.ZeroVectorError, match=r"\(row 2\)"):
+        fl.mu_map(par, ctx, T)
+    T3 = np.ones((2, 4, n))
+    T3[1, 2] = 0.0
+    with pytest.raises(fl.ZeroVectorError, match=r"\(row \(1, 2\)\)"):
+        fl.mu_map(par, ctx, T3)
+    for bad in (np.nan, np.inf):
+        T = np.ones((3, n))
+        T[2] = 0.0
+        T[1, 0] = bad  # the non-finite row is reported before the zero row
+        with pytest.raises(fl.OutOfRangeError, match=r"\(row 1\)"):
+            fl.mu_map(par, ctx, T)
+    for shape in ((3, n + 1), (n - 1,), ()):
+        with pytest.raises(fl.OutOfRangeError):
+            fl.mu_map(par, ctx, np.ones(shape))
+    # the per-vector kernels keep to one vector
+    with pytest.raises(fl.OutOfRangeError):
+        fl.sigma_map(par, ctx, np.ones((2, n)))
