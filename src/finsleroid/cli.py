@@ -53,7 +53,7 @@ def cmd_eval(args) -> int:
     sb = scalar_bundle(par, ctx, vec)
     gm = metric_tensor(par, ctx, vec)
     det_g = float(np.linalg.det(gm))
-    det_identity = sb.J ** (2 * dim) * float(np.linalg.det(ctx.r_ab))
+    det_identity = float(sb.J ** (2 * dim) * np.linalg.det(ctx.r_ab))
     try:
         ct = cartan_tensor(par, ctx, vec)
         cartan = {
@@ -69,11 +69,11 @@ def cmd_eval(args) -> int:
         "h": par.h,
         "dim": dim,
         "vector": vec,
-        "q": sb.q,
-        "b_form": sb.B,
-        "phi": sb.phi,
-        "j": sb.J,
-        "k": sb.K,
+        "q": float(sb.q),
+        "b_form": float(sb.B),
+        "phi": float(sb.phi),
+        "j": float(sb.J),
+        "k": float(sb.K),
         "metric_tensor": gm,
         "det_metric": det_g,
         "det_identity": det_identity,

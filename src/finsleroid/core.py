@@ -14,8 +14,10 @@ level set K = 1 (the "finsleroid") replaces the unit sphere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +85,16 @@ def _first_row(bad: np.ndarray) -> str:
     return f" (row {idx[0] if len(idx) == 1 else idx})" if idx else ""
 
 
+def _outer(u, v):
+    """Row-wise outer product: (..., m), (..., n) -> (..., m, n)."""
+    return u[..., :, None] * v[..., None, :]
+
+
+def _off_axis(q):
+    """q, but 1 on the axis q = 0, where a term (r_a R)(r_b R)/q is 0."""
+    return q + (q == 0.0)
+
+
 class MetricContext:
     """Dimension N plus the input euclidean tensor.
 
@@ -122,13 +134,23 @@ class MetricContext:
         self.r_pq_inv = np.linalg.inv(r_pq)
         # vielbein: r_pq = sum_R e[R,p] e[R,q], frame components t^R = e[R,p] t^p
         self.vielbein = np.linalg.cholesky(r_pq).T
-        for arr in (self.r_ab, self.r_pq, self.r_ab_inv, self.r_pq_inv, self.vielbein):
+        self._ones = np.ones(n)
+        for arr in (self.r_ab, self.r_pq, self.r_ab_inv, self.r_pq_inv, self.vielbein, self._ones):
             arr.setflags(write=False)
 
     def q(self, bold) -> float:
         """Euclidean norm of an (N-1)-vector under r_ab."""
         bold = np.asarray(bold, dtype=float)
         return math.sqrt(max(float(bold @ self.r_ab @ bold), 0.0))
+
+    def r_rows(self, bold) -> np.ndarray:
+        """r_ab bold^b of stacked (N-1)-vectors, each row on its own."""
+        return (bold[..., None, :] @ self.r_ab)[..., 0, :]
+
+    def q_rows(self, bold) -> np.ndarray:
+        """Norms under r_ab of (N-1)-vectors stacked along leading axes."""
+        q2 = (bold[..., None, :] @ self.r_ab @ bold[..., :, None])[..., 0, 0]
+        return np.sqrt(abs(q2))  # r_ab is positive definite: q2 < 0 only by rounding
 
     def m(self, t) -> float:
         """Norm of the non-axis part of a full N-vector."""
@@ -158,13 +180,14 @@ class MetricContext:
         v = np.asarray(x, dtype=float)
         if v.ndim == 0 or v.shape[-1] != self.n:
             raise OutOfRangeError(f"expected vectors of length {self.n}, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            bad = ~np.isfinite(v).all(axis=-1)
-            raise OutOfRangeError("vector components must be finite" + _first_row(bad))
-        if nonzero:
-            filled = v.any(axis=-1)
-            if not filled.all():
-                raise ZeroVectorError("operation requires a nonzero vector" + _first_row(~filled))
+        l1 = np.abs(v) @ self._ones  # row L1 norms: 0 only for a zero row
+        # count_nonzero: any() at a fraction of its cost on one vector
+        if np.count_nonzero(~((l1 < math.inf) & ((l1 > 0.0) | (not nonzero)))):
+            infinite = ~np.isfinite(v).all(axis=-1)
+            if infinite.any():
+                raise OutOfRangeError("vector components must be finite" + _first_row(infinite))
+            if nonzero and not (l1 > 0.0).all():
+                raise ZeroVectorError("operation requires a nonzero vector" + _first_row(~(l1 > 0.0)))
         return v
 
     def check_vector(self, x, nonzero: bool = False) -> np.ndarray:
@@ -177,24 +200,39 @@ class MetricContext:
         return f"MetricContext(n={self.n})"
 
 
-@dataclass(frozen=True)
-class ScalarBundle:
-    """Every scalar attached to one vector R = (bold R, Z).
+class ScalarBundle(NamedTuple):
+    """Every scalar attached to a vector R = (bold R, Z), or to each row of
+    a stack of vectors.
 
-    Q and E live on the chart w = q/Z and are NaN on the plane Z = 0.
+    Q = 1 + g w + w^2 and E = 1 + g w/2 live on the chart w = q/Z; they
+    are evaluated on access, from the parameter g the bundle was built
+    with, and are NaN on the plane Z = 0.
     Identities maintained (and tested): A^2 + h^2 q^2 = B,
     L^2 + h^2 Z^2 = B, -pi/2 <= Phi <= pi/2, K = sqrt(B) J.
     """
 
-    q: float
-    B: float
-    Q: float
-    E: float
-    A: float
-    L: float
-    phi: float
-    J: float
-    K: float
+    g: float
+    q: np.ndarray
+    Z: np.ndarray
+    B: np.ndarray
+    A: np.ndarray
+    L: np.ndarray
+    phi: np.ndarray
+    J: np.ndarray
+    K: np.ndarray
+
+    @property
+    def w(self):
+        return self.q / np.where(self.Z != 0.0, self.Z, math.nan)
+
+    @property
+    def Q(self):
+        w = self.w
+        return 1.0 + self.g * w + w * w
+
+    @property
+    def E(self):
+        return 1.0 + 0.5 * self.g * self.w
 
 
 def q_norm(ctx: MetricContext, R) -> float:
@@ -203,8 +241,8 @@ def q_norm(ctx: MetricContext, R) -> float:
     return ctx.q(R[:-1])
 
 
-def phi_function(par: GParameter, q: float, z: float) -> float:
-    """Angle-like function Phi of the pair (q, Z), q >= 0.
+def phi_function(par: GParameter, q, z):
+    """Angle-like function Phi of the pair (q, Z), q >= 0, elementwise.
 
     Computed as pi/2 - atan2(h*q, A) with A = Z + g*q/2, which is smooth
     across q = 0 for Z > 0 and continues the principal branch through
@@ -212,8 +250,7 @@ def phi_function(par: GParameter, q: float, z: float) -> float:
     differs from sign(Z)).  At q = 0 the value is +-pi/2 with the sign
     of Z; Z = 0 with q = 0 is excluded (zero vector).
     """
-    a = z + 0.5 * par.g * q
-    return 0.5 * math.pi - math.atan2(par.h * q, a)
+    return 0.5 * math.pi - np.arctan2(par.h * q, z + 0.5 * par.g * q)
 
 
 def _phi_qz_form(par: GParameter, q: float, z: float) -> float:
@@ -236,32 +273,58 @@ def _phi_a_form(par: GParameter, q: float, z: float) -> float:
     return base - math.atan(par.h * q / a)
 
 
-def _bundle_from_qz(par: GParameter, q: float, z: float) -> ScalarBundle:
-    b = z * z + par.g * q * z + q * q
-    a = z + 0.5 * par.g * q
-    lfun = q + 0.5 * par.g * z
+def _bundle_from_qz(par: GParameter, q, z) -> ScalarBundle:
+    """The bundle of (q, Z), elementwise over arrays of one shape."""
     phi = phi_function(par, q, z)
-    j = math.exp(0.5 * par.big_g * phi)
-    k = math.sqrt(b) * j
-    if z != 0.0:
-        w = q / z
-        qw = 1.0 + par.g * w + w * w
-        ew = 1.0 + 0.5 * par.g * w
-    else:
-        qw = math.nan
-        ew = math.nan
-    return ScalarBundle(q=q, B=b, Q=qw, E=ew, A=a, L=lfun, phi=phi, J=j, K=k)
+    j = np.exp(0.5 * par.big_g * phi)
+    b = z * z + par.g * q * z + q * q
+    a, lfun = z + 0.5 * par.g * q, q + 0.5 * par.g * z
+    return ScalarBundle(par.g, q, z, b, a, lfun, phi, j, np.sqrt(b) * j)
 
 
 def scalar_bundle(par: GParameter, ctx: MetricContext, R) -> ScalarBundle:
-    """Evaluate q, B, Q, E, A, L, Phi, J and K at a nonzero vector."""
-    R = ctx.check_vector(R, nonzero=True)
-    return _bundle_from_qz(par, ctx.q(R[:-1]), float(R[-1]))
+    """Evaluate q, Z, B, Q, E, A, L, Phi, J and K at nonzero vectors R,
+    shape (..., N); each field has the leading shape (a scalar for one
+    vector).  At scale extremes a field may be 0 or not finite."""
+    R = ctx.check_rows(R, nonzero=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # [()] turns the 0-d Z of one vector into a scalar
+        return _bundle_from_qz(par, ctx.q_rows(R[..., :-1]), R[..., -1][()])
 
 
-def kfun(par: GParameter, ctx: MetricContext, R) -> float:
-    """The metric function K(g; R)."""
-    return scalar_bundle(par, ctx, R).K
+def kfun(par: GParameter, ctx: MetricContext, R):
+    """The metric function K(g; R), over rows (..., N) like ``scalar_bundle``."""
+    k = scalar_bundle(par, ctx, R).K
+    bad = ~((k > 0.0) & (k < math.inf))
+    if np.count_nonzero(bad):
+        raise NumericalDomainError("K is 0 or not finite at this scale" + _first_row(bad))
+    return k
+
+
+def _rows_kernel(what: str):
+    """Turn a closed form f(par, ctx, R, sb) of rows R, shape (..., N), and
+    their scalar bundle into the kernel f(par, ctx, R), which builds the
+    bundle once, evaluates with floating-point warnings off and raises
+    NumericalDomainError naming the first row whose result is not finite
+    (scale extremes).  ``kernel.from_bundle`` is f itself.
+    """
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def kernel(par, ctx, R):
+            with np.errstate(all="ignore"):
+                out = fn(par, ctx, np.asarray(R, dtype=float), scalar_bundle(par, ctx, R))
+            bad = ~np.isfinite(out)
+            if np.count_nonzero(bad):
+                bad = bad.reshape(bad.shape[: np.ndim(R) - 1] + (-1,)).any(axis=-1)
+                raise NumericalDomainError(f"{what} is not finite at this scale" + _first_row(bad))
+            return out
+
+        del kernel.__wrapped__  # the signature is (par, ctx, R)
+        kernel.from_bundle = fn
+        return kernel
+
+    return wrap
 
 
 def generating_j(par: GParameter, w: float) -> float:

@@ -25,7 +25,7 @@ from .geodesics import (
     solve_chord,
 )
 from .quasimap import mu_map, sigma_jacobian, sigma_map
-from .tensors import _gradient_from_bundle
+from .tensors import gradient_covector
 from .twovector import two_vector_metric
 
 __all__ = [
@@ -119,10 +119,12 @@ def s_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
     return _s_covector(_m_covector(par, ctx, R, S, sb_r, sb_s, dot_bold), sb_r, w)
 
 
-def _pullback_tensor(par, ctx, R, S):
+def _pullback_tensor(par, ctx, R, S, sb_r, sb_s):
     """G = sigma'(R)^T n(sigma(R), sigma(S)) sigma'(S), without the collinearity guard."""
-    n = two_vector_metric(par, ctx, sigma_map(par, ctx, R), sigma_map(par, ctx, S)).n_lower
-    return sigma_jacobian(par, ctx, R).T @ n @ sigma_jacobian(par, ctx, S)
+    t_r, t_s = sigma_map.from_bundle(par, ctx, R, sb_r), sigma_map.from_bundle(par, ctx, S, sb_s)
+    n = two_vector_metric(par, ctx, t_r, t_s).n_lower
+    j_r, j_s = (sigma_jacobian.from_bundle(par, ctx, *rs) for rs in ((R, sb_r), (S, sb_s)))
+    return j_r.T @ n @ j_s
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ def finsler_product(par: GParameter, ctx: MetricContext, R, S) -> FinslerPairPro
     m_r = _m_covector(par, ctx, R, S, sb_r, sb_s, dot_bold)
     try:
         _require_independent(w, sb_r.B, sb_s.B, "s_r and g_lower need image-independent vectors")
-        s_r, g_lower = _s_covector(m_r, sb_r, w), _pullback_tensor(par, ctx, R, S)
+        s_r, g_lower = _s_covector(m_r, sb_r, w), _pullback_tensor(par, ctx, R, S, sb_r, sb_s)
     except CollinearError:
         s_r = g_lower = None
     return FinslerPairProduct(sb_r.K * sb_s.K * math.cos(alpha), alpha, w, m_r, s_r, g_lower)
@@ -165,7 +167,7 @@ def finsler_two_vector_tensor(par: GParameter, ctx: MetricContext, R, S) -> np.n
     """
     R, S, sb_r, sb_s, _, w, _ = _pair_core(par, ctx, R, S)
     _require_independent(w, sb_r.B, sb_s.B, "two-vector tensor needs image-independent vectors")
-    return _pullback_tensor(par, ctx, R, S)
+    return _pullback_tensor(par, ctx, R, S, sb_r, sb_s)
 
 
 def product_gradients(par: GParameter, ctx: MetricContext, R, S):
@@ -176,8 +178,8 @@ def product_gradients(par: GParameter, ctx: MetricContext, R, S):
     sa = math.sin(alpha)
     s_rs = _s_covector(_m_covector(par, ctx, R, S, sb_r, sb_s, dot_bold), sb_r, w)
     s_sr = _s_covector(_m_covector(par, ctx, S, R, sb_s, sb_r, dot_bold), sb_s, w)
-    d_r = _gradient_from_bundle(par, ctx, R, sb_r) * product / sb_r.K**2 + par.h * sb_s.K * s_rs * sa
-    d_s = _gradient_from_bundle(par, ctx, S, sb_s) * product / sb_s.K**2 + par.h * sb_r.K * s_sr * sa
+    d_r = gradient_covector.from_bundle(par, ctx, R, sb_r) * product / sb_r.K**2 + par.h * sb_s.K * s_rs * sa
+    d_s = gradient_covector.from_bundle(par, ctx, S, sb_s) * product / sb_s.K**2 + par.h * sb_r.K * s_sr * sa
     return d_r, d_s
 
 

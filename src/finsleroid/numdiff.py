@@ -20,14 +20,7 @@ def steps(x: np.ndarray, scale: float = DEFAULT_SCALE) -> np.ndarray:
 
 def gradient(f, x, scale: float = DEFAULT_SCALE) -> np.ndarray:
     """Central-difference gradient of a scalar function of a vector."""
-    x = np.asarray(x, dtype=float)
-    h = steps(x, scale)
-    out = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h[i]
-        out[i] = (f(x + e) - f(x - e)) / (2.0 * h[i])
-    return out
+    return jacobian(f, x, scale)
 
 
 def jacobian(f, x, scale: float = DEFAULT_SCALE) -> np.ndarray:

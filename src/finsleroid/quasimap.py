@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, scalar_bundle
+from .core import GParameter, MetricContext, _off_axis, _outer, _rows_kernel
 from .errors import OnAxisError
 
 __all__ = [
@@ -35,13 +35,12 @@ __all__ = [
 ]
 
 
-def sigma_map(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
-    """t^a = R^a h J(g;R), t^N = A(g;R) J(g;R); satisfies S(t) = K(g;R)."""
-    R = ctx.check_vector(R, nonzero=True)
-    sb = scalar_bundle(par, ctx, R)
-    t = np.empty(ctx.n)
-    t[:-1] = R[:-1] * par.h * sb.J
-    t[-1] = sb.A * sb.J
+@_rows_kernel("sigma map")
+def sigma_map(par: GParameter, ctx: MetricContext, R, sb) -> np.ndarray:
+    """t^a = R^a h J(g;R), t^N = A(g;R) J(g;R), over rows (..., N) -> (..., N);
+    satisfies S(t) = K(g;R)."""
+    t = R * par.h * sb.J[..., None]
+    t[..., -1] = sb.A * sb.J
     return t
 
 
@@ -62,36 +61,36 @@ def mu_map(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
     t = ctx.check_rows(t, nonzero=True)
     bold = t[..., :-1]
     tn = t[..., -1]
-    m = np.sqrt(np.maximum(((bold @ ctx.r_ab) * bold).sum(axis=-1), 0.0))
+    m = ctx.q_rows(bold)
     k = np.exp(0.5 * par.big_g * np.arctan2(tn, m))
     out = t / (par.h * k)[..., None]
     out[..., -1] = (tn - 0.5 * par.big_g * m) / k
     return out
 
 
-def sigma_jacobian(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
-    """J[p, q] = d sigma^p / dR^q in closed form; det = h^(N-1) J^N.
+@_rows_kernel("sigma Jacobian")
+def sigma_jacobian(par: GParameter, ctx: MetricContext, R, sb) -> np.ndarray:
+    """J[p, q] = d sigma^p / dR^q in closed form, over rows (..., N) ->
+    (..., N, N); det = h^(N-1) J^N.
 
     The 1/q term of the transverse block is O(q), so on the axis q = 0 it
     is dropped, as in ``metric_tensor``.
     """
-    R = ctx.check_vector(R, nonzero=True)
-    sb = scalar_bundle(par, ctx, R)
-    n = ctx.n
     g = par.g
-    z = R[-1]
     q = sb.q
-    rr = ctx.r_ab @ R[:-1]
+    bold = R[..., :-1]
+    rr = ctx.r_rows(bold)
+    b = sb.B[..., None]
 
-    out = np.empty((n, n))
-    out[-1, -1] = (sb.B + 0.5 * g * q * sb.A) * sb.J / sb.B
+    out = np.empty(R.shape + (ctx.n,))
+    out[..., -1, -1] = (sb.B + 0.5 * g * q * sb.A) * sb.J / sb.B
     # -g (Z A - B) / (2q) simplifies to g L / 2 since Z A - B = -q L
-    out[-1, :-1] = 0.5 * g * sb.L * sb.J * rr / sb.B
-    out[:-1, -1] = 0.5 * g * q * sb.J * par.h * R[:-1] / sb.B
-    block = np.eye(n - 1)
-    if q > 0.0:
-        block = block - 0.5 * g * np.outer(R[:-1], rr) * z / (q * sb.B)
-    out[:-1, :-1] = block * sb.J * par.h
+    out[..., -1, :-1] = (0.5 * g * sb.L * sb.J)[..., None] * rr / b
+    out[..., :-1, -1] = (0.5 * g * q * sb.J * par.h)[..., None] * bold / b
+    block = out[..., :-1, :-1]
+    block[...] = np.eye(ctx.n - 1)
+    block -= 0.5 * g * _outer(bold, rr) * (sb.Z / (_off_axis(q) * sb.B))[..., None, None]
+    block *= (sb.J * par.h)[..., None, None]
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, ScalarBundle, scalar_bundle
+from .core import GParameter, MetricContext, ScalarBundle, _off_axis, _outer, _rows_kernel, scalar_bundle
 from .errors import OnAxisError
 
 __all__ = [
@@ -32,78 +32,66 @@ __all__ = [
 ]
 
 
-def gradient_covector(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
-    """R_p = (1/2) dK^2/dR^p.
+@_rows_kernel("gradient covector")
+def gradient_covector(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> np.ndarray:
+    """R_p = (1/2) dK^2/dR^p, over rows (..., N) -> (..., N).
 
     Components: R_a = r_ab R^b K^2/B and R_N = (Z + g q) K^2/B.
     """
-    R = ctx.check_vector(R, nonzero=True)
-    return _gradient_from_bundle(par, ctx, R, scalar_bundle(par, ctx, R))
-
-
-def _gradient_from_bundle(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> np.ndarray:
-    """R_p from a checked vector R and its scalar bundle sb."""
     scale = sb.K**2 / sb.B
-    out = np.empty(ctx.n)
-    out[:-1] = (ctx.r_ab @ R[:-1]) * scale
-    out[-1] = (R[-1] + par.g * sb.q) * scale
+    out = np.empty(R.shape)
+    out[..., :-1] = ctx.r_rows(R[..., :-1]) * scale[..., None]
+    out[..., -1] = (sb.Z + par.g * sb.q) * scale
     return out
 
 
-def metric_tensor(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
-    """g_pq = (1/2) d^2 K^2 / dR^p dR^q, in closed form.
+@_rows_kernel("metric tensor")
+def metric_tensor(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> np.ndarray:
+    """g_pq = (1/2) d^2 K^2 / dR^p dR^q in closed form, over rows (..., N)
+    -> (..., N, N).
 
     The off-block term of g_ab carries a factor Z/q times two factors
     r_a. R that are each O(q); the removable singularity at q = 0 is
     evaluated as 0, keeping the tensor continuous on the axis.
     """
-    R = ctx.check_vector(R, nonzero=True)
-    sb = scalar_bundle(par, ctx, R)
-    n = ctx.n
-    z = R[-1]
-    q = sb.q
+    z, q = sb.Z, sb.q
     k2b = sb.K**2 / sb.B
     k2b2 = sb.K**2 / sb.B**2
-    rr = ctx.r_ab @ R[:-1]
+    rr = ctx.r_rows(R[..., :-1])
 
-    g = np.empty((n, n))
-    g[-1, -1] = ((z + par.g * q) ** 2 + q * q) * k2b2
-    g[-1, :-1] = par.g * q * rr * k2b2
-    g[:-1, -1] = g[-1, :-1]
-    block = k2b * ctx.r_ab
-    if q > 0.0:
-        block = block - par.g * np.outer(rr, rr) * (z / q) * k2b2
-    g[:-1, :-1] = block
+    g = np.empty(R.shape + (ctx.n,))
+    g[..., -1, -1] = ((z + par.g * q) ** 2 + q * q) * k2b2
+    g[..., -1, :-1] = g[..., :-1, -1] = (par.g * q)[..., None] * rr * k2b2[..., None]
+    block = g[..., :-1, :-1]
+    np.multiply(k2b[..., None, None], ctx.r_ab, out=block)
+    block -= par.g * _outer(rr, rr) * (z / _off_axis(q))[..., None, None] * k2b2[..., None, None]
     return g
 
 
-def inverse_metric(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
-    """Reciprocal tensor g^pq in closed form; g^pq g_qr = delta^p_r."""
-    R = ctx.check_vector(R, nonzero=True)
-    sb = scalar_bundle(par, ctx, R)
-    n = ctx.n
-    z = R[-1]
-    q = sb.q
+@_rows_kernel("inverse metric")
+def inverse_metric(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> np.ndarray:
+    """Reciprocal tensor g^pq in closed form, over rows (..., N) ->
+    (..., N, N); g^pq g_qr = delta^p_r."""
+    z, q = sb.Z, sb.q
+    bold = R[..., :-1]
     inv_k2 = 1.0 / sb.K**2
 
-    g = np.empty((n, n))
-    g[-1, -1] = (z * z + q * q) * inv_k2
-    g[-1, :-1] = -par.g * q * R[:-1] * inv_k2
-    g[:-1, -1] = g[-1, :-1]
-    block = sb.B * inv_k2 * ctx.r_ab_inv
-    if q > 0.0:
-        block = block + par.g * (z + par.g * q) * np.outer(R[:-1], R[:-1]) / q * inv_k2
-    g[:-1, :-1] = block
+    g = np.empty(R.shape + (ctx.n,))
+    g[..., -1, -1] = (z * z + q * q) * inv_k2
+    g[..., -1, :-1] = g[..., :-1, -1] = (-par.g * q)[..., None] * bold * inv_k2[..., None]
+    block = g[..., :-1, :-1]
+    np.multiply((sb.B * inv_k2)[..., None, None], ctx.r_ab_inv, out=block)
+    c = (par.g * (z + par.g * q))[..., None, None]
+    block += c * _outer(bold, bold) / _off_axis(q)[..., None, None] * inv_k2[..., None, None]
     return g
 
 
-def angular_tensor(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
-    """h_pq = g_pq - R_p R_q / K^2; annihilates R^q."""
-    R = ctx.check_vector(R, nonzero=True)
-    g = metric_tensor(par, ctx, R)
-    rl = gradient_covector(par, ctx, R)
-    k2 = scalar_bundle(par, ctx, R).K ** 2
-    return g - np.outer(rl, rl) / k2
+@_rows_kernel("angular tensor")
+def angular_tensor(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> np.ndarray:
+    """h_pq = g_pq - R_p R_q / K^2, over rows (..., N) -> (..., N, N);
+    annihilates R^q."""
+    rl = gradient_covector.from_bundle(par, ctx, R, sb)
+    return metric_tensor.from_bundle(par, ctx, R, sb) - _outer(rl, rl) / (sb.K**2)[..., None, None]
 
 
 def angular_block_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
@@ -144,22 +132,25 @@ class CartanTensor:
     c_vec_upper: np.ndarray
 
 
-def _chart_or_raise(par, ctx, R):
-    R = ctx.check_vector(R, nonzero=True)
-    sb = scalar_bundle(par, ctx, R)
+def _chart(ctx, R, sb):
+    """(Z, w, w^a, w_a, V^2) of a checked vector R with its bundle sb."""
     z = R[-1]
     if sb.q == 0.0 or z == 0.0:
         raise OnAxisError("Cartan closed forms need q != 0 and Z != 0")
-    w = sb.q / z
     w_up = R[:-1] / z
-    w_low = ctx.r_ab @ w_up
-    v2 = (sb.K / z) ** 2  # V^2 = K^2/Z^2
-    return R, sb, z, w, w_up, w_low, v2
+    return z, sb.q / z, w_up, ctx.r_ab @ w_up, (sb.K / z) ** 2  # V^2 = K^2/Z^2
 
 
 def cartan_tensor(par: GParameter, ctx: MetricContext, R) -> CartanTensor:
     """Assemble the Cartan tensor from the chart closed forms."""
-    R, sb, z, w, w_up, w_low, v2 = _chart_or_raise(par, ctx, R)
+    R = ctx.check_vector(R, nonzero=True)
+    sb = scalar_bundle(par, ctx, R)
+    return _cartan_from_bundle(par, ctx, R, sb, inverse_metric.from_bundle(par, ctx, R, sb))
+
+
+def _cartan_from_bundle(par, ctx, R, sb, g_up) -> CartanTensor:
+    """The Cartan tensor of one checked vector from its bundle and g^pq."""
+    z, w, w_up, w_low, v2 = _chart(ctx, R, sb)
     n = ctx.n
     g = par.g
     qw = sb.Q
@@ -181,16 +172,11 @@ def cartan_tensor(par: GParameter, ctx: MetricContext, R) -> CartanTensor:
     ) * np.einsum("a,b,c->abc", w_low, w_low, w_low)
 
     c[-1, -1, -1] = c_nnn
-    c[:-1, -1, -1] = c_ann
-    c[-1, :-1, -1] = c_ann
-    c[-1, -1, :-1] = c_ann
-    c[:-1, :-1, -1] = c_abn
-    c[:-1, -1, :-1] = c_abn
-    c[-1, :-1, :-1] = c_abn
+    c[:-1, -1, -1] = c[-1, :-1, -1] = c[-1, -1, :-1] = c_ann
+    c[:-1, :-1, -1] = c[:-1, -1, :-1] = c[-1, :-1, :-1] = c_abn
     c[:-1, :-1, :-1] = c_abc
     c /= z
 
-    g_up = inverse_metric(par, ctx, R)
     c_mixed = np.einsum("qt,ptr->pqr", g_up, c)
     c_vec_lower = np.einsum("pqr,qr->p", c, g_up)
     c_vec_upper = g_up @ c_vec_lower
@@ -199,7 +185,9 @@ def cartan_tensor(par: GParameter, ctx: MetricContext, R) -> CartanTensor:
 
 def cartan_mixed_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
     """Explicit chart closed forms for C_p^q_r (independent cross-check)."""
-    R, sb, z, w, w_up, w_low, v2 = _chart_or_raise(par, ctx, R)
+    R = ctx.check_vector(R, nonzero=True)
+    sb = scalar_bundle(par, ctx, R)
+    z, w, w_up, w_low, v2 = _chart(ctx, R, sb)
     n = ctx.n
     g = par.g
     qw = sb.Q
@@ -272,12 +260,15 @@ class TensorStack:
 
 def tensor_stack(par: GParameter, ctx: MetricContext, R) -> TensorStack:
     """Build the full stack (needs the Cartan chart, so q != 0 and Z != 0)."""
-    ct = cartan_tensor(par, ctx, R)
+    R = ctx.check_vector(R, nonzero=True)
+    sb = scalar_bundle(par, ctx, R)
+    g_up = inverse_metric.from_bundle(par, ctx, R, sb)
+    ct = _cartan_from_bundle(par, ctx, R, sb, g_up)
     return TensorStack(
-        r_lower=gradient_covector(par, ctx, R),
-        g_lower=metric_tensor(par, ctx, R),
-        g_upper=inverse_metric(par, ctx, R),
-        h_lower=angular_tensor(par, ctx, R),
+        r_lower=gradient_covector.from_bundle(par, ctx, R, sb),
+        g_lower=metric_tensor.from_bundle(par, ctx, R, sb),
+        g_upper=g_up,
+        h_lower=angular_tensor.from_bundle(par, ctx, R, sb),
         c_lower=ct.c_lower,
         c_mixed=ct.c_mixed,
         c_vec_lower=ct.c_vec_lower,

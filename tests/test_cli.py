@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -242,3 +243,20 @@ def test_import_pulls_in_no_scipy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+FLOAT = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
+EVAL_GOLDEN = json.loads((Path(__file__).parent / "data" / "eval_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", EVAL_GOLDEN, ids=lambda c: " ".join(c["argv"][2:]))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_matches_golden_output(capsys, case, fmt):
+    """Recorded `eval` outputs: the same layout with every number masked,
+    and every number within 2 ulp of the recorded one."""
+    code, out, _ = run_cli(capsys, *case["argv"], "--format", fmt)
+    want = case[fmt]
+    assert code == 0
+    assert FLOAT.sub("#", out) == FLOAT.sub("#", want)
+    got, ref = (np.array([float(x) for x in FLOAT.findall(t)]) for t in (out, want))
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))

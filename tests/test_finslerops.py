@@ -113,21 +113,45 @@ def test_product_gradients_euclidean(ctx, rng):
     assert np.max(np.abs(d_s - ctx.lower(r_vec))) < 1e-12
 
 
-def test_product_gradients_evaluates_each_bundle_once(ctx, rng, monkeypatch):
+def count_bundles(monkeypatch, fn, *args):
+    """Number of scalar_bundle evaluations made by one call fn(*args)."""
     real = fl.scalar_bundle
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(*a):
+        calls.append(a)
+        return real(*a)
 
-    par = fl.make_parameter(0.9)
-    r_vec, s_vec = image_pair(rng, ctx, par)
     for name, mod in list(sys.modules.items()):
         if name.startswith("finsleroid.") and hasattr(mod, "scalar_bundle"):
             monkeypatch.setattr(mod, "scalar_bundle", counting)
-    fl.product_gradients(par, ctx, r_vec, s_vec)
-    assert len(calls) == 2
+    fn(*args)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_product_gradients_evaluates_each_bundle_once(ctx, rng, monkeypatch):
+    par = fl.make_parameter(0.9)
+    r_vec, s_vec = image_pair(rng, ctx, par)
+    assert count_bundles(monkeypatch, fl.product_gradients, par, ctx, r_vec, s_vec) == 2
+
+
+@pytest.mark.parametrize(
+    "fn, vectors",
+    [
+        (fl.tensor_stack, 1),
+        (fl.cartan_tensor, 1),
+        (fl.angular_tensor, 1),
+        (fl.curvature_tensor, 1),
+        (fl.finsler_product, 2),
+        (fl.finsler_two_vector_tensor, 2),
+    ],
+)
+def test_each_bundle_evaluated_once(fn, vectors, ctx, rng, monkeypatch):
+    par = fl.make_parameter(0.9)
+    r_vec, s_vec = image_pair(rng, ctx, par, min_frac=0.15)
+    args = (r_vec, s_vec)[:vectors]
+    assert count_bundles(monkeypatch, fn, par, ctx, *args) == vectors
 
 
 @pytest.mark.parametrize("g", GS)

@@ -300,6 +300,6 @@ def test_mu_map_rows_rejected(ctx):
     for shape in ((3, n + 1), (n - 1,), ()):
         with pytest.raises(fl.OutOfRangeError):
             fl.mu_map(par, ctx, np.ones(shape))
-    # the per-vector kernels keep to one vector
+    # the kernels that stay per-vector keep to one vector
     with pytest.raises(fl.OutOfRangeError):
-        fl.sigma_map(par, ctx, np.ones((2, n)))
+        fl.quasi_metric(par, ctx, np.ones((2, n)))
