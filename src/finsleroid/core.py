@@ -286,7 +286,11 @@ def scalar_bundle(par: GParameter, ctx: MetricContext, R) -> ScalarBundle:
     """Evaluate q, Z, B, Q, E, A, L, Phi, J and K at nonzero vectors R,
     shape (..., N); each field has the leading shape (a scalar for one
     vector).  At scale extremes a field may be 0 or not finite."""
-    R = ctx.check_rows(R, nonzero=True)
+    return _bundle(par, ctx, ctx.check_rows(R, nonzero=True))
+
+
+def _bundle(par: GParameter, ctx: MetricContext, R) -> ScalarBundle:
+    """scalar_bundle of rows already checked."""
     with np.errstate(over="ignore", invalid="ignore"):
         # [()] turns the 0-d Z of one vector into a scalar
         return _bundle_from_qz(par, ctx.q_rows(R[..., :-1]), R[..., -1][()])

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, scalar_bundle
+from .core import GParameter, MetricContext, _bundle, _off_axis
 from .errors import CollinearError
 from .geodesics import (
     GeodesicChord,
     _check_cosine,
+    _checked_pair,
     _clamped_arccos,
+    _dots,
     _require_independent,
     geodesic_point,
     solve_chord,
@@ -43,62 +45,55 @@ __all__ = [
 
 
 def _pair_core(par: GParameter, ctx: MetricContext, R, S):
-    """One evaluation of the pair: (R, S, sb_r, sb_s, dot_bold, w, alpha).
+    """One evaluation of the pairs: (R, S, sb_r, sb_s, dot_bold, w, alpha).
 
-    dot_bold, w and alpha are symmetric in the pair, so the record of
-    (S, R) is this one with the R and S fields swapped.  w/sqrt(B(R)B(S))
-    is the sine of the euclidean angle of the image pair.
+    R and S are (..., N) stacks that broadcast against each other; the
+    scalars have the leading shape of the pairs.  dot_bold, w and alpha
+    are symmetric in the pair, so the record of (S, R) is this one with
+    the R and S fields swapped.  w/sqrt(B(R)B(S)) is the sine of the
+    euclidean angle of the image pair.
     """
-    R = ctx.check_vector(R, nonzero=True)
-    S = ctx.check_vector(S, nonzero=True)
-    sb_r = scalar_bundle(par, ctx, R)
-    sb_s = scalar_bundle(par, ctx, S)
-    dot_bold = float(R[:-1] @ ctx.r_ab @ S[:-1])
+    R, S = _checked_pair(ctx, R, S)
+    sb_r = _bundle(par, ctx, R)
+    sb_s = _bundle(par, ctx, S)
+    dot_bold = _dots(ctx.r_ab, R[..., :-1], S[..., :-1])
     num = sb_r.A * sb_s.A + par.h**2 * dot_bold
-    _check_cosine(num / math.sqrt(sb_r.B * sb_s.B))
+    _check_cosine(num / np.sqrt(sb_r.B * sb_s.B))
     # W^2 = B(R)B(S) - num^2 loses half its digits near coincidence when
     # formed literally; expand with B = A^2 + h^2 q^2 and split off the
     # transverse unit-vector gap so every piece stays O(separation^2):
     #   W^2/h^2 = (A_R q_S - A_S q_R)^2
     #           + q_R q_S |bhat_R - bhat_S|^2/2 (2 A_R A_S + h^2(q_R q_S + X))
+    # where a vector on the axis (q = 0) has no bhat and the second term is 0
     cross = sb_r.A * sb_s.q - sb_s.A * sb_r.q
-    w2 = cross * cross
-    if sb_r.q > 0.0 and sb_s.q > 0.0:
-        bgap = R[:-1] / sb_r.q - S[:-1] / sb_s.q
-        delta = 0.5 * float(bgap @ ctx.r_ab @ bgap)
-        w2 += (
-            sb_r.q
-            * sb_s.q
-            * delta
-            * (2.0 * sb_r.A * sb_s.A + par.h**2 * (sb_r.q * sb_s.q + dot_bold))
-        )
-    w = par.h * math.sqrt(max(w2, 0.0))
-    alpha = math.atan2(w, num) / par.h
+    bgap = R[..., :-1] / _off_axis(sb_r.q)[..., None] - S[..., :-1] / _off_axis(sb_s.q)[..., None]
+    delta = 0.5 * _dots(ctx.r_ab, bgap, bgap)
+    w2 = cross * cross + (
+        sb_r.q * sb_s.q * delta * (2.0 * sb_r.A * sb_s.A + par.h**2 * (sb_r.q * sb_s.q + dot_bold))
+    )
+    w = par.h * np.sqrt(np.maximum(w2, 0.0))
+    alpha = np.arctan2(w, num) / par.h
     return R, S, sb_r, sb_s, dot_bold, w, alpha
 
 
 def _m_covector(par, ctx, R, S, sb_r, sb_s, dot_bold) -> np.ndarray:
-    out = np.empty(ctx.n)
-    out[-1] = sb_r.q**2 * sb_s.A - dot_bold * sb_r.A
-    if sb_r.q > 0.0:
-        bold = (
-            -R[-1] * R[:-1] * sb_s.A
-            + S[:-1] * sb_r.B
-            - dot_bold * (sb_r.q + 0.5 * par.g * R[-1]) * R[:-1] / sb_r.q
-        )
-    else:
-        bold = S[:-1] * sb_r.B
-    out[:-1] = ctx.r_ab @ bold
-    return out
+    """M_p of the (broadcast) pairs; on the axis q(R) = 0 its bold part is
+    the limit r_ab S^b B(R), as every term with R^b vanishes."""
+    # M_a = r_ab(c R^b + B(R) S^b), c = -Z A(S) - (r R S)(q + g Z/2)/q
+    c = -sb_r.Z * sb_s.A - dot_bold * (sb_r.q + 0.5 * par.g * sb_r.Z) / _off_axis(sb_r.q)
+    bold = R[..., :-1] * c[..., None] + S[..., :-1] * sb_r.B[..., None]
+    last = sb_r.q**2 * sb_s.A - dot_bold * sb_r.A
+    return np.concatenate((ctx.r_rows(bold), last[..., None]), axis=-1)
 
 
 def _s_covector(m_r, sb_r, w) -> np.ndarray:
     """s_p = M_p K(R) / (W B(R))."""
-    return m_r * sb_r.K / (w * sb_r.B)
+    return m_r * sb_r.K[..., None] / (w * sb_r.B)[..., None]
 
 
-def finsler_angle(par: GParameter, ctx: MetricContext, R, S) -> float:
-    """Deformed angle between two vectors in the original coordinates."""
+def finsler_angle(par: GParameter, ctx: MetricContext, R, S):
+    """Deformed angle between two vectors in the original coordinates, over
+    pairs stacked as (..., N)."""
     return _pair_core(par, ctx, R, S)[-1]
 
 
@@ -124,16 +119,17 @@ def _pullback_tensor(par, ctx, R, S, sb_r, sb_s):
     t_r, t_s = sigma_map.from_bundle(par, ctx, R, sb_r), sigma_map.from_bundle(par, ctx, S, sb_s)
     n = two_vector_metric(par, ctx, t_r, t_s).n_lower
     j_r, j_s = (sigma_jacobian.from_bundle(par, ctx, *rs) for rs in ((R, sb_r), (S, sb_s)))
-    return j_r.T @ n @ j_s
+    return np.swapaxes(j_r, -1, -2) @ n @ j_s
 
 
 @dataclass(frozen=True)
 class FinslerPairProduct:
-    """Scalar product of a vector pair with its building blocks.
+    """Scalar product of a vector pair, or of stacked pairs, with its
+    building blocks.
 
     ``product`` = K(R) K(S) cos(alpha); W = sqrt(B(R)B(S) - num^2) where
-    num is the arccos numerator; s_r and g_lower are None for
-    image-collinear pairs (W = 0), where only the product survives.
+    num is the arccos numerator; s_r and g_lower are None when a pair is
+    image-collinear (W = 0), where only the product survives.
     """
 
     product: float
@@ -145,8 +141,8 @@ class FinslerPairProduct:
 
 
 def finsler_product(par: GParameter, ctx: MetricContext, R, S) -> FinslerPairProduct:
-    """Scalar product <R, S>; equals K^2 at S = R and the euclidean
-    product at g = 0."""
+    """Scalar product <R, S> over pairs stacked as (..., N); equals K^2 at
+    S = R and the euclidean product at g = 0."""
     R, S, sb_r, sb_s, dot_bold, w, alpha = _pair_core(par, ctx, R, S)
     m_r = _m_covector(par, ctx, R, S, sb_r, sb_s, dot_bold)
     try:
@@ -154,7 +150,7 @@ def finsler_product(par: GParameter, ctx: MetricContext, R, S) -> FinslerPairPro
         s_r, g_lower = _s_covector(m_r, sb_r, w), _pullback_tensor(par, ctx, R, S, sb_r, sb_s)
     except CollinearError:
         s_r = g_lower = None
-    return FinslerPairProduct(sb_r.K * sb_s.K * math.cos(alpha), alpha, w, m_r, s_r, g_lower)
+    return FinslerPairProduct(sb_r.K * sb_s.K * np.cos(alpha), alpha, w, m_r, s_r, g_lower)
 
 
 def finsler_two_vector_tensor(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
@@ -202,7 +198,7 @@ def axis_angles(par: GParameter, ctx: MetricContext, R):
     """Angles of R with the axis, (1/h) arccos(A/sqrt(B)), and with the
     non-axis plane, (1/h) arccos(L/sqrt(B))."""
     R = ctx.check_vector(R, nonzero=True)
-    sb = scalar_bundle(par, ctx, R)
+    sb = _bundle(par, ctx, R)
     root_b = math.sqrt(sb.B)
     return (
         _clamped_arccos(sb.A / root_b) / par.h,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext
+from .core import GParameter, MetricContext, _first_row
 from .errors import CollinearError, DegenerateChordError, NumericalDomainError
 
 __all__ = [
@@ -35,9 +35,13 @@ _CLAMP_SLACK = 1e-12
 _COLLINEAR_TOL = 1e-12
 
 
-def _check_cosine(x: float) -> None:
-    if abs(x) > 1.0 + _CLAMP_SLACK:
-        raise NumericalDomainError(f"cosine {x!r} outside [-1, 1] beyond rounding slack")
+def _check_cosine(x) -> None:
+    bad = abs(x) > 1.0 + _CLAMP_SLACK
+    if np.count_nonzero(bad):
+        first = float(np.asarray(x)[bad][0])
+        raise NumericalDomainError(
+            f"cosine {first!r} outside [-1, 1] beyond rounding slack" + _first_row(bad)
+        )
 
 
 def _clamped_arccos(x: float) -> float:
@@ -45,48 +49,82 @@ def _clamped_arccos(x: float) -> float:
     return math.acos(min(max(x, -1.0), 1.0))
 
 
-def _require_independent(u: float, dot11: float, dot22: float, what: str) -> None:
-    """The one pair-independence guard: sin(theta) = u/sqrt(dot11 dot22) > 1e-12."""
-    sin_theta = u / math.sqrt(dot11 * dot22)
-    if not sin_theta > _COLLINEAR_TOL:
-        raise CollinearError(f"{what}: sin(theta) = {sin_theta:.3e} <= {_COLLINEAR_TOL:.0e}")
+def _require_independent(u, dot11, dot22, what: str) -> None:
+    """The one pair-independence guard: sin(theta) = u/sqrt(dot11 dot22) > 1e-12,
+    pair by pair; the message names the first pair that fails it."""
+    sin_theta = u / np.sqrt(dot11 * dot22)
+    bad = ~(sin_theta > _COLLINEAR_TOL)
+    if np.count_nonzero(bad):
+        first = float(np.asarray(sin_theta)[bad][0])
+        raise CollinearError(
+            f"{what}: sin(theta) = {first:.3e} <= {_COLLINEAR_TOL:.0e}" + _first_row(bad)
+        )
 
 
-def _pair_dots(dot, t1, t2):
-    """Euclidean pair data under the bilinear form ``dot``, without cancellation.
+def _lower(form, x):
+    """x^p form_pq of vectors stacked as (..., N), each row on its own."""
+    return (x[..., None, :] @ form)[..., 0, :]
 
-    ``dot`` is ``ctx.dot`` for vectors and ``ctx.codot`` for co-vectors.
+
+def _dots(form, x, y):
+    """x^p form_pq y^q of pairs stacked as (..., N), each row on its own;
+    a float64 scalar for one pair."""
+    return (x[..., None, :] @ form @ y[..., :, None])[..., 0, 0][()]
+
+
+def _pair_dots(form, t1, t2):
+    """Euclidean pair data under the bilinear form ``form``, without
+    cancellation, over pairs stacked as (..., N) (the two stacks broadcast).
+
+    ``form`` is ``ctx.r_pq`` for vectors and ``ctx.r_pq_inv`` for co-vectors.
     The Gram root u = sqrt((t1t1)(t2t2) - (t1t2)^2) loses half its digits
     near collinearity when formed literally, so it is built from the
     transverse projections t2 - ((t1t2)/(t1t1)) t1 and its mirror; the
     euclidean angle comes from atan2(u, (t1t2)), well conditioned at both
-    ends of [0, pi].  Returns (dot11, dot22, dot12, u, theta).
+    ends of [0, pi].  Returns (dot11, dot22, dot12, u, theta), each with
+    the leading shape of the pairs (float64 scalars for one pair).
     """
-    dot11 = dot(t1, t1)
-    dot22 = dot(t2, t2)
-    dot12 = dot(t1, t2)
-    _check_cosine(dot12 / math.sqrt(dot11 * dot22))
-    t2p = t2 - (dot12 / dot11) * t1
-    t1p = t1 - (dot12 / dot22) * t2
-    u = (dot11 * dot22 * dot(t2p, t2p) * dot(t1p, t1p)) ** 0.25
-    theta = math.atan2(u, dot12)
-    return dot11, dot22, dot12, u, theta
+    pair = np.array(np.broadcast_arrays(t1, t2) if t1.shape != t2.shape else (t1, t2))  # (2, ..., N)
+    gram = (pair[:, None, ..., None, :] @ form @ pair[None, :, ..., :, None])[..., 0, 0]
+    dot11, dot22, dot12 = gram[0, 0], gram[1, 1], gram[0, 1]
+    _check_cosine(dot12 / np.sqrt(dot11 * dot22))
+    # rows t2 - ((t1t2)/(t1t1)) t1 and t1 - ((t1t2)/(t2t2)) t2
+    transverse = pair[::-1] - (dot12 / np.array((dot11, dot22)))[..., None] * pair
+    tt = (transverse[..., None, :] @ form @ transverse[..., :, None])[..., 0, 0]
+    # np.power, not **: on a float64 scalar ** is libm pow, which rounds
+    # differently from the array loop
+    u = np.power(dot11 * dot22 * tt[0] * tt[1], 0.25)
+    return dot11, dot22, dot12, u, np.arctan2(u, dot12)
 
 
-def _companions(dot, t1, t2, what: str):
-    """_pair_dots of an independent pair plus the companions d1, d2 (see PairInvariants)."""
-    dot11, dot22, dot12, u, theta = _pair_dots(dot, t1, t2)
+def _companions(form, t1, t2, what: str):
+    """_pair_dots of independent pairs plus the companions d1, d2 (see PairInvariants)."""
+    dot11, dot22, dot12, u, theta = _pair_dots(form, t1, t2)
     _require_independent(u, dot11, dot22, what)
-    d1 = (dot11 / u) * (t2 - (dot12 / dot11) * t1)
-    d2 = (dot22 / u) * (t1 - (dot12 / dot22) * t2)
+    d1 = (dot11 / u)[..., None] * (t2 - (dot12 / dot11)[..., None] * t1)
+    d2 = (dot22 / u)[..., None] * (t1 - (dot12 / dot22)[..., None] * t2)
     return dot11, dot22, dot12, u, theta, d1, d2
 
 
-def angle(par: GParameter, ctx: MetricContext, t1, t2) -> float:
-    """The deformed angle alpha = (1/h) * euclidean angle, in [0, pi/h]."""
-    t1 = ctx.check_vector(t1, nonzero=True)
-    t2 = ctx.check_vector(t2, nonzero=True)
-    return _pair_dots(ctx.dot, t1, t2)[4] / par.h
+def _checked_pair(ctx: MetricContext, t1, t2):
+    """Nonzero finite vector pairs, shape (..., N) each."""
+    return ctx.check_rows(t1, nonzero=True), ctx.check_rows(t2, nonzero=True)
+
+
+def _checked_vectors(ctx: MetricContext, t1, t2):
+    """One nonzero finite vector pair, shape (N,) each."""
+    return ctx.check_vector(t1, nonzero=True), ctx.check_vector(t2, nonzero=True)
+
+
+def angle(par: GParameter, ctx: MetricContext, t1, t2):
+    """The deformed angle alpha = (1/h) * euclidean angle, in [0, pi/h].
+
+    Like every pair function here, it takes pairs stacked as (..., N), the
+    two stacks broadcasting against each other, and returns the leading
+    shape (a float64 scalar for one pair); an invalid pair raises, naming
+    the first such row.
+    """
+    return _pair_dots(ctx.r_pq, *_checked_pair(ctx, t1, t2))[4] / par.h
 
 
 @dataclass(frozen=True)
@@ -94,7 +132,8 @@ class PairInvariants:
     """Euclidean products of a pair plus the orthogonal companion vectors.
 
     d1 is the part of t2 transverse to t1 (rescaled to |d1| = |t1|), and
-    symmetrically for d2; u = sqrt((t1t1)(t2t2) - (t1t2)^2) > 0.
+    symmetrically for d2; u = sqrt((t1t1)(t2t2) - (t1t2)^2) > 0.  For
+    stacked pairs each field has their leading shape (d1, d2 add N).
     """
 
     dot11: float
@@ -106,32 +145,31 @@ class PairInvariants:
     alpha: float
 
 
-def pair_invariants(par: GParameter, ctx: MetricContext, t1, t2) -> PairInvariants:
-    t1 = ctx.check_vector(t1, nonzero=True)
-    t2 = ctx.check_vector(t2, nonzero=True)
+def _invariants(par: GParameter, ctx: MetricContext, t1, t2) -> PairInvariants:
+    """pair_invariants of validated pairs."""
     dot11, dot22, dot12, u, theta, d1, d2 = _companions(
-        ctx.dot, t1, t2, "companion vectors undefined for a collinear pair"
+        ctx.r_pq, t1, t2, "companion vectors undefined for a collinear pair"
     )
     return PairInvariants(
         dot11=dot11, dot22=dot22, dot12=dot12, u=u, d1=d1, d2=d2, alpha=theta / par.h
     )
 
 
-def scalar_product(par: GParameter, ctx: MetricContext, t1, t2) -> float:
+def pair_invariants(par: GParameter, ctx: MetricContext, t1, t2) -> PairInvariants:
+    return _invariants(par, ctx, *_checked_pair(ctx, t1, t2))
+
+
+def scalar_product(par: GParameter, ctx: MetricContext, t1, t2):
     """<t1, t2> = |t1| |t2| cos(alpha); reduces to the euclidean product at g = 0."""
-    t1 = ctx.check_vector(t1, nonzero=True)
-    t2 = ctx.check_vector(t2, nonzero=True)
-    dot11, dot22, _, _, theta = _pair_dots(ctx.dot, t1, t2)
-    return math.sqrt(dot11 * dot22) * math.cos(theta / par.h)
+    dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, *_checked_pair(ctx, t1, t2))
+    return np.sqrt(dot11 * dot22) * np.cos(theta / par.h)
 
 
-def distance_squared(par: GParameter, ctx: MetricContext, t1, t2) -> float:
+def distance_squared(par: GParameter, ctx: MetricContext, t1, t2):
     """Squared two-point length (t1t1) + (t2t2) - 2 |t1||t2| cos(alpha)."""
-    t1 = ctx.check_vector(t1, nonzero=True)
-    t2 = ctx.check_vector(t2, nonzero=True)
-    dot11, dot22, _, _, theta = _pair_dots(ctx.dot, t1, t2)
-    root = math.sqrt(dot11 * dot22)
-    return max(dot11 + dot22 - 2.0 * root * math.cos(theta / par.h), 0.0)
+    dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, *_checked_pair(ctx, t1, t2))
+    root = np.sqrt(dot11 * dot22)
+    return np.maximum(dot11 + dot22 - 2.0 * root * np.cos(theta / par.h), 0.0)
 
 
 @dataclass(frozen=True)
@@ -166,12 +204,11 @@ def solve_chord(par: GParameter, ctx: MetricContext, t1, t2) -> GeodesicChord:
     smooth chord (the extremal path degenerates through the origin) and
     raise NumericalDomain.
     """
-    t1 = ctx.check_vector(t1, nonzero=True)
-    t2 = ctx.check_vector(t2, nonzero=True)
-    dot11, dot22, _, _, theta = _pair_dots(ctx.dot, t1, t2)
+    t1, t2 = _checked_vectors(ctx, t1, t2)
+    dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, t1, t2)
     a = math.sqrt(dot11)
     s_end = math.sqrt(dot22)
-    alpha = theta / par.h
+    alpha = float(theta) / par.h
     if alpha >= math.pi * (1.0 - 1e-9):
         raise NumericalDomainError(
             "no smooth chord: the pair subtends an angle of pi or more"
@@ -257,9 +294,8 @@ def length_gradients(par: GParameter, ctx: MetricContext, t1, t2):
     the coincidence limit, and t1.b1 + t2.b2 equals the squared length
     (Euler identity for a 2-homogeneous function).
     """
-    inv = pair_invariants(par, ctx, t1, t2)
-    t1 = ctx.check_vector(t1)
-    t2 = ctx.check_vector(t2)
+    t1, t2 = _checked_vectors(ctx, t1, t2)
+    inv = _invariants(par, ctx, t1, t2)
     s1 = math.sqrt(inv.dot11)
     s2 = math.sqrt(inv.dot22)
     ca = math.cos(inv.alpha)

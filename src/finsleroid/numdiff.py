@@ -4,6 +4,11 @@ Single global convention: central differences with per-component step
 1e-5 * (1 + |x_i|).  Checks that probe nearly-coincident vector pairs
 pass an explicit smaller ``scale`` (the derivatives they probe grow like
 the inverse pair separation squared, so the global step is too coarse).
+
+The vector stencils (``jacobian``, ``gradient``, ``hessian``,
+``mixed_second``) stack all their points and call the function once, so
+it must take rows (k, N), as the library kernels do; ``rowwise`` adapts
+a function of single vectors.
 """
 
 from __future__ import annotations
@@ -18,6 +23,13 @@ def steps(x: np.ndarray, scale: float = DEFAULT_SCALE) -> np.ndarray:
     return scale * (1.0 + np.abs(x))
 
 
+def rowwise(f):
+    """Adapt a function of single vectors to the stacked stencils below:
+    the result evaluates f row by row on (k, N) stacks (one stack per
+    argument) and stacks the values."""
+    return lambda *rows: np.stack([np.asarray(f(*row)) for row in zip(*rows)])
+
+
 def gradient(f, x, scale: float = DEFAULT_SCALE) -> np.ndarray:
     """Central-difference gradient of a scalar function of a vector."""
     return jacobian(f, x, scale)
@@ -26,20 +38,22 @@ def gradient(f, x, scale: float = DEFAULT_SCALE) -> np.ndarray:
 def jacobian(f, x, scale: float = DEFAULT_SCALE) -> np.ndarray:
     """Central-difference derivative of an array-valued function.
 
-    Returns an array of shape ``f(x).shape + x.shape``; the trailing axis
-    indexes the differentiation direction.
+    ``f`` takes the 2n stencil points stacked as (2n, n) rows in one call
+    and returns their values stacked along the first axis.  Returns an
+    array of shape ``f(x).shape + x.shape``; the trailing axis indexes
+    the differentiation direction.
     """
     x = np.asarray(x, dtype=float)
+    n = x.size
     h = steps(x, scale)
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h[i]
-        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h[i]))
-    return np.stack(cols, axis=-1)
+    e = np.diag(h)
+    values = np.asarray(f(np.concatenate((x + e, x - e))))
+    cols = (values[:n] - values[n:]) / (2.0 * h).reshape((n,) + (1,) * (values.ndim - 1))
+    return np.moveaxis(cols, 0, -1)
 
 
 HESSIAN_SCALE = 6e-5
+_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))  # the four corners of a mixed stencil
 
 
 def hessian(f, x, scale: float = HESSIAN_SCALE) -> np.ndarray:
@@ -47,25 +61,21 @@ def hessian(f, x, scale: float = HESSIAN_SCALE) -> np.ndarray:
 
     Second differences divide by the step squared, so float64 roundoff
     forces a larger default step than first derivatives use: at 1e-5 the
-    noise floor sits near 3e-5 relative, at 6e-5 below 1e-6.
+    noise floor sits near 3e-5 relative, at 6e-5 below 1e-6.  ``f`` takes
+    the stencil points stacked as rows in one call: x, x +- 2 h_i e_i and
+    x +- h_i e_i +- h_j e_j for i < j.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     h = steps(x, scale)
+    e = np.diag(h)
+    i, j = np.triu_indices(n, 1)
+    pairs = [x + si * e[i] + sj * e[j] for si, sj in _SIGNS]
+    values = np.asarray(f(np.concatenate([x[None], x + 2 * e, x - 2 * e, *pairs])))
+    f0, fp, fm, fpp, fpm, fmp, fmm = np.split(values, np.cumsum([1, n, n] + [i.size] * 3))
     out = np.empty((n, n))
-    f0 = f(x)
-    for i in range(n):
-        ei = np.zeros_like(x)
-        ei[i] = h[i]
-        out[i, i] = (f(x + 2 * ei) - 2.0 * f0 + f(x - 2 * ei)) / (4.0 * h[i] ** 2)
-        for j in range(i + 1, n):
-            ej = np.zeros_like(x)
-            ej[j] = h[j]
-            mixed = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-            out[i, j] = mixed
-            out[j, i] = mixed
+    out[np.diag_indices(n)] = (fp - 2.0 * f0 + fm) / (4.0 * h**2)
+    out[i, j] = out[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
     return out
 
 
@@ -73,23 +83,20 @@ def mixed_second(f, x, y, scale: float = HESSIAN_SCALE) -> np.ndarray:
     """Mixed partial d^2 f / dx^p dy^q of a scalar two-vector function.
 
     Single four-point stencil per entry; far more accurate than nesting
-    two first-derivative stencils.
+    two first-derivative stencils.  ``f`` takes the 4 nm stencil pairs
+    (x +- hx_p e_p, y +- hy_q e_q) stacked as two (4 nm, .) arrays in one
+    call.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     hx = steps(x, scale)
     hy = steps(y, scale)
-    out = np.empty((x.size, y.size))
-    for i in range(x.size):
-        ei = np.zeros_like(x)
-        ei[i] = hx[i]
-        for j in range(y.size):
-            ej = np.zeros_like(y)
-            ej[j] = hy[j]
-            out[i, j] = (
-                f(x + ei, y + ej) - f(x + ei, y - ej) - f(x - ei, y + ej) + f(x - ei, y - ej)
-            ) / (4.0 * hx[i] * hy[j])
-    return out
+    ex = np.repeat(np.diag(hx), y.size, axis=0)  # row p*m + q moves x^p
+    ey = np.tile(np.diag(hy), (x.size, 1))  # ... and y^q
+    xs = np.concatenate([x + sx * ex for sx, _ in _SIGNS])
+    ys = np.concatenate([y + sy * ey for _, sy in _SIGNS])
+    fpp, fpm, fmp, fmm = np.split(np.asarray(f(xs, ys)), 4)
+    return ((fpp - fpm - fmp + fmm) / np.outer(4.0 * hx, hy).ravel()).reshape(x.size, y.size)
 
 
 def second_derivative(f, s: float, scale: float = HESSIAN_SCALE):

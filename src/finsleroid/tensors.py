@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, ScalarBundle, _off_axis, _outer, _rows_kernel, scalar_bundle
-from .errors import OnAxisError
+from .core import GParameter, MetricContext, ScalarBundle, _bundle, _off_axis, _outer, _rows_kernel
+from .errors import NumericalDomainError, OnAxisError
 
 __all__ = [
     "CartanTensor",
@@ -101,7 +101,7 @@ def angular_block_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarra
     h_ab = K^2/B r_ab - (gZ + q) (r_a.R)(r_b.R) K^2 / (q B^2).
     """
     R = ctx.check_vector(R, nonzero=True)
-    sb = scalar_bundle(par, ctx, R)
+    sb = _bundle(par, ctx, R)
     n = ctx.n
     z = R[-1]
     q = sb.q
@@ -141,11 +141,47 @@ def _chart(ctx, R, sb):
     return z, sb.q / z, w_up, ctx.r_ab @ w_up, (sb.K / z) ** 2  # V^2 = K^2/Z^2
 
 
+def _prescaled(ctx, R):
+    """(2^-e R, e) for a checked vector R: e is 0 while its largest
+    component lies within 2^(+-100), where no scalar of the Cartan stack
+    leaves float64, and the binary exponent of that component beyond.  A
+    d-homogeneous quantity is 2^(d e) times its value at 2^-e R, and
+    power-of-two scaling is exact."""
+    R = ctx.check_vector(R, nonzero=True)
+    top = np.abs(R).max()
+    if 2.0**-100 < top < 2.0**100:
+        return R, 0
+    e = int(np.frexp(top)[1])
+    return np.ldexp(R, -e), e
+
+
+def _rescaled(what, x, shift):
+    """2^shift x, raising NumericalDomainError where it leaves float64."""
+    if shift:
+        with np.errstate(over="ignore", under="ignore"):
+            x = np.ldexp(x, shift)
+        if not np.isfinite(x).all():
+            raise NumericalDomainError(f"{what} is not finite at this scale")
+    return x
+
+
+def _scaled_cartan(ct: CartanTensor, e: int) -> CartanTensor:
+    """The Cartan tensor at 2^e R from the one at R (degree -1)."""
+    if not e:
+        return ct
+    fields = (ct.c_lower, ct.c_mixed, ct.c_vec_lower, ct.c_vec_upper)
+    return CartanTensor(*(_rescaled("Cartan tensor", x, -e) for x in fields))
+
+
+def _cartan_at(par, ctx, R) -> CartanTensor:
+    sb = _bundle(par, ctx, R)
+    return _cartan_from_bundle(par, ctx, R, sb, inverse_metric.from_bundle(par, ctx, R, sb))
+
+
 def cartan_tensor(par: GParameter, ctx: MetricContext, R) -> CartanTensor:
     """Assemble the Cartan tensor from the chart closed forms."""
-    R = ctx.check_vector(R, nonzero=True)
-    sb = scalar_bundle(par, ctx, R)
-    return _cartan_from_bundle(par, ctx, R, sb, inverse_metric.from_bundle(par, ctx, R, sb))
+    R, e = _prescaled(ctx, R)
+    return _scaled_cartan(_cartan_at(par, ctx, R), e)
 
 
 def _cartan_from_bundle(par, ctx, R, sb, g_up) -> CartanTensor:
@@ -186,7 +222,7 @@ def _cartan_from_bundle(par, ctx, R, sb, g_up) -> CartanTensor:
 def cartan_mixed_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
     """Explicit chart closed forms for C_p^q_r (independent cross-check)."""
     R = ctx.check_vector(R, nonzero=True)
-    sb = scalar_bundle(par, ctx, R)
+    sb = _bundle(par, ctx, R)
     z, w, w_up, w_low, v2 = _chart(ctx, R, sb)
     n = ctx.n
     g = par.g
@@ -238,10 +274,12 @@ def curvature_tensor(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
     Equals S* (h_pr h_qs - h_ps h_qr)/K^2 with the constant S* = -g^2/4;
     the implied level-surface curvature is 1 + S* = h^2.
     """
-    ct = cartan_tensor(par, ctx, R)
-    return np.einsum("tqr,pts->pqrs", ct.c_lower, ct.c_mixed) - np.einsum(
+    R, e = _prescaled(ctx, R)
+    ct = _cartan_at(par, ctx, R)
+    curvature = np.einsum("tqr,pts->pqrs", ct.c_lower, ct.c_mixed) - np.einsum(
         "tqs,ptr->pqrs", ct.c_lower, ct.c_mixed
     )
+    return _rescaled("curvature tensor", curvature, -2 * e)
 
 
 @dataclass(frozen=True)
@@ -260,12 +298,12 @@ class TensorStack:
 
 def tensor_stack(par: GParameter, ctx: MetricContext, R) -> TensorStack:
     """Build the full stack (needs the Cartan chart, so q != 0 and Z != 0)."""
-    R = ctx.check_vector(R, nonzero=True)
-    sb = scalar_bundle(par, ctx, R)
+    R, e = _prescaled(ctx, R)
+    sb = _bundle(par, ctx, R)
     g_up = inverse_metric.from_bundle(par, ctx, R, sb)
-    ct = _cartan_from_bundle(par, ctx, R, sb, g_up)
+    ct = _scaled_cartan(_cartan_from_bundle(par, ctx, R, sb, g_up), e)
     return TensorStack(
-        r_lower=gradient_covector.from_bundle(par, ctx, R, sb),
+        r_lower=_rescaled("gradient covector", gradient_covector.from_bundle(par, ctx, R, sb), e),
         g_lower=metric_tensor.from_bundle(par, ctx, R, sb),
         g_upper=g_up,
         h_lower=angular_tensor.from_bundle(par, ctx, R, sb),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext
+from .core import GParameter, MetricContext, _outer
 from .errors import (
     MaxIterationsError,
     NoRootError,
@@ -27,7 +27,11 @@ from .errors import (
 )
 from .geodesics import (
     PairInvariants,
+    _checked_pair,
+    _checked_vectors,
     _companions,
+    _invariants,
+    _lower,
     _pair_dots,
     _require_independent,
     pair_invariants,
@@ -71,28 +75,32 @@ class TwoVectorTensor:
 
 
 def _pair_scalars(inv: PairInvariants):
-    s1 = math.sqrt(inv.dot11)
-    s2 = math.sqrt(inv.dot22)
-    return s1, s2, math.cos(inv.alpha), math.sin(inv.alpha)
+    s1 = np.sqrt(inv.dot11)
+    s2 = np.sqrt(inv.dot22)
+    return s1, s2, np.cos(inv.alpha), np.sin(inv.alpha)
 
 
 def two_vector_metric(par: GParameter, ctx: MetricContext, t1, t2) -> TwoVectorTensor:
-    """Closed form of the mixed second derivative of the scalar product."""
-    inv = pair_invariants(par, ctx, t1, t2)
+    """Closed form of the mixed second derivative of the scalar product,
+    over pairs stacked as (..., N) (n_lower is (..., N, N))."""
+    t1, t2 = _checked_pair(ctx, t1, t2)
+    inv = _invariants(par, ctx, t1, t2)
     s1, s2, ca, sa = _pair_scalars(inv)
     a1 = ca - inv.dot12 * sa / (par.h * inv.u)
     a2 = ca / par.h - inv.dot12 * sa / inv.u
-    t1l = ctx.lower(ctx.check_vector(t1))
-    t2l = ctx.lower(ctx.check_vector(t2))
-    d1l = ctx.lower(inv.d1)
-    d2l = ctx.lower(inv.d2)
+    # t1, t2, d1, d2 lowered in one call, at the broadcast shape of the pairs
+    vectors = (t1, t2, inv.d1, inv.d2)
+    if t1.shape != t2.shape:
+        vectors = np.broadcast_arrays(*vectors)
+    t1l, t2l, d1l, d2l = _lower(ctx.r_pq, np.array(vectors))
+    mat = lambda x: np.asarray(x)[..., None, None]
     n = (
-        (s1 * s2 * sa / (par.h * inv.u)) * ctx.r_pq
-        + (a1 / (s1 * s2)) * np.outer(t1l, t2l)
-        - (a2 / (par.h * s1 * s2)) * np.outer(d1l, d2l)
+        mat(s1 * s2 * sa / (par.h * inv.u)) * ctx.r_pq
+        + mat(a1 / (s1 * s2)) * _outer(t1l, t2l)
+        - mat(a2 / (par.h * s1 * s2)) * _outer(d1l, d2l)
     )
     zsq = inv.dot11 * inv.dot22 * sa / inv.u
-    z = math.sqrt(zsq) if zsq >= 0.0 else math.nan
+    z = np.sqrt(np.where(zsq >= 0.0, zsq, math.nan))
     return TwoVectorTensor(n_lower=n, a1=a1, a2=a2, z=z, pair=inv)
 
 
@@ -133,11 +141,12 @@ def frame(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray:
     the frame index against frame components of t1, t2 have closed forms.
     Raises NumericalDomain when a radicand is negative (large angles).
     """
-    inv = pair_invariants(par, ctx, t1, t2)
+    t1, t2 = _checked_vectors(ctx, t1, t2)
+    inv = _invariants(par, ctx, t1, t2)
     s1, s2, z, p, m, c_p, c_m = _frame_pieces(par, ctx, inv)
-    t1l = ctx.lower(ctx.check_vector(t1))
+    t1l = ctx.lower(t1)
     d2l = ctx.lower(inv.d2)
-    t2_frame = ctx.vielbein @ ctx.check_vector(t2)
+    t2_frame = ctx.vielbein @ t2
     d1_frame = ctx.vielbein @ inv.d1
     out = (
         z * ctx.vielbein
@@ -249,14 +258,15 @@ def co_orientation(par: GParameter, alpha: float) -> float:
 
 def covector_pair(par: GParameter, ctx: MetricContext, t1, t2) -> CovectorPair:
     """Closed forms of the co-vectors and their companions."""
-    inv = pair_invariants(par, ctx, t1, t2)
+    t1, t2 = _checked_vectors(ctx, t1, t2)
+    inv = _invariants(par, ctx, t1, t2)
     s1, s2, ca, sa = _pair_scalars(inv)
-    t1l = ctx.lower(ctx.check_vector(t1))
-    t2l = ctx.lower(ctx.check_vector(t2))
+    t1l = ctx.lower(t1)
+    t2l = ctx.lower(t2)
     big_t1 = (s2 / s1) * (ca * t1l + (sa / par.h) * ctx.lower(inv.d1))
     big_t2 = (s1 / s2) * (ca * t2l + (sa / par.h) * ctx.lower(inv.d2))
     big_d1, big_d2 = _companions(
-        ctx.codot, big_t1, big_t2, "co-vectors of the pair are collinear"
+        ctx.r_pq_inv, big_t1, big_t2, "co-vectors of the pair are collinear"
     )[5:]
     # direct form of the inversion denominator scale; equals
     # -co_orientation * cap_u / u
@@ -269,7 +279,7 @@ def invert_covectors(par: GParameter, ctx: MetricContext, T1, T2, alpha: float):
     big_t1 = ctx.check_vector(T1, nonzero=True)
     big_t2 = ctx.check_vector(T2, nonzero=True)
     tt11, tt22, _, _, _, big_d1, big_d2 = _companions(
-        ctx.codot, big_t1, big_t2, "co-vector pair is collinear"
+        ctx.r_pq_inv, big_t1, big_t2, "co-vector pair is collinear"
     )
     if not 0.0 < alpha < math.pi:
         raise NumericalDomainError("inversion needs 0 < alpha < pi")
@@ -336,8 +346,9 @@ def solve_co_angle(par: GParameter, ctx: MetricContext, T1, T2) -> float:
     """
     big_t1 = ctx.check_vector(T1, nonzero=True)
     big_t2 = ctx.check_vector(T2, nonzero=True)
-    tt11, tt22, tt12, cap_u, beta = _pair_dots(ctx.codot, big_t1, big_t2)
+    tt11, tt22, tt12, cap_u, beta = _pair_dots(ctx.r_pq_inv, big_t1, big_t2)
     _require_independent(cap_u, tt11, tt22, "co-vector pair is collinear")
+    beta = float(beta)  # the Newton iteration runs on Python floats
     h = par.h
 
     def f_and_df(alpha):
@@ -362,14 +373,12 @@ def oplus_first_order(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray
     t1 (+) t2 ~ t1 + t2 + (1/h - 1)(m(t1,t2) t1 + m(t2,t1) t2), exact at
     g = 0; the defining-equation residuals are O(k^2) in k = 1/h - 1.
     """
-    inv = pair_invariants(par, ctx, t1, t2)
+    t1, t2 = _checked_vectors(ctx, t1, t2)
+    inv = _invariants(par, ctx, t1, t2)
     if inv.alpha >= 0.5 * math.pi:
-        raise ObtuseInputError(f"parallelogram law needs alpha < pi/2, got {inv.alpha!r}")
-    t1 = ctx.check_vector(t1)
-    t2 = ctx.check_vector(t2)
+        raise ObtuseInputError(f"parallelogram law needs alpha < pi/2, got {float(inv.alpha)!r}")
     total = t1 + t2
-    th1 = _pair_dots(ctx.dot, t1, total)[4]
-    th2 = _pair_dots(ctx.dot, t2, total)[4]
+    th1, th2 = _pair_dots(ctx.r_pq, np.array((t1, t2)), total)[4]
     m12 = (inv.dot12 * th1 - inv.dot22 * th2) / inv.u
     m21 = (inv.dot12 * th2 - inv.dot11 * th1) / inv.u
     k = 1.0 / par.h - 1.0
@@ -383,9 +392,9 @@ def ominus_first_order(par: GParameter, ctx: MetricContext, t1, t3) -> np.ndarra
     v = t3 - t1
     if not np.any(v):
         raise ZeroVectorError("difference of coincident vectors")
-    dot11, dot33, _, u, ang_a = _pair_dots(ctx.dot, t1, t3)
+    dot11, dot33, _, u, ang_a = _pair_dots(ctx.r_pq, t1, t3)
     _require_independent(u, dot11, dot33, "difference undefined for a collinear configuration")
-    ang_b = _pair_dots(ctx.dot, v, t3)[4]
+    ang_b = _pair_dots(ctx.r_pq, v, t3)[4]
     vt1 = ctx.dot(v, t1)
     vv = ctx.dot(v, v)
     s_vec = ((dot11 * ang_a - vt1 * ang_b) * v + (vv * ang_b - vt1 * ang_a) * t1) / u
@@ -398,9 +407,9 @@ def parallelogram_residuals(par: GParameter, ctx: MetricContext, t1, t2, t3):
     t1 = ctx.check_vector(t1, nonzero=True)
     t2 = ctx.check_vector(t2, nonzero=True)
     t3 = ctx.check_vector(t3, nonzero=True)
-    dot11, dot33, _, _, theta13 = _pair_dots(ctx.dot, t1, t3)
-    dot22, _, _, _, theta23 = _pair_dots(ctx.dot, t2, t3)
-    s1, s2, s3 = math.sqrt(dot11), math.sqrt(dot22), math.sqrt(dot33)
+    # the pairs (t1, t3) and (t2, t3) in one call
+    (dot11, dot22), dot33, _, _, (theta13, theta23) = _pair_dots(ctx.r_pq, np.array((t1, t2)), t3)
+    s1, s2, s3 = math.sqrt(dot11), math.sqrt(dot22), math.sqrt(dot33[0])
     r1 = s3 - (s2 * s2 - s1 * s1) / s3 - 2.0 * s1 * math.cos(theta13 / par.h)
     r2 = s3 - (s1 * s1 - s2 * s2) / s3 - 2.0 * s2 * math.cos(theta23 / par.h)
     return r1, r2
@@ -423,17 +432,16 @@ def parallelogram_refine(
     c1, c2 are the law-of-cosines expressions for cos(a13), cos(a23).
     Seeded and bracketed; first-order sum agreement is O(k^2).
     """
-    inv = pair_invariants(par, ctx, t1, t2)
+    t1, t2 = _checked_vectors(ctx, t1, t2)
+    inv = _invariants(par, ctx, t1, t2)
     if inv.alpha >= 0.5 * math.pi:
-        raise ObtuseInputError(f"parallelogram law needs alpha < pi/2, got {inv.alpha!r}")
-    t1 = ctx.check_vector(t1)
-    t2 = ctx.check_vector(t2)
+        raise ObtuseInputError(f"parallelogram law needs alpha < pi/2, got {float(inv.alpha)!r}")
     if par.g == 0.0:
         return t1 + t2
 
     s1 = math.sqrt(inv.dot11)
     s2 = math.sqrt(inv.dot22)
-    theta12 = par.h * inv.alpha
+    theta12 = par.h * float(inv.alpha)
 
     def c1(rho):
         return min(max((s1 * s1 + rho * rho - s2 * s2) / (2.0 * s1 * rho), -1.0), 1.0)

@@ -32,7 +32,7 @@ from .core import (
     scalar_bundle,
 )
 from .core import _bundle_from_qz, _phi_a_form, _phi_qz_form
-from .errors import FinsleroidError, NumericalDomainError, OutOfRangeError
+from .errors import CollinearError, FinsleroidError, NumericalDomainError, OutOfRangeError
 from .finslerops import (
     axis_angles,
     finsler_angle,
@@ -42,6 +42,7 @@ from .finslerops import (
     finsler_two_vector_tensor,
     m_vector,
     product_gradients,
+    s_vector,
 )
 from .geodesics import (
     _pair_dots,
@@ -181,10 +182,14 @@ def draw_pair(rng, ctx, par, min_frac=0.0, unit=False, max_alpha=None, min_cos=N
         raise OutOfRangeError(
             f"g = {par.g}: no pair has sin(theta) >= {min_sin} and alpha < pi/2 with cos > {min_cos}"
         )
+    if max_alpha is not None and par.h * max_alpha <= math.asin(min_sin):
+        raise OutOfRangeError(
+            f"g = {par.g}: no pair has sin(theta) >= {min_sin} and alpha < {max_alpha}"
+        )
     while True:
         t1 = draw_vector(rng, ctx, min_frac=min_frac, unit=unit)
         t2 = draw_vector(rng, ctx, min_frac=min_frac, unit=unit)
-        dot11, dot22, _, u, theta = _pair_dots(ctx.dot, t1, t2)
+        dot11, dot22, _, u, theta = _pair_dots(ctx.r_pq, t1, t2)
         if u < min_sin * math.sqrt(dot11 * dot22):
             continue
         al = theta / par.h
@@ -223,6 +228,15 @@ def _dev(x) -> float:
 
 def _budget(trials, cost):
     return max(4, trials // cost)
+
+
+def _reject(skipped, trials):
+    """Count one rejected draw against a budget of 50 per trial, the
+    budget of check_frame; OutOfRangeError once it is spent."""
+    skipped += 1
+    if skipped >= 50 * trials:
+        raise OutOfRangeError(f"{skipped} draws rejected: no admissible sample at this g")
+    return skipped
 
 
 def check_parameter_identities(par, ctx, rng, trials, tol):
@@ -397,7 +411,10 @@ def check_angular_tensor(par, ctx, rng, trials, tol):
             w = ctx.m(v) / v[-1]
             det_h = float(np.linalg.det(ha[:-1, :-1]))
             det_g = float(np.linalg.det(metric_tensor(par, ctx, v)))
-            res = max(res, abs(det_h - det_g / generating_v(par, w) ** 2) / abs(det_g))
+            v2 = generating_v(par, w) ** 2
+            if det_g == 0.0 or v2 == 0.0:
+                raise NumericalDomainError("det(g_pq) or V^2 underflows float64")
+            res = max(res, abs(det_h - det_g / v2) / abs(det_g))
     return trials, res
 
 
@@ -666,7 +683,7 @@ def check_metric_derivative_fd(par, ctx, rng, trials, tol):
     m = _budget(trials, 4)
     for _ in range(m):
         t = draw_vector(rng, ctx, unit=True)
-        fd = numdiff.jacobian(lambda x: quasi_metric(par, ctx, x).n_lower, t)
+        fd = numdiff.jacobian(numdiff.rowwise(lambda x: quasi_metric(par, ctx, x).n_lower), t)
         res = max(res, _dev(fd - quasi_metric_derivative(par, ctx, t)))
     return m, res
 
@@ -677,7 +694,7 @@ def check_curvature_fd(par, ctx, rng, trials, tol):
     for _ in range(m):
         t = draw_vector(rng, ctx, unit=True)
         qg = quasi_metric(par, ctx, t)
-        dg = numdiff.jacobian(lambda x: quasi_metric(par, ctx, x).christoffel, t)
+        dg = numdiff.jacobian(numdiff.rowwise(lambda x: quasi_metric(par, ctx, x).christoffel), t)
         nc = qg.christoffel
         mixed = (
             dg
@@ -715,7 +732,7 @@ def check_conformal_jacobian_fd(par, ctx, rng, trials, tol):
     for _ in range(m):
         t = draw_vector(rng, ctx, unit=True)
         kj = conformal_jacobian(par, ctx, t)
-        fd = numdiff.jacobian(lambda x: conformal_flatten(par, ctx, x)[0], t)
+        fd = numdiff.jacobian(numdiff.rowwise(lambda x: conformal_flatten(par, ctx, x)[0]), t)
         res = max(res, _dev(kj - fd))
     return m, res
 
@@ -1024,7 +1041,7 @@ def check_covector_closed(par, ctx, rng, trials, tol):
             _dev(cp.T2 - t1 @ tv.n_lower),
             abs(t1 @ cp.T1 + t2 @ cp.T2 - 2.0 * scalar_product(par, ctx, t1, t2)),
         )
-        tt11, tt22, tt12, cap_u, _ = _pair_dots(ctx.codot, cp.T1, cp.T2)
+        tt11, tt22, tt12, cap_u, _ = _pair_dots(ctx.r_pq_inv, cp.T1, cp.T2)
         ca, sa = math.cos(inv.alpha), math.sin(inv.alpha)
         cc, ss = ca * ca, sa * sa / par.h**2
         eps = co_orientation(par, inv.alpha)
@@ -1080,8 +1097,8 @@ def check_covector_metric_fd(par, ctx, rng, trials, tol):
         t1, t2 = draw_pair(rng, ctx, par, unit=True, max_alpha=0.95 * math.pi,
                            regime_margin=0.05)
         tv = two_vector_metric(par, ctx, t1, t2)
-        fd1 = numdiff.jacobian(lambda y: covector_pair(par, ctx, t1, y).T1, t2)
-        fd2 = numdiff.jacobian(lambda x: covector_pair(par, ctx, x, t2).T2, t1)
+        fd1 = numdiff.jacobian(numdiff.rowwise(lambda y: covector_pair(par, ctx, t1, y).T1), t2)
+        fd2 = numdiff.jacobian(numdiff.rowwise(lambda x: covector_pair(par, ctx, x, t2).T2), t1)
         res = max(res, _dev(fd1 - tv.n_lower), _dev(fd2 - tv.n_lower.T))
     return m, res
 
@@ -1107,7 +1124,7 @@ def check_co_angle(par, ctx, rng, trials, tol):
         al = solve_co_angle(par, ctx, cp.T1, cp.T2)
         res = max(res, abs(al - inv.alpha) * 1e-3)  # forward consistency, own tolerance
         # residual of the implicit cosine equation at the returned root
-        tt11, tt22, tt12, cap_u, _ = _pair_dots(ctx.codot, cp.T1, cp.T2)
+        tt11, tt22, tt12, cap_u, _ = _pair_dots(ctx.r_pq_inv, cp.T1, cp.T2)
         ca, sa = math.cos(al), math.sin(al)
         cc, ss = ca * ca, sa * sa / par.h**2
         rhs = ((cc - ss) * tt12 + 2.0 / par.h * sa * ca * co_orientation(par, al) * cap_u) / (
@@ -1173,8 +1190,8 @@ def check_ominus(par, ctx, rng, trials, tol):
             res = max(res, _dev(ominus_first_order(par, ctx, t1, t3) - v))
             continue
         s_vec = (ominus_first_order(par, ctx, t1, t3) - v) / k
-        _, _, _, u13, ang_a = _pair_dots(ctx.dot, t1, t3)
-        _, _, _, u_v3, ang_b = _pair_dots(ctx.dot, v, t3)
+        _, _, _, u13, ang_a = _pair_dots(ctx.r_pq, t1, t3)
+        _, _, _, u_v3, ang_b = _pair_dots(ctx.r_pq, v, t3)
         res = max(
             res,
             abs(ctx.dot(v, s_vec) - u13 * ang_a),
@@ -1207,25 +1224,28 @@ def check_finsler_product(par, ctx, rng, trials, tol):
     for _ in range(trials):
         r_vec = draw_vector(rng, ctx)
         s_vec_ = draw_vector(rng, ctx)
-        pp = finsler_product(par, ctx, r_vec, s_vec_)
+        lam, mu = rng.uniform(0.2, 3.0, 2)
+        # the pairs (R, S), (R, R) and (lam R, mu S) in one call
+        pp = finsler_product(
+            par, ctx, np.stack([r_vec, r_vec, lam * r_vec]), np.stack([s_vec_, r_vec, mu * s_vec_])
+        )
+        product, self_product, scaled_product = pp.product
         t1 = sigma_map(par, ctx, r_vec)
         t2 = sigma_map(par, ctx, s_vec_)
         res = max(
             res,
-            abs(pp.product - scalar_product(par, ctx, t1, t2)),
-            abs(pp.alpha - angle(par, ctx, t1, t2)),
-            abs(finsler_product(par, ctx, r_vec, r_vec).product - kfun(par, ctx, r_vec) ** 2),
-            abs(pp.m_r @ r_vec),
-            max(0.0, -(pp.w**2)),
+            abs(product - scalar_product(par, ctx, t1, t2)),
+            abs(pp.alpha[0] - angle(par, ctx, t1, t2)),
+            abs(self_product - kfun(par, ctx, r_vec) ** 2),
+            abs(pp.m_r[0] @ r_vec),
+            max(0.0, -(pp.w[0] ** 2)),
+            abs(scaled_product - lam * mu * product) / max(abs(product), 1.0),
         )
-        lam, mu = rng.uniform(0.2, 3.0, 2)
-        res = max(
-            res,
-            abs(finsler_product(par, ctx, lam * r_vec, mu * s_vec_).product - lam * mu * pp.product)
-            / max(abs(pp.product), 1.0),
-        )
-        if pp.s_r is not None:
-            res = max(res, abs(pp.s_r @ r_vec))
+        try:
+            # (R, R) is image-collinear, so the stacked record has no s_r
+            res = max(res, abs(s_vector(par, ctx, r_vec, s_vec_) @ r_vec))
+        except CollinearError:
+            pass
     return trials, res
 
 
@@ -1233,13 +1253,14 @@ def check_finsler_gradients(par, ctx, rng, trials, tol):
     res_fd = 0.0
     res = 0.0
     m = _budget(trials, 8)
-    cnt = 0
+    cnt = skipped = 0
     while cnt < m:
         r_vec = draw_vector(rng, ctx, min_frac=0.15, unit=True)
         s_vec_ = draw_vector(rng, ctx, min_frac=0.15, unit=True)
         try:
             d_r, d_s = product_gradients(par, ctx, r_vec, s_vec_)
         except FinsleroidError:
+            skipped = _reject(skipped, trials)
             continue
         cnt += 1
         fprod = lambda x, y: finsler_product(par, ctx, x, y).product
@@ -1265,7 +1286,7 @@ def check_finsler_gradients(par, ctx, rng, trials, tol):
 def check_finsler_two_vector(par, ctx, rng, trials, tol):
     res = 0.0
     m = _budget(trials, 8)
-    cnt = 0
+    cnt = skipped = 0
     while cnt < m:
         r_vec = draw_vector(rng, ctx, min_frac=0.1, unit=True)
         s_vec_ = draw_vector(rng, ctx, min_frac=0.1, unit=True)
@@ -1273,6 +1294,7 @@ def check_finsler_two_vector(par, ctx, rng, trials, tol):
             t1 = sigma_map(par, ctx, r_vec)
             t2 = sigma_map(par, ctx, s_vec_)
             if angle(par, ctx, t1, t2) > 0.9 * math.pi:
+                skipped = _reject(skipped, trials)
                 continue
             big_g = finsler_two_vector_tensor(par, ctx, r_vec, s_vec_)
             sj_r = sigma_jacobian(par, ctx, r_vec)
@@ -1280,6 +1302,7 @@ def check_finsler_two_vector(par, ctx, rng, trials, tol):
             ntv = two_vector_metric(par, ctx, t1, t2).n_lower
             d_r, d_s = product_gradients(par, ctx, r_vec, s_vec_)
         except FinsleroidError:
+            skipped = _reject(skipped, trials)
             continue
         cnt += 1
         # Euler contractions (<R, S> is 1-homogeneous in each argument)
@@ -1323,13 +1346,14 @@ def check_finsler_coincidence(par, ctx, rng, trials, tol):
 def check_finsler_geodesic(par, ctx, rng, trials, tol):
     res = 0.0
     m = _budget(trials, 4)
-    cnt = 0
+    cnt = skipped = 0
     while cnt < m:
         r1 = draw_vector(rng, ctx)
         r2 = draw_vector(rng, ctx)
         try:
             ch = finsler_chord(par, ctx, r1, r2)
         except FinsleroidError:
+            skipped = _reject(skipped, trials)
             continue
         cnt += 1
         pts = finsler_geodesic(par, ctx, r1, r2, np.array([0.0, ch.delta_s]))
@@ -1341,17 +1365,19 @@ def check_finsler_arc(par, ctx, rng, trials, tol):
     res = 0.0
     m = _budget(trials, 16)
     segs = 3000  # pullback paths can graze the axis, where quadrature converges slower
-    cnt = 0
+    cnt = skipped = 0
     while cnt < m:
         r1 = draw_vector(rng, ctx)
         r2 = draw_vector(rng, ctx)
         try:
             ch = finsler_chord(par, ctx, r1, r2)
         except FinsleroidError:
+            skipped = _reject(skipped, trials)
             continue
         # the composite rule needs the integrand smooth: keep the chord's
         # closest approach to the origin bounded (same guard as the ODE check)
         if math.sqrt(max(ch.a**2 - ch.b**2, 0.0)) < 0.3 * max(ch.a, ch.s_end):
+            skipped = _reject(skipped, trials)
             continue
         cnt += 1
         pts = finsler_geodesic(par, ctx, r1, r2, np.linspace(0.0, ch.delta_s, segs + 1))

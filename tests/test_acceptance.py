@@ -196,7 +196,7 @@ def test_criterion_07_quasi_euclidean_geometry():
         for _ in range(PER_COMBO):
             t = draw_vector(rng, ctx, unit=True)
             qg = fl.quasi_metric(par, ctx, t)
-            dg = numdiff.jacobian(lambda x: fl.quasi_metric(par, ctx, x).christoffel, t)
+            dg = numdiff.jacobian(numdiff.rowwise(lambda x: fl.quasi_metric(par, ctx, x).christoffel), t)
             nc = qg.christoffel
             mixed = (
                 dg

@@ -114,8 +114,10 @@ def test_product_gradients_euclidean(ctx, rng):
 
 
 def count_bundles(monkeypatch, fn, *args):
-    """Number of scalar_bundle evaluations made by one call fn(*args)."""
-    real = fl.scalar_bundle
+    """Number of scalar bundles built by one call fn(*args): every bundle,
+    through scalar_bundle or from rows already checked, comes from
+    core._bundle."""
+    real = fl.core._bundle
     calls = []
 
     def counting(*a):
@@ -123,8 +125,8 @@ def count_bundles(monkeypatch, fn, *args):
         return real(*a)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("finsleroid.") and hasattr(mod, "scalar_bundle"):
-            monkeypatch.setattr(mod, "scalar_bundle", counting)
+        if name.startswith("finsleroid.") and hasattr(mod, "_bundle"):
+            monkeypatch.setattr(mod, "_bundle", counting)
     fn(*args)
     monkeypatch.undo()
     return len(calls)

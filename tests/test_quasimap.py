@@ -200,7 +200,7 @@ def test_metric_derivative_closed_form(g, ctx, rng):
     par = fl.make_parameter(g)
     for _ in range(5):
         t = sample(rng, ctx, unit=True)
-        fd = numdiff.jacobian(lambda x: fl.quasi_metric(par, ctx, x).n_lower, t)
+        fd = numdiff.jacobian(numdiff.rowwise(lambda x: fl.quasi_metric(par, ctx, x).n_lower), t)
         assert np.max(np.abs(fd - fl.quasi_metric_derivative(par, ctx, t))) < 1e-7
 
 
@@ -210,7 +210,7 @@ def test_curvature_closed_vs_finite_difference(g, ctx, rng):
     for _ in range(5):
         t = sample(rng, ctx, unit=True)
         qg = fl.quasi_metric(par, ctx, t)
-        dg = numdiff.jacobian(lambda x: fl.quasi_metric(par, ctx, x).christoffel, t)
+        dg = numdiff.jacobian(numdiff.rowwise(lambda x: fl.quasi_metric(par, ctx, x).christoffel), t)
         nc = qg.christoffel
         mixed = (
             dg
@@ -240,7 +240,7 @@ def test_conformal_flattening(g, ctx, rng):
     # FD oracle for the analytic jacobian
     t = sample(rng, ctx, unit=True)
     kj = fl.conformal_jacobian(par, ctx, t)
-    fd = numdiff.jacobian(lambda x: fl.conformal_flatten(par, ctx, x)[0], t)
+    fd = numdiff.jacobian(numdiff.rowwise(lambda x: fl.conformal_flatten(par, ctx, x)[0]), t)
     assert np.max(np.abs(kj - fd)) < 1e-7
 
 

@@ -205,8 +205,8 @@ def test_covector_metric_recovery_fd(ctx, rng):
     par = fl.make_parameter(1.1)
     t1, t2 = draw_pair(rng, ctx, par, unit=True, max_alpha=0.95 * math.pi, regime_margin=0.05)
     tv = fl.two_vector_metric(par, ctx, t1, t2)
-    fd1 = numdiff.jacobian(lambda y: fl.covector_pair(par, ctx, t1, y).T1, t2)
-    fd2 = numdiff.jacobian(lambda x: fl.covector_pair(par, ctx, x, t2).T2, t1)
+    fd1 = numdiff.jacobian(numdiff.rowwise(lambda y: fl.covector_pair(par, ctx, t1, y).T1), t2)
+    fd2 = numdiff.jacobian(numdiff.rowwise(lambda x: fl.covector_pair(par, ctx, x, t2).T2), t1)
     assert np.max(np.abs(fd1 - tv.n_lower)) < 1e-5
     assert np.max(np.abs(fd2 - tv.n_lower.T)) < 1e-5
 

@@ -105,3 +105,58 @@ def test_kernels_are_concurrency_safe():
         tensors = list(pool.map(lambda v: fl.metric_tensor(par, ctx, v), vecs))
     for v, gm in zip(vecs, tensors):
         assert np.array_equal(gm, fl.metric_tensor(par, ctx, v))
+
+
+def test_two_vector_fd_oracle_is_one_product_call_per_pair(monkeypatch):
+    from finsleroid import verify as V
+
+    calls = []
+
+    def counted(par, ctx, R, S):
+        calls.append(np.shape(R))
+        return fl.finsler_product(par, ctx, R, S)
+
+    monkeypatch.setattr(V, "finsler_product", counted)
+    par = fl.make_parameter(1.0)
+    for n in (3, 5):
+        calls.clear()
+        rng = np.random.default_rng(7)
+        samples, residual = V.check_finsler_two_vector(par, fl.MetricContext(n), rng, 32, 1e-8)
+        assert residual < 1e-8
+        # one stacked call of the 4 N^2 stencil pairs per accepted pair
+        assert calls == [(4 * n * n, n)] * samples
+
+
+HANGED_NEAR_2 = {
+    "geodesics.angle_properties", "geodesics.chord_constants", "geodesics.endpoints",
+    "geodesics.ode_residual", "geodesics.velocity", "geodesics.arc_length",
+    "geodesics.length_gradients", "twovector.frame", "twovector.covector_closed",
+    "twovector.covector_metric_fd", "twovector.covector_inversion",
+    "finslerops.two_vector", "finslerops.geodesic_arc", "tensors.angular_tensor",
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # float64 overflow inside checks near |g| = 2
+def test_near_two_report_carries_errors():
+    # these checks used to draw for ever, or (angular_tensor) end in a bare
+    # ZeroDivisionError; each now fails with a typed error in the report
+    rep = run_verify(RunConfig(g=1.9999, dim=3, seed=0, trials=20))
+    assert len(rep["checks"]) == len(CHECKS) and rep["overall_pass"] is False
+    by_id = {c["id"]: c for c in rep["checks"]}
+    for cid in HANGED_NEAR_2:
+        assert by_id[cid]["pass"] is False and by_id[cid]["error"], cid
+    for c in rep["checks"]:
+        assert ("error" in c) == (c["samples"] == 0), c["id"]
+    json.loads(report_to_json(rep))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_draw_pair_and_rejection_budget_raise():
+    from finsleroid import verify as V
+
+    par = fl.make_parameter(1.9999)
+    ctx = fl.MetricContext(3)
+    with pytest.raises(fl.OutOfRangeError, match="no pair"):
+        V.draw_pair(np.random.default_rng(0), ctx, par, max_alpha=0.95 * np.pi)
+    with pytest.raises(fl.OutOfRangeError, match="draws rejected"):
+        V.check_finsler_arc(par, ctx, np.random.default_rng(0), 2, 1e-5)
