@@ -84,10 +84,8 @@ from .tensors import (
     tensor_stack,
 )
 from .twovector import (
-    CoincidenceReport,
     CovectorPair,
     TwoVectorTensor,
-    coincidence_limits,
     covector_pair,
     frame,
     frame_reconstruct,

@@ -253,26 +253,6 @@ def phi_function(par: GParameter, q, z):
     return 0.5 * math.pi - np.arctan2(par.h * q, z + 0.5 * par.g * q)
 
 
-def _phi_qz_form(par: GParameter, q: float, z: float) -> float:
-    # printed primary branch family; needs Z != 0
-    base = 0.5 * math.pi if z >= 0 else -0.5 * math.pi
-    return base + math.atan(0.5 * par.big_g) - math.atan(q / (par.h * z) + 0.5 * par.big_g)
-
-
-def _phi_lz_form(par: GParameter, q: float, z: float) -> float:
-    # same family written through L = q + g*Z/2; needs Z != 0
-    base = 0.5 * math.pi if z >= 0 else -0.5 * math.pi
-    lfun = q + 0.5 * par.g * z
-    return base + math.atan(0.5 * par.big_g) - math.atan(lfun / (par.h * z))
-
-
-def _phi_a_form(par: GParameter, q: float, z: float) -> float:
-    # plain-arctan A-form; valid only while sign(A) == sign(Z)
-    a = z + 0.5 * par.g * q
-    base = 0.5 * math.pi if z >= 0 else -0.5 * math.pi
-    return base - math.atan(par.h * q / a)
-
-
 def _bundle_from_qz(par: GParameter, q, z) -> ScalarBundle:
     """The bundle of (q, Z), elementwise over arrays of one shape."""
     phi = phi_function(par, q, z)

@@ -23,6 +23,8 @@ from .geodesics import (
     _clamped_arccos,
     _dots,
     _require_independent,
+    _require_normal,
+    _stacked,
     geodesic_point,
     solve_chord,
 )
@@ -45,50 +47,60 @@ __all__ = [
 
 
 def _pair_core(par: GParameter, ctx: MetricContext, R, S):
-    """One evaluation of the pairs: (R, S, sb_r, sb_s, dot_bold, w, alpha).
+    """One evaluation of the pairs: (R, S, sb_r, sb_s, dot_bold, roots, sine, alpha).
 
     R and S are (..., N) stacks that broadcast against each other; the
-    scalars have the leading shape of the pairs.  dot_bold, w and alpha
-    are symmetric in the pair, so the record of (S, R) is this one with
-    the R and S fields swapped.  w/sqrt(B(R)B(S)) is the sine of the
-    euclidean angle of the image pair.
+    scalars have the leading shape of the pairs, and roots stacks
+    sqrt(B(R)), sqrt(B(S)).  sine = W/sqrt(B(R)B(S)) is the sine of the
+    euclidean angle of the image pair.  dot_bold, sine and alpha are
+    symmetric in the pair, so the record of (S, R) is this one with the R
+    and S fields (and roots) swapped.
     """
     R, S = _checked_pair(ctx, R, S)
     sb_r = _bundle(par, ctx, R)
     sb_s = _bundle(par, ctx, S)
+    squares = _stacked(sb_r.B, sb_s.B)
+    _require_normal(squares, "image pair")
     dot_bold = _dots(ctx.r_ab, R[..., :-1], S[..., :-1])
-    num = sb_r.A * sb_s.A + par.h**2 * dot_bold
-    _check_cosine(num / np.sqrt(sb_r.B * sb_s.B))
+    roots = np.sqrt(squares)
+    # every piece below is divided by sigma = sqrt(B(R)B(S)) before it is
+    # squared, so no intermediate exceeds the order of B
+    sigma = roots[0] * roots[1]
+    cos = (sb_r.A * sb_s.A + par.h**2 * dot_bold) / sigma
+    _check_cosine(cos)
     # W^2 = B(R)B(S) - num^2 loses half its digits near coincidence when
     # formed literally; expand with B = A^2 + h^2 q^2 and split off the
     # transverse unit-vector gap so every piece stays O(separation^2):
     #   W^2/h^2 = (A_R q_S - A_S q_R)^2
     #           + q_R q_S |bhat_R - bhat_S|^2/2 (2 A_R A_S + h^2(q_R q_S + X))
     # where a vector on the axis (q = 0) has no bhat and the second term is 0
-    cross = sb_r.A * sb_s.q - sb_s.A * sb_r.q
+    qq = sb_r.q * sb_s.q
+    cross = (sb_r.A * sb_s.q - sb_s.A * sb_r.q) / sigma
     bgap = R[..., :-1] / _off_axis(sb_r.q)[..., None] - S[..., :-1] / _off_axis(sb_s.q)[..., None]
     delta = 0.5 * _dots(ctx.r_ab, bgap, bgap)
-    w2 = cross * cross + (
-        sb_r.q * sb_s.q * delta * (2.0 * sb_r.A * sb_s.A + par.h**2 * (sb_r.q * sb_s.q + dot_bold))
-    )
-    w = par.h * np.sqrt(np.maximum(w2, 0.0))
-    alpha = np.arctan2(w, num) / par.h
-    return R, S, sb_r, sb_s, dot_bold, w, alpha
+    w2 = cross * cross + qq / sigma * delta * ((2.0 * sb_r.A * sb_s.A + par.h**2 * (qq + dot_bold)) / sigma)
+    sine = par.h * np.sqrt(np.maximum(w2, 0.0))
+    return R, S, sb_r, sb_s, dot_bold, roots, sine, np.arctan2(sine, cos) / par.h
 
 
-def _m_covector(par, ctx, R, S, sb_r, sb_s, dot_bold) -> np.ndarray:
-    """M_p of the (broadcast) pairs; on the axis q(R) = 0 its bold part is
-    the limit r_ab S^b B(R), as every term with R^b vanishes."""
+def _m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots) -> np.ndarray:
+    """M_p / (B(R) sqrt(B(S))) of the (broadcast) pairs, of degree 0 in
+    both vectors: each term is formed from R/sqrt(B(R)) and S/sqrt(B(S)),
+    so none leaves float64 where B does not.  On the axis q(R) = 0 its
+    bold part is the limit r_ab S^b/sqrt(B(S)), as every term with R^b
+    vanishes."""
+    r_r, r_s = roots
+    x = dot_bold / (r_r * r_s)
     # M_a = r_ab(c R^b + B(R) S^b), c = -Z A(S) - (r R S)(q + g Z/2)/q
-    c = -sb_r.Z * sb_s.A - dot_bold * (sb_r.q + 0.5 * par.g * sb_r.Z) / _off_axis(sb_r.q)
-    bold = R[..., :-1] * c[..., None] + S[..., :-1] * sb_r.B[..., None]
-    last = sb_r.q**2 * sb_s.A - dot_bold * sb_r.A
+    c = -sb_r.Z / r_r * (sb_s.A / r_s) - x * (sb_r.q + 0.5 * par.g * sb_r.Z) / _off_axis(sb_r.q)
+    bold = R[..., :-1] * (c / r_r)[..., None] + S[..., :-1] / r_s[..., None]
+    last = (sb_r.q / r_r) ** 2 * (sb_s.A / r_s) - x * (sb_r.A / r_r)
     return np.concatenate((ctx.r_rows(bold), last[..., None]), axis=-1)
 
 
-def _s_covector(m_r, sb_r, w) -> np.ndarray:
-    """s_p = M_p K(R) / (W B(R))."""
-    return m_r * sb_r.K[..., None] / (w * sb_r.B)[..., None]
+def _s_covector(m_unit, sb_r, sine) -> np.ndarray:
+    """s_p = M_p K(R) / (W B(R)) from M_p / (B(R) sqrt(B(S))) and W/sqrt(B(R)B(S))."""
+    return m_unit * (sb_r.J / sine)[..., None]
 
 
 def finsler_angle(par: GParameter, ctx: MetricContext, R, S):
@@ -104,14 +116,15 @@ def m_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
     M_a = r_ab(-Z R^b A(S) + S^b B(R) - (r R S)(q + g Z/2) R^b/q).
     The axis q(R) = 0 is a removable limit: M_a -> r_ab S^b B(R).
     """
-    return _m_covector(par, ctx, *_pair_core(par, ctx, R, S)[:5])
+    R, S, sb_r, sb_s, dot_bold, roots, _, _ = _pair_core(par, ctx, R, S)
+    return _m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots) * (sb_r.B * roots[1])[..., None]
 
 
 def s_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
     """s_p(g; R, S) = M_p K(R) / (W B(R)); annihilates R^p."""
-    R, S, sb_r, sb_s, dot_bold, w, _ = _pair_core(par, ctx, R, S)
-    _require_independent(w, sb_r.B, sb_s.B, "s-vector undefined for image-collinear pairs")
-    return _s_covector(_m_covector(par, ctx, R, S, sb_r, sb_s, dot_bold), sb_r, w)
+    R, S, sb_r, sb_s, dot_bold, roots, sine, _ = _pair_core(par, ctx, R, S)
+    _require_independent(sine, "s-vector undefined for image-collinear pairs")
+    return _s_covector(_m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots), sb_r, sine)
 
 
 def _pullback_tensor(par, ctx, R, S, sb_r, sb_s):
@@ -143,13 +156,15 @@ class FinslerPairProduct:
 def finsler_product(par: GParameter, ctx: MetricContext, R, S) -> FinslerPairProduct:
     """Scalar product <R, S> over pairs stacked as (..., N); equals K^2 at
     S = R and the euclidean product at g = 0."""
-    R, S, sb_r, sb_s, dot_bold, w, alpha = _pair_core(par, ctx, R, S)
-    m_r = _m_covector(par, ctx, R, S, sb_r, sb_s, dot_bold)
+    R, S, sb_r, sb_s, dot_bold, roots, sine, alpha = _pair_core(par, ctx, R, S)
+    m_unit = _m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots)
+    m_r = m_unit * (sb_r.B * roots[1])[..., None]
     try:
-        _require_independent(w, sb_r.B, sb_s.B, "s_r and g_lower need image-independent vectors")
-        s_r, g_lower = _s_covector(m_r, sb_r, w), _pullback_tensor(par, ctx, R, S, sb_r, sb_s)
+        _require_independent(sine, "s_r and g_lower need image-independent vectors")
+        s_r, g_lower = _s_covector(m_unit, sb_r, sine), _pullback_tensor(par, ctx, R, S, sb_r, sb_s)
     except CollinearError:
         s_r = g_lower = None
+    w = sine * roots[0] * roots[1]
     return FinslerPairProduct(sb_r.K * sb_s.K * np.cos(alpha), alpha, w, m_r, s_r, g_lower)
 
 
@@ -161,21 +176,21 @@ def finsler_two_vector_tensor(par: GParameter, ctx: MetricContext, R, S) -> np.n
     with the closed-form two-vector tensor n and Jacobian sigma'.
     Reduces to the one-vector metric tensor in the coincidence limit.
     """
-    R, S, sb_r, sb_s, _, w, _ = _pair_core(par, ctx, R, S)
-    _require_independent(w, sb_r.B, sb_s.B, "two-vector tensor needs image-independent vectors")
+    R, S, sb_r, sb_s, _, _, sine, _ = _pair_core(par, ctx, R, S)
+    _require_independent(sine, "two-vector tensor needs image-independent vectors")
     return _pullback_tensor(par, ctx, R, S, sb_r, sb_s)
 
 
 def product_gradients(par: GParameter, ctx: MetricContext, R, S):
     """(d<R,S>/dR^p, d<R,S>/dS^q) in closed form."""
-    R, S, sb_r, sb_s, dot_bold, w, alpha = _pair_core(par, ctx, R, S)
-    _require_independent(w, sb_r.B, sb_s.B, "gradients need image-independent vectors")
+    R, S, sb_r, sb_s, dot_bold, roots, sine, alpha = _pair_core(par, ctx, R, S)
+    _require_independent(sine, "gradients need image-independent vectors")
     product = sb_r.K * sb_s.K * math.cos(alpha)
     sa = math.sin(alpha)
-    s_rs = _s_covector(_m_covector(par, ctx, R, S, sb_r, sb_s, dot_bold), sb_r, w)
-    s_sr = _s_covector(_m_covector(par, ctx, S, R, sb_s, sb_r, dot_bold), sb_s, w)
-    d_r = gradient_covector.from_bundle(par, ctx, R, sb_r) * product / sb_r.K**2 + par.h * sb_s.K * s_rs * sa
-    d_s = gradient_covector.from_bundle(par, ctx, S, sb_s) * product / sb_s.K**2 + par.h * sb_r.K * s_sr * sa
+    s_rs = _s_covector(_m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots), sb_r, sine)
+    s_sr = _s_covector(_m_unit(par, ctx, S, R, sb_s, sb_r, dot_bold, roots[::-1]), sb_s, sine)
+    d_r = gradient_covector.from_bundle(par, ctx, R, sb_r) * (product / sb_r.K**2) + par.h * sb_s.K * s_rs * sa
+    d_s = gradient_covector.from_bundle(par, ctx, S, sb_s) * (product / sb_s.K**2) + par.h * sb_r.K * s_sr * sa
     return d_r, d_s
 
 

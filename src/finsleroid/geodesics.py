@@ -33,6 +33,7 @@ __all__ = [
 
 _CLAMP_SLACK = 1e-12
 _COLLINEAR_TOL = 1e-12
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 def _check_cosine(x) -> None:
@@ -49,10 +50,10 @@ def _clamped_arccos(x: float) -> float:
     return math.acos(min(max(x, -1.0), 1.0))
 
 
-def _require_independent(u, dot11, dot22, what: str) -> None:
-    """The one pair-independence guard: sin(theta) = u/sqrt(dot11 dot22) > 1e-12,
-    pair by pair; the message names the first pair that fails it."""
-    sin_theta = u / np.sqrt(dot11 * dot22)
+def _require_independent(sin_theta, what: str) -> None:
+    """The one pair-independence guard: sin(theta) > 1e-12, pair by pair,
+    for theta the euclidean angle of the pair; the message names the first
+    pair that fails it."""
     bad = ~(sin_theta > _COLLINEAR_TOL)
     if np.count_nonzero(bad):
         first = float(np.asarray(sin_theta)[bad][0])
@@ -72,35 +73,64 @@ def _dots(form, x, y):
     return (x[..., None, :] @ form @ y[..., :, None])[..., 0, 0][()]
 
 
+def _stacked(x, y):
+    """x and y broadcast and stacked along a new first axis."""
+    return np.array(np.broadcast_arrays(x, y) if x.shape != y.shape else (x, y))
+
+
+def _require_normal(squares, what: str) -> None:
+    """Raise NumericalDomainError where a squared norm of a pair, shape
+    (2, ...), is not a finite normal float64 (the vectors are beyond about
+    1e154 or below about 1e-154), naming the first such pair."""
+    normal = (squares >= _TINY) & (squares <= _HUGE)
+    if np.count_nonzero(normal) != normal.size:
+        bad = ~normal.all(axis=0)
+        first = squares[:, bad][:, 0] if bad.ndim else squares
+        raise NumericalDomainError(
+            f"{what}: squared norms {float(first[0])!r}, {float(first[1])!r} leave the float64 range"
+            + _first_row(bad)
+        )
+
+
 def _pair_dots(form, t1, t2):
     """Euclidean pair data under the bilinear form ``form``, without
-    cancellation, over pairs stacked as (..., N) (the two stacks broadcast).
+    cancellation or overflow, over pairs stacked as (..., N) (the two
+    stacks broadcast).
 
     ``form`` is ``ctx.r_pq`` for vectors and ``ctx.r_pq_inv`` for co-vectors.
     The Gram root u = sqrt((t1t1)(t2t2) - (t1t2)^2) loses half its digits
     near collinearity when formed literally, so it is built from the
-    transverse projections t2 - ((t1t2)/(t1t1)) t1 and its mirror; the
-    euclidean angle comes from atan2(u, (t1t2)), well conditioned at both
-    ends of [0, pi].  Returns (dot11, dot22, dot12, u, theta), each with
-    the leading shape of the pairs (float64 scalars for one pair).
+    transverse projections t2 - ((t1t2)/(t1t1)) t1 and its mirror, as
+    sqrt(|t1||t2 - ...|) sqrt(|t2||t1 - ...|): no intermediate exceeds the
+    squared norms, which must be finite normal numbers.  The euclidean
+    angle comes from atan2(sin, cos), well conditioned at both ends of
+    [0, pi].  Returns (dot11, dot22, dot12, u, theta), each with the
+    leading shape of the pairs (float64 scalars for one pair).
     """
-    pair = np.array(np.broadcast_arrays(t1, t2) if t1.shape != t2.shape else (t1, t2))  # (2, ..., N)
-    gram = (pair[:, None, ..., None, :] @ form @ pair[None, :, ..., :, None])[..., 0, 0]
+    pair = _stacked(t1, t2)  # (2, ..., N)
+    with np.errstate(over="ignore", invalid="ignore"):  # _require_normal reports it
+        gram = (pair[:, None, ..., None, :] @ form @ pair[None, :, ..., :, None])[..., 0, 0]
     dot11, dot22, dot12 = gram[0, 0], gram[1, 1], gram[0, 1]
-    _check_cosine(dot12 / np.sqrt(dot11 * dot22))
+    squares = np.array((dot11, dot22))
+    _require_normal(squares, "pair")
+    norms = np.sqrt(squares)
+    size = norms[0] * norms[1]
+    cos = dot12 / size
+    _check_cosine(cos)
     # rows t2 - ((t1t2)/(t1t1)) t1 and t1 - ((t1t2)/(t2t2)) t2
-    transverse = pair[::-1] - (dot12 / np.array((dot11, dot22)))[..., None] * pair
+    transverse = pair[::-1] - (dot12 / squares)[..., None] * pair
     tt = (transverse[..., None, :] @ form @ transverse[..., :, None])[..., 0, 0]
-    # np.power, not **: on a float64 scalar ** is libm pow, which rounds
-    # differently from the array loop
-    u = np.power(dot11 * dot22 * tt[0] * tt[1], 0.25)
-    return dot11, dot22, dot12, u, np.arctan2(u, dot12)
+    roots = np.sqrt(norms * np.sqrt(tt))  # each sqrt(u)
+    u = roots[0] * roots[1]
+    # atan2 of the sine and cosine: numpy's atan2 rounds differently for
+    # arguments near the float64 limits
+    return dot11, dot22, dot12, u, np.arctan2(u / size, cos)
 
 
 def _companions(form, t1, t2, what: str):
     """_pair_dots of independent pairs plus the companions d1, d2 (see PairInvariants)."""
     dot11, dot22, dot12, u, theta = _pair_dots(form, t1, t2)
-    _require_independent(u, dot11, dot22, what)
+    _require_independent(np.sin(theta), what)
     d1 = (dot11 / u)[..., None] * (t2 - (dot12 / dot11)[..., None] * t1)
     d2 = (dot22 / u)[..., None] * (t1 - (dot12 / dot22)[..., None] * t2)
     return dot11, dot22, dot12, u, theta, d1, d2
@@ -162,13 +192,13 @@ def pair_invariants(par: GParameter, ctx: MetricContext, t1, t2) -> PairInvarian
 def scalar_product(par: GParameter, ctx: MetricContext, t1, t2):
     """<t1, t2> = |t1| |t2| cos(alpha); reduces to the euclidean product at g = 0."""
     dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, *_checked_pair(ctx, t1, t2))
-    return np.sqrt(dot11 * dot22) * np.cos(theta / par.h)
+    return np.sqrt(dot11) * np.sqrt(dot22) * np.cos(theta / par.h)
 
 
 def distance_squared(par: GParameter, ctx: MetricContext, t1, t2):
     """Squared two-point length (t1t1) + (t2t2) - 2 |t1||t2| cos(alpha)."""
     dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, *_checked_pair(ctx, t1, t2))
-    root = np.sqrt(dot11 * dot22)
+    root = np.sqrt(dot11) * np.sqrt(dot22)
     return np.maximum(dot11 + dot22 - 2.0 * root * np.cos(theta / par.h), 0.0)
 
 

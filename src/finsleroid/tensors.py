@@ -24,11 +24,8 @@ __all__ = [
     "inverse_metric",
     "angular_tensor",
     "cartan_tensor",
-    "cartan_fd_diagnostic",
     "curvature_tensor",
     "tensor_stack",
-    "angular_block_reference",
-    "cartan_mixed_reference",
 ]
 
 
@@ -92,30 +89,6 @@ def angular_tensor(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> 
     annihilates R^q."""
     rl = gradient_covector.from_bundle(par, ctx, R, sb)
     return metric_tensor.from_bundle(par, ctx, R, sb) - _outer(rl, rl) / (sb.K**2)[..., None, None]
-
-
-def angular_block_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
-    """Closed-form components of h_pq (test oracle for angular_tensor).
-
-    h_NN = q^2 K^2/B^2, h_Na = -Z r_ab R^b K^2/B^2,
-    h_ab = K^2/B r_ab - (gZ + q) (r_a.R)(r_b.R) K^2 / (q B^2).
-    """
-    R = ctx.check_vector(R, nonzero=True)
-    sb = _bundle(par, ctx, R)
-    n = ctx.n
-    z = R[-1]
-    q = sb.q
-    k2b2 = sb.K**2 / sb.B**2
-    rr = ctx.r_ab @ R[:-1]
-    h = np.empty((n, n))
-    h[-1, -1] = q * q * k2b2
-    h[-1, :-1] = -z * rr * k2b2
-    h[:-1, -1] = h[-1, :-1]
-    block = (sb.K**2 / sb.B) * ctx.r_ab
-    if q > 0.0:
-        block = block - (par.g * z + q) * np.outer(rr, rr) / q * k2b2
-    h[:-1, :-1] = block
-    return h
 
 
 @dataclass(frozen=True)
@@ -217,55 +190,6 @@ def _cartan_from_bundle(par, ctx, R, sb, g_up) -> CartanTensor:
     c_vec_lower = np.einsum("pqr,qr->p", c, g_up)
     c_vec_upper = g_up @ c_vec_lower
     return CartanTensor(c_lower=c, c_mixed=c_mixed, c_vec_lower=c_vec_lower, c_vec_upper=c_vec_upper)
-
-
-def cartan_mixed_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
-    """Explicit chart closed forms for C_p^q_r (independent cross-check)."""
-    R = ctx.check_vector(R, nonzero=True)
-    sb = _bundle(par, ctx, R)
-    z, w, w_up, w_low, v2 = _chart(ctx, R, sb)
-    n = ctx.n
-    g = par.g
-    qw = sb.Q
-    eye = np.eye(n - 1)
-
-    m = np.zeros((n, n, n))
-    m[-1, -1, -1] = g * w**3 / qw**2
-    m[:-1, -1, -1] = -g * w / qw**2 * w_low
-    m[-1, :-1, -1] = -g * w * (1.0 + g * w) / qw**2 * w_up
-    m[-1, -1, :-1] = m[:-1, -1, -1]  # C_N^N_a = C_a^N_N by symmetry of C in p, r
-    a_n_b = 0.5 * g * w / qw * ctx.r_ab + (
-        0.5 * g * (1.0 - g * w - w * w) / (w * qw**2)
-    ) * np.outer(w_low, w_low)
-    m[:-1, -1, :-1] = a_n_b
-    n_a_b = 0.5 * g * w / qw * eye + (
-        0.5 * g * (1.0 + g * w - w * w) / (w * qw**2)
-    ) * np.outer(w_up, w_low)
-    m[-1, :-1, :-1] = n_a_b
-    m[:-1, :-1, -1] = n_a_b.T  # C_a^b_N = C_N^b_a (p-r symmetry)
-    abc = -0.5 * g / (w * qw) * (
-        np.einsum("ab,c->abc", eye, w_low)
-        + np.einsum("cb,a->abc", eye, w_low)
-        + (1.0 + g * w) * np.einsum("ac,b->abc", ctx.r_ab, w_up)
-    ) + (0.5 * g * (g * w * qw + qw + 2.0 * w * w) / (w**3 * qw**2)) * np.einsum(
-        "a,b,c->abc", w_low, w_up, w_low
-    )
-    m[:-1, :-1, :-1] = abc
-    return m / z
-
-
-def cartan_fd_diagnostic(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
-    """Finite-difference estimate (1/2) dg_pq/dR^r, for diagnostics only.
-
-    Works where the chart closed forms raise OnAxis (q = 0 or Z = 0), at
-    finite-difference accuracy; on the axis itself the one-sided kink of
-    the metric limits it further.  Production code should use
-    cartan_tensor.
-    """
-    from . import numdiff
-
-    R = ctx.check_vector(R, nonzero=True)
-    return 0.5 * numdiff.jacobian(lambda x: metric_tensor(par, ctx, x), R)
 
 
 def curvature_tensor(par: GParameter, ctx: MetricContext, R) -> np.ndarray:

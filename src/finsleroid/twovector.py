@@ -34,21 +34,16 @@ from .geodesics import (
     _lower,
     _pair_dots,
     _require_independent,
-    pair_invariants,
 )
-from .quasimap import quasi_metric
 
 __all__ = [
     "TwoVectorTensor",
     "CovectorPair",
-    "CoincidenceReport",
     "two_vector_metric",
-    "two_vector_determinant_reference",
     "co_regime_gap",
     "co_orientation",
     "frame",
     "frame_reconstruct",
-    "coincidence_limits",
     "covector_pair",
     "invert_covectors",
     "solve_co_angle",
@@ -99,18 +94,9 @@ def two_vector_metric(par: GParameter, ctx: MetricContext, t1, t2) -> TwoVectorT
         + mat(a1 / (s1 * s2)) * _outer(t1l, t2l)
         - mat(a2 / (par.h * s1 * s2)) * _outer(d1l, d2l)
     )
-    zsq = inv.dot11 * inv.dot22 * sa / inv.u
+    zsq = s1 * s2 * sa * (s1 * s2 / inv.u)
     z = np.sqrt(np.where(zsq >= 0.0, zsq, math.nan))
     return TwoVectorTensor(n_lower=n, a1=a1, a2=a2, z=z, pair=inv)
-
-
-def two_vector_determinant_reference(par: GParameter, ctx: MetricContext, t1, t2) -> float:
-    """det n_pq = (|t1||t2| sin(alpha)/u)^(N-2) h^(-N) det(r_ab)."""
-    inv = pair_invariants(par, ctx, t1, t2)
-    s1, s2, _, sa = _pair_scalars(inv)
-    return (s1 * s2 * sa / inv.u) ** (ctx.n - 2) * par.h ** (-ctx.n) * float(
-        np.linalg.det(ctx.r_ab)
-    )
 
 
 def _frame_pieces(par, ctx, inv):
@@ -118,7 +104,7 @@ def _frame_pieces(par, ctx, inv):
     if sa < 0.0:
         raise NumericalDomainError("frame needs sin(alpha) >= 0 (alpha <= pi)")
     x = inv.dot12
-    zsq = inv.dot11 * inv.dot22 * sa / inv.u
+    zsq = s1 * s2 * sa * (s1 * s2 / inv.u)
     delta_p = par.h * ca - x * sa / inv.u
     delta_m = ca / par.h - x * sa / inv.u
     p_rad = zsq + x * delta_p  # equals h (t1t2) cos(alpha) + u sin(alpha)
@@ -165,59 +151,6 @@ def frame_reconstruct(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray
     f12 = frame(par, ctx, t1, t2)
     f21 = frame(par, ctx, t2, t1)
     return np.einsum("rp,rq->pq", f12, f21)
-
-
-@dataclass(frozen=True)
-class CoincidenceReport:
-    """Convergence data for the coincidence limit t2 -> t1."""
-
-    eps: np.ndarray
-    tensor_error: np.ndarray
-    derivative_error: np.ndarray
-    a1: np.ndarray
-    a2_over_u: np.ndarray
-    a1_limit: float
-
-
-def coincidence_limits(par: GParameter, ctx: MetricContext, t, eps_sequence, v) -> CoincidenceReport:
-    """Probe n(t, t + eps v) -> n(t) and the derivative-sum limit.
-
-    The sum of the two partial derivatives of the two-vector tensor tends
-    to the derivative of the one-vector metric; each partial is estimated
-    by central differences with step eps/1000 (the global step convention
-    is too coarse this close to coincidence).
-    """
-    from . import numdiff
-    from .quasimap import quasi_metric_derivative
-
-    t = ctx.check_vector(t, nonzero=True)
-    v = ctx.check_vector(v)
-    n_one = quasi_metric(par, ctx, t).n_lower
-    dn_one = quasi_metric_derivative(par, ctx, t)
-    eps_sequence = np.asarray(eps_sequence, dtype=float)
-
-    tensor_err = np.empty_like(eps_sequence)
-    deriv_err = np.empty_like(eps_sequence)
-    a1_vals = np.empty_like(eps_sequence)
-    a2u_vals = np.empty_like(eps_sequence)
-    for i, eps in enumerate(eps_sequence):
-        t2 = t + eps * v
-        tv = two_vector_metric(par, ctx, t, t2)
-        tensor_err[i] = float(np.max(np.abs(tv.n_lower - n_one)))
-        a1_vals[i] = tv.a1
-        a2u_vals[i] = tv.a2 / tv.pair.u
-        step = eps / 1000.0
-        j1 = numdiff.jacobian(lambda x: two_vector_metric(par, ctx, x, t2).n_lower, t, scale=step)
-        j2 = numdiff.jacobian(lambda y: two_vector_metric(par, ctx, t, y).n_lower, t2, scale=step)
-        deriv_err[i] = float(np.max(np.abs(j1 + j2 - dn_one)))
-    return CoincidenceReport(
-        eps=eps_sequence,
-        tensor_error=tensor_err,
-        derivative_error=deriv_err,
-        a1=a1_vals,
-        a2_over_u=a2u_vals,
-        a1_limit=1.0 - 1.0 / par.h**2,
-    )
 
 
 @dataclass(frozen=True)
@@ -296,7 +229,7 @@ def _co_angle_cos_side(par, tt11, tt22, tt12, cap_u, alpha):
     ca = math.cos(alpha)
     sa = math.sin(alpha)
     cap_u = co_orientation(par, alpha) * cap_u
-    den = (ca * ca + sa * sa / par.h**2) * math.sqrt(tt11 * tt22)
+    den = (ca * ca + sa * sa / par.h**2) * math.sqrt(tt11) * math.sqrt(tt22)
     return ((ca * ca - sa * sa / par.h**2) * tt12 + (2.0 / par.h) * sa * ca * cap_u) / den
 
 
@@ -347,7 +280,7 @@ def solve_co_angle(par: GParameter, ctx: MetricContext, T1, T2) -> float:
     big_t1 = ctx.check_vector(T1, nonzero=True)
     big_t2 = ctx.check_vector(T2, nonzero=True)
     tt11, tt22, tt12, cap_u, beta = _pair_dots(ctx.r_pq_inv, big_t1, big_t2)
-    _require_independent(cap_u, tt11, tt22, "co-vector pair is collinear")
+    _require_independent(np.sin(beta), "co-vector pair is collinear")
     beta = float(beta)  # the Newton iteration runs on Python floats
     h = par.h
 
@@ -393,11 +326,11 @@ def ominus_first_order(par: GParameter, ctx: MetricContext, t1, t3) -> np.ndarra
     if not np.any(v):
         raise ZeroVectorError("difference of coincident vectors")
     dot11, dot33, _, u, ang_a = _pair_dots(ctx.r_pq, t1, t3)
-    _require_independent(u, dot11, dot33, "difference undefined for a collinear configuration")
+    _require_independent(np.sin(ang_a), "difference undefined for a collinear configuration")
     ang_b = _pair_dots(ctx.r_pq, v, t3)[4]
     vt1 = ctx.dot(v, t1)
     vv = ctx.dot(v, v)
-    s_vec = ((dot11 * ang_a - vt1 * ang_b) * v + (vv * ang_b - vt1 * ang_a) * t1) / u
+    s_vec = (dot11 * ang_a - vt1 * ang_b) / u * v + (vv * ang_b - vt1 * ang_a) / u * t1
     k = 1.0 / par.h - 1.0
     return v + k * s_vec
 

@@ -31,7 +31,7 @@ from .core import (
     phi_function,
     scalar_bundle,
 )
-from .core import _bundle_from_qz, _phi_a_form, _phi_qz_form
+from .core import _bundle_from_qz
 from .errors import CollinearError, FinsleroidError, NumericalDomainError, OutOfRangeError
 from .finslerops import (
     axis_angles,
@@ -55,6 +55,15 @@ from .geodesics import (
     scalar_product,
     solve_chord,
 )
+from .oracles import (
+    _phi_a_form,
+    _phi_qz_form,
+    angular_block_reference,
+    cartan_fd_diagnostic,
+    cartan_mixed_reference,
+    coincidence_limits,
+    two_vector_determinant_reference,
+)
 from .quasimap import (
     conformal_flatten,
     conformal_jacobian,
@@ -67,9 +76,7 @@ from .quasimap import (
     sigma_map,
 )
 from .tensors import (
-    angular_block_reference,
     angular_tensor,
-    cartan_mixed_reference,
     cartan_tensor,
     curvature_tensor,
     gradient_covector,
@@ -79,7 +86,6 @@ from .tensors import (
 from .twovector import (
     co_orientation,
     co_regime_gap,
-    coincidence_limits,
     covector_pair,
     frame,
     frame_reconstruct,
@@ -89,7 +95,6 @@ from .twovector import (
     parallelogram_refine,
     parallelogram_residuals,
     solve_co_angle,
-    two_vector_determinant_reference,
     two_vector_metric,
 )
 
@@ -129,7 +134,7 @@ def parse_metric_spec(spec: str, dim: int) -> np.ndarray:
     if spec == "identity":
         return np.eye(dim - 1)
     if spec.startswith("diag:"):
-        vals = [float(x) for x in spec[len("diag:") :].split(",") if x]
+        vals = _reals(spec[len("diag:") :].split(","), "diag metric")
         if len(vals) != dim - 1:
             raise OutOfRangeError(f"diag metric needs {dim - 1} entries, got {len(vals)}")
         return np.diag(vals)
@@ -137,15 +142,25 @@ def parse_metric_spec(spec: str, dim: int) -> np.ndarray:
         path = spec[len("file:") :]
         with open(path, "r", encoding="utf-8") as fh:
             tokens = fh.read().split()
+        if not tokens or not tokens[0].isdigit():
+            raise OutOfRangeError(f"metric file {path!r} does not start with the size N-1")
         size = int(tokens[0])
         if size != dim - 1:
             raise OutOfRangeError(f"metric file is for dimension {size + 1}, run uses {dim}")
-        vals = [float(x) for x in tokens[1:]]
+        vals = _reals(tokens[1:], f"metric file {path!r}")
         if len(vals) != size * size:
             raise OutOfRangeError("metric file does not hold (N-1)^2 entries")
         mat = np.array(vals).reshape(size, size)
         return 0.5 * (mat + mat.T)
     raise OutOfRangeError(f"unknown metric spec {spec!r}")
+
+
+def _reals(tokens, what):
+    """The nonempty tokens as floats; OutOfRangeError names one that is not a number."""
+    try:
+        return [float(x) for x in tokens if x]
+    except ValueError as exc:
+        raise OutOfRangeError(f"{what}: {exc}") from None
 
 
 # ----------------------------------------------------------------- sampling
@@ -424,7 +439,7 @@ def check_cartan_fd(par, ctx, rng, trials, tol):
     for _ in range(m):
         v = draw_vector(rng, ctx, min_frac=0.15, unit=True)
         ct = cartan_tensor(par, ctx, v)
-        fd = 0.5 * numdiff.jacobian(lambda x: metric_tensor(par, ctx, x), v)
+        fd = cartan_fd_diagnostic(par, ctx, v)
         scale = max(_dev(ct.c_lower), 1.0)
         res = max(res, _dev(ct.c_lower - fd) / scale)
         res = max(res, _dev(np.einsum("pqr,r->pq", ct.c_lower, v)))
@@ -614,22 +629,8 @@ def check_metric_pullback(par, ctx, rng, trials, tol):
         qg = quasi_metric(par, ctx, t)
         res = max(
             res,
-            float(
-                np.max(
-                    np.abs(
-                        np.einsum("rp,sq,rs->pq", sj, sj, qg.n_lower)
-                        - metric_tensor(par, ctx, v)
-                    )
-                )
-            ),
-            float(
-                np.max(
-                    np.abs(
-                        np.einsum("rp,sq,rs->pq", sj, sj, qg.h_lower) / par.h**2
-                        - angular_tensor(par, ctx, v)
-                    )
-                )
-            ),
+            _dev(np.einsum("rp,sq,rs->pq", sj, sj, qg.n_lower) - metric_tensor(par, ctx, v)),
+            _dev(np.einsum("rp,sq,rs->pq", sj, sj, qg.h_lower) / par.h**2 - angular_tensor(par, ctx, v)),
         )
         # pushforward of the inverse metric
         gu = inverse_metric(par, ctx, v)
@@ -1019,11 +1020,7 @@ def check_frame(par, ctx, rng, trials, tol):
             _dev(fr @ t1 - (inv.dot11 * pm_over_x * (vb @ t2) + mm * (vb @ t1)) / norm),
             _dev(fr @ t2 - p * (vb @ t2) / norm),
             _dev((vb @ t1) @ fr - p * ctx.lower(t1) / norm),
-            float(
-                np.max(
-                    np.abs((vb @ t2) @ fr - (inv.dot22 * pm_over_x * ctx.lower(t1) + mm * ctx.lower(t2)) / norm)
-                )
-            ),
+            _dev((vb @ t2) @ fr - (inv.dot22 * pm_over_x * ctx.lower(t1) + mm * ctx.lower(t2)) / norm),
         )
     return done, res
 
@@ -1436,6 +1433,14 @@ def check_euclidean_degeneration(par, ctx, rng, trials, tol):
             res = max(res, _dev(geodesic_point(ch, s) - lerp))
         except FinsleroidError:
             pass
+        try:  # the first-order sum and difference need an acute, independent pair
+            res = max(
+                res,
+                _dev(oplus_first_order(p0, ctx, v, w) - (v + w)),
+                _dev(ominus_first_order(p0, ctx, v, w) - (w - v)),
+            )
+        except FinsleroidError:
+            pass
     return trials, res
 
 
@@ -1497,7 +1502,7 @@ CHECKS = [
     ("finslerops.geodesic", "finslerops", "pullback geodesic hits both endpoints", check_finsler_geodesic, 1e-9),
     ("finslerops.geodesic_arc", "finslerops", "arc length of the pullback geodesic in g_pq equals ds (relative)", check_finsler_arc, 1e-5),
     ("finslerops.axis_angles", "finslerops", "axis angle equals the pair angle against e_N; both angles within [0, pi/h]", check_axis_angles, 1e-10),
-    ("euclidean.degeneration", "cross", "at g = 0 every operation reduces to its euclidean counterpart", check_euclidean_degeneration, 1e-12),
+    ("euclidean.degeneration", "cross", "at g = 0 every operation reduces to its euclidean counterpart, including oplus(t1, t2) = t1 + t2 and ominus(t1, t3) = t3 - t1", check_euclidean_degeneration, 1e-12),
 ]
 
 

@@ -73,6 +73,26 @@ def test_eval_metric_file(tmp_path, capsys):
     assert json.loads(out)["q"] == pytest.approx(math.sqrt(1.5), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec, content, message",
+    [
+        ("diag:1,x", None, "could not convert"),  # a non-numeric diagonal entry
+        ("file", "abc", "does not start with the size"),  # a file of text
+        ("file", "", "does not start with the size"),  # an empty file
+        ("file", "2\n1.0 0.1\n0.1", "does not hold"),  # a short file
+        ("file", "2\n1.0 0.1\n0.1 y", "could not convert"),  # a non-numeric entry
+    ],
+)
+def test_malformed_metric_spec_exits_2(tmp_path, capsys, spec, content, message):
+    if content is not None:
+        path = tmp_path / "metric.txt"
+        path.write_text(content)
+        spec = f"file:{path}"
+    code, out, err = run_cli(capsys, "eval", "--g", "1", "--vector", "1,0,1", "--metric", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_geodesic_csv_consumer(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -8,7 +8,7 @@ import pytest
 
 import finsleroid as fl
 from finsleroid import numdiff
-from finsleroid.core import _phi_a_form, _phi_lz_form, _phi_qz_form
+from finsleroid.oracles import _phi_a_form, _phi_lz_form, _phi_qz_form
 
 GRID = [0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 1.9, -1.9]
 

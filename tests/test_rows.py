@@ -265,3 +265,32 @@ def test_cosine_guard_names_the_pair():
         _check_cosine(np.array([[0.5, -0.2], [1.1, 0.0]]))
     with pytest.raises(fl.NumericalDomainError, match=r"cosine -1\.5 outside [^(]*$"):
         _check_cosine(np.float64(-1.5))
+
+
+@pytest.mark.parametrize("g", [0.0, 1.0, -1.5])
+def test_pair_kernels_are_scale_safe(g, rng):
+    # no intermediate of the pair kernels exceeds the order of a squared
+    # norm.  The reference is the scaled pair brought back to unit size by
+    # an exact power of two, so the comparison (to 4 ulp) sees the scale
+    # handling alone, not the rounding of lam * t, which by itself moves
+    # the two-vector tensor of a random pair by up to about 16 ulp
+    par, ctx = fl.make_parameter(g), fl.MetricContext(3)
+    pairs = [(np.array([1.0, 0.2, 0.5]), np.array([0.1, 1.0, 0.4]))] + [rng.uniform(-1, 1, (2, 3)) for _ in range(4)]
+    kernels = (fl.angle, lambda *a: fl.pair_invariants(*a).alpha, lambda *a: fl.two_vector_metric(*a).n_lower,
+               lambda *a: fl.scalar_product(*a) / (a[2] @ a[2]))  # 2-homogeneous
+    for t1, t2 in pairs:
+        for lam, fns in [(s, kernels) for s in (1e-150, 1e-45, 1e45, 1e150)] + [(1e80, (fl.finsler_angle,))]:
+            back = np.ldexp(1.0, -int(np.frexp(lam)[1]))  # a power of two near 1/lam
+            for fn in fns:
+                try:
+                    x, x0 = fn(par, ctx, lam * t1, lam * t2), fn(par, ctx, back * lam * t1, back * lam * t2)
+                except fl.NumericalDomainError:  # admitted for the finsleroid pair at 1e80 only
+                    assert fn is fl.finsler_angle
+                    continue
+                assert np.all(np.abs(x - x0) <= 4 * np.spacing(np.abs(x0).max())), (fn, lam, x, x0)
+        # beyond float64 a squared norm is infinite: a typed error, never a value
+        for fn in (fl.angle, fl.scalar_product, fl.distance_squared, fl.pair_invariants, fl.two_vector_metric,
+                   fl.finsler_angle, fl.finsler_product, fl.finsler_two_vector_tensor, fl.solve_chord,
+                   fl.length_gradients, fl.covector_pair):
+            with pytest.raises(fl.NumericalDomainError, match="leave the float64 range"):
+                fn(par, ctx, 1e200 * t1, 1e200 * t2)

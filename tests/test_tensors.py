@@ -6,7 +6,7 @@ import pytest
 
 import finsleroid as fl
 from finsleroid import numdiff
-from finsleroid.tensors import (
+from finsleroid.oracles import (
     angular_block_reference,
     cartan_fd_diagnostic,
     cartan_mixed_reference,
