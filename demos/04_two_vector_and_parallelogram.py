@@ -6,7 +6,7 @@ The mixed second derivative of the scalar product is a two-point tensor
 that collapses to the one-vector metric at coincidence.  The sum of two
 vectors compatible with the geodesic tetragon ("opposite sides of equal
 length") has a first-order closed form in k = 1/h - 1 and an exact
-numeric refinement.
+closed form.
 """
 
 import math

@@ -14,12 +14,11 @@ import sys
 
 import numpy as np
 
-from .core import MetricContext, make_parameter, scalar_bundle
+from .core import MetricContext, make_parameter, parse_metric_spec, scalar_bundle
 from .errors import FinsleroidError, OnAxisError, OutOfRangeError
 from .geodesics import geodesic_point, in_segment, solve_chord
 from .quasimap import mu_map
 from .tensors import cartan_tensor, metric_tensor
-from .verify import RunConfig, parse_metric_spec, report_to_json, run_verify
 
 __all__ = ["main"]
 
@@ -135,6 +134,9 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here, so that eval and geodesic do not load the verifier, its oracles and numdiff
+    from .verify import RunConfig, report_to_json, run_verify
+
     config = RunConfig(
         g=args.g, dim=args.dim, metric=args.metric, seed=args.seed, trials=args.trials, tol=args.tol
     )

@@ -28,6 +28,7 @@ __all__ = [
     "MetricContext",
     "ScalarBundle",
     "make_parameter",
+    "parse_metric_spec",
     "q_norm",
     "scalar_bundle",
     "kfun",
@@ -83,6 +84,25 @@ def _first_row(bad: np.ndarray) -> str:
     """Names the first True of a per-row flag array; empty for one vector."""
     idx = tuple(int(i) for i in np.argwhere(bad)[0])
     return f" (row {idx[0] if len(idx) == 1 else idx})" if idx else ""
+
+
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+
+
+def _require_normal(squares, what: str) -> None:
+    """Raise NumericalDomainError where a squared norm is not a finite
+    normal float64 (the vectors are beyond about 1e154 or below about
+    1e-154), naming the first such row.  ``squares`` has shape (k, ...):
+    the k squared norms of each row, k = 1 for a vector, 2 for a pair."""
+    normal = (squares >= _TINY) & (squares <= _HUGE)
+    if np.count_nonzero(normal) != normal.size:
+        bad = ~normal.all(axis=0)
+        first = squares[:, bad][:, 0] if bad.ndim else squares
+        values = ", ".join(repr(float(x)) for x in first)
+        noun = "squared norms {} leave" if len(first) > 1 else "squared norm {} leaves"
+        raise NumericalDomainError(
+            f"{what}: {noun.format(values)} the float64 range" + _first_row(bad)
+        )
 
 
 def _outer(u, v):
@@ -200,6 +220,46 @@ class MetricContext:
         return f"MetricContext(n={self.n})"
 
 
+def parse_metric_spec(spec: str, dim: int) -> np.ndarray:
+    """Build r_ab from a metric spec string.
+
+    ``identity``; ``diag:v1,v2,...`` with N-1 positive entries; or
+    ``file:PATH`` where the file holds N-1 on the first line and then
+    (N-1)^2 whitespace-separated reals row-major.  File matrices are
+    symmetrized by averaging with the transpose.
+    """
+    if spec == "identity":
+        return np.eye(dim - 1)
+    if spec.startswith("diag:"):
+        vals = _reals(spec[len("diag:") :].split(","), "diag metric")
+        if len(vals) != dim - 1:
+            raise OutOfRangeError(f"diag metric needs {dim - 1} entries, got {len(vals)}")
+        return np.diag(vals)
+    if spec.startswith("file:"):
+        path = spec[len("file:") :]
+        with open(path, "r", encoding="utf-8") as fh:
+            tokens = fh.read().split()
+        if not tokens or not tokens[0].isdigit():
+            raise OutOfRangeError(f"metric file {path!r} does not start with the size N-1")
+        size = int(tokens[0])
+        if size != dim - 1:
+            raise OutOfRangeError(f"metric file is for dimension {size + 1}, run uses {dim}")
+        vals = _reals(tokens[1:], f"metric file {path!r}")
+        if len(vals) != size * size:
+            raise OutOfRangeError("metric file does not hold (N-1)^2 entries")
+        mat = np.array(vals).reshape(size, size)
+        return 0.5 * (mat + mat.T)
+    raise OutOfRangeError(f"unknown metric spec {spec!r}")
+
+
+def _reals(tokens, what):
+    """The nonempty tokens as floats; OutOfRangeError names one that is not a number."""
+    try:
+        return [float(x) for x in tokens if x]
+    except ValueError as exc:
+        raise OutOfRangeError(f"{what}: {exc}") from None
+
+
 class ScalarBundle(NamedTuple):
     """Every scalar attached to a vector R = (bold R, Z), or to each row of
     a stack of vectors.
@@ -285,6 +345,16 @@ def kfun(par: GParameter, ctx: MetricContext, R):
     return k
 
 
+def _require_finite(out, lead_ndim: int, what: str) -> None:
+    """Raise NumericalDomainError naming the first row, over the leading
+    ``lead_ndim`` axes of ``out``, whose result is not finite (scale
+    extremes)."""
+    bad = ~np.isfinite(out)
+    if np.count_nonzero(bad):
+        bad = bad.reshape(bad.shape[:lead_ndim] + (-1,)).any(axis=-1)
+        raise NumericalDomainError(f"{what} is not finite at this scale" + _first_row(bad))
+
+
 def _rows_kernel(what: str):
     """Turn a closed form f(par, ctx, R, sb) of rows R, shape (..., N), and
     their scalar bundle into the kernel f(par, ctx, R), which builds the
@@ -298,10 +368,7 @@ def _rows_kernel(what: str):
         def kernel(par, ctx, R):
             with np.errstate(all="ignore"):
                 out = fn(par, ctx, np.asarray(R, dtype=float), scalar_bundle(par, ctx, R))
-            bad = ~np.isfinite(out)
-            if np.count_nonzero(bad):
-                bad = bad.reshape(bad.shape[: np.ndim(R) - 1] + (-1,)).any(axis=-1)
-                raise NumericalDomainError(f"{what} is not finite at this scale" + _first_row(bad))
+            _require_finite(out, np.ndim(R) - 1, what)
             return out
 
         del kernel.__wrapped__  # the signature is (par, ctx, R)

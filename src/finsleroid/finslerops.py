@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, _bundle, _off_axis
+from .core import GParameter, MetricContext, _bundle, _off_axis, _require_finite, _require_normal
 from .errors import CollinearError
 from .geodesics import (
     GeodesicChord,
@@ -23,7 +23,6 @@ from .geodesics import (
     _clamped_arccos,
     _dots,
     _require_independent,
-    _require_normal,
     _stacked,
     geodesic_point,
     solve_chord,
@@ -98,6 +97,15 @@ def _m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots) -> np.ndarray:
     return np.concatenate((ctx.r_rows(bold), last[..., None]), axis=-1)
 
 
+def _m_covector(m_unit, sb_r, roots) -> np.ndarray:
+    """M_p from M_p / (B(R) sqrt(B(S))); of degree 3, so beyond about
+    1e102 it leaves float64 and raises NumericalDomainError naming the pair."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_r = m_unit * (sb_r.B * roots[1])[..., None]
+    _require_finite(m_r, m_r.ndim - 1, "m_r")
+    return m_r
+
+
 def _s_covector(m_unit, sb_r, sine) -> np.ndarray:
     """s_p = M_p K(R) / (W B(R)) from M_p / (B(R) sqrt(B(S))) and W/sqrt(B(R)B(S))."""
     return m_unit * (sb_r.J / sine)[..., None]
@@ -117,7 +125,7 @@ def m_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
     The axis q(R) = 0 is a removable limit: M_a -> r_ab S^b B(R).
     """
     R, S, sb_r, sb_s, dot_bold, roots, _, _ = _pair_core(par, ctx, R, S)
-    return _m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots) * (sb_r.B * roots[1])[..., None]
+    return _m_covector(_m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots), sb_r, roots)
 
 
 def s_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
@@ -128,11 +136,16 @@ def s_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
 
 
 def _pullback_tensor(par, ctx, R, S, sb_r, sb_s):
-    """G = sigma'(R)^T n(sigma(R), sigma(S)) sigma'(S), without the collinearity guard."""
-    t_r, t_s = sigma_map.from_bundle(par, ctx, R, sb_r), sigma_map.from_bundle(par, ctx, S, sb_s)
-    n = two_vector_metric(par, ctx, t_r, t_s).n_lower
-    j_r, j_s = (sigma_jacobian.from_bundle(par, ctx, *rs) for rs in ((R, sb_r), (S, sb_s)))
-    return np.swapaxes(j_r, -1, -2) @ n @ j_s
+    """G = sigma'(R)^T n(sigma(R), sigma(S)) sigma'(S), without the collinearity
+    guard; NumericalDomainError names the first pair where G is not finite
+    (sigma' divides by q B, of degree 3, which leaves float64 beyond about 1e+-102)."""
+    with np.errstate(all="ignore"):
+        t_r, t_s = sigma_map.from_bundle(par, ctx, R, sb_r), sigma_map.from_bundle(par, ctx, S, sb_s)
+        n = two_vector_metric(par, ctx, t_r, t_s).n_lower
+        j_r, j_s = (sigma_jacobian.from_bundle(par, ctx, *rs) for rs in ((R, sb_r), (S, sb_s)))
+        tensor = np.swapaxes(j_r, -1, -2) @ n @ j_s
+    _require_finite(tensor, tensor.ndim - 2, "two-vector tensor G")
+    return tensor
 
 
 @dataclass(frozen=True)
@@ -158,7 +171,7 @@ def finsler_product(par: GParameter, ctx: MetricContext, R, S) -> FinslerPairPro
     S = R and the euclidean product at g = 0."""
     R, S, sb_r, sb_s, dot_bold, roots, sine, alpha = _pair_core(par, ctx, R, S)
     m_unit = _m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots)
-    m_r = m_unit * (sb_r.B * roots[1])[..., None]
+    m_r = _m_covector(m_unit, sb_r, roots)
     try:
         _require_independent(sine, "s_r and g_lower need image-independent vectors")
         s_r, g_lower = _s_covector(m_unit, sb_r, sine), _pullback_tensor(par, ctx, R, S, sb_r, sb_s)
@@ -214,6 +227,7 @@ def axis_angles(par: GParameter, ctx: MetricContext, R):
     non-axis plane, (1/h) arccos(L/sqrt(B))."""
     R = ctx.check_vector(R, nonzero=True)
     sb = _bundle(par, ctx, R)
+    _require_normal(np.array((sb.B,)), "vector")
     root_b = math.sqrt(sb.B)
     return (
         _clamped_arccos(sb.A / root_b) / par.h,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, _first_row
+from .core import GParameter, MetricContext, _first_row, _require_normal
 from .errors import CollinearError, DegenerateChordError, NumericalDomainError
 
 __all__ = [
@@ -33,11 +33,10 @@ __all__ = [
 
 _CLAMP_SLACK = 1e-12
 _COLLINEAR_TOL = 1e-12
-_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 def _check_cosine(x) -> None:
-    bad = abs(x) > 1.0 + _CLAMP_SLACK
+    bad = ~(np.abs(x) <= 1.0 + _CLAMP_SLACK)  # NaN fails it too
     if np.count_nonzero(bad):
         first = float(np.asarray(x)[bad][0])
         raise NumericalDomainError(
@@ -76,20 +75,6 @@ def _dots(form, x, y):
 def _stacked(x, y):
     """x and y broadcast and stacked along a new first axis."""
     return np.array(np.broadcast_arrays(x, y) if x.shape != y.shape else (x, y))
-
-
-def _require_normal(squares, what: str) -> None:
-    """Raise NumericalDomainError where a squared norm of a pair, shape
-    (2, ...), is not a finite normal float64 (the vectors are beyond about
-    1e154 or below about 1e-154), naming the first such pair."""
-    normal = (squares >= _TINY) & (squares <= _HUGE)
-    if np.count_nonzero(normal) != normal.size:
-        bad = ~normal.all(axis=0)
-        first = squares[:, bad][:, 0] if bad.ndim else squares
-        raise NumericalDomainError(
-            f"{what}: squared norms {float(first[0])!r}, {float(first[1])!r} leave the float64 range"
-            + _first_row(bad)
-        )
 
 
 def _pair_dots(form, t1, t2):

@@ -18,7 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, _off_axis, _outer, _rows_kernel
+from .core import (
+    _HUGE,
+    _TINY,
+    GParameter,
+    MetricContext,
+    _off_axis,
+    _outer,
+    _require_normal,
+    _rows_kernel,
+)
 from .errors import OnAxisError
 
 __all__ = [
@@ -35,6 +44,26 @@ __all__ = [
 ]
 
 
+def _plane_and_axis(ctx: MetricContext, t):
+    """m(t) and t^N of checked rows t, shape (..., N), where each squared
+    norm S^2 = m^2 + (t^N)^2 is a finite normal float64; otherwise
+    NumericalDomainError names the first row (scale extremes)."""
+    tn = t[..., -1]
+    with np.errstate(over="ignore", invalid="ignore"):  # _require_normal reports it
+        m = ctx.q_rows(t[..., :-1])
+        s2 = m * m + tn * tn
+    _require_normal(np.asarray(s2)[None], "vector")
+    return m, tn
+
+
+def _squared_norm(ctx: MetricContext, t) -> float:
+    """S^2 of one checked vector, a finite normal float64 (scale extremes raise)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _require_normal reports it
+        s2 = ctx.dot(t, t)
+    _require_normal(np.array((s2,)), "vector")
+    return s2
+
+
 @_rows_kernel("sigma map")
 def sigma_map(par: GParameter, ctx: MetricContext, R, sb) -> np.ndarray:
     """t^a = R^a h J(g;R), t^N = A(g;R) J(g;R), over rows (..., N) -> (..., N);
@@ -47,7 +76,8 @@ def sigma_map(par: GParameter, ctx: MetricContext, R, sb) -> np.ndarray:
 def phi_angle(par: GParameter, ctx: MetricContext, t) -> float:
     """Polar angle of t from the non-axis plane; equals Phi(g; mu(t))."""
     t = ctx.check_vector(t, nonzero=True)
-    return math.atan2(t[-1], ctx.m(t))
+    m, tn = _plane_and_axis(ctx, t)
+    return math.atan2(tn, m)
 
 
 def mu_map(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
@@ -59,9 +89,7 @@ def mu_map(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
     non-finite row raises, naming the index of the first such row.
     """
     t = ctx.check_rows(t, nonzero=True)
-    bold = t[..., :-1]
-    tn = t[..., -1]
-    m = ctx.q_rows(bold)
+    m, tn = _plane_and_axis(ctx, t)
     k = np.exp(0.5 * par.big_g * np.arctan2(tn, m))
     out = t / (par.h * k)[..., None]
     out[..., -1] = (tn - 0.5 * par.big_g * m) / k
@@ -74,7 +102,8 @@ def sigma_jacobian(par: GParameter, ctx: MetricContext, R, sb) -> np.ndarray:
     (..., N, N); det = h^(N-1) J^N.
 
     The 1/q term of the transverse block is O(q), so on the axis q = 0 it
-    is dropped, as in ``metric_tensor``.
+    is dropped, as in ``metric_tensor``.  It divides by q B, of degree 3,
+    so rows beyond about 1e+-102 raise NumericalDomainError.
     """
     g = par.g
     q = sb.q
@@ -89,7 +118,12 @@ def sigma_jacobian(par: GParameter, ctx: MetricContext, R, sb) -> np.ndarray:
     out[..., :-1, -1] = (0.5 * g * q * sb.J * par.h)[..., None] * bold / b
     block = out[..., :-1, :-1]
     block[...] = np.eye(ctx.n - 1)
-    block -= 0.5 * g * _outer(bold, rr) * (sb.Z / (_off_axis(q) * sb.B))[..., None, None]
+    # q B is of degree 3: off the axis, where it leaves the normal range
+    # (beyond about 1e+-102), the row turns NaN and raises instead of
+    # returning this term rounded away
+    qb = _off_axis(q) * sb.B
+    qb = np.where((qb >= _TINY) & (qb <= _HUGE) | (q == 0.0), qb, math.nan)
+    block -= 0.5 * g * _outer(bold, rr) * (sb.Z / qb)[..., None, None]
     block *= (sb.J * par.h)[..., None, None]
     return out
 
@@ -105,6 +139,7 @@ def mu_jacobian(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
         mu^a_b = delta^a_b/(h k) + (g/2) t^N t^a r_bc t^c / (h^2 m k S^2)
     """
     t = ctx.check_vector(t, nonzero=True)
+    s2 = _squared_norm(ctx, t)
     m = ctx.m(t)
     if m == 0.0:
         raise OnAxisError("mu_jacobian closed form needs m(t) != 0")
@@ -112,7 +147,6 @@ def mu_jacobian(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
     g = par.g
     h = par.h
     tn = t[-1]
-    s2 = ctx.dot(t, t)
     phi = math.atan2(tn, m)
     k = math.exp(0.5 * par.big_g * phi)
     i_val = tn - 0.5 * par.big_g * m
@@ -122,9 +156,8 @@ def mu_jacobian(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
     out[-1, -1] = 1.0 / k - 0.5 * g * m * i_val / (h * k * s2)
     out[-1, :-1] = -0.5 * g * (h * m + 0.5 * g * tn) * rt / (h**2 * k * s2)
     out[:-1, -1] = -0.5 * g * m * t[:-1] / (h**2 * k * s2)
-    out[:-1, :-1] = np.eye(n - 1) / (h * k) + 0.5 * g * tn * np.outer(t[:-1], rt) / (
-        h**2 * m * k * s2
-    )
+    # tn/m first: t^N t^a r_bc t^c and m S^2 are of degree 3
+    out[:-1, :-1] = np.eye(n - 1) / (h * k) + 0.5 * g * (tn / m) * np.outer(t[:-1], rt) / (h**2 * k * s2)
     return out
 
 
@@ -147,7 +180,7 @@ class QuasiGeometry:
 def quasi_metric(par: GParameter, ctx: MetricContext, t) -> QuasiGeometry:
     """n_rs, its inverse, the projector H_rs, Christoffels and curvature."""
     t = ctx.check_vector(t, nonzero=True)
-    s = ctx.s_norm(t)
+    s = math.sqrt(_squared_norm(ctx, t))
     l_up = t / s
     l_low = ctx.lower(l_up)
     g2q = 0.25 * par.big_g**2
@@ -173,7 +206,7 @@ def quasi_metric(par: GParameter, ctx: MetricContext, t) -> QuasiGeometry:
 def quasi_metric_derivative(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
     """d n_pq / dt^r as an [p, q, r] array: -(G^2/4)(H_pr L_q + H_qr L_p)/S."""
     t = ctx.check_vector(t, nonzero=True)
-    s = ctx.s_norm(t)
+    s = math.sqrt(_squared_norm(ctx, t))
     l_low = ctx.lower(t / s)
     h_lower = ctx.r_pq - np.outer(l_low, l_low)
     g2q = 0.25 * par.big_g**2
@@ -191,7 +224,7 @@ def conformal_flatten(par: GParameter, ctx: MetricContext, t):
     quasi-euclidean metric is conformally euclidean.  Returns (image, f).
     """
     t = ctx.check_vector(t, nonzero=True)
-    s2 = ctx.dot(t, t)
+    s2 = _squared_norm(ctx, t)
     f = (0.5 * s2) ** (0.5 * par.gamma)
     return f * t / par.h, f
 
@@ -199,7 +232,8 @@ def conformal_flatten(par: GParameter, ctx: MetricContext, t):
 def conformal_jacobian(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
     """Analytic Jacobian k^p_q = (f delta^p_q + f' t^p t_q)/h of the flattening."""
     t = ctx.check_vector(t, nonzero=True)
-    s2 = ctx.dot(t, t)
+    s2 = _squared_norm(ctx, t)
     f = (0.5 * s2) ** (0.5 * par.gamma)
-    fprime = par.gamma * f / s2  # d f / d(S^2/2) = gamma * f / S^2
-    return (f * np.eye(ctx.n) + fprime * np.outer(t, ctx.lower(t))) / par.h
+    # f' = d f / d(S^2/2) = gamma f / S^2, of degree gamma - 2: f' t^p t_q is
+    # formed as f gamma (t^p t_q / S^2), whose factors are of degree gamma and 0
+    return f * (np.eye(ctx.n) + par.gamma * np.outer(t, ctx.lower(t)) / s2) / par.h

@@ -4,9 +4,9 @@ with inversion, and the first-order parallelogram law.
 The scalar product <t1, t2> = |t1||t2| cos(alpha) has a mixed second
 derivative n_pq(t1, t2) that reduces to the one-vector quasi-euclidean
 metric at coincidence.  Vector addition compatible with the geodesic
-tetragon ("equal opposite sides") is known in closed form only to first
-order in k = 1/h - 1; an exact numeric solver is provided on top.  Both
-need an acute pair, alpha < pi/2.  Gram roots, euclidean pair angles and
+tetragon ("equal opposite sides") has the first-order form in
+k = 1/h - 1 of the paper and an exact closed form.  Both need an acute
+pair, alpha < pi/2.  Gram roots, euclidean pair angles and
 collinearity tests, of vectors and co-vectors, come from geodesics.
 """
 
@@ -348,22 +348,14 @@ def parallelogram_residuals(par: GParameter, ctx: MetricContext, t1, t2, t3):
     return r1, r2
 
 
-def parallelogram_refine(
-    par: GParameter,
-    ctx: MetricContext,
-    t1,
-    t2,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Solve the parallelogram equations exactly (numerically) for t3.
+def parallelogram_refine(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray:
+    """The exact sum vector t3 = t1 (+) t2 of the parallelogram law, in closed form.
 
-    The sum vector lies in span{t1, t2}; writing t3 = rho * (direction at
-    deformed angle a13 from t1) reduces the two equations to one scalar
-    equation in rho, since planar euclidean angles are additive:
-    h*(arccos c1(rho) + arccos c2(rho)) = euclidean angle(t1, t2), where
-    c1, c2 are the law-of-cosines expressions for cos(a13), cos(a23).
-    Seeded and bracketed; first-order sum agreement is O(k^2).
+    t3 lies in span{t1, t2}, and the two defining equations make its
+    deformed angles to t1 and to t2 the base angles of a euclidean
+    triangle with sides |t1|, |t2|, rho that add up to alpha, so
+    rho^2 = |t1|^2 + |t2|^2 + 2 |t1||t2| cos(alpha) and t3 lies at the
+    euclidean angle h atan2(|t2| sin(alpha), |t1| + |t2| cos(alpha)) from t1.
     """
     t1, t2 = _checked_vectors(ctx, t1, t2)
     inv = _invariants(par, ctx, t1, t2)
@@ -371,40 +363,8 @@ def parallelogram_refine(
         raise ObtuseInputError(f"parallelogram law needs alpha < pi/2, got {float(inv.alpha)!r}")
     if par.g == 0.0:
         return t1 + t2
-
-    s1 = math.sqrt(inv.dot11)
-    s2 = math.sqrt(inv.dot22)
-    theta12 = par.h * float(inv.alpha)
-
-    def c1(rho):
-        return min(max((s1 * s1 + rho * rho - s2 * s2) / (2.0 * s1 * rho), -1.0), 1.0)
-
-    def c2(rho):
-        return min(max((s2 * s2 + rho * rho - s1 * s1) / (2.0 * s2 * rho), -1.0), 1.0)
-
-    def gap(rho):
-        return par.h * (math.acos(c1(rho)) + math.acos(c2(rho))) - theta12
-
-    def gap_and_slope(rho):
-        # d(acos c1 + acos c2)/d rho = -rho / (2 area) = -1 / (s1 sin(acos c1))
-        sin1 = math.sqrt(1.0 - c1(rho) ** 2)
-        slope = -par.h / (s1 * sin1) if sin1 > 0.0 else math.nan
-        return gap(rho), slope
-
-    lo = abs(s1 - s2) + 1e-14 * (s1 + s2)
-    hi = (s1 + s2) * (1.0 - 1e-15)
-    if lo >= hi or gap(lo) * gap(hi) > 0.0:
-        raise MaxIterationsError("failed to bracket the sum-vector radius")
-    # Newton from the euclidean sum length, the root at g = 0
-    rho0 = math.sqrt(s1 * s1 + s2 * s2 + 2.0 * inv.dot12)
-    rho = _decreasing_root(gap_and_slope, lo, hi, rho0, max_iter=max_iter)
-
-    theta13 = par.h * math.acos(c1(rho))
-    e1 = t1 / s1
-    e2 = inv.d1 / s1  # unit, euclid-orthogonal to t1, towards t2
-    t3 = rho * (math.cos(theta13) * e1 + math.sin(theta13) * e2)
-    r1, r2 = parallelogram_residuals(par, ctx, t1, t2, t3)
-    scale = max(s1, s2)
-    if max(abs(r1), abs(r2)) > max(tol, 1e-12) * max(scale, 1.0):
-        raise MaxIterationsError("refined sum vector misses the residual target")
-    return t3
+    s1, s2, ca, sa = _pair_scalars(inv)
+    x, y = s1 + s2 * ca, s2 * sa  # rho = hypot(x, y), without overflow
+    theta13 = par.h * math.atan2(y, x)
+    # d1 is t2's part transverse to t1, rescaled to |d1| = |t1|
+    return math.hypot(x, y) / s1 * (math.cos(theta13) * t1 + math.sin(theta13) * inv.d1)

@@ -28,6 +28,7 @@ from .core import (
     generating_v,
     kfun,
     make_parameter,
+    parse_metric_spec,
     phi_function,
     scalar_bundle,
 )
@@ -121,46 +122,6 @@ class RunConfig:
             raise OutOfRangeError("trials must be >= 1")
         if not self.tol > 0:
             raise OutOfRangeError("tol must be positive")
-
-
-def parse_metric_spec(spec: str, dim: int) -> np.ndarray:
-    """Build r_ab from a metric spec string.
-
-    ``identity``; ``diag:v1,v2,...`` with N-1 positive entries; or
-    ``file:PATH`` where the file holds N-1 on the first line and then
-    (N-1)^2 whitespace-separated reals row-major.  File matrices are
-    symmetrized by averaging with the transpose.
-    """
-    if spec == "identity":
-        return np.eye(dim - 1)
-    if spec.startswith("diag:"):
-        vals = _reals(spec[len("diag:") :].split(","), "diag metric")
-        if len(vals) != dim - 1:
-            raise OutOfRangeError(f"diag metric needs {dim - 1} entries, got {len(vals)}")
-        return np.diag(vals)
-    if spec.startswith("file:"):
-        path = spec[len("file:") :]
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = fh.read().split()
-        if not tokens or not tokens[0].isdigit():
-            raise OutOfRangeError(f"metric file {path!r} does not start with the size N-1")
-        size = int(tokens[0])
-        if size != dim - 1:
-            raise OutOfRangeError(f"metric file is for dimension {size + 1}, run uses {dim}")
-        vals = _reals(tokens[1:], f"metric file {path!r}")
-        if len(vals) != size * size:
-            raise OutOfRangeError("metric file does not hold (N-1)^2 entries")
-        mat = np.array(vals).reshape(size, size)
-        return 0.5 * (mat + mat.T)
-    raise OutOfRangeError(f"unknown metric spec {spec!r}")
-
-
-def _reals(tokens, what):
-    """The nonempty tokens as floats; OutOfRangeError names one that is not a number."""
-    try:
-        return [float(x) for x in tokens if x]
-    except ValueError as exc:
-        raise OutOfRangeError(f"{what}: {exc}") from None
 
 
 # ----------------------------------------------------------------- sampling

@@ -265,6 +265,19 @@ def test_import_pulls_in_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_the_verifier_out():
+    # eval and geodesic need no verifier: cmd_verify imports it
+    src = Path(finsleroid.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import finsleroid.cli, sys; "
+        "print([m for m in ('finsleroid.verify', 'finsleroid.oracles', 'finsleroid.numdiff') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 FLOAT = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
 EVAL_GOLDEN = json.loads((Path(__file__).parent / "data" / "eval_golden.json").read_text())
 

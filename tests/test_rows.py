@@ -3,6 +3,7 @@ row-wise agreement with single calls, errors that name the offending row,
 and typed errors or prescaled values instead of NaN at scale extremes."""
 
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -265,6 +266,8 @@ def test_cosine_guard_names_the_pair():
         _check_cosine(np.array([[0.5, -0.2], [1.1, 0.0]]))
     with pytest.raises(fl.NumericalDomainError, match=r"cosine -1\.5 outside [^(]*$"):
         _check_cosine(np.float64(-1.5))
+    with pytest.raises(fl.NumericalDomainError, match=r"cosine nan outside .* \(row 1\)"):
+        _check_cosine(np.array([0.5, np.nan]))
 
 
 @pytest.mark.parametrize("g", [0.0, 1.0, -1.5])
@@ -294,3 +297,76 @@ def test_pair_kernels_are_scale_safe(g, rng):
                    fl.length_gradients, fl.covector_pair):
             with pytest.raises(fl.NumericalDomainError, match="leave the float64 range"):
                 fn(par, ctx, 1e200 * t1, 1e200 * t2)
+
+
+# the image-side kernels and axis_angles, each with the homogeneity degrees
+# of the arrays it returns, given gamma = h - 1 (of the conformal flattening)
+IMAGE_SIDE = {
+    "mu_map": (fl.mu_map, lambda gamma: (1,)),
+    "mu_jacobian": (fl.mu_jacobian, lambda gamma: (0,)),
+    "phi_angle": (fl.phi_angle, lambda gamma: (0,)),
+    "quasi_metric": (fl.quasi_metric, lambda gamma: (0, 0, 0, -1, -2)),
+    "quasi_metric_derivative": (fl.quasi_metric_derivative, lambda gamma: (-1,)),
+    "conformal_flatten": (fl.conformal_flatten, lambda gamma: (1 + gamma, gamma)),
+    "conformal_jacobian": (fl.conformal_jacobian, lambda gamma: (gamma,)),
+    "axis_angles": (fl.axis_angles, lambda gamma: (0, 0)),
+}
+
+
+def _arrays(x):
+    return _fields(x) if isinstance(x, tuple) or dataclasses.is_dataclass(x) else [x]
+
+
+@pytest.mark.parametrize("g", [0.0, 1.0, -1.5])
+def test_image_side_scale_extremes(g):
+    # each squared norm (S^2, or B for axis_angles) must be a finite normal
+    # float64; within that range a power-of-two scale carries through
+    par, ctx = fl.make_parameter(g), fl.MetricContext(3)
+    t = np.array([0.3, -0.5, 0.7])
+    for name, (fn, degrees) in IMAGE_SIDE.items():
+        for lam in (1e-200, 1e-160, 1e160, 1e200):
+            with pytest.raises(fl.NumericalDomainError, match="float64 range"):
+                fn(par, ctx, lam * t)
+        ref = _arrays(fn(par, ctx, t))
+        for lam in (1e-150, 1e150):  # inside the normal range no intermediate leaves float64
+            for x, x0, d in zip(_arrays(fn(par, ctx, lam * t)), ref, degrees(par.gamma)):
+                want = np.asarray(x0) * lam**d
+                assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max(), (name, lam)
+        for k in (-300, 300):
+            lam = 2.0**k
+            for x, x0, d in zip(_arrays(fn(par, ctx, lam * t)), ref, degrees(par.gamma)):
+                if float(d).is_integer():
+                    np.testing.assert_array_max_ulp(x, np.asarray(x0) * lam**d, maxulp=4)
+                else:  # lam**gamma is itself rounded
+                    np.testing.assert_allclose(x, x0 * lam**d, rtol=1e-13, atol=0.0)
+    f = lambda lam: fl.conformal_flatten(par, ctx, lam * t)[1]
+    for lam in (1e-150, 1e-100, 1e100, 1e150):
+        assert f(lam) / f(1.0) == pytest.approx(lam**par.gamma, rel=1e-13)
+    with pytest.raises(fl.NumericalDomainError, match=r"\(row 1\)"):
+        fl.mu_map(par, ctx, np.stack([t, 1e200 * t]))
+
+
+@pytest.mark.parametrize("g", [0.0, 1.0, -1.5])
+def test_degree_three_pair_outputs(g):
+    # m_r (degree 3) and the pair tensor G (sigma' divides by q B, degree 3)
+    # leave float64 beyond about 1e+-102: a typed error naming the pair
+    par, ctx = fl.make_parameter(g), fl.MetricContext(3)
+    R, S = np.array([0.4, -0.7, 0.9]), np.array([0.1, 0.6, 0.5])
+    m_vector = lambda *a: [fl.m_vector(*a)]
+    product = lambda *a: operator.attrgetter("m_r", "g_lower")(fl.finsler_product(*a))
+    tensor = lambda *a: [fl.finsler_two_vector_tensor(*a)]
+    for fn, degrees, scales in ((m_vector, (3,), (1e104, 1e120, 1e150)),
+                                (product, (3, 0), (1e-150, 1e-120, 1e104, 1e120, 1e150)),
+                                (tensor, (0,), (1e-150, 1e-120, 1e104, 1e120, 1e150))):
+        for lam in scales:
+            with pytest.raises(fl.NumericalDomainError, match="not finite at this scale"):
+                fn(par, ctx, lam * R, lam * S)
+        with pytest.raises(fl.NumericalDomainError, match=r"\(row 1\)"):
+            fn(par, ctx, np.stack([R, 1e150 * R]), np.stack([S, 1e150 * S]))
+        ref = fn(par, ctx, R, S)
+        for lam in (1e-90, 1e90):
+            for x, x0, d in zip(fn(par, ctx, lam * R, lam * S), ref, degrees):
+                np.testing.assert_allclose(x, x0 * lam**d, rtol=1e-12, atol=1e-12 * lam**d * np.abs(x0).max())
+    for fn in (fl.finsler_angle, fl.s_vector, fl.product_gradients):  # of degree 0 to 2: they hold
+        for lam in (1e-150, 1e-120, 1e120, 1e150):
+            fn(par, ctx, lam * R, lam * S)
