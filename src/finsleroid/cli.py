@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .core import MetricContext, make_parameter, parse_metric_spec, scalar_bundle
-from .errors import FinsleroidError, OnAxisError, OutOfRangeError
+from .errors import FinsleroidError, NumericalDomainError, OnAxisError, OutOfRangeError
 from .geodesics import geodesic_point, in_segment, solve_chord
 from .quasimap import mu_map
 from .tensors import cartan_tensor, metric_tensor
@@ -41,6 +41,13 @@ def positive_int(text: str) -> int:
     return n
 
 
+def _finite(x, what: str):
+    """x itself; a non-finite entry raises NumericalDomainError naming `what`."""
+    if not np.isfinite(x).all():
+        raise NumericalDomainError(f"non-finite {what} in float64")
+    return x
+
+
 def cmd_eval(args) -> int:
     par = make_parameter(args.g)
     vec = args.vector
@@ -51,8 +58,9 @@ def cmd_eval(args) -> int:
     ctx = _context(args, dim)
     sb = scalar_bundle(par, ctx, vec)
     gm = metric_tensor(par, ctx, vec)
-    det_g = float(np.linalg.det(gm))
-    det_identity = float(sb.J ** (2 * dim) * np.linalg.det(ctx.r_ab))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_g = _finite(float(np.linalg.det(gm)), "det(g_pq)")
+        det_identity = _finite(float(sb.J ** (2 * dim) * np.linalg.det(ctx.r_ab)), "J^(2N) det(r_ab)")
     try:
         ct = cartan_tensor(par, ctx, vec)
         cartan = {
@@ -103,11 +111,14 @@ def cmd_geodesic(args) -> int:
     chord = solve_chord(par, ctx, t1, t2)
     svals = np.linspace(0.0, chord.delta_s, args.samples + 1)
     pts = geodesic_point(chord, svals)
-    # one conversion per array; the rows are then built from plain Python values
-    flags = in_segment(chord, svals, slack=1e-12)
-    cols = {"s": svals.tolist(), "t": pts.tolist(), "in_segment": flags.tolist()}
+    # checked before mu_map, which would reject a non-finite point as bad input (exit 2)
+    table = _finite(np.column_stack([svals, pts]), "geodesic samples")
     if args.pullback:
-        cols["r"] = mu_map(par, ctx, pts).tolist()
+        table = np.column_stack([table, _finite(mu_map(par, ctx, pts), "pulled-back samples")])
+    flags = in_segment(chord, svals, slack=1e-12).tolist()
+    # one C-level pass prints every float as float.__repr__, as json.dumps and repr do
+    texts = json.dumps(table.ravel().tolist())[1:-1].split(", ")
+    cells = list(zip(*[iter(texts)] * table.shape[1]))  # a tuple of texts per sample row
     meta = {
         "g": par.g,
         "a": chord.a,
@@ -117,8 +128,17 @@ def cmd_geodesic(args) -> int:
         "s_end": chord.s_end,
     }
     if args.format == "json":
-        rows = [dict(zip(cols, row)) for row in zip(*cols.values())]
-        print(json.dumps({"chord": meta, "samples": rows}, indent=2))
+        # the layout of json.dumps(doc, indent=2): a %-template per row, one for each in_segment value
+        vec = "[\n" + ",\n".join(["        %s"] * ctx.n) + "\n      ]"
+
+        def template(flag):
+            keys = ['"s": %s', f'"t": {vec}', f'"in_segment": {flag}'] + [f'"r": {vec}'] * args.pullback
+            return "    {\n      " + ",\n      ".join(keys) + "\n    }"
+
+        row = {True: template("true"), False: template("false")}
+        rows = ",\n".join([row[flag] % c for c, flag in zip(cells, flags)])
+        head = json.dumps({"chord": meta}, indent=2)[:-2]
+        print(f'{head},\n  "samples": [\n{rows}\n  ]\n}}')
     else:
         lines = [f"# {key}={float(val)!r}" for key, val in meta.items()]
         header = ["s"] + [f"t{i + 1}" for i in range(ctx.n)]
@@ -126,9 +146,7 @@ def cmd_geodesic(args) -> int:
             header += [f"r{i + 1}" for i in range(ctx.n)]
         header.append("in_segment")
         lines.append(",".join(header))
-        for s, t, flag, *r in zip(*cols.values()):
-            cells = [s, *t, *(r[0] if r else ())]
-            lines.append(",".join(map(repr, cells)) + (",1" if flag else ",0"))
+        lines += [",".join(c) + (",1" if flag else ",0") for c, flag in zip(cells, flags)]
         print("\n".join(lines))
     return 0
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import finsleroid
+from finsleroid import cli
 from finsleroid.cli import main
 
 
@@ -195,10 +196,55 @@ GOLDEN_JSON = """\
 }
 """
 
+GOLDEN_PULLBACK_JSON = """\
+{
+  "chord": {
+    "g": 1.2,
+    "a": 1.044030650891055,
+    "b": -0.7773791689325019,
+    "delta_s": 1.541786372123437,
+    "alpha": 1.6714823444895133,
+    "s_end": 1.03440804327886
+  },
+  "samples": [
+    {
+      "s": 0.0,
+      "t": [
+        1.0,
+        0.0,
+        0.3
+      ],
+      "in_segment": true,
+      "r": [
+        1.0045613267807671,
+        0.0,
+        -0.36164207764107614
+      ]
+    },
+    {
+      "s": 1.541786372123437,
+      "t": [
+        0.1,
+        0.9,
+        0.5
+      ],
+      "in_segment": true,
+      "r": [
+        0.08562181198684819,
+        0.7705963078816338,
+        -0.12271584231226793
+      ]
+    }
+  ]
+}
+"""
+
 
 def test_geodesic_golden_output(capsys):
     assert run_cli(capsys, *GEODESIC_ARGV, "--samples", "2", "--format", "csv")[1] == GOLDEN_CSV
     assert run_cli(capsys, *GEODESIC_ARGV, "--samples", "1", "--format", "json")[1] == GOLDEN_JSON
+    argv = [*GEODESIC_ARGV, "--samples", "1", "--pullback", "--format", "json"]
+    assert run_cli(capsys, *argv)[1] == GOLDEN_PULLBACK_JSON
 
 
 def test_geodesic_pullback_formats(capsys):
@@ -216,6 +262,100 @@ def test_geodesic_pullback_formats(capsys):
         cells = line.split(",")
         assert all(repr(float(c)) == c for c in cells[:-1])
         assert cells == [repr(x) for x in [row["s"], *row["t"], *row["r"]]] + ["1"]
+
+
+def _check_encoder_output(capsys, argv, pullback):
+    """The JSON is json.dumps(doc, indent=2), and every CSV cell is repr of its JSON value."""
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[: len(doc["chord"])] == [f"# {key}={val!r}" for key, val in doc["chord"].items()]
+    rows = lines[len(doc["chord"]) + 1 :]
+    for line, row in zip(rows, doc["samples"], strict=True):
+        values = [row["s"], *row["t"], *(row["r"] if pullback else ())]
+        assert line.split(",") == [repr(x) for x in values] + ["1" if row["in_segment"] else "0"]
+    return doc
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("g", [0.0, -1.5, 1.9])
+def test_geodesic_output_is_the_encoder_output(capsys, g, dim, scale):
+    t1 = scale * np.array([1.0, 0.3, -0.2, 0.5, 0.7])[:dim]
+    t2 = scale * np.array([0.6, 0.8, 0.1, 0.4, 0.9])[:dim]
+    base = ["geodesic", f"--g={g!r}", "--t1=" + ",".join(map(repr, t1.tolist())),
+            "--t2=" + ",".join(map(repr, t2.tolist()))]
+    for samples in (1, 2, 1024):
+        for pullback in (False, True):
+            argv = [*base, "--samples", str(samples)] + (["--pullback"] if pullback else [])
+            doc = _check_encoder_output(capsys, argv, pullback)
+            assert len(doc["samples"]) == samples + 1
+            assert [list(row) for row in doc["samples"]] == [["s", "t", "in_segment"] + ["r"] * pullback] * (
+                samples + 1
+            )
+
+
+def test_geodesic_output_flags_outside_the_segment(monkeypatch, capsys):
+    # in_segment is true on every sample the command draws; a stub covers the false rows
+    monkeypatch.setattr(cli, "in_segment", lambda chord, s, slack: np.arange(s.size) % 3 == 0)
+    for pullback in (False, True):
+        argv = [*GEODESIC_ARGV, "--samples", "7"] + (["--pullback"] if pullback else [])
+        doc = _check_encoder_output(capsys, argv, pullback)
+        assert [row["in_segment"] for row in doc["samples"]] == [i % 3 == 0 for i in range(8)]
+
+
+@pytest.mark.parametrize("pullback", [False, True])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_geodesic_non_finite_samples_exit_1(monkeypatch, capsys, fmt, pullback):
+    real = cli.geodesic_point
+
+    def nan_row(chord, s):
+        pts = real(chord, s)
+        pts[1] = np.nan
+        return pts
+
+    monkeypatch.setattr(cli, "geodesic_point", nan_row)
+    argv = [*GEODESIC_ARGV, "--samples", "4", "--format", fmt] + (["--pullback"] if pullback else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: non-finite geodesic samples in float64\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_geodesic_non_finite_pullback_exits_1(monkeypatch, capsys, fmt):
+    real = cli.mu_map
+
+    def inf_row(par, ctx, t):
+        r = real(par, ctx, t)
+        r[2, 0] = np.inf
+        return r
+
+    monkeypatch.setattr(cli, "mu_map", inf_row)
+    code, out, err = run_cli(capsys, *GEODESIC_ARGV, "--samples", "4", "--pullback", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "error: non-finite pulled-back samples in float64\n"
+
+
+def test_geodesic_overflowing_chord_exits_1(capsys):
+    # |t|^2 along this chord leaves float64, and solve_chord returns b = delta_s = NaN
+    argv = ["geodesic", "--g", "1", "--t1=1e154,0,5e153", "--t2=2e153,1e154,4e153", "--samples", "2"]
+    for extra in ([], ["--pullback"]):
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(capsys, *argv, *extra, "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err == "error: non-finite geodesic samples in float64\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_overflowing_determinant_exits_1(capsys, fmt):
+    # near |g| = 2 the metric determinant and J^(2N) leave float64
+    code, out, err = run_cli(capsys, "eval", "--g", "1.9999", "--vector", "0,0,1", "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == "error: non-finite det(g_pq) in float64\n"
 
 
 def test_verify_determinism_and_exit(capsys):
