@@ -110,7 +110,8 @@ def cmd_geodesic(args) -> int:
     ctx = _context(args, t1.size)
     chord = solve_chord(par, ctx, t1, t2)
     svals = np.linspace(0.0, chord.delta_s, args.samples + 1)
-    pts = geodesic_point(chord, svals)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
+        pts = geodesic_point(chord, svals)
     # checked before mu_map, which would reject a non-finite point as bad input (exit 2)
     table = _finite(np.column_stack([svals, pts]), "geodesic samples")
     if args.pullback:

@@ -110,6 +110,25 @@ def _outer(u, v):
     return u[..., :, None] * v[..., None, :]
 
 
+def _lower(form, x):
+    """x^p form_pq of vectors stacked as (..., N), each row on its own."""
+    return (x[..., None, :] @ form)[..., 0, :]
+
+
+def _per_row(x, k: int = 1):
+    """A per-row scalar of stacked rows spread over k trailing axes, so it
+    broadcasts against a per-row array; for one vector the scalar itself,
+    as a scalar multiplies faster than a broadcast array."""
+    return x[(...,) + (None,) * k] if isinstance(x, np.ndarray) else x
+
+
+def _pow(x, k):
+    """x ** k of per-row scalars, rounded row by row as for one vector:
+    numpy's array power takes shortcuts (x ** 3 by multiplication) that
+    the scalar power, libm's pow, does not."""
+    return np.float_power(x, k) if isinstance(x, np.ndarray) else x**k
+
+
 def _off_axis(q):
     """q, but 1 on the axis q = 0, where a term (r_a R)(r_b R)/q is 0."""
     return q + (q == 0.0)
@@ -201,8 +220,13 @@ class MetricContext:
         if v.ndim == 0 or v.shape[-1] != self.n:
             raise OutOfRangeError(f"expected vectors of length {self.n}, got shape {v.shape}")
         l1 = np.abs(v) @ self._ones  # row L1 norms: 0 only for a zero row
-        # count_nonzero: any() at a fraction of its cost on one vector
-        if np.count_nonzero(~((l1 < math.inf) & ((l1 > 0.0) | (not nonzero)))):
+        # one vector's l1 is a float64 scalar, which a Python comparison
+        # tests at a tenth of the cost of the array test
+        if isinstance(l1, np.ndarray):
+            ok = not np.count_nonzero(~((l1 < math.inf) & ((l1 > 0.0) | (not nonzero))))
+        else:
+            ok = (l1 > 0.0 or not nonzero) and l1 < math.inf
+        if not ok:
             infinite = ~np.isfinite(v).all(axis=-1)
             if infinite.any():
                 raise OutOfRangeError("vector components must be finite" + _first_row(infinite))
@@ -378,19 +402,16 @@ def _rows_kernel(what: str):
     return wrap
 
 
-def generating_j(par: GParameter, w: float) -> float:
-    """j(g; w), the exponential factor on the chart w = q/Z."""
-    q = abs(float(w))
-    z = 1.0 if w >= 0 else -1.0
-    return math.exp(0.5 * par.big_g * phi_function(par, q, z))
+def generating_j(par: GParameter, w):
+    """j(g; w), the exponential factor on the chart w = q/Z, elementwise."""
+    return np.exp(0.5 * par.big_g * phi_function(par, np.abs(w), np.where(w >= 0, 1.0, -1.0)))
 
 
-def generating_v(par: GParameter, w: float) -> float:
-    """Generating metric function V(g; w) = sqrt(1 + g*w + w^2) * j(g; w).
+def generating_v(par: GParameter, w):
+    """Generating metric function V(g; w) = sqrt(1 + g*w + w^2) * j(g; w),
+    elementwise.
 
     Satisfies K(g; R) = |Z| * V(g; q/Z) whenever Z != 0; negative w
     encodes the lower half-space Z < 0.
     """
-    w = float(w)
-    qw = 1.0 + par.g * w + w * w
-    return math.sqrt(qw) * generating_j(par, w)
+    return np.sqrt(1.0 + par.g * w + w * w) * generating_j(par, w)

@@ -20,7 +20,6 @@ from .geodesics import (
     GeodesicChord,
     _check_cosine,
     _checked_pair,
-    _clamped_arccos,
     _dots,
     _require_independent,
     _stacked,
@@ -224,12 +223,11 @@ def finsler_geodesic(par: GParameter, ctx: MetricContext, R1, R2, s):
 
 def axis_angles(par: GParameter, ctx: MetricContext, R):
     """Angles of R with the axis, (1/h) arccos(A/sqrt(B)), and with the
-    non-axis plane, (1/h) arccos(L/sqrt(B))."""
-    R = ctx.check_vector(R, nonzero=True)
-    sb = _bundle(par, ctx, R)
-    _require_normal(np.array((sb.B,)), "vector")
-    root_b = math.sqrt(sb.B)
-    return (
-        _clamped_arccos(sb.A / root_b) / par.h,
-        _clamped_arccos(sb.L / root_b) / par.h,
-    )
+    non-axis plane, (1/h) arccos(L/sqrt(B)), over rows (..., N).
+
+    Since B = A^2 + h^2 q^2 = L^2 + h^2 Z^2, they are formed as
+    (1/h) atan2(h q, A) and (1/h) atan2(h |Z|, L), which need no clamp.
+    """
+    sb = _bundle(par, ctx, ctx.check_rows(R, nonzero=True))
+    _require_normal(np.asarray(sb.B)[None], "vector")
+    return np.arctan2(par.h * sb.q, sb.A) / par.h, np.arctan2(par.h * np.abs(sb.Z), sb.L) / par.h

@@ -44,11 +44,6 @@ def _check_cosine(x) -> None:
         )
 
 
-def _clamped_arccos(x: float) -> float:
-    _check_cosine(x)
-    return math.acos(min(max(x, -1.0), 1.0))
-
-
 def _require_independent(sin_theta, what: str) -> None:
     """The one pair-independence guard: sin(theta) > 1e-12, pair by pair,
     for theta the euclidean angle of the pair; the message names the first
@@ -59,11 +54,6 @@ def _require_independent(sin_theta, what: str) -> None:
         raise CollinearError(
             f"{what}: sin(theta) = {first:.3e} <= {_COLLINEAR_TOL:.0e}" + _first_row(bad)
         )
-
-
-def _lower(form, x):
-    """x^p form_pq of vectors stacked as (..., N), each row on its own."""
-    return (x[..., None, :] @ form)[..., 0, :]
 
 
 def _dots(form, x, y):
@@ -228,11 +218,16 @@ def solve_chord(par: GParameter, ctx: MetricContext, t1, t2) -> GeodesicChord:
         raise NumericalDomainError(
             "no smooth chord: the pair subtends an angle of pi or more"
         )
-    ds2 = a * a + s_end * s_end - 2.0 * a * s_end * math.cos(alpha)
-    delta_s = math.sqrt(max(ds2, 0.0))
+    # a^2 + s_end^2 overflows beyond about 1e154: delta_s and b are of
+    # degree 1, so they are formed at 2^-e (a, s_end), an exact scaling
+    e = math.frexp(max(a, s_end))[1]
+    a_e, s_e = math.ldexp(a, -e), math.ldexp(s_end, -e)
+    ds2 = a_e * a_e + s_e * s_e - 2.0 * a_e * s_e * math.cos(alpha)
+    ds_e = math.sqrt(max(ds2, 0.0))
+    delta_s = math.ldexp(ds_e, e)
     if delta_s <= 1e-14 * (a + s_end):
         raise DegenerateChordError("coincident endpoints")
-    b = (a * s_end * math.cos(alpha) - a * a) / delta_s
+    b = math.ldexp((a_e * s_e * math.cos(alpha) - a_e * a_e) / ds_e, e)
     # rounding can push b fractionally past +-a on near-radial pairs
     b = min(max(b, -a), a)
     return GeodesicChord(

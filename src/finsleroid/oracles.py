@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numdiff
-from .core import GParameter, MetricContext, _bundle
+from .core import GParameter, MetricContext, _bundle, _off_axis, _outer, _per_row, _pow
 from .geodesics import pair_invariants
 from .quasimap import quasi_metric, quasi_metric_derivative
 from .tensors import _chart, metric_tensor
@@ -30,83 +30,84 @@ __all__ = [
 ]
 
 
-def _phi_qz_form(par: GParameter, q: float, z: float) -> float:
-    # printed primary branch family; needs Z != 0
-    base = 0.5 * math.pi if z >= 0 else -0.5 * math.pi
-    return base + math.atan(0.5 * par.big_g) - math.atan(q / (par.h * z) + 0.5 * par.big_g)
+def _phi_qz_form(par: GParameter, q, z):
+    # printed primary branch family, elementwise; needs Z != 0
+    base = np.where(z >= 0, 0.5 * math.pi, -0.5 * math.pi)
+    return base + math.atan(0.5 * par.big_g) - np.arctan(q / (par.h * z) + 0.5 * par.big_g)
 
 
-def _phi_lz_form(par: GParameter, q: float, z: float) -> float:
-    # same family written through L = q + g*Z/2; needs Z != 0
-    base = 0.5 * math.pi if z >= 0 else -0.5 * math.pi
+def _phi_lz_form(par: GParameter, q, z):
+    # same family written through L = q + g*Z/2, elementwise; needs Z != 0
+    base = np.where(z >= 0, 0.5 * math.pi, -0.5 * math.pi)
     lfun = q + 0.5 * par.g * z
-    return base + math.atan(0.5 * par.big_g) - math.atan(lfun / (par.h * z))
+    return base + math.atan(0.5 * par.big_g) - np.arctan(lfun / (par.h * z))
 
 
-def _phi_a_form(par: GParameter, q: float, z: float) -> float:
-    # plain-arctan A-form; valid only while sign(A) == sign(Z)
+def _phi_a_form(par: GParameter, q, z):
+    # plain-arctan A-form, elementwise; valid only while sign(A) == sign(Z)
     a = z + 0.5 * par.g * q
-    base = 0.5 * math.pi if z >= 0 else -0.5 * math.pi
-    return base - math.atan(par.h * q / a)
+    return np.where(z >= 0, 0.5 * math.pi, -0.5 * math.pi) - np.arctan(par.h * q / a)
 
 
 def angular_block_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
-    """Closed-form components of h_pq (oracle for angular_tensor).
+    """Closed-form components of h_pq (oracle for angular_tensor), over
+    rows (..., N) -> (..., N, N).
 
     h_NN = q^2 K^2/B^2, h_Na = -Z r_ab R^b K^2/B^2,
-    h_ab = K^2/B r_ab - (gZ + q) (r_a.R)(r_b.R) K^2 / (q B^2).
+    h_ab = K^2/B r_ab - (gZ + q) (r_a.R)(r_b.R) K^2 / (q B^2), whose last
+    term is 0 on the axis q = 0.
     """
-    R = ctx.check_vector(R, nonzero=True)
+    R = ctx.check_rows(R, nonzero=True)
     sb = _bundle(par, ctx, R)
-    n = ctx.n
-    z = R[-1]
-    q = sb.q
-    k2b2 = sb.K**2 / sb.B**2
-    rr = ctx.r_ab @ R[:-1]
-    h = np.empty((n, n))
-    h[-1, -1] = q * q * k2b2
-    h[-1, :-1] = -z * rr * k2b2
-    h[:-1, -1] = h[-1, :-1]
-    block = (sb.K**2 / sb.B) * ctx.r_ab
-    if q > 0.0:
-        block = block - (par.g * z + q) * np.outer(rr, rr) / q * k2b2
-    h[:-1, :-1] = block
+    z, q = sb.Z, sb.q
+    k2 = _pow(sb.K, 2)
+    k2b2 = k2 / _pow(sb.B, 2)
+    rr = ctx.r_rows(R[..., :-1])
+    h = np.empty(R.shape + (ctx.n,))
+    h[..., -1, -1] = q * q * k2b2
+    h[..., -1, :-1] = h[..., :-1, -1] = _per_row(-z) * rr * _per_row(k2b2)
+    h[..., :-1, :-1] = _per_row(k2 / sb.B, 2) * ctx.r_ab - _per_row(par.g * z + q, 2) * _outer(
+        rr, rr
+    ) / _per_row(_off_axis(q), 2) * _per_row(k2b2, 2)
     return h
 
 
 def cartan_mixed_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
-    """Explicit chart closed forms for C_p^q_r (independent cross-check)."""
-    R = ctx.check_vector(R, nonzero=True)
+    """Explicit chart closed forms for C_p^q_r (independent cross-check),
+    over rows (..., N) -> (..., N, N, N)."""
+    R = ctx.check_rows(R, nonzero=True)
     sb = _bundle(par, ctx, R)
     z, w, w_up, w_low, v2 = _chart(ctx, R, sb)
     n = ctx.n
     g = par.g
     qw = sb.Q
     eye = np.eye(n - 1)
+    w3, qw2 = _pow(w, 3), _pow(qw, 2)
 
-    m = np.zeros((n, n, n))
-    m[-1, -1, -1] = g * w**3 / qw**2
-    m[:-1, -1, -1] = -g * w / qw**2 * w_low
-    m[-1, :-1, -1] = -g * w * (1.0 + g * w) / qw**2 * w_up
-    m[-1, -1, :-1] = m[:-1, -1, -1]  # C_N^N_a = C_a^N_N by symmetry of C in p, r
-    a_n_b = 0.5 * g * w / qw * ctx.r_ab + (
-        0.5 * g * (1.0 - g * w - w * w) / (w * qw**2)
-    ) * np.outer(w_low, w_low)
-    m[:-1, -1, :-1] = a_n_b
-    n_a_b = 0.5 * g * w / qw * eye + (
-        0.5 * g * (1.0 + g * w - w * w) / (w * qw**2)
-    ) * np.outer(w_up, w_low)
-    m[-1, :-1, :-1] = n_a_b
-    m[:-1, :-1, -1] = n_a_b.T  # C_a^b_N = C_N^b_a (p-r symmetry)
-    abc = -0.5 * g / (w * qw) * (
-        np.einsum("ab,c->abc", eye, w_low)
-        + np.einsum("cb,a->abc", eye, w_low)
-        + (1.0 + g * w) * np.einsum("ac,b->abc", ctx.r_ab, w_up)
-    ) + (0.5 * g * (g * w * qw + qw + 2.0 * w * w) / (w**3 * qw**2)) * np.einsum(
-        "a,b,c->abc", w_low, w_up, w_low
+    m = np.zeros(np.shape(z) + (n, n, n))
+    m[..., -1, -1, -1] = g * w3 / qw2
+    m[..., :-1, -1, -1] = _per_row(-g * w / qw2) * w_low
+    m[..., -1, :-1, -1] = _per_row(-g * w * (1.0 + g * w) / qw2) * w_up
+    m[..., -1, -1, :-1] = m[..., :-1, -1, -1]  # C_N^N_a = C_a^N_N by symmetry of C in p, r
+    a_n_b = _per_row(0.5 * g * w / qw, 2) * ctx.r_ab + _per_row(
+        0.5 * g * (1.0 - g * w - w * w) / (w * qw2), 2
+    ) * _outer(w_low, w_low)
+    m[..., :-1, -1, :-1] = a_n_b
+    n_a_b = _per_row(0.5 * g * w / qw, 2) * eye + _per_row(
+        0.5 * g * (1.0 + g * w - w * w) / (w * qw2), 2
+    ) * _outer(w_up, w_low)
+    m[..., -1, :-1, :-1] = n_a_b
+    m[..., :-1, :-1, -1] = np.swapaxes(n_a_b, -1, -2)  # C_a^b_N = C_N^b_a (p-r symmetry)
+    # C_a^b_c: delta_ab w_c + delta_cb w_a + (1 + g w) r_ac w^b, and w_a w^b w_c
+    abc = _per_row(-0.5 * g / (w * qw), 3) * (
+        eye[:, :, None] * w_low[..., None, None, :]
+        + eye[None, :, :] * w_low[..., :, None, None]
+        + _per_row(1.0 + g * w, 3) * (ctx.r_ab[:, None, :] * w_up[..., None, :, None])
+    ) + _per_row(0.5 * g * (g * w * qw + qw + 2.0 * w * w) / (w3 * qw2), 3) * (
+        _outer(w_low, w_up)[..., None] * w_low[..., None, None, :]
     )
-    m[:-1, :-1, :-1] = abc
-    return m / z
+    m[..., :-1, :-1, :-1] = abc
+    return m / _per_row(z, 3)
 
 
 def cartan_fd_diagnostic(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
@@ -120,11 +121,12 @@ def cartan_fd_diagnostic(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
     return 0.5 * numdiff.jacobian(lambda x: metric_tensor(par, ctx, x), R)
 
 
-def two_vector_determinant_reference(par: GParameter, ctx: MetricContext, t1, t2) -> float:
-    """det n_pq = (|t1||t2| sin(alpha)/u)^(N-2) h^(-N) det(r_ab)."""
+def two_vector_determinant_reference(par: GParameter, ctx: MetricContext, t1, t2):
+    """det n_pq = (|t1||t2| sin(alpha)/u)^(N-2) h^(-N) det(r_ab), over
+    pairs stacked as (..., N)."""
     inv = pair_invariants(par, ctx, t1, t2)
     s1, s2, _, sa = _pair_scalars(inv)
-    return (s1 * s2 * sa / inv.u) ** (ctx.n - 2) * par.h ** (-ctx.n) * float(
+    return _pow(s1 * s2 * sa / inv.u, ctx.n - 2) * par.h ** (-ctx.n) * float(
         np.linalg.det(ctx.r_ab)
     )
 

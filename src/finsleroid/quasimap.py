@@ -23,12 +23,17 @@ from .core import (
     _TINY,
     GParameter,
     MetricContext,
+    _first_row,
+    _lower,
     _off_axis,
     _outer,
+    _per_row,
+    _pow,
+    _require_finite,
     _require_normal,
     _rows_kernel,
 )
-from .errors import OnAxisError
+from .errors import NumericalDomainError, OnAxisError
 
 __all__ = [
     "QuasiGeometry",
@@ -44,24 +49,40 @@ __all__ = [
 ]
 
 
-def _plane_and_axis(ctx: MetricContext, t):
-    """m(t) and t^N of checked rows t, shape (..., N), where each squared
-    norm S^2 = m^2 + (t^N)^2 is a finite normal float64; otherwise
-    NumericalDomainError names the first row (scale extremes)."""
-    tn = t[..., -1]
-    with np.errstate(over="ignore", invalid="ignore"):  # _require_normal reports it
-        m = ctx.q_rows(t[..., :-1])
-        s2 = m * m + tn * tn
-    _require_normal(np.asarray(s2)[None], "vector")
-    return m, tn
+def _normal(x) -> bool:
+    """Whether each per-row scalar x is a finite normal float64.  One
+    vector's x is a float64 scalar, which a Python comparison tests at a
+    tenth of the cost of the array test."""
+    if isinstance(x, np.ndarray):
+        return bool(((x >= _TINY) & (x <= _HUGE)).all())
+    return _TINY <= x <= _HUGE
 
 
-def _squared_norm(ctx: MetricContext, t) -> float:
-    """S^2 of one checked vector, a finite normal float64 (scale extremes raise)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # _require_normal reports it
-        s2 = ctx.dot(t, t)
-    _require_normal(np.array((s2,)), "vector")
-    return s2
+def _image_terms(ctx: MetricContext, t):
+    """(t, t_p, m(t)^2, t^N, S^2) of nonzero image rows t, shape (..., N),
+    unchecked: S^2 may overflow, so call it under np.errstate and then test
+    S^2 with _normal."""
+    t = ctx.check_rows(t, nonzero=True)
+    tn = t[..., -1][()]
+    tl = _lower(ctx.r_pq, t)
+    m2 = (tl[..., None, :-1] @ t[..., :-1, None])[..., 0, 0][()]  # r_ab t^a t^b
+    return t, tl, m2, tn, m2 + tn * tn
+
+
+def _image_rows(ctx: MetricContext, t):
+    """The _image_terms of rows t, checked: each S^2 must be a finite
+    normal float64, otherwise NumericalDomainError names the first row
+    (scale extremes)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the range test reports it
+        terms = _image_terms(ctx, t)
+    if not _normal(terms[-1]):
+        _require_normal(np.asarray(terms[-1])[None], "vector")
+    return terms
+
+
+def _plane_norm(m2):
+    """m(t) from m(t)^2, which is below 0 only by rounding."""
+    return np.sqrt(np.abs(m2))
 
 
 @_rows_kernel("sigma map")
@@ -73,11 +94,43 @@ def sigma_map(par: GParameter, ctx: MetricContext, R, sb) -> np.ndarray:
     return t
 
 
-def phi_angle(par: GParameter, ctx: MetricContext, t) -> float:
-    """Polar angle of t from the non-axis plane; equals Phi(g; mu(t))."""
-    t = ctx.check_vector(t, nonzero=True)
-    m, tn = _plane_and_axis(ctx, t)
-    return math.atan2(tn, m)
+def phi_angle(par: GParameter, ctx: MetricContext, t):
+    """Polar angle of t from the non-axis plane, over rows (..., N); equals
+    Phi(g; mu(t))."""
+    _, _, m2, tn, _ = _image_rows(ctx, t)
+    return np.arctan2(tn, _plane_norm(m2))
+
+
+def _mu_rows(par: GParameter, ctx: MetricContext, t, what: str, closed_form):
+    """closed_form(par, t, t_p, m, t^N, S^2, k) at the checked rows t, with
+    k = exp(G phi/2) and phi the polar angle of each row: the one path of
+    mu_map and mu_jacobian.  Near |g| = 2, where G is large, k or the
+    result can leave float64: NumericalDomainError then names the first
+    row where k is not a finite normal float64, or where the result is
+    not finite."""
+    # one np.errstate for the image terms and the closed form: on one
+    # vector a second one would cost about 5 % of mu_jacobian
+    with np.errstate(all="ignore"):  # the range tests report it
+        t, tl, m2, tn, s2 = _image_terms(ctx, t)
+        if not _normal(s2):
+            _require_normal(np.asarray(s2)[None], "vector")
+        m = _plane_norm(m2)
+        k = np.exp(0.5 * par.big_g * np.arctan2(tn, m))
+        out = closed_form(par, t, tl, m, tn, s2, k)
+    if not _normal(k):
+        bad = ~((k >= _TINY) & (k <= _HUGE))
+        raise NumericalDomainError(
+            f"{what}: k = exp(G phi/2) = {float(np.asarray(k)[bad][0])!r} is not a finite normal"
+            f" float64 at g = {par.g!r}" + _first_row(bad)
+        )
+    _require_finite(out, np.ndim(t) - 1, what)
+    return out
+
+
+def _mu_closed_form(par, t, tl, m, tn, s2, k):
+    out = t / _per_row(par.h * k)
+    out[..., -1] = (tn - 0.5 * par.big_g * m) / k
+    return out
 
 
 def mu_map(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
@@ -88,12 +141,7 @@ def mu_map(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
     along leading axes, shape (..., N); R has the shape of t.  A zero or
     non-finite row raises, naming the index of the first such row.
     """
-    t = ctx.check_rows(t, nonzero=True)
-    m, tn = _plane_and_axis(ctx, t)
-    k = np.exp(0.5 * par.big_g * np.arctan2(tn, m))
-    out = t / (par.h * k)[..., None]
-    out[..., -1] = (tn - 0.5 * par.big_g * m) / k
-    return out
+    return _mu_rows(par, ctx, t, "mu map", _mu_closed_form)
 
 
 @_rows_kernel("sigma Jacobian")
@@ -128,8 +176,31 @@ def sigma_jacobian(par: GParameter, ctx: MetricContext, R, sb) -> np.ndarray:
     return out
 
 
+def _mu_jacobian_closed_form(par, t, tl, m, tn, s2, k):
+    if (m == 0.0).any():
+        raise OnAxisError("mu_jacobian closed form needs m(t) != 0" + _first_row(m == 0.0))
+    g, h = par.g, par.h
+    # in the degree-0 factors t/S, m/S and t^N/S: no intermediate scales
+    # with S^-2, which leaves float64 near the ends of the range of S
+    s = np.sqrt(s2)
+    bold, rt = t[..., :-1] / _per_row(s), tl[..., :-1] / _per_row(s)
+    mh, nh = m / s, tn / s
+    c = 1.0 / (h * k)
+    e = 0.5 * g * c / h
+    out = np.empty(t.shape + t.shape[-1:])
+    out[..., -1, -1] = 1.0 / k - 0.5 * g * mh * (nh - 0.5 * par.big_g * mh) * c
+    out[..., -1, :-1] = _per_row(-(h * mh + 0.5 * g * nh) * e) * rt
+    out[..., :-1, -1] = _per_row(-mh * e) * bold
+    # t^N/m first onto t^a/S, which keeps it of the order of t^N/S
+    block = out[..., :-1, :-1]
+    np.multiply(_outer(bold * _per_row(tn / m), rt), _per_row(e, 2), out=block)
+    block += _per_row(c, 2) * np.eye(t.shape[-1] - 1)
+    return out
+
+
 def mu_jacobian(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
-    """M[p, q] = d mu^p / dt^q; matrix inverse of sigma_jacobian at R = mu(t).
+    """M[p, q] = d mu^p / dt^q over rows (..., N) -> (..., N, N); the matrix
+    inverse of sigma_jacobian at R = mu(t).
 
     Derived from d phi/dt^N = m/S^2, d phi/dt^a = -t^N r_ab t^b/(m S^2):
 
@@ -137,37 +208,21 @@ def mu_jacobian(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
         mu^N_a = -(g/2)(h m + (g/2) t^N) r_ab t^b / (h^2 k S^2)
         mu^a_N = -(g/2) m t^a / (h^2 k S^2)
         mu^a_b = delta^a_b/(h k) + (g/2) t^N t^a r_bc t^c / (h^2 m k S^2)
-    """
-    t = ctx.check_vector(t, nonzero=True)
-    s2 = _squared_norm(ctx, t)
-    m = ctx.m(t)
-    if m == 0.0:
-        raise OnAxisError("mu_jacobian closed form needs m(t) != 0")
-    n = ctx.n
-    g = par.g
-    h = par.h
-    tn = t[-1]
-    phi = math.atan2(tn, m)
-    k = math.exp(0.5 * par.big_g * phi)
-    i_val = tn - 0.5 * par.big_g * m
-    rt = ctx.r_ab @ t[:-1]
 
-    out = np.empty((n, n))
-    out[-1, -1] = 1.0 / k - 0.5 * g * m * i_val / (h * k * s2)
-    out[-1, :-1] = -0.5 * g * (h * m + 0.5 * g * tn) * rt / (h**2 * k * s2)
-    out[:-1, -1] = -0.5 * g * m * t[:-1] / (h**2 * k * s2)
-    # tn/m first: t^N t^a r_bc t^c and m S^2 are of degree 3
-    out[:-1, :-1] = np.eye(n - 1) / (h * k) + 0.5 * g * (tn / m) * np.outer(t[:-1], rt) / (h**2 * k * s2)
-    return out
+    A row on the axis (m = 0) raises OnAxisError naming it.
+    """
+    return _mu_rows(par, ctx, t, "mu Jacobian", _mu_jacobian_closed_form)
 
 
 @dataclass(frozen=True)
 class QuasiGeometry:
-    """Metric data of the image space at one point.
+    """Metric data of the image space at a point, or at each row of a
+    stack (every field has the leading shape of the rows).
 
-    ``christoffel[p, r, q]`` holds N_p^r_q and ``curvature[p, r, q, s]``
-    the fully lowered tensor R_prqs (lowered with the euclidean r, which
-    is the normalization its closed form carries).
+    ``christoffel[..., p, r, q]`` holds N_p^r_q and
+    ``curvature[..., p, r, q, s]`` the fully lowered tensor R_prqs
+    (lowered with the euclidean r, which is the normalization its closed
+    form carries).
     """
 
     n_lower: np.ndarray
@@ -177,22 +232,30 @@ class QuasiGeometry:
     curvature: np.ndarray
 
 
-def quasi_metric(par: GParameter, ctx: MetricContext, t) -> QuasiGeometry:
-    """n_rs, its inverse, the projector H_rs, Christoffels and curvature."""
-    t = ctx.check_vector(t, nonzero=True)
-    s = math.sqrt(_squared_norm(ctx, t))
-    l_up = t / s
-    l_low = ctx.lower(l_up)
-    g2q = 0.25 * par.big_g**2
+def _unit_rows(ctx: MetricContext, t):
+    """(S, L^p, L_p, H_pq) of nonzero image rows: L = t/S and H = r - L L."""
+    t, tl, _, _, s2 = _image_rows(ctx, t)
+    s = np.sqrt(s2)
+    l_up, l_low = t / _per_row(s), tl / _per_row(s)
+    return s, l_up, l_low, ctx.r_pq - _outer(l_low, l_low)
 
-    n_lower = ctx.r_pq / par.h**2 - g2q * np.outer(l_low, l_low)
-    n_upper = par.h**2 * ctx.r_pq_inv + 0.25 * par.g**2 * np.outer(l_up, l_up)
-    h_lower = ctx.r_pq - np.outer(l_low, l_low)
-    christoffel = -g2q * np.einsum("r,pq->prq", l_up, h_lower) / s
+
+def quasi_metric(par: GParameter, ctx: MetricContext, t) -> QuasiGeometry:
+    """n_rs, its inverse, the projector H_rs, Christoffels and curvature,
+    over rows (..., N)."""
+    s, l_up, l_low, h_lower = _unit_rows(ctx, t)
+    g2q = 0.25 * par.big_g**2
+    n_lower = ctx.r_pq / par.h**2 - g2q * _outer(l_low, l_low)
+    n_upper = par.h**2 * ctx.r_pq_inv + 0.25 * par.g**2 * _outer(l_up, l_up)
+    # N_p^r_q = -(G^2/4) L^r H_pq / S and R_prqs = -(G^2/4)(H_pq H_rs - H_ps H_qr)/S^2
+    christoffel = -g2q * (l_up[..., None, :, None] * h_lower[..., :, None, :]) / _per_row(s, 3)
     curvature = (
         -g2q
-        * (np.einsum("pq,rs->prqs", h_lower, h_lower) - np.einsum("ps,qr->prqs", h_lower, h_lower))
-        / s**2
+        * (
+            h_lower[..., :, None, :, None] * h_lower[..., None, :, None, :]
+            - h_lower[..., :, None, None, :] * h_lower[..., None, :, :, None]
+        )
+        / _per_row(s * s, 4)
     )
     return QuasiGeometry(
         n_lower=n_lower,
@@ -204,36 +267,32 @@ def quasi_metric(par: GParameter, ctx: MetricContext, t) -> QuasiGeometry:
 
 
 def quasi_metric_derivative(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
-    """d n_pq / dt^r as an [p, q, r] array: -(G^2/4)(H_pr L_q + H_qr L_p)/S."""
-    t = ctx.check_vector(t, nonzero=True)
-    s = math.sqrt(_squared_norm(ctx, t))
-    l_low = ctx.lower(t / s)
-    h_lower = ctx.r_pq - np.outer(l_low, l_low)
+    """d n_pq / dt^r as an [..., p, q, r] array over rows (..., N):
+    -(G^2/4)(H_pr L_q + H_qr L_p)/S."""
+    s, _, l_low, h_lower = _unit_rows(ctx, t)
     g2q = 0.25 * par.big_g**2
-    return (
-        -g2q
-        * (np.einsum("pr,q->pqr", h_lower, l_low) + np.einsum("qr,p->pqr", h_lower, l_low))
-        / s
-    )
+    h_l = h_lower[..., :, None, :] * l_low[..., None, :, None]  # H_pr L_q at [p, q, r]
+    return -g2q * (h_l + np.swapaxes(h_l, -3, -2)) / _per_row(s, 3)
 
 
 def conformal_flatten(par: GParameter, ctx: MetricContext, t):
-    """Radial rescaling t -> f * t / h with f = (S^2/2)^(gamma/2), gamma = h - 1.
+    """Radial rescaling t -> f * t / h with f = (S^2/2)^(gamma/2), gamma = h - 1,
+    over rows (..., N).
 
     The pushforward of n^rs through this map is f^2 r^rs, i.e. the
     quasi-euclidean metric is conformally euclidean.  Returns (image, f).
     """
-    t = ctx.check_vector(t, nonzero=True)
-    s2 = _squared_norm(ctx, t)
-    f = (0.5 * s2) ** (0.5 * par.gamma)
-    return f * t / par.h, f
+    t, _, _, _, s2 = _image_rows(ctx, t)
+    f = _pow(0.5 * s2, 0.5 * par.gamma)
+    return _per_row(f) * t / par.h, f
 
 
 def conformal_jacobian(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
-    """Analytic Jacobian k^p_q = (f delta^p_q + f' t^p t_q)/h of the flattening."""
-    t = ctx.check_vector(t, nonzero=True)
-    s2 = _squared_norm(ctx, t)
-    f = (0.5 * s2) ** (0.5 * par.gamma)
+    """Analytic Jacobian k^p_q = (f delta^p_q + f' t^p t_q)/h of the
+    flattening, over rows (..., N) -> (..., N, N)."""
+    t, tl, _, _, s2 = _image_rows(ctx, t)
+    f = _pow(0.5 * s2, 0.5 * par.gamma)
     # f' = d f / d(S^2/2) = gamma f / S^2, of degree gamma - 2: f' t^p t_q is
     # formed as f gamma (t^p t_q / S^2), whose factors are of degree gamma and 0
-    return f * (np.eye(ctx.n) + par.gamma * np.outer(t, ctx.lower(t)) / s2) / par.h
+    tt = _outer(t, tl) / _per_row(s2, 2)
+    return _per_row(f, 2) * (np.eye(ctx.n) + par.gamma * tt) / par.h

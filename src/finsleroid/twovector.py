@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, _outer
+from .core import GParameter, MetricContext, _lower, _outer
 from .errors import (
     MaxIterationsError,
     NoRootError,
@@ -31,7 +31,6 @@ from .geodesics import (
     _checked_vectors,
     _companions,
     _invariants,
-    _lower,
     _pair_dots,
     _require_independent,
 )
@@ -168,14 +167,15 @@ class CovectorPair:
     f_scale: float
 
 
-def co_regime_gap(par: GParameter, alpha: float) -> float:
-    """sin(h*alpha - 2*atan2(sin(alpha)/h, cos(alpha))), the signed regime gap.
+def co_regime_gap(par: GParameter, alpha):
+    """sin(h*alpha - 2*atan2(sin(alpha)/h, cos(alpha))), the signed regime
+    gap, elementwise.
 
     Negative in the main regime of the covariant pair map, positive in the
     other; at zero the co-vectors of the pair are collinear.
     """
-    phi1 = math.atan2(math.sin(alpha) / par.h, math.cos(alpha))
-    return math.sin(par.h * alpha - 2.0 * phi1)
+    phi1 = np.arctan2(np.sin(alpha) / par.h, np.cos(alpha))
+    return np.sin(par.h * alpha - 2.0 * phi1)
 
 
 def co_orientation(par: GParameter, alpha: float) -> float:

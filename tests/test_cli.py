@@ -341,7 +341,7 @@ def test_geodesic_non_finite_pullback_exits_1(monkeypatch, capsys, fmt):
 
 
 def test_geodesic_overflowing_chord_exits_1(capsys):
-    # |t|^2 along this chord leaves float64, and solve_chord returns b = delta_s = NaN
+    # |t|^2 along this chord leaves float64, so geodesic_point's samples are not finite
     argv = ["geodesic", "--g", "1", "--t1=1e154,0,5e153", "--t2=2e153,1e154,4e153", "--samples", "2"]
     for extra in ([], ["--pullback"]):
         for fmt in ("json", "csv"):
@@ -356,6 +356,13 @@ def test_eval_overflowing_determinant_exits_1(capsys, fmt):
     code, out, err = run_cli(capsys, "eval", "--g", "1.9999", "--vector", "0,0,1", "--format", fmt)
     assert code == 1 and out == ""
     assert err == "error: non-finite det(g_pq) in float64\n"
+
+
+def test_verify_near_two_exits_1_without_warnings(capsys):
+    # checks fail near |g| = 2, each with a residual or a typed error; no
+    # numpy warning escapes (pytest turns those into errors)
+    code, out, _ = run_cli(capsys, "verify", "--g", "1.9999", "--dim", "5", "--trials", "5")
+    assert code == 1 and json.loads(out)["overall_pass"] is False
 
 
 def test_verify_determinism_and_exit(capsys):

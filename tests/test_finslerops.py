@@ -9,7 +9,7 @@ import pytest
 
 import finsleroid as fl
 from finsleroid import numdiff
-from finsleroid.verify import draw_vector
+from finsleroid.verify import draw_vectors
 
 GS = [0.0, 0.7, -1.1, 1.5]
 
@@ -22,9 +22,7 @@ def ctx(request):
 
 
 def image_pair(rng, ctx, par, min_frac=0.0, max_alpha=0.9 * math.pi):
-    while True:
-        r_vec = draw_vector(rng, ctx, min_frac=min_frac, unit=True)
-        s_vec = draw_vector(rng, ctx, min_frac=min_frac, unit=True)
+    for r_vec, s_vec in draw_vectors(rng, ctx, 64, min_frac=min_frac, unit=True).reshape(32, 2, ctx.n):
         try:
             al = fl.finsler_angle(par, ctx, r_vec, s_vec)
         except fl.FinsleroidError:
@@ -32,6 +30,7 @@ def image_pair(rng, ctx, par, min_frac=0.0, max_alpha=0.9 * math.pi):
         if al >= max_alpha or al < 1e-3:
             continue
         return r_vec, s_vec
+    raise AssertionError("no admissible image pair in 32 draws")
 
 
 @pytest.mark.parametrize("g", GS)
@@ -48,12 +47,12 @@ def test_product_pullback_consistency(g, ctx, rng):
 
 def test_product_special_values(ctx, rng):
     par = fl.make_parameter(1.1)
-    r_vec = draw_vector(rng, ctx)
+    r_vec = draw_vectors(rng, ctx, 1)[0]
     assert fl.finsler_product(par, ctx, r_vec, r_vec).product == pytest.approx(
         fl.kfun(par, ctx, r_vec) ** 2, rel=1e-12
     )
     par0 = fl.make_parameter(0.0)
-    s_vec = draw_vector(rng, ctx)
+    s_vec = draw_vectors(rng, ctx, 1)[0]
     assert fl.finsler_product(par0, ctx, r_vec, s_vec).product == pytest.approx(
         ctx.dot(r_vec, s_vec), rel=1e-12, abs=1e-12
     )
@@ -187,8 +186,8 @@ def test_two_vector_fd_and_euclidean(ctx, rng):
 @pytest.mark.parametrize("g", [0.8, 1.5])
 def test_two_vector_coincidence(g, ctx, rng):
     par = fl.make_parameter(g)
-    r_vec = draw_vector(rng, ctx, min_frac=0.15, unit=True)
-    v = 0.3 * draw_vector(rng, ctx, unit=True)
+    r_vec = draw_vectors(rng, ctx, 1, min_frac=0.15, unit=True)[0]
+    v = 0.3 * draw_vectors(rng, ctx, 1, unit=True)[0]
     errs = []
     for eps in (1e-1, 1e-2, 1e-3):
         big_g = fl.finsler_two_vector_tensor(par, ctx, r_vec, r_vec + eps * v)
@@ -200,9 +199,7 @@ def test_two_vector_coincidence(g, ctx, rng):
 def test_finsler_geodesic(g, ctx, rng):
     par = fl.make_parameter(g)
     done = 0
-    while done < 4:
-        r1 = draw_vector(rng, ctx)
-        r2 = draw_vector(rng, ctx)
+    for r1, r2 in draw_vectors(rng, ctx, 32).reshape(16, 2, ctx.n):
         try:
             ch = fl.finsler_chord(par, ctx, r1, r2)
         except fl.FinsleroidError:
@@ -211,10 +208,12 @@ def test_finsler_geodesic(g, ctx, rng):
         pts = fl.finsler_geodesic(par, ctx, r1, r2, np.array([0.0, ch.delta_s]))
         assert np.max(np.abs(pts[0] - r1)) < 1e-9
         assert np.max(np.abs(pts[-1] - r2)) < 1e-9
+        if done == 4:
+            break
+    assert done == 4
     # straight at g = 0
     par0 = fl.make_parameter(0.0)
-    r1 = draw_vector(rng, ctx)
-    r2 = draw_vector(rng, ctx)
+    r1, r2 = draw_vectors(rng, ctx, 2)
     try:
         ch = fl.finsler_chord(par0, ctx, r1, r2)
         mids = fl.finsler_geodesic(par0, ctx, r1, r2, np.array([0.5 * ch.delta_s]))
@@ -228,9 +227,9 @@ def test_finsler_geodesic(g, ctx, rng):
 def test_finsler_arc_length(g, ctx, rng):
     par = fl.make_parameter(g)
     done = 0
-    while done < 2:
-        r1 = draw_vector(rng, ctx)
-        r2 = draw_vector(rng, ctx)
+    for r1, r2 in draw_vectors(rng, ctx, 32).reshape(16, 2, ctx.n):
+        if done == 2:
+            break
         try:
             ch = fl.finsler_chord(par, ctx, r1, r2)
         except fl.FinsleroidError:
@@ -247,6 +246,7 @@ def test_finsler_arc_length(g, ctx, rng):
             gm = fl.metric_tensor(par, ctx, mid[i])
             total += math.sqrt(max(float(dp[i] @ gm @ dp[i]), 0.0))
         assert total == pytest.approx(ch.delta_s, rel=2e-5)
+    assert done == 2
 
 
 @pytest.mark.parametrize("g", GS)
@@ -254,8 +254,7 @@ def test_axis_angles(g, ctx, rng):
     par = fl.make_parameter(g)
     e_n = np.zeros(ctx.n)
     e_n[-1] = 1.0
-    for _ in range(20):
-        r_vec = draw_vector(rng, ctx)
+    for r_vec in draw_vectors(rng, ctx, 20):
         a_axis, a_plane = fl.axis_angles(par, ctx, r_vec)
         assert 0.0 <= a_axis <= math.pi / par.h
         assert 0.0 <= a_plane <= math.pi / par.h
@@ -263,14 +262,14 @@ def test_axis_angles(g, ctx, rng):
     assert fl.axis_angles(par, ctx, e_n)[0] == pytest.approx(0.0, abs=1e-14)
     # euclidean polar angle at g = 0
     par0 = fl.make_parameter(0.0)
-    r_vec = draw_vector(rng, ctx)
+    r_vec = draw_vectors(rng, ctx, 1)[0]
     polar = math.acos(np.clip(r_vec[-1] / ctx.s_norm(r_vec), -1, 1))
     assert fl.axis_angles(par0, ctx, r_vec)[0] == pytest.approx(polar, abs=1e-12)
 
 
 def test_collinear_images_rejected(ctx, rng):
     par = fl.make_parameter(0.9)
-    r_vec = draw_vector(rng, ctx)
+    r_vec = draw_vectors(rng, ctx, 1)[0]
     with pytest.raises(fl.CollinearError):
         fl.finsler_two_vector_tensor(par, ctx, r_vec, 1.5 * r_vec)
     pp = fl.finsler_product(par, ctx, r_vec, 1.5 * r_vec)

@@ -8,7 +8,7 @@ import pytest
 
 import finsleroid as fl
 from finsleroid import numdiff
-from finsleroid.verify import draw_pair, draw_vector
+from finsleroid.verify import draw_pairs, draw_vectors
 
 GS = [0.0, 0.7, -1.1, 1.5]
 
@@ -21,7 +21,8 @@ def ctx(request):
 
 
 def chord_pair(rng, ctx, par):
-    return draw_pair(rng, ctx, par, max_alpha=0.95 * math.pi)
+    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1, max_alpha=0.95 * math.pi)
+    return t1, t2
 
 
 def test_angle_frozen_example():
@@ -38,10 +39,10 @@ def test_angle_frozen_example():
 
 def test_angle_basics(ctx, rng):
     par = fl.make_parameter(0.9)
-    t = draw_vector(rng, ctx)
+    t = draw_vectors(rng, ctx, 1)[0]
     assert fl.angle(par, ctx, t, 2.7 * t) == 0.0
     par0 = fl.make_parameter(0.0)
-    t2 = draw_vector(rng, ctx)
+    t2 = draw_vectors(rng, ctx, 1)[0]
     expected = math.acos(
         np.clip(ctx.dot(t, t2) / (ctx.s_norm(t) * ctx.s_norm(t2)), -1.0, 1.0)
     )
@@ -53,8 +54,7 @@ def test_angle_basics(ctx, rng):
 @pytest.mark.parametrize("g", GS)
 def test_angle_additivity_and_scaling(g, ctx, rng):
     par = fl.make_parameter(g)
-    for _ in range(40):
-        t1, t3 = draw_pair(rng, ctx, par, max_alpha=0.9 * math.pi)
+    for t1, t3 in zip(*draw_pairs(rng, ctx, par, 40, max_alpha=0.9 * math.pi)):
         lam, mu = rng.uniform(0.2, 2.0, 2)
         t2 = lam * t1 + mu * t3
         assert fl.angle(par, ctx, t1, t3) == pytest.approx(
@@ -68,8 +68,7 @@ def test_angle_additivity_and_scaling(g, ctx, rng):
 @pytest.mark.parametrize("g", GS)
 def test_pair_invariants_identities(g, ctx, rng):
     par = fl.make_parameter(g)
-    for _ in range(40):
-        t1, t2 = draw_pair(rng, ctx, par)
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 40)):
         inv = fl.pair_invariants(par, ctx, t1, t2)
         assert ctx.dot(t1, inv.d1) == pytest.approx(0.0, abs=1e-11)
         assert ctx.dot(t2, inv.d2) == pytest.approx(0.0, abs=1e-11)
@@ -82,7 +81,7 @@ def test_pair_invariants_identities(g, ctx, rng):
 
 def test_pair_invariants_collinear(ctx, rng):
     par = fl.make_parameter(0.4)
-    t = draw_vector(rng, ctx)
+    t = draw_vectors(rng, ctx, 1)[0]
     with pytest.raises(fl.CollinearError):
         fl.pair_invariants(par, ctx, t, -1.7 * t)
 
@@ -101,7 +100,7 @@ def test_frozen_chord_2d():
 
 def test_chord_radial_and_degenerate(ctx, rng):
     par = fl.make_parameter(0.8)
-    t = draw_vector(rng, ctx)
+    t = draw_vectors(rng, ctx, 1)[0]
     up = fl.solve_chord(par, ctx, t, 2.0 * t)
     assert up.b == pytest.approx(up.a, abs=1e-12)
     assert up.delta_s == pytest.approx(ctx.s_norm(t), rel=1e-13)
@@ -178,8 +177,7 @@ def test_geodesic_straight_at_g_zero(ctx, rng):
 @pytest.mark.parametrize("g", GS)
 def test_geodesic_ode_residual(g, ctx, rng):
     par = fl.make_parameter(g)
-    for _ in range(6):
-        t1, t2 = draw_pair(rng, ctx, par, unit=True, max_alpha=0.95 * math.pi)
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 6, unit=True, max_alpha=0.95 * math.pi)):
         ch = fl.solve_chord(par, ctx, t1, t2)
         c2 = ch.a**2 - ch.b**2
         for s in np.linspace(0.2, 0.8, 3) * ch.delta_s:
@@ -193,8 +191,7 @@ def test_geodesic_ode_residual(g, ctx, rng):
 @pytest.mark.parametrize("g", GS)
 def test_geodesic_velocity(g, ctx, rng):
     par = fl.make_parameter(g)
-    for _ in range(8):
-        t1, t2 = draw_pair(rng, ctx, par, unit=True, max_alpha=0.95 * math.pi)
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 8, unit=True, max_alpha=0.95 * math.pi)):
         ch = fl.solve_chord(par, ctx, t1, t2)
         ss = np.linspace(0.1, 0.9, 6) * ch.delta_s
         pts = fl.geodesic_point(ch, ss)
@@ -247,8 +244,7 @@ def test_arc_length_equals_parameter(g, ctx, rng):
 @pytest.mark.parametrize("g", GS)
 def test_length_gradients(g, ctx, rng):
     par = fl.make_parameter(g)
-    for _ in range(10):
-        t1, t2 = draw_pair(rng, ctx, par, unit=True, max_alpha=0.95 * math.pi)
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 10, unit=True, max_alpha=0.95 * math.pi)):
         b1, b2 = fl.length_gradients(par, ctx, t1, t2)
         fd1 = 0.5 * numdiff.gradient(lambda x: fl.distance_squared(par, ctx, x, t2), t1)
         fd2 = 0.5 * numdiff.gradient(lambda y: fl.distance_squared(par, ctx, t1, y), t2)
@@ -271,8 +267,7 @@ def test_length_gradients_euclidean(ctx, rng):
 @pytest.mark.parametrize("g", GS)
 def test_length_gradient_products(g, ctx, rng):
     par = fl.make_parameter(g)
-    for _ in range(15):
-        t1, t2 = draw_pair(rng, ctx, par, max_alpha=0.95 * math.pi)
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 15, max_alpha=0.95 * math.pi)):
         b1, b2 = fl.length_gradients(par, ctx, t1, t2)
         inv = fl.pair_invariants(par, ctx, t1, t2)
         s1, s2 = math.sqrt(inv.dot11), math.sqrt(inv.dot22)
@@ -293,8 +288,7 @@ def test_length_gradient_products(g, ctx, rng):
 
 def test_length_gradients_vanish_at_coincidence(ctx, rng):
     par = fl.make_parameter(1.2)
-    t1 = draw_vector(rng, ctx, unit=True)
-    probe = draw_vector(rng, ctx, unit=True)
+    t1, probe = draw_vectors(rng, ctx, 2, unit=True)
     for eps in (1e-4, 1e-6):
         b1, b2 = fl.length_gradients(par, ctx, t1, t1 + eps * probe)
         assert np.max(np.abs(b1)) < 10 * eps
@@ -304,9 +298,7 @@ def test_length_gradients_vanish_at_coincidence(ctx, rng):
 @pytest.mark.parametrize("g", [0.5, 1.5])
 def test_fundamental_ratio_limit(g, ctx, rng):
     par = fl.make_parameter(g)
-    for _ in range(20):
-        t = draw_vector(rng, ctx, unit=True)
-        v = draw_vector(rng, ctx, unit=True)
+    for t, v in draw_vectors(rng, ctx, 40, unit=True).reshape(20, 2, ctx.n):
         t2 = t + 1e-4 * v
         inv = fl.pair_invariants(par, ctx, t, t2)
         ratio = (
@@ -319,8 +311,7 @@ def test_fundamental_ratio_limit(g, ctx, rng):
         assert ratio == pytest.approx(1.0 / par.h**2, abs=1e-3)
     # the error shrinks along a shrinking sequence
     errs = []
-    t = draw_vector(rng, ctx, unit=True)
-    v = draw_vector(rng, ctx, unit=True)
+    t, v = draw_vectors(rng, ctx, 2, unit=True)
     for eps in (1e-2, 1e-3, 1e-4):
         inv = fl.pair_invariants(par, ctx, t, t + eps * v)
         ratio = math.sqrt(inv.dot11 * inv.dot22) / par.h * math.sin(inv.alpha) / inv.u
@@ -338,3 +329,17 @@ def test_perpendicular_pairs_look_acute():
     alpha = fl.angle(par, ctx, t1, t2)
     assert math.cos(alpha) == pytest.approx(0.0, abs=1e-14)
     assert ctx.dot(t1, t2) > 0.0  # acute from the euclidean standpoint
+
+
+@pytest.mark.parametrize("lam, size", [(1e154, 1.0), (1e-154, 2.0)])
+def test_chord_at_scale_extremes_follows_homogeneity(lam, size):
+    # a^2 + s_end^2 leaves float64 beyond about 1e154: the chord constants,
+    # of degree 1, are formed at an exact power-of-two scale instead
+    par, ctx = fl.make_parameter(1.0), fl.MetricContext(3)
+    t1, t2 = size * np.array([1.0, 0.0, 0.5]), size * np.array([0.2, 1.0, 0.4])
+    ref = fl.solve_chord(par, ctx, t1, t2)
+    ch = fl.solve_chord(par, ctx, lam * t1, lam * t2)
+    for name in ("a", "s_end", "delta_s", "b"):
+        assert getattr(ch, name) == pytest.approx(lam * getattr(ref, name), rel=1e-14), name
+    assert ch.alpha == pytest.approx(ref.alpha, rel=1e-14)
+

@@ -200,7 +200,7 @@ def test_metric_derivative_closed_form(g, ctx, rng):
     par = fl.make_parameter(g)
     for _ in range(5):
         t = sample(rng, ctx, unit=True)
-        fd = numdiff.jacobian(numdiff.rowwise(lambda x: fl.quasi_metric(par, ctx, x).n_lower), t)
+        fd = numdiff.jacobian(lambda x: fl.quasi_metric(par, ctx, x).n_lower, t)
         assert np.max(np.abs(fd - fl.quasi_metric_derivative(par, ctx, t))) < 1e-7
 
 
@@ -210,7 +210,7 @@ def test_curvature_closed_vs_finite_difference(g, ctx, rng):
     for _ in range(5):
         t = sample(rng, ctx, unit=True)
         qg = fl.quasi_metric(par, ctx, t)
-        dg = numdiff.jacobian(numdiff.rowwise(lambda x: fl.quasi_metric(par, ctx, x).christoffel), t)
+        dg = numdiff.jacobian(lambda x: fl.quasi_metric(par, ctx, x).christoffel, t)
         nc = qg.christoffel
         mixed = (
             dg
@@ -240,7 +240,7 @@ def test_conformal_flattening(g, ctx, rng):
     # FD oracle for the analytic jacobian
     t = sample(rng, ctx, unit=True)
     kj = fl.conformal_jacobian(par, ctx, t)
-    fd = numdiff.jacobian(numdiff.rowwise(lambda x: fl.conformal_flatten(par, ctx, x)[0]), t)
+    fd = numdiff.jacobian(lambda x: fl.conformal_flatten(par, ctx, x)[0], t)
     assert np.max(np.abs(kj - fd)) < 1e-7
 
 
@@ -302,4 +302,32 @@ def test_mu_map_rows_rejected(ctx):
             fl.mu_map(par, ctx, np.ones(shape))
     # the kernels that stay per-vector keep to one vector
     with pytest.raises(fl.OutOfRangeError):
-        fl.quasi_metric(par, ctx, np.ones((2, n)))
+        fl.covector_pair(par, ctx, np.ones((2, n)), np.eye(n)[:2])
+
+
+def test_mu_near_two_raises_typed_errors():
+    # at g = 1.99999999 (G ~ 2e4) k = exp(G phi/2) leaves float64 off the
+    # plane: a typed error naming the row, with no numpy warning on the way
+    # (pytest turns those into errors); mu and its jacobian share the path
+    par, ctx = fl.make_parameter(1.99999999), fl.MetricContext(3)
+    inside = np.array([1.0, 0.0, 0.01])  # phi ~ 0.01: k ~ e^100
+    for fn in (fl.mu_map, fl.mu_jacobian):
+        assert np.all(np.isfinite(fn(par, ctx, inside)))
+        for t, k in (((0.001, 0.0, -1.0), "0.0"), ((0.001, 0.0, 1.0), "inf")):
+            with pytest.raises(fl.NumericalDomainError, match=rf"k = exp\(G phi/2\) = {k} is not a finite normal"):
+                fn(par, ctx, np.array(t))
+            with pytest.raises(fl.NumericalDomainError, match=r"\(row 1\)"):
+                fn(par, ctx, np.stack([inside, t]))
+    # k normal, tiny S: h^2 k S^2 would underflow to 0, but the Jacobian is
+    # formed from degree-0 factors and keeps its homogeneity
+    par = fl.make_parameter(1.9996)
+    t = np.array([0.01, 0.0, -1.0])
+    np.testing.assert_allclose(fl.mu_map(par, ctx, 1e-150 * t), 1e-150 * fl.mu_map(par, ctx, t), rtol=1e-13)
+    np.testing.assert_allclose(fl.mu_jacobian(par, ctx, 1e-150 * t), fl.mu_jacobian(par, ctx, t), rtol=1e-13)
+    # k normal, result beyond float64 (G = 1000, k = e^-700): a typed error
+    par = fl.make_parameter(2000.0 / math.sqrt(1_000_004.0))
+    t = np.array([math.cos(-1.4), 0.0, math.sin(-1.4)])
+    for fn, what in ((fl.mu_map, "mu map"), (fl.mu_jacobian, "mu Jacobian")):
+        with pytest.raises(fl.NumericalDomainError, match=rf"{what} is not finite at this scale \(row 1\)"):
+            fn(par, ctx, np.stack([inside, 1e3 * t]))
+

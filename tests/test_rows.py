@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import finsleroid as fl
+from finsleroid import oracles
 
 GS = [0.0, 0.7, -1.1, 1.5]
-KERNELS = {
+# the metric kernels of R, whose rows at scale extremes raise NumericalDomainError
+SCALED = {
     "kfun": fl.kfun,
     "gradient_covector": fl.gradient_covector,
     "metric_tensor": fl.metric_tensor,
@@ -20,7 +22,36 @@ KERNELS = {
     "sigma_map": fl.sigma_map,
     "sigma_jacobian": fl.sigma_jacobian,
 }
+# every one-vector kernel over rows (..., N), each returning an array or a
+# record of arrays; the image-side kernels take the rows as image vectors t
+KERNELS = {
+    **SCALED,
+    "cartan_tensor": fl.cartan_tensor,
+    "curvature_tensor": fl.curvature_tensor,
+    "tensor_stack": fl.tensor_stack,
+    "mu_map": fl.mu_map,
+    "mu_jacobian": fl.mu_jacobian,
+    "phi_angle": fl.phi_angle,
+    "quasi_metric": fl.quasi_metric,
+    "quasi_metric_derivative": fl.quasi_metric_derivative,
+    "conformal_flatten": fl.conformal_flatten,
+    "conformal_jacobian": fl.conformal_jacobian,
+    "axis_angles": fl.axis_angles,
+    "angular_block_reference": oracles.angular_block_reference,
+    "cartan_mixed_reference": oracles.cartan_mixed_reference,
+}
+# chart closed forms: OnAxisError on the axis (q = 0, or m(t) = 0) and,
+# for the Cartan tensor, in the plane (Z = 0)
+ON_AXIS = {"cartan_tensor", "curvature_tensor", "tensor_stack", "cartan_mixed_reference", "mu_jacobian"}
+IN_PLANE = ON_AXIS - {"mu_jacobian"}
 FIELDS = ("q", "Z", "B", "Q", "E", "A", "L", "phi", "J", "K")
+
+
+def _arrays(x):
+    """The arrays a kernel returns: one array, or the fields of a record."""
+    if dataclasses.is_dataclass(x):
+        return [getattr(x, f.name) for f in dataclasses.fields(x)]
+    return list(x) if isinstance(x, tuple) else [x]
 
 
 def _spd_context(rng, n):
@@ -50,13 +81,27 @@ def test_kernel_rows_match_single_vectors(g, n, rng):
     R[2, :-1] = 0.0
     R[2, -1] = -0.7  # on the lower axis
     for name, fn in KERNELS.items():
-        single = np.array([fn(par, ctx, r) for r in R])
-        batched = fn(par, ctx, R)
-        assert batched.shape == single.shape, name
-        assert_rows_match(batched, single)
-        stacked = fn(par, ctx, R[:8].reshape(2, 4, n))
-        assert stacked.shape == (2, 4) + single.shape[1:], name
-        assert_rows_match(stacked.reshape(single[:8].shape), single[:8])
+        rows = R[3:] if name in ON_AXIS else R
+        single = [_arrays(fn(par, ctx, r)) for r in rows]
+        batched = _arrays(fn(par, ctx, rows))
+        stacked = _arrays(fn(par, ctx, rows[:8].reshape(2, 4, n)))
+        for k, (b, grid) in enumerate(zip(batched, stacked)):
+            ref = np.array([x[k] for x in single])
+            assert b.shape == ref.shape, (name, k)
+            assert_rows_match(b, ref)
+            assert grid.shape == (2, 4) + ref.shape[1:], (name, k)
+            assert_rows_match(grid.reshape(ref[:8].shape), ref[:8])
+        # a row on the axis or in the plane raises OnAxisError naming it
+        for i in (0, 2) if name in ON_AXIS else ():
+            with pytest.raises(fl.OnAxisError, match=r"\(row 2\)"):
+                fn(par, ctx, np.stack([R[3], R[4], R[i]]))
+            with pytest.raises(fl.OnAxisError, match=r"\(row \(1, 0\)\)"):
+                fn(par, ctx, np.stack([R[3:5], R[[i, 5]]]))
+            with pytest.raises(fl.OnAxisError, match=r"[^)]$"):  # one vector: no row named
+                fn(par, ctx, R[i])
+        if name in IN_PLANE:
+            with pytest.raises(fl.OnAxisError, match=r"\(row 1\)"):
+                fn(par, ctx, R[[3, 1]])
     bundles = [fl.scalar_bundle(par, ctx, r) for r in R]
     rows = fl.scalar_bundle(par, ctx, R)
     for field in FIELDS:
@@ -84,11 +129,14 @@ def test_kernel_rows_rejected(rng):
             R[1, 0] = bad  # the non-finite row is reported before the zero row
             with pytest.raises(fl.OutOfRangeError, match=r"\(row 1\)"):
                 fn(par, ctx, R)
-        # a row at a scale extreme raises the typed error, naming that row
-        R = np.ones((4, 3))
-        R[3] *= 1e200
-        with pytest.raises(fl.NumericalDomainError, match=r"\(row 3\)"):
-            fn(par, ctx, R)
+        # a row at a scale extreme raises the typed error, naming that row;
+        # the Cartan functions prescale instead (test_cartan_rows_prescale),
+        # and the verifier's reference forms make no promise at such scales
+        if name not in CARTAN and not name.endswith("_reference"):
+            R = np.ones((4, 3))
+            R[3] *= 1e200
+            with pytest.raises(fl.NumericalDomainError, match=r"\(row 3\)"):
+                fn(par, ctx, R)
         with pytest.raises(fl.OutOfRangeError):
             fn(par, ctx, np.ones((3, 4)))
 
@@ -115,7 +163,7 @@ def test_scale_extremes_raise_typed_errors(g, n):
         "p": np.r_[generic[:-1], 0.0],  # in the plane
         "a": np.r_[np.zeros(n - 1), 0.8],  # on the axis
     }
-    for name, fn in KERNELS.items():
+    for name, fn in SCALED.items():
         for kind, R in kinds.items():
             for scale in (1e-200, 1e-160, 1e160, 1e200):
                 if (name, kind, scale) in FINITE:
@@ -132,12 +180,8 @@ def test_scale_extremes_raise_typed_errors(g, n):
 CARTAN = {
     "cartan_tensor": (fl.cartan_tensor, (-1, -1, -1, -1)),
     "tensor_stack": (fl.tensor_stack, (1, 0, 0, 0, -1, -1, -1, -1)),
-    "curvature_tensor": (lambda par, ctx, R: (fl.curvature_tensor(par, ctx, R),), (-2,)),
+    "curvature_tensor": (fl.curvature_tensor, (-2,)),
 }
-
-
-def _fields(x):
-    return [getattr(x, f.name) for f in dataclasses.fields(x)] if dataclasses.is_dataclass(x) else list(x)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -147,14 +191,14 @@ def test_cartan_scale_extremes(g, n):
     ctx = fl.MetricContext(n)
     generic = np.array([0.4, -0.7, 0.9, 0.5][:n])
     for name, (fn, degrees) in CARTAN.items():
-        ref = _fields(fn(par, ctx, generic))
+        ref = _arrays(fn(par, ctx, generic))
         for scale in (1e-200, 1e-160, 1e160, 1e200):
             # the curvature, ~ 1/|R|^2, leaves float64 below 1e-154 unless it is 0
             if name == "curvature_tensor" and scale < 1.0 and g != 0.0:
                 with pytest.raises(fl.NumericalDomainError, match="not finite at this scale"):
                     fn(par, ctx, scale * generic)
                 continue
-            out = _fields(fn(par, ctx, scale * generic))
+            out = _arrays(fn(par, ctx, scale * generic))
             for x, x0, d in zip(out, ref, degrees):
                 assert np.all(np.isfinite(x)), (name, scale)
                 if abs(d) == 1 or d == 0:  # in the normal range: homogeneity to rounding
@@ -162,6 +206,29 @@ def test_cartan_scale_extremes(g, n):
             for kind in (np.r_[generic[:-1], 0.0], np.r_[np.zeros(n - 1), 0.8]):  # plane, axis
                 with pytest.raises(fl.OnAxisError):
                     fn(par, ctx, scale * kind)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("g", [0.0, 1.0, -1.5])
+def test_cartan_rows_prescale(g, n, rng):
+    # the power-of-two prescale is per row: rows at 2^(+-200) beside rows
+    # at unit scale each equal their single call and follow homogeneity
+    par = fl.make_parameter(g)
+    ctx = _spd_context(rng, n)
+    base = rng.uniform(0.2, 1.0, (3, n)) * rng.choice([-1.0, 1.0], (3, n))
+    R = np.concatenate([base, np.ldexp(base, 200), np.ldexp(base, -200)])
+    for name, (fn, degrees) in CARTAN.items():
+        batched = _arrays(fn(par, ctx, R))
+        single = [_arrays(fn(par, ctx, r)) for r in R]
+        for k, (b, d) in enumerate(zip(batched, degrees)):
+            assert_rows_match(b, np.array([x[k] for x in single]))
+            for block, e in ((1, 200), (2, -200)):
+                np.testing.assert_allclose(np.ldexp(b[3 * block:3 * block + 3], -d * e), b[:3], rtol=1e-13,
+                                           atol=1e-13 * np.abs(b[:3]).max())
+    if g != 0.0:
+        # the curvature, ~ 1/|R|^2, leaves float64 at 2^-600, naming the row
+        with pytest.raises(fl.NumericalDomainError, match=r"not finite at this scale \(row 1\)"):
+            fl.curvature_tensor(par, ctx, np.stack([base[0], np.ldexp(base[0], -600)]))
 
 
 # the pair kernels over stacked pairs: each returns the arrays listed
@@ -182,6 +249,9 @@ PAIR_KERNELS = {
     ],
     "finsler_angle": lambda par, ctx, a, b: [fl.finsler_angle(par, ctx, a, b)],
     "finsler_two_vector_tensor": lambda par, ctx, a, b: [fl.finsler_two_vector_tensor(par, ctx, a, b)],
+    "two_vector_determinant_reference": lambda par, ctx, a, b: [
+        oracles.two_vector_determinant_reference(par, ctx, a, b)
+    ],
 }
 
 
@@ -237,7 +307,8 @@ def test_pair_kernel_rows_rejected(name, rng):
     # independent pair; the scalar product survives it without s_r and G
     L = T2.copy()
     L[4] = 2.5 * T1[4]
-    if name in ("pair_invariants", "two_vector_metric", "finsler_two_vector_tensor"):
+    if name in ("pair_invariants", "two_vector_metric", "finsler_two_vector_tensor",
+                "two_vector_determinant_reference"):
         with pytest.raises(fl.CollinearError, match=r"sin\(theta\) = [-+.0-9e]+ <= 1e-12 \(row 4\)"):
             fn(par, ctx, T1, L)
     elif name == "finsler_product":
@@ -311,10 +382,6 @@ IMAGE_SIDE = {
     "conformal_jacobian": (fl.conformal_jacobian, lambda gamma: (gamma,)),
     "axis_angles": (fl.axis_angles, lambda gamma: (0, 0)),
 }
-
-
-def _arrays(x):
-    return _fields(x) if isinstance(x, tuple) or dataclasses.is_dataclass(x) else [x]
 
 
 @pytest.mark.parametrize("g", [0.0, 1.0, -1.5])

@@ -10,7 +10,7 @@ import finsleroid as fl
 from finsleroid import numdiff
 from finsleroid.oracles import coincidence_limits, two_vector_determinant_reference
 from finsleroid.twovector import co_orientation
-from finsleroid.verify import draw_pair, draw_vector
+from finsleroid.verify import draw_pairs, draw_vectors
 
 GS = [0.0, 0.7, -1.1, 1.5]
 
@@ -25,7 +25,7 @@ def ctx(request):
 @pytest.mark.parametrize("g", GS)
 def test_tensor_reduces_to_euclidean(g, ctx, rng):
     par0 = fl.make_parameter(0.0)
-    t1, t2 = draw_pair(rng, ctx, par0)
+    (t1,), (t2,) = draw_pairs(rng, ctx, par0, 1)
     tv = fl.two_vector_metric(par0, ctx, t1, t2)
     assert np.max(np.abs(tv.n_lower - ctx.r_pq)) < 1e-13
 
@@ -33,8 +33,7 @@ def test_tensor_reduces_to_euclidean(g, ctx, rng):
 @pytest.mark.parametrize("g", [0.7, -1.1, 1.5])
 def test_tensor_is_mixed_second_derivative(g, ctx, rng):
     par = fl.make_parameter(g)
-    for _ in range(5):
-        t1, t2 = draw_pair(rng, ctx, par, unit=True)
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 5, unit=True)):
         tv = fl.two_vector_metric(par, ctx, t1, t2)
         fd = numdiff.mixed_second(lambda x, y: fl.scalar_product(par, ctx, x, y), t1, t2)
         assert np.max(np.abs(tv.n_lower - fd)) < 1e-5
@@ -47,8 +46,7 @@ def test_tensor_is_mixed_second_derivative(g, ctx, rng):
 @pytest.mark.parametrize("g", GS)
 def test_tensor_determinant_and_swap(g, ctx, rng):
     par = fl.make_parameter(g)
-    for _ in range(25):
-        t1, t2 = draw_pair(rng, ctx, par)
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 25)):
         tv = fl.two_vector_metric(par, ctx, t1, t2)
         assert float(np.linalg.det(tv.n_lower)) == pytest.approx(
             two_vector_determinant_reference(par, ctx, t1, t2), rel=1e-10, abs=1e-12
@@ -61,8 +59,8 @@ def test_tensor_determinant_and_swap(g, ctx, rng):
 @pytest.mark.parametrize("g", [0.0, 1.0])
 def test_coincidence_limits(g, ctx, rng):
     par = fl.make_parameter(g)
-    t = draw_vector(rng, ctx, unit=True)
-    v = 0.3 * draw_vector(rng, ctx, unit=True)
+    t, v = draw_vectors(rng, ctx, 2, unit=True)
+    v = 0.3 * v
     rep = coincidence_limits(par, ctx, t, [1e-2, 1e-3, 1e-4], v)
     if g == 0.0:
         assert np.max(rep.tensor_error) < 1e-13
@@ -77,8 +75,9 @@ def test_coincidence_limits(g, ctx, rng):
 def test_frame_reconstruction(g, ctx, rng):
     par = fl.make_parameter(g)
     done = 0
-    while done < 34:  # about a hundred pairs per g across the dimensions
-        t1, t2 = draw_pair(rng, ctx, par, max_alpha=0.95 * math.pi)
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 100, max_alpha=0.95 * math.pi)):
+        if done == 34:  # about a hundred pairs per g across the dimensions
+            break
         try:
             rec = fl.frame_reconstruct(par, ctx, t1, t2)
         except fl.NumericalDomainError:
@@ -96,11 +95,12 @@ def test_frame_reconstruction(g, ctx, rng):
         assert np.max(np.abs(rec - expected)) < 1e-9
         # symmetric parts of the reconstruction and the tensor agree
         assert np.max(np.abs(0.5 * (rec + rec.T) - 0.5 * (tv.n_lower + tv.n_lower.T))) < 1e-9
+    assert done == 34
 
 
 def test_frame_euclidean(ctx, rng):
     par = fl.make_parameter(0.0)
-    t1, t2 = draw_pair(rng, ctx, par, max_alpha=0.9 * math.pi)
+    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1, max_alpha=0.9 * math.pi)
     rec = fl.frame_reconstruct(par, ctx, t1, t2)
     assert np.max(np.abs(rec - ctx.r_pq)) < 1e-12
 
@@ -109,8 +109,9 @@ def test_frame_euclidean(ctx, rng):
 def test_frame_contractions(g, ctx, rng):
     par = fl.make_parameter(g)
     done = 0
-    while done < 15:
-        t1, t2 = draw_pair(rng, ctx, par, max_alpha=0.95 * math.pi)
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 60, max_alpha=0.95 * math.pi)):
+        if done == 15:
+            break
         try:
             fr = fl.frame(par, ctx, t1, t2)
         except fl.NumericalDomainError:
@@ -132,6 +133,7 @@ def test_frame_contractions(g, ctx, rng):
         assert np.max(
             np.abs((vb @ t2) @ fr - (inv.dot22 * pm_over_x * ctx.lower(t1) + m * ctx.lower(t2)) / norm)
         ) < 1e-9
+    assert done == 15
 
 
 def test_frame_negative_radicand_raises():
@@ -148,8 +150,7 @@ def test_frame_negative_radicand_raises():
 @pytest.mark.parametrize("g", GS)
 def test_covector_closed_forms(g, ctx, rng):
     par = fl.make_parameter(g)
-    for _ in range(20):
-        t1, t2 = draw_pair(rng, ctx, par, max_alpha=0.95 * math.pi, regime_margin=0.05)
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 20, max_alpha=0.95 * math.pi, regime_margin=0.05)):
         cp = fl.covector_pair(par, ctx, t1, t2)
         tv = fl.two_vector_metric(par, ctx, t1, t2)
         assert np.max(np.abs(cp.T1 - tv.n_lower @ t2)) < 1e-10
@@ -163,7 +164,7 @@ def test_covector_euclidean(ctx, rng):
     # T1 = n(t1,t2) t2 contracts the second argument, so the euclidean
     # degeneration lowers t2 into T1 and t1 into T2
     par = fl.make_parameter(0.0)
-    t1, t2 = draw_pair(rng, ctx, par)
+    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1)
     cp = fl.covector_pair(par, ctx, t1, t2)
     assert np.max(np.abs(cp.T1 - ctx.lower(t2))) < 1e-12
     assert np.max(np.abs(cp.T2 - ctx.lower(t1))) < 1e-12
@@ -172,8 +173,7 @@ def test_covector_euclidean(ctx, rng):
 @pytest.mark.parametrize("g", [0.7, -1.1, 1.5])
 def test_covector_products(g, ctx, rng):
     par = fl.make_parameter(g)
-    for _ in range(20):
-        t1, t2 = draw_pair(rng, ctx, par, max_alpha=0.95 * math.pi, regime_margin=0.05)
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 20, max_alpha=0.95 * math.pi, regime_margin=0.05)):
         inv = fl.pair_invariants(par, ctx, t1, t2)
         cp = fl.covector_pair(par, ctx, t1, t2)
         tt11 = ctx.codot(cp.T1, cp.T1)
@@ -204,7 +204,7 @@ def test_covector_products(g, ctx, rng):
 
 def test_covector_metric_recovery_fd(ctx, rng):
     par = fl.make_parameter(1.1)
-    t1, t2 = draw_pair(rng, ctx, par, unit=True, max_alpha=0.95 * math.pi, regime_margin=0.05)
+    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1, unit=True, max_alpha=0.95 * math.pi, regime_margin=0.05)
     tv = fl.two_vector_metric(par, ctx, t1, t2)
     fd1 = numdiff.jacobian(numdiff.rowwise(lambda y: fl.covector_pair(par, ctx, t1, y).T1), t2)
     fd2 = numdiff.jacobian(numdiff.rowwise(lambda x: fl.covector_pair(par, ctx, x, t2).T2), t1)
@@ -214,8 +214,7 @@ def test_covector_metric_recovery_fd(ctx, rng):
 
 def test_covectors_tend_to_the_vector(ctx, rng):
     par = fl.make_parameter(1.3)
-    t1 = draw_vector(rng, ctx, unit=True)
-    probe = draw_vector(rng, ctx, unit=True)
+    t1, probe = draw_vectors(rng, ctx, 2, unit=True)
     for eps in (1e-5, 1e-7):
         cp = fl.covector_pair(par, ctx, t1, t1 + eps * probe)
         assert np.max(np.abs(cp.T1 - ctx.lower(t1))) < 20 * eps
@@ -226,8 +225,7 @@ def test_covectors_tend_to_the_vector(ctx, rng):
 def test_inversion_roundtrip(g, ctx, rng):
     par = fl.make_parameter(g)
     worst = 0.0
-    for _ in range(25):
-        t1, t2 = draw_pair(rng, ctx, par, max_alpha=0.95 * math.pi, regime_margin=0.05)
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 25, max_alpha=0.95 * math.pi, regime_margin=0.05)):
         inv = fl.pair_invariants(par, ctx, t1, t2)
         cp = fl.covector_pair(par, ctx, t1, t2)
         r1, r2 = fl.invert_covectors(par, ctx, cp.T1, cp.T2, inv.alpha)
@@ -237,7 +235,7 @@ def test_inversion_roundtrip(g, ctx, rng):
 
 def test_inversion_euclidean_identity(ctx, rng):
     par = fl.make_parameter(0.0)
-    t1, t2 = draw_pair(rng, ctx, par)
+    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1)
     inv = fl.pair_invariants(par, ctx, t1, t2)
     cp = fl.covector_pair(par, ctx, t1, t2)
     r1, r2 = fl.invert_covectors(par, ctx, cp.T1, cp.T2, inv.alpha)
@@ -248,8 +246,7 @@ def test_inversion_euclidean_identity(ctx, rng):
 @pytest.mark.parametrize("g", GS)
 def test_co_angle_solver(g, ctx, rng):
     par = fl.make_parameter(g)
-    for _ in range(6):
-        t1, t2 = draw_pair(rng, ctx, par, main_regime=True)
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 6, main_regime=True)):
         inv = fl.pair_invariants(par, ctx, t1, t2)
         cp = fl.covector_pair(par, ctx, t1, t2)
         al = fl.solve_co_angle(par, ctx, cp.T1, cp.T2)
@@ -269,7 +266,7 @@ def test_co_angle_solver(g, ctx, rng):
 
 def test_co_angle_euclidean_is_angle(ctx, rng):
     par = fl.make_parameter(0.0)
-    t1, t2 = draw_pair(rng, ctx, par)
+    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1)
     cp = fl.covector_pair(par, ctx, t1, t2)
     al = fl.solve_co_angle(par, ctx, cp.T1, cp.T2)
     assert al == pytest.approx(
@@ -327,9 +324,9 @@ def co_angle_scan(par, ctx, T1, T2, points=100001):
 
 def wide_pair(rng, ctx, theta):
     """A pair at euclidean angle theta in a random plane."""
-    t1 = draw_vector(rng, ctx)
+    t1 = draw_vectors(rng, ctx, 1)[0]
     e1 = t1 / ctx.s_norm(t1)
-    v = draw_vector(rng, ctx)
+    v = draw_vectors(rng, ctx, 1)[0]
     perp = v - ctx.dot(v, e1) * e1
     e2 = perp / ctx.s_norm(perp)
     return t1, rng.uniform(0.5, 2.0) * (math.cos(theta) * e1 + math.sin(theta) * e2)
@@ -346,7 +343,7 @@ def test_co_angle_matches_scan(g, ctx, rng):
     main-regime roots, its own angle among them; the smallest is returned.
     """
     par = fl.make_parameter(g)
-    pairs = [draw_pair(rng, ctx, par, regime_margin=0.05) for _ in range(4)]
+    pairs = list(zip(*draw_pairs(rng, ctx, par, 4, regime_margin=0.05)))
     pairs += [wide_pair(rng, ctx, theta) for theta in np.linspace(0.6, 0.98, 8) * math.pi]
     regimes = set()
     for t1, t2 in pairs:
@@ -368,7 +365,7 @@ def test_co_angle_matches_scan(g, ctx, rng):
 
 def test_oplus_euclidean_exact(ctx, rng):
     par = fl.make_parameter(0.0)
-    t1, t2 = draw_pair(rng, ctx, par, min_cos=0.1)
+    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1, min_cos=0.1)
     assert np.array_equal(fl.oplus_first_order(par, ctx, t1, t2), t1 + t2)
     assert np.array_equal(fl.parallelogram_refine(par, ctx, t1, t2), t1 + t2)
 
@@ -376,7 +373,7 @@ def test_oplus_euclidean_exact(ctx, rng):
 @pytest.mark.parametrize("g", [0.3, 0.9, 1.5])
 def test_oplus_symmetry_and_acuteness(g, ctx, rng):
     par = fl.make_parameter(g)
-    t1, t2 = draw_pair(rng, ctx, par, min_cos=0.1)
+    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1, min_cos=0.1)
     assert np.max(
         np.abs(fl.oplus_first_order(par, ctx, t1, t2) - fl.oplus_first_order(par, ctx, t2, t1))
     ) < 1e-13
@@ -394,7 +391,7 @@ def test_oplus_residual_order(ctx, rng):
     # defining-equation residuals scale like k^2
     ks = [1e-1, 1e-2, 1e-3]
     par_big = fl.make_parameter(2.0 * math.sqrt(1.0 - (1.0 / (1.0 + ks[0])) ** 2))
-    pairs = [draw_pair(rng, ctx, par_big, min_cos=0.2) for _ in range(8)]
+    pairs = list(zip(*draw_pairs(rng, ctx, par_big, 8, min_cos=0.2)))
     worst_res = []
     worst_comp = []
     for k in ks:
@@ -416,7 +413,7 @@ def test_oplus_residual_order(ctx, rng):
 
 def test_ominus_euclidean(ctx, rng):
     par = fl.make_parameter(0.0)
-    t1, t3 = draw_pair(rng, ctx, par, min_cos=0.05)
+    (t1,), (t3,) = draw_pairs(rng, ctx, par, 1, min_cos=0.05)
     assert np.max(np.abs(fl.ominus_first_order(par, ctx, t1, t3) - (t3 - t1))) < 1e-15
     with pytest.raises(fl.ZeroVectorError):
         fl.ominus_first_order(par, ctx, t1, t1)
@@ -428,8 +425,7 @@ def test_ominus_euclidean(ctx, rng):
 def test_ominus_identities(g, ctx, rng):
     par = fl.make_parameter(g)
     k = 1.0 / par.h - 1.0
-    for _ in range(15):
-        t1, t3 = draw_pair(rng, ctx, par, min_cos=0.05)
+    for t1, t3 in zip(*draw_pairs(rng, ctx, par, 15, min_cos=0.05)):
         v = t3 - t1
         if ctx.s_norm(v) < 0.05:
             continue
@@ -446,8 +442,7 @@ def test_ominus_identities(g, ctx, rng):
 @pytest.mark.parametrize("g", [0.2, 0.9, 1.5])
 def test_parallelogram_refine(g, ctx, rng):
     par = fl.make_parameter(g)
-    for _ in range(10):
-        t1, t2 = draw_pair(rng, ctx, par, min_cos=0.1)
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 10, min_cos=0.1)):
         t3 = fl.parallelogram_refine(par, ctx, t1, t2)
         r1, r2 = fl.parallelogram_residuals(par, ctx, t1, t2, t3)
         assert max(abs(r1), abs(r2)) <= 1e-13 * max(ctx.s_norm(t1), ctx.s_norm(t2))
@@ -466,8 +461,7 @@ def test_parallelogram_law_needs_alpha_below_half_pi(ctx3, rng):
     for op in (fl.oplus_first_order, fl.parallelogram_refine):
         with pytest.raises(fl.ObtuseInputError):
             op(par, ctx3, o1, o2)
-    for _ in range(200):
-        t1, t2 = draw_pair(rng, ctx3, par, min_cos=0.05)
+    for t1, t2 in zip(*draw_pairs(rng, ctx3, par, 200, min_cos=0.05)):
         assert fl.angle(par, ctx3, t1, t2) < 0.5 * math.pi
         r1, r2 = fl.parallelogram_residuals(
             par, ctx3, t1, t2, fl.parallelogram_refine(par, ctx3, t1, t2)
@@ -514,9 +508,7 @@ def test_first_order_sum_difference_near_collinear(g, sep, ctx, rng):
     # pair separation sin(theta) ~ sep: a literal Gram root or an arccos
     # angle loses digits here, the shared pair kernel does not
     par = fl.make_parameter(g)
-    for _ in range(3):
-        t1 = draw_vector(rng, ctx)
-        d = draw_vector(rng, ctx)
+    for t1, d in draw_vectors(rng, ctx, 6).reshape(3, 2, ctx.n):
         d -= ctx.dot(d, t1) / ctx.dot(t1, t1) * t1
         d *= ctx.s_norm(t1) / ctx.s_norm(d)
         for op, t2 in (("oplus", 1.3 * t1 + sep * d), ("ominus", 2.2 * t1 + sep * d)):
@@ -529,6 +521,6 @@ def test_first_order_sum_difference_near_collinear(g, sep, ctx, rng):
 
 def test_collinear_error_names_sin_theta(ctx, rng):
     par = fl.make_parameter(1.0)
-    t1 = draw_vector(rng, ctx)
+    t1 = draw_vectors(rng, ctx, 1)[0]
     with pytest.raises(fl.CollinearError, match=r"sin\(theta\) = [-+.0-9e]+ <= 1e-12"):
         fl.ominus_first_order(par, ctx, t1, 2.0 * t1)

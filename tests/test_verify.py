@@ -10,6 +10,8 @@ import pytest
 
 import finsleroid as fl
 from finsleroid.cli import main
+from finsleroid.geodesics import _pair_dots
+from finsleroid.twovector import co_regime_gap
 from finsleroid.verify import CHECKS, RunConfig, parse_metric_spec, report_to_json, run_verify
 
 
@@ -138,7 +140,6 @@ HANGED_NEAR_2 = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # float64 overflow inside checks near |g| = 2
 def test_near_two_report_carries_errors():
     # these checks used to draw for ever, or (angular_tensor) end in a bare
     # ZeroDivisionError; each now ends, with a typed error in the report or
@@ -158,25 +159,94 @@ def test_near_two_report_carries_errors():
     json.loads(report_to_json(rep))
 
 
+@pytest.mark.parametrize("check_id", ["tensors.metric_determinant", "quasimap.sigma_jacobian_exact"])
+def test_determinant_checks_near_two_raise_typed_errors(check_id):
+    # powers of J leave float64 near |g| = 2: a typed error, with no numpy
+    # warning on the way (pytest turns those into errors)
+    fn, tol = next((c[3], c[4]) for c in CHECKS if c[0] == check_id)
+    with pytest.raises(fl.NumericalDomainError, match="is 0 or not finite in float64"):
+        fn(fl.make_parameter(1.9999), fl.MetricContext(5), np.random.default_rng(0), 200, tol)
+
+
 def test_draw_pair_and_rejection_budget_raise(monkeypatch):
     from finsleroid import verify as V
 
     par = fl.make_parameter(1.9999)
     ctx = fl.MetricContext(3)
     with pytest.raises(fl.OutOfRangeError, match="no pair"):
-        V.draw_pair(np.random.default_rng(0), ctx, par, max_alpha=0.95 * np.pi)
+        V.draw_pairs(np.random.default_rng(0), ctx, par, 4, max_alpha=0.95 * np.pi)
+    # no row has both q and |Z| above 0.8 S (q^2 + Z^2 = S^2): the samplers
+    # stop at their draw cap (lowered here to keep the test short)
+    monkeypatch.setattr(V, "_DRAW_CAP", 1 << 14)
+    with pytest.raises(fl.OutOfRangeError, match=r"draw cap: \d+ rows drawn"):
+        V.draw_vectors(np.random.default_rng(0), ctx, 4, min_frac=0.8)
+    with pytest.raises(fl.OutOfRangeError, match=r"draw cap: \d+ rows drawn"):
+        V.draw_pairs(np.random.default_rng(0), ctx, fl.make_parameter(1.0), 4, min_frac=0.8)
+
+    calls = []
 
     def no_chord(*args):
+        calls.append(args)
         raise fl.NumericalDomainError("no chord")
 
-    # every draw rejected: the budget of 50 draws per trial ends the loop
+    # every sample rejected by the kernel: the check gives up after 50
+    # rejected samples per trial, plus the m - 1 = 3 it could still accept
     monkeypatch.setattr(V, "finsler_chord", no_chord)
-    with pytest.raises(fl.OutOfRangeError, match="100 draws rejected"):
+    with pytest.raises(fl.OutOfRangeError, match="draw cap: 103 samples drawn without 4 admissible ones"):
         V.check_finsler_arc(fl.make_parameter(1.0), ctx, np.random.default_rng(0), 2, 1e-5)
+    assert len(calls) == 103
+
+
+def _draw_vector(rng, ctx, min_frac=0.0, unit=False):
+    """The sequential vector rule, one uniform row at a time."""
+    while True:
+        v = rng.uniform(-1.0, 1.0, ctx.n)
+        s = ctx.s_norm(v)
+        if s >= 0.1 and (min_frac == 0.0 or (ctx.m(v) >= min_frac * s and abs(v[-1]) >= min_frac * s)):
+            return v / s if unit else v
+
+
+def _draw_pair(rng, ctx, par, max_alpha=None, min_cos=None, main_regime=False, regime_margin=0.0, **kw):
+    """The sequential pair rule: two vectors at a time until the pair passes."""
+    while True:
+        t1, t2 = _draw_vector(rng, ctx, **kw), _draw_vector(rng, ctx, **kw)
+        dot11, dot22, _, u, theta = _pair_dots(ctx.r_pq, t1, t2)
+        al = theta / par.h
+        gap = co_regime_gap(par, al)
+        if (u >= 0.05 * np.sqrt(dot11 * dot22) and (max_alpha is None or al < max_alpha)
+                and (min_cos is None or (al < 0.5 * np.pi and np.cos(al) > min_cos))
+                and (not main_regime or gap <= -0.05) and abs(gap) >= regime_margin):
+            return t1, t2
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_bulk_samplers_return_the_sequential_rows(n):
+    # one uniform stream, accepted by masks in chunks: the same rows as the
+    # rule applied one draw at a time (unit rows up to the rounding of the norm)
+    from finsleroid import verify as V
+
+    ctx = fl.MetricContext(n, np.diag(np.linspace(0.7, 1.4, n - 1)))
+    par = fl.make_parameter(1.5)
+    for kw in ({}, {"min_frac": 0.15}, {"unit": True}, {"min_frac": 0.15, "unit": True}):
+        rng = np.random.default_rng(1)
+        seq = np.array([_draw_vector(rng, ctx, **kw) for _ in range(300)])
+        bulk = V.draw_vectors(np.random.default_rng(1), ctx, 300, **kw)
+        np.testing.assert_array_max_ulp(bulk, seq, maxulp=2 if kw.get("unit") else 0)
+    for kw in ({}, {"max_alpha": 0.6 * np.pi, "unit": True}, {"min_cos": 0.3}, {"main_regime": True},
+               {"regime_margin": 0.05, "min_frac": 0.1}):
+        rng = np.random.default_rng(2)
+        seq = np.array([_draw_pair(rng, ctx, par, **kw) for _ in range(200)])
+        bulk = np.stack(V.draw_pairs(np.random.default_rng(2), ctx, par, 200, **kw), axis=1)
+        np.testing.assert_array_max_ulp(bulk, seq, maxulp=2 if kw.get("unit") else 0)
 
 
 def _transposed(f):
     return lambda *a: dataclasses.replace(tv := f(*a), n_lower=np.swapaxes(tv.n_lower, -1, -2))
+
+
+def _scaled_field(name):
+    """A fault of a kernel returning a record: one field scaled by 1 + 1e-6."""
+    return lambda f: lambda *a: dataclasses.replace(x := f(*a), **{name: getattr(x, name) * (1 + 1e-6)})
 
 
 # check id -> (a kernel in verify's namespace, a small fault of it): one check
@@ -187,6 +257,10 @@ FAULTS = {
     "geodesics.endpoints": ("geodesic_point", lambda f: lambda *a: f(*a) + 1e-9),
     "twovector.tensor_fd": ("two_vector_metric", _transposed),
     "finslerops.two_vector": ("finsler_two_vector_tensor", lambda f: lambda *a: f(*a) * (1 + 1e-6)),
+    # the stacked one-vector checks: one call per kernel on the (m, N) stack
+    "quasimap.quasi_metric": ("quasi_metric", _scaled_field("n_lower")),
+    "tensors.cartan_algebraic_form": ("cartan_tensor", _scaled_field("c_lower")),
+    "quasimap.mu_jacobian": ("mu_jacobian", lambda f: lambda *a: f(*a) * (1 + 1e-6)),
 }
 
 
