@@ -86,7 +86,27 @@ def _first_row(bad: np.ndarray) -> str:
     return f" (row {idx[0] if len(idx) == 1 else idx})" if idx else ""
 
 
+def _require(ok, error, message: str, value=None) -> None:
+    """Raise error(message), naming the first row where the per-row flag
+    ``ok`` is not set; ``message`` formats that row's ``value``, if one is
+    given.  One vector's flag is a numpy bool, tested by Python truth."""
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        bad = ~np.asarray(ok)
+        if value is not None:
+            message = message.format(float(np.asarray(value)[bad][0]))
+        raise error(message + _first_row(bad))
+
+
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+
+
+def _normal(x) -> bool:
+    """Whether each per-row scalar x is a finite normal float64.  One
+    vector's x is a float64 scalar, which a Python comparison tests at a
+    tenth of the cost of the array test."""
+    if isinstance(x, np.ndarray):
+        return bool(((x >= _TINY) & (x <= _HUGE)).all())
+    return _TINY <= x <= _HUGE
 
 
 def _require_normal(squares, what: str) -> None:

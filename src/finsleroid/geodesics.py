@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, _first_row, _require_normal
+from .core import GParameter, MetricContext, _normal, _require, _require_normal
 from .errors import CollinearError, DegenerateChordError, NumericalDomainError
 
 __all__ = [
@@ -36,24 +36,16 @@ _COLLINEAR_TOL = 1e-12
 
 
 def _check_cosine(x) -> None:
-    bad = ~(np.abs(x) <= 1.0 + _CLAMP_SLACK)  # NaN fails it too
-    if np.count_nonzero(bad):
-        first = float(np.asarray(x)[bad][0])
-        raise NumericalDomainError(
-            f"cosine {first!r} outside [-1, 1] beyond rounding slack" + _first_row(bad)
-        )
+    _require(abs(x) <= 1.0 + _CLAMP_SLACK, NumericalDomainError,  # NaN fails it too
+            "cosine {!r} outside [-1, 1] beyond rounding slack", x)
 
 
 def _require_independent(sin_theta, what: str) -> None:
     """The one pair-independence guard: sin(theta) > 1e-12, pair by pair,
     for theta the euclidean angle of the pair; the message names the first
     pair that fails it."""
-    bad = ~(sin_theta > _COLLINEAR_TOL)
-    if np.count_nonzero(bad):
-        first = float(np.asarray(sin_theta)[bad][0])
-        raise CollinearError(
-            f"{what}: sin(theta) = {first:.3e} <= {_COLLINEAR_TOL:.0e}" + _first_row(bad)
-        )
+    _require(sin_theta > _COLLINEAR_TOL, CollinearError,
+            what + ": sin(theta) = {:.3e} <= " + f"{_COLLINEAR_TOL:.0e}", sin_theta)
 
 
 def _dots(form, x, y):
@@ -87,7 +79,8 @@ def _pair_dots(form, t1, t2):
         gram = (pair[:, None, ..., None, :] @ form @ pair[None, :, ..., :, None])[..., 0, 0]
     dot11, dot22, dot12 = gram[0, 0], gram[1, 1], gram[0, 1]
     squares = np.array((dot11, dot22))
-    _require_normal(squares, "pair")
+    if not (_normal(dot11) and _normal(dot22)):
+        _require_normal(squares, "pair")
     norms = np.sqrt(squares)
     size = norms[0] * norms[1]
     cos = dot12 / size
@@ -197,8 +190,36 @@ class GeodesicChord:
 
     def radius(self, s):
         """Euclidean radius S(s) = sqrt(a^2 + 2 b s + s^2) along the chord."""
-        s = np.asarray(s, dtype=float)
-        return np.sqrt(np.maximum(self.a**2 + 2.0 * self.b * s + s * s, 0.0))
+        e, a, b, _, _, s = _scaled(self, np.asarray(s, dtype=float))
+        return _ldexp(_radius(a, b, s), e)
+
+
+def _chord_exponent(a: float, s_end: float) -> int:
+    """The exponent e at which the quadratic forms of a chord are evaluated,
+    at 2^-e (a, b, s), an exact scaling: the binary exponent of
+    max(a, s_end) beyond 2^(+-100), where the squares of a chord near 1e154
+    overflow, and 0 inside, where the forms are evaluated as they stand."""
+    e = math.frexp(max(a, s_end))[1]
+    return e if abs(e) > 100 else 0
+
+
+def _scaled(chord: GeodesicChord, s):
+    """e (see _chord_exponent) and, at 2^-e, the chord constants a, b,
+    Delta s, s_end and the parameters s."""
+    e = _chord_exponent(chord.a, chord.s_end)
+    if not e:
+        return 0, chord.a, chord.b, chord.delta_s, chord.s_end, s
+    a, b, ds, s_end = (math.ldexp(x, -e) for x in (chord.a, chord.b, chord.delta_s, chord.s_end))
+    return e, a, b, ds, s_end, np.ldexp(s, -e)
+
+
+def _ldexp(x, e: int):
+    """x 2^e; x itself for e = 0, a chord inside 2^(+-100)."""
+    return np.ldexp(x, e) if e else x
+
+
+def _radius(a, b, s):
+    return np.sqrt(np.maximum(a**2 + 2.0 * b * s + s * s, 0.0))
 
 
 def solve_chord(par: GParameter, ctx: MetricContext, t1, t2) -> GeodesicChord:
@@ -219,8 +240,8 @@ def solve_chord(par: GParameter, ctx: MetricContext, t1, t2) -> GeodesicChord:
             "no smooth chord: the pair subtends an angle of pi or more"
         )
     # a^2 + s_end^2 overflows beyond about 1e154: delta_s and b are of
-    # degree 1, so they are formed at 2^-e (a, s_end), an exact scaling
-    e = math.frexp(max(a, s_end))[1]
+    # degree 1, so they are formed at 2^-e (a, s_end)
+    e = _chord_exponent(a, s_end)
     a_e, s_e = math.ldexp(a, -e), math.ldexp(s_end, -e)
     ds2 = a_e * a_e + s_e * s_e - 2.0 * a_e * s_e * math.cos(alpha)
     ds_e = math.sqrt(max(ds2, 0.0))
@@ -235,18 +256,19 @@ def solve_chord(par: GParameter, ctx: MetricContext, t1, t2) -> GeodesicChord:
     )
 
 
-def _chord_angles(chord: GeodesicChord, s):
-    """Continuous angle parameters of the interpolation formula.
+def _chord_angles(h: float, a, b, ds, s):
+    """Continuous angle parameters of the interpolation formula, and c =
+    sqrt(a^2 - b^2) and the denominator sin(h alpha); all of degree 0
+    except c (1), so they take the chord at 2^-e (see _scaled).
 
     tau2(s) tracks the sweep from t1 to t(s), tau1(s) the remaining sweep
     to t2; atan2 keeps both continuous through the quarter-turn where the
     rational arctan argument blows up.
     """
-    a, b, ds = chord.a, chord.b, chord.delta_s
     c = math.sqrt(max(a * a - b * b, 0.0))
     tau1 = np.arctan2(c * (ds - s), a * a + b * ds + (b + ds) * s)
     tau2 = np.arctan2(c * s, a * a + b * s)
-    return c, tau1, tau2
+    return c, tau1, tau2, math.sin(h * math.atan2(c * ds, a**2 + b * ds))
 
 
 def geodesic_point(chord: GeodesicChord, s):
@@ -257,16 +279,15 @@ def geodesic_point(chord: GeodesicChord, s):
     """
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    rad = chord.radius(s)
-    c, tau1, tau2 = _chord_angles(chord, s)
-    if c <= 1e-15 * chord.a:
+    _, a, b, ds, s_end, s = _scaled(chord, np.atleast_1d(s))
+    rad = _radius(a, b, s)
+    c, tau1, tau2, denom = _chord_angles(chord.h, a, b, ds, s)
+    if c <= 1e-15 * a:
         # radial chord: t(s) = t1 * S(s)/a
-        out = np.outer(rad / chord.a, chord.t1)
+        out = np.outer(rad / a, chord.t1)
     else:
-        denom = math.sin(chord.h * math.atan2(c * chord.delta_s, chord.a**2 + chord.b * chord.delta_s))
-        coeff1 = rad * np.sin(chord.h * tau1) / (chord.a * denom)
-        coeff2 = rad * np.sin(chord.h * tau2) / (chord.s_end * denom)
+        coeff1 = rad * np.sin(chord.h * tau1) / (a * denom)
+        coeff2 = rad * np.sin(chord.h * tau2) / (s_end * denom)
         out = np.outer(coeff1, chord.t1) + np.outer(coeff2, chord.t2)
     return out[0] if scalar else out
 
@@ -276,16 +297,17 @@ def geodesic_velocity(chord: GeodesicChord, s):
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
-    rad = chord.radius(s)
-    c, tau1, tau2 = _chord_angles(chord, s)
-    if c <= 1e-15 * chord.a:
-        out = np.outer((chord.b + s) / (chord.a * rad), chord.t1)
+    e, a, b, ds, s_end, s_e = _scaled(chord, s)
+    rad = _radius(a, b, s_e)
+    c, tau1, tau2, denom = _chord_angles(chord.h, a, b, ds, s_e)
+    # the terms are of degree -1 at 2^-e: each is scaled back by 2^-e
+    if c <= 1e-15 * a:
+        out = np.outer(_ldexp((b + s_e) / (a * rad), -e), chord.t1)
     else:
-        denom = math.sin(chord.h * math.atan2(c * chord.delta_s, chord.a**2 + chord.b * chord.delta_s))
         point = geodesic_point(chord, s)
-        radial = (chord.b + s) / rad**2
-        coeff1 = c * chord.h * np.cos(chord.h * tau1) / (chord.a * rad * denom)
-        coeff2 = c * chord.h * np.cos(chord.h * tau2) / (chord.s_end * rad * denom)
+        radial = _ldexp((b + s_e) / rad**2, -e)
+        coeff1 = _ldexp(c * chord.h * np.cos(chord.h * tau1) / (a * rad * denom), -e)
+        coeff2 = _ldexp(c * chord.h * np.cos(chord.h * tau2) / (s_end * rad * denom), -e)
         out = point * radial[:, None] - np.outer(coeff1, chord.t1) + np.outer(coeff2, chord.t2)
     return out[0] if scalar else out
 

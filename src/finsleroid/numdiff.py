@@ -7,8 +7,7 @@ the inverse pair separation squared, so the global step is too coarse).
 
 The vector stencils (``jacobian``, ``gradient``, ``hessian``,
 ``mixed_second``) stack all their points and call the function once, so
-it must take rows (k, N), as the library kernels do; ``rowwise`` adapts
-a function of single vectors.
+it must take rows (k, N), as the library kernels do.
 """
 
 from __future__ import annotations
@@ -21,13 +20,6 @@ DEFAULT_SCALE = 1e-5
 def steps(x: np.ndarray, scale: float = DEFAULT_SCALE) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return scale * (1.0 + np.abs(x))
-
-
-def rowwise(f):
-    """Adapt a function of single vectors to the stacked stencils below:
-    the result evaluates f row by row on (k, N) stacks (one stack per
-    argument) and stacks the values."""
-    return lambda *rows: np.stack([np.asarray(f(*row)) for row in zip(*rows)])
 
 
 def gradient(f, x, scale: float = DEFAULT_SCALE) -> np.ndarray:

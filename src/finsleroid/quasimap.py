@@ -25,6 +25,7 @@ from .core import (
     MetricContext,
     _first_row,
     _lower,
+    _normal,
     _off_axis,
     _outer,
     _per_row,
@@ -47,15 +48,6 @@ __all__ = [
     "conformal_jacobian",
     "phi_angle",
 ]
-
-
-def _normal(x) -> bool:
-    """Whether each per-row scalar x is a finite normal float64.  One
-    vector's x is a float64 scalar, which a Python comparison tests at a
-    tenth of the cost of the array test."""
-    if isinstance(x, np.ndarray):
-        return bool(((x >= _TINY) & (x <= _HUGE)).all())
-    return _TINY <= x <= _HUGE
 
 
 def _image_terms(ctx: MetricContext, t):

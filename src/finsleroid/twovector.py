@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, _lower, _outer
+from .core import GParameter, MetricContext, _lower, _outer, _per_row, _require
 from .errors import (
     MaxIterationsError,
     NoRootError,
@@ -28,11 +28,12 @@ from .errors import (
 from .geodesics import (
     PairInvariants,
     _checked_pair,
-    _checked_vectors,
     _companions,
+    _dots,
     _invariants,
     _pair_dots,
     _require_independent,
+    _stacked,
 )
 
 __all__ = [
@@ -74,6 +75,15 @@ def _pair_scalars(inv: PairInvariants):
     return s1, s2, np.cos(inv.alpha), np.sin(inv.alpha)
 
 
+def _lowered(ctx: MetricContext, t1, t2, inv: PairInvariants):
+    """t1, t2, d1, d2 index-lowered in one call, at the broadcast shape of
+    the pairs."""
+    vectors = (t1, t2, inv.d1, inv.d2)
+    if t1.shape != t2.shape:
+        vectors = np.broadcast_arrays(*vectors)
+    return _lower(ctx.r_pq, np.array(vectors))
+
+
 def two_vector_metric(par: GParameter, ctx: MetricContext, t1, t2) -> TwoVectorTensor:
     """Closed form of the mixed second derivative of the scalar product,
     over pairs stacked as (..., N) (n_lower is (..., N, N))."""
@@ -82,11 +92,7 @@ def two_vector_metric(par: GParameter, ctx: MetricContext, t1, t2) -> TwoVectorT
     s1, s2, ca, sa = _pair_scalars(inv)
     a1 = ca - inv.dot12 * sa / (par.h * inv.u)
     a2 = ca / par.h - inv.dot12 * sa / inv.u
-    # t1, t2, d1, d2 lowered in one call, at the broadcast shape of the pairs
-    vectors = (t1, t2, inv.d1, inv.d2)
-    if t1.shape != t2.shape:
-        vectors = np.broadcast_arrays(*vectors)
-    t1l, t2l, d1l, d2l = _lower(ctx.r_pq, np.array(vectors))
+    t1l, t2l, d1l, d2l = _lowered(ctx, t1, t2, inv)
     mat = lambda x: np.asarray(x)[..., None, None]
     n = (
         mat(s1 * s2 * sa / (par.h * inv.u)) * ctx.r_pq
@@ -98,58 +104,56 @@ def two_vector_metric(par: GParameter, ctx: MetricContext, t1, t2) -> TwoVectorT
     return TwoVectorTensor(n_lower=n, a1=a1, a2=a2, z=z, pair=inv)
 
 
-def _frame_pieces(par, ctx, inv):
+def _frame_pieces(par, inv):
+    """The scalars (s1, s2, z^2, p^2, m^2, delta_p, delta_m) of the frame of
+    each pair, and the flags of the pairs that have one: sin(alpha) >= 0,
+    and nonnegative radicands p^2 and m^2 (large angles fail them)."""
     s1, s2, ca, sa = _pair_scalars(inv)
-    if sa < 0.0:
-        raise NumericalDomainError("frame needs sin(alpha) >= 0 (alpha <= pi)")
     x = inv.dot12
     zsq = s1 * s2 * sa * (s1 * s2 / inv.u)
     delta_p = par.h * ca - x * sa / inv.u
     delta_m = ca / par.h - x * sa / inv.u
     p_rad = zsq + x * delta_p  # equals h (t1t2) cos(alpha) + u sin(alpha)
     m_rad = zsq + x * delta_m
-    if p_rad < 0.0 or m_rad < 0.0:
-        raise NumericalDomainError("negative frame radicand for this pair")
-    z = math.sqrt(zsq)
-    p = math.sqrt(p_rad)
-    m = math.sqrt(m_rad)
-    # (z - p)/x rationalized to stay finite for euclid-orthogonal pairs
-    c_p = -delta_p / (z + p)
-    c_m = -delta_m / (z + m)
-    return s1, s2, z, p, m, c_p, c_m
+    return (s1, s2, zsq, p_rad, m_rad, delta_p, delta_m), sa >= 0.0, (p_rad >= 0.0) & (m_rad >= 0.0)
 
 
 def frame(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray:
-    """Orthonormal-frame matrix f[R, p] of the pair.
+    """Orthonormal-frame matrix f[R, p] of each pair, over pairs stacked as
+    (..., N) (the result is (..., N, N)).
 
     Rows are frame covectors; contractions with t1, t2 and the sum over
     the frame index against frame components of t1, t2 have closed forms.
-    Raises NumericalDomain when a radicand is negative (large angles).
+    Raises NumericalDomain, naming the first such pair, where sin(alpha)
+    or a radicand is negative (large angles).
     """
-    t1, t2 = _checked_vectors(ctx, t1, t2)
+    t1, t2 = _checked_pair(ctx, t1, t2)
     inv = _invariants(par, ctx, t1, t2)
-    s1, s2, z, p, m, c_p, c_m = _frame_pieces(par, ctx, inv)
-    t1l = ctx.lower(t1)
-    d2l = ctx.lower(inv.d2)
-    t2_frame = ctx.vielbein @ t2
-    d1_frame = ctx.vielbein @ inv.d1
+    (s1, s2, zsq, p_rad, m_rad, delta_p, delta_m), upper, real = _frame_pieces(par, inv)
+    _require(upper, NumericalDomainError, "frame needs sin(alpha) >= 0 (alpha <= pi)")
+    _require(real, NumericalDomainError, "negative frame radicand for this pair")
+    z = np.sqrt(zsq)
+    # (z - p)/x rationalized to stay finite for euclid-orthogonal pairs
+    c_p = -delta_p / (z + np.sqrt(p_rad))
+    c_m = -delta_m / (z + np.sqrt(m_rad))
+    t1l, _, _, d2l = _lowered(ctx, t1, t2, inv)
+    # frame components e[R, p] x^p of t2 and d1
+    t2_frame, d1_frame = _lower(ctx.vielbein.T, _stacked(t2, inv.d1))
     out = (
-        z * ctx.vielbein
-        - c_p * np.outer(t2_frame, t1l)
-        + c_m * np.outer(d1_frame, d2l)
+        _per_row(z, 2) * ctx.vielbein
+        - _per_row(c_p, 2) * _outer(t2_frame, t1l)
+        + _per_row(c_m, 2) * _outer(d1_frame, d2l)
     )
-    return out / math.sqrt(par.h * s1 * s2)
+    return out / _per_row(np.sqrt(par.h * s1 * s2), 2)
 
 
 def frame_reconstruct(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray:
-    """sum_R f^R_p(t1, t2) f^R_q(t2, t1).
+    """sum_R f^R_p(t1, t2) f^R_q(t2, t1), over pairs stacked as (..., N).
 
     Equals the two-vector tensor with its d-slot transposed (d2 (x) d1);
     the symmetric part coincides with the tensor itself.
     """
-    f12 = frame(par, ctx, t1, t2)
-    f21 = frame(par, ctx, t2, t1)
-    return np.einsum("rp,rq->pq", f12, f21)
+    return np.swapaxes(frame(par, ctx, t1, t2), -1, -2) @ frame(par, ctx, t2, t1)
 
 
 @dataclass(frozen=True)
@@ -158,6 +162,7 @@ class CovectorPair:
 
     D1, D2 are the transverse companions built from the T products and
     f_scale = -sqrt((T1T1)(T2T2)-(T1T2)^2) / sqrt((t1t1)(t2t2)-(t1t2)^2).
+    For stacked pairs each field has their leading shape (T1 to D2 add N).
     """
 
     T1: np.ndarray
@@ -178,26 +183,28 @@ def co_regime_gap(par: GParameter, alpha):
     return np.sin(par.h * alpha - 2.0 * phi1)
 
 
-def co_orientation(par: GParameter, alpha: float) -> float:
-    """Sign of (2/h)(t1t2) sin cos - (cos^2 - sin^2/h^2) u, from alpha alone.
+def co_orientation(par: GParameter, alpha):
+    """Sign of (2/h)(t1t2) sin cos - (cos^2 - sin^2/h^2) u, from alpha alone,
+    elementwise.
 
     The covariant-side closed forms (inversion, implicit angle equation)
     are printed for the regime where this is +1; it flips once the angle
     h*alpha - 2*atan2(sin(alpha)/h, cos(alpha)) of the co-pair wraps past
     -pi, which happens for large alpha at large |g|.
     """
-    return -1.0 if co_regime_gap(par, alpha) > 0.0 else 1.0
+    return 1.0 - 2.0 * (co_regime_gap(par, alpha) > 0.0)
 
 
 def covector_pair(par: GParameter, ctx: MetricContext, t1, t2) -> CovectorPair:
-    """Closed forms of the co-vectors and their companions."""
-    t1, t2 = _checked_vectors(ctx, t1, t2)
+    """Closed forms of the co-vectors and their companions, over pairs
+    stacked as (..., N)."""
+    t1, t2 = _checked_pair(ctx, t1, t2)
     inv = _invariants(par, ctx, t1, t2)
     s1, s2, ca, sa = _pair_scalars(inv)
-    t1l = ctx.lower(t1)
-    t2l = ctx.lower(t2)
-    big_t1 = (s2 / s1) * (ca * t1l + (sa / par.h) * ctx.lower(inv.d1))
-    big_t2 = (s1 / s2) * (ca * t2l + (sa / par.h) * ctx.lower(inv.d2))
+    t1l, t2l, d1l, d2l = _lowered(ctx, t1, t2, inv)
+    ca_r, ta_r = _per_row(ca), _per_row(sa / par.h)
+    big_t1 = _per_row(s2 / s1) * (ca_r * t1l + ta_r * d1l)
+    big_t2 = _per_row(s1 / s2) * (ca_r * t2l + ta_r * d2l)
     big_d1, big_d2 = _companions(
         ctx.r_pq_inv, big_t1, big_t2, "co-vectors of the pair are collinear"
     )[5:]
@@ -207,22 +214,23 @@ def covector_pair(par: GParameter, ctx: MetricContext, t1, t2) -> CovectorPair:
     return CovectorPair(T1=big_t1, T2=big_t2, D1=big_d1, D2=big_d2, f_scale=f_scale)
 
 
-def invert_covectors(par: GParameter, ctx: MetricContext, T1, T2, alpha: float):
-    """Recover (t1, t2) from the co-vector pair and the angle alpha."""
-    big_t1 = ctx.check_vector(T1, nonzero=True)
-    big_t2 = ctx.check_vector(T2, nonzero=True)
+def invert_covectors(par: GParameter, ctx: MetricContext, T1, T2, alpha):
+    """Recover (t1, t2) from the co-vector pairs, stacked as (..., N), and
+    the angle alpha of each pair."""
+    big_t1, big_t2 = _checked_pair(ctx, T1, T2)
     tt11, tt22, _, _, _, big_d1, big_d2 = _companions(
         ctx.r_pq_inv, big_t1, big_t2, "co-vector pair is collinear"
     )
-    if not 0.0 < alpha < math.pi:
-        raise NumericalDomainError("inversion needs 0 < alpha < pi")
-    ca = math.cos(alpha)
-    sa = math.sin(alpha)
-    eps = co_orientation(par, alpha)
-    den = ca * ca + sa * sa / par.h**2
-    t1_low = math.sqrt(tt22 / tt11) * (ca * big_t1 + (sa / par.h) * eps * big_d1) / den
-    t2_low = math.sqrt(tt11 / tt22) * (ca * big_t2 + (sa / par.h) * eps * big_d2) / den
-    return ctx.raise_(t1_low), ctx.raise_(t2_low)
+    alpha = np.asarray(alpha, dtype=float)[()]
+    _require((alpha > 0.0) & (alpha < math.pi), NumericalDomainError,
+             "inversion needs 0 < alpha < pi, got {!r}", alpha)
+    ca = np.cos(alpha)
+    sa = np.sin(alpha)
+    ca_r, ta_r = _per_row(ca), _per_row((sa / par.h) * co_orientation(par, alpha))
+    den = _per_row(ca * ca + sa * sa / par.h**2)
+    t1_low = _per_row(np.sqrt(tt22 / tt11)) * (ca_r * big_t1 + ta_r * big_d1) / den
+    t2_low = _per_row(np.sqrt(tt11 / tt22)) * (ca_r * big_t2 + ta_r * big_d2) / den
+    return tuple(_lower(ctx.r_pq_inv, _stacked(t1_low, t2_low)))
 
 
 def _co_angle_cos_side(par, tt11, tt22, tt12, cap_u, alpha):
@@ -300,56 +308,62 @@ def solve_co_angle(par: GParameter, ctx: MetricContext, T1, T2) -> float:
     raise NoRootError("implicit co-angle equation has no admissible root in (0, pi/h)")
 
 
+def _require_acute(inv: PairInvariants) -> None:
+    _require(inv.alpha < 0.5 * math.pi, ObtuseInputError,
+             "parallelogram law needs alpha < pi/2, got {!r}", inv.alpha)
+
+
 def oplus_first_order(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray:
-    """First-order sum vector of the parallelogram law.
+    """First-order sum vector of the parallelogram law, over pairs stacked
+    as (..., N).
 
     t1 (+) t2 ~ t1 + t2 + (1/h - 1)(m(t1,t2) t1 + m(t2,t1) t2), exact at
     g = 0; the defining-equation residuals are O(k^2) in k = 1/h - 1.
     """
-    t1, t2 = _checked_vectors(ctx, t1, t2)
+    t1, t2 = _checked_pair(ctx, t1, t2)
     inv = _invariants(par, ctx, t1, t2)
-    if inv.alpha >= 0.5 * math.pi:
-        raise ObtuseInputError(f"parallelogram law needs alpha < pi/2, got {float(inv.alpha)!r}")
+    _require_acute(inv)
     total = t1 + t2
-    th1, th2 = _pair_dots(ctx.r_pq, np.array((t1, t2)), total)[4]
+    th1, th2 = _pair_dots(ctx.r_pq, _stacked(t1, t2), total)[4]
     m12 = (inv.dot12 * th1 - inv.dot22 * th2) / inv.u
     m21 = (inv.dot12 * th2 - inv.dot11 * th1) / inv.u
     k = 1.0 / par.h - 1.0
-    return total + k * (m12 * t1 + m21 * t2)
+    return total + k * (_per_row(m12) * t1 + _per_row(m21) * t2)
 
 
 def ominus_first_order(par: GParameter, ctx: MetricContext, t1, t3) -> np.ndarray:
-    """First-order difference vector t3 (-) t1, inverse of the sum to O(k^2)."""
-    t1 = ctx.check_vector(t1, nonzero=True)
-    t3 = ctx.check_vector(t3, nonzero=True)
+    """First-order difference vector t3 (-) t1, inverse of the sum to O(k^2),
+    over pairs stacked as (..., N)."""
+    t1, t3 = _checked_pair(ctx, t1, t3)
     v = t3 - t1
-    if not np.any(v):
-        raise ZeroVectorError("difference of coincident vectors")
-    dot11, dot33, _, u, ang_a = _pair_dots(ctx.r_pq, t1, t3)
+    _require(v.any(axis=-1), ZeroVectorError, "difference of coincident vectors")
+    dot11, _, _, u, ang_a = _pair_dots(ctx.r_pq, t1, t3)
     _require_independent(np.sin(ang_a), "difference undefined for a collinear configuration")
-    ang_b = _pair_dots(ctx.r_pq, v, t3)[4]
-    vt1 = ctx.dot(v, t1)
-    vv = ctx.dot(v, v)
-    s_vec = (dot11 * ang_a - vt1 * ang_b) / u * v + (vv * ang_b - vt1 * ang_a) / u * t1
+    vv, _, _, _, ang_b = _pair_dots(ctx.r_pq, v, t3)
+    vt1 = _dots(ctx.r_pq, v, t1)
+    s_vec = (_per_row((dot11 * ang_a - vt1 * ang_b) / u) * v
+             + _per_row((vv * ang_b - vt1 * ang_a) / u) * t1)
     k = 1.0 / par.h - 1.0
     return v + k * s_vec
 
 
 def parallelogram_residuals(par: GParameter, ctx: MetricContext, t1, t2, t3):
-    """Residuals of the two defining side-length equations of the tetragon."""
-    t1 = ctx.check_vector(t1, nonzero=True)
-    t2 = ctx.check_vector(t2, nonzero=True)
-    t3 = ctx.check_vector(t3, nonzero=True)
+    """Residuals of the two defining side-length equations of the tetragon,
+    over triples stacked as (..., N), the three stacks broadcasting."""
+    t1, t2, t3 = (ctx.check_rows(t, nonzero=True) for t in (t1, t2, t3))
+    if not t1.shape == t2.shape == t3.shape:
+        t1, t2, t3 = np.broadcast_arrays(t1, t2, t3)
     # the pairs (t1, t3) and (t2, t3) in one call
-    (dot11, dot22), dot33, _, _, (theta13, theta23) = _pair_dots(ctx.r_pq, np.array((t1, t2)), t3)
-    s1, s2, s3 = math.sqrt(dot11), math.sqrt(dot22), math.sqrt(dot33[0])
-    r1 = s3 - (s2 * s2 - s1 * s1) / s3 - 2.0 * s1 * math.cos(theta13 / par.h)
-    r2 = s3 - (s1 * s1 - s2 * s2) / s3 - 2.0 * s2 * math.cos(theta23 / par.h)
+    (dot11, dot22), (dot33, _), _, _, (theta13, theta23) = _pair_dots(ctx.r_pq, _stacked(t1, t2), t3)
+    s1, s2, s3 = np.sqrt(dot11), np.sqrt(dot22), np.sqrt(dot33)
+    r1 = s3 - (s2 * s2 - s1 * s1) / s3 - 2.0 * s1 * np.cos(theta13 / par.h)
+    r2 = s3 - (s1 * s1 - s2 * s2) / s3 - 2.0 * s2 * np.cos(theta23 / par.h)
     return r1, r2
 
 
 def parallelogram_refine(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray:
-    """The exact sum vector t3 = t1 (+) t2 of the parallelogram law, in closed form.
+    """The exact sum vector t3 = t1 (+) t2 of the parallelogram law, in closed
+    form, over pairs stacked as (..., N).
 
     t3 lies in span{t1, t2}, and the two defining equations make its
     deformed angles to t1 and to t2 the base angles of a euclidean
@@ -357,14 +371,14 @@ def parallelogram_refine(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndar
     rho^2 = |t1|^2 + |t2|^2 + 2 |t1||t2| cos(alpha) and t3 lies at the
     euclidean angle h atan2(|t2| sin(alpha), |t1| + |t2| cos(alpha)) from t1.
     """
-    t1, t2 = _checked_vectors(ctx, t1, t2)
+    t1, t2 = _checked_pair(ctx, t1, t2)
     inv = _invariants(par, ctx, t1, t2)
-    if inv.alpha >= 0.5 * math.pi:
-        raise ObtuseInputError(f"parallelogram law needs alpha < pi/2, got {float(inv.alpha)!r}")
+    _require_acute(inv)
     if par.g == 0.0:
         return t1 + t2
     s1, s2, ca, sa = _pair_scalars(inv)
     x, y = s1 + s2 * ca, s2 * sa  # rho = hypot(x, y), without overflow
-    theta13 = par.h * math.atan2(y, x)
+    theta13 = par.h * np.arctan2(y, x)
     # d1 is t2's part transverse to t1, rescaled to |d1| = |t1|
-    return math.hypot(x, y) / s1 * (math.cos(theta13) * t1 + math.sin(theta13) * inv.d1)
+    rotated = _per_row(np.cos(theta13)) * t1 + _per_row(np.sin(theta13)) * inv.d1
+    return _per_row(np.hypot(x, y) / s1) * rotated

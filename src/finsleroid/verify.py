@@ -20,14 +20,15 @@ cap they raise OutOfRangeError.  Where every kernel of a check takes
 stacked rows, the check calls each kernel once on its stack and reduces
 the residuals with a max; a sample that a kernel's precondition excludes
 is masked out.  Finite-difference oracles keep one stencil per sample,
-and the checks of the chord family and of the pair-side two-vector
-kernels, which take one vector pair, loop over their stacked samples.
-A check that skips the samples a kernel rejects draws more as it needs
-them, and gives up with OutOfRangeError after 50 rejected per trial.
+and the checks of the chord family and of the co-angle solve, which take
+one vector pair, loop over their stacked samples.  A check that skips
+the samples a kernel rejects draws more as it needs them, and gives up
+with OutOfRangeError after 50 rejected per trial.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from . import numdiff
 from .core import (
     MetricContext,
     _lower,
+    _outer,
     generating_j,
     generating_v,
     kfun,
@@ -101,6 +103,7 @@ from .tensors import (
     metric_tensor,
 )
 from .twovector import (
+    _frame_pieces,
     co_orientation,
     co_regime_gap,
     covector_pair,
@@ -244,6 +247,18 @@ def _refills(draw, m, trials):
                 raise OutOfRangeError(f"draw cap: {cap} samples drawn without {m} admissible ones at this g")
             drawn += 1
             yield sample
+
+
+def _admitted(samples, admit, m):
+    """The first m samples of the iterator ``samples`` that ``admit`` keeps,
+    stacked; admit flags each sample of a stack of them.  Each round takes
+    as many samples as are still missing, so none is drawn that a check
+    taking them one at a time would not draw."""
+    kept = []
+    while (count := sum(map(len, kept))) < m:
+        batch = np.array(list(itertools.islice(samples, m - count)))
+        kept.append(batch[admit(batch)])
+    return np.concatenate(kept)
 
 
 def _vector_pairs(rng, ctx, m, **kw):
@@ -901,128 +916,110 @@ def check_coincidence(par, ctx, rng, trials, tol):
     return m, res
 
 
+def _has_frame(par, ctx, t1, t2):
+    """Whether frame_reconstruct takes each pair: by frame's own test, both
+    the pair and its swap have a frame."""
+    ok = True
+    for a, b in ((t1, t2), (t2, t1)):
+        _, upper, real = _frame_pieces(par, pair_invariants(par, ctx, a, b))
+        ok = ok & upper & real
+    return ok
+
+
 def check_frame(par, ctx, rng, trials, tol):
-    res = 0.0
-    done = 0
     pairs = lambda: np.stack(draw_pairs(rng, ctx, par, trials, max_alpha=0.95 * math.pi), axis=1)
-    for t1, t2 in _refills(pairs, trials, trials):
-        try:
-            fr = frame(par, ctx, t1, t2)
-            rec = frame_reconstruct(par, ctx, t1, t2)
-        except NumericalDomainError:
-            continue
-        done += 1
-        inv = pair_invariants(par, ctx, t1, t2)
-        tv = two_vector_metric(par, ctx, t1, t2)
-        s1, s2 = math.sqrt(inv.dot11), math.sqrt(inv.dot22)
-        ca, sa = math.cos(inv.alpha), math.sin(inv.alpha)
-        d1l, d2l = ctx.lower(inv.d1), ctx.lower(inv.d2)
-        expected = (
-            (s1 * s2 * sa / (par.h * inv.u)) * ctx.r_pq
-            + (tv.a1 / (s1 * s2)) * np.outer(ctx.lower(t1), ctx.lower(t2))
-            - (tv.a2 / (par.h * s1 * s2)) * np.outer(d2l, d1l)
-        )
-        res = max(res, _dev(rec - expected))
-        res = max(res, _dev(0.5 * (rec + rec.T) - 0.5 * (tv.n_lower + tv.n_lower.T)))
-        # contraction closed forms
-        x = inv.dot12
-        p2 = par.h * x * ca + inv.u * sa
-        m2 = x * ca / par.h + inv.u * sa
-        p, mm = math.sqrt(max(p2, 0.0)), math.sqrt(max(m2, 0.0))
-        norm = math.sqrt(par.h * s1 * s2)
-        vb = ctx.vielbein
-        pm_over_x = (par.h * ca - ca / par.h) / (p + mm)  # (P - M)/X without X division
-        res = max(
-            res,
-            _dev(fr @ t1 - (inv.dot11 * pm_over_x * (vb @ t2) + mm * (vb @ t1)) / norm),
-            _dev(fr @ t2 - p * (vb @ t2) / norm),
-            _dev((vb @ t1) @ fr - p * ctx.lower(t1) / norm),
-            _dev((vb @ t2) @ fr - (inv.dot22 * pm_over_x * ctx.lower(t1) + mm * ctx.lower(t2)) / norm),
-        )
-        if done == trials:
-            return done, res
+    kept = _admitted(_refills(pairs, trials, trials), lambda s: _has_frame(par, ctx, s[:, 0], s[:, 1]), trials)
+    t1, t2 = kept[:, 0], kept[:, 1]
+    fr = frame(par, ctx, t1, t2)
+    rec = frame_reconstruct(par, ctx, t1, t2)
+    tv = two_vector_metric(par, ctx, t1, t2)
+    inv = tv.pair
+    s1, s2 = np.sqrt(inv.dot11), np.sqrt(inv.dot22)
+    ca, sa = np.cos(inv.alpha), np.sin(inv.alpha)
+    t1l, t2l, d1l, d2l = (_lower(ctx.r_pq, x) for x in (t1, t2, inv.d1, inv.d2))
+    mat = lambda x: x[:, None, None]
+    expected = (
+        mat(s1 * s2 * sa / (par.h * inv.u)) * ctx.r_pq
+        + mat(tv.a1 / (s1 * s2)) * _outer(t1l, t2l)
+        - mat(tv.a2 / (par.h * s1 * s2)) * _outer(d2l, d1l)
+    )
+    sym = lambda x: 0.5 * (x + np.swapaxes(x, 1, 2))
+    # contraction closed forms
+    x = inv.dot12
+    p = np.sqrt(np.maximum(par.h * x * ca + inv.u * sa, 0.0))
+    mm = np.sqrt(np.maximum(x * ca / par.h + inv.u * sa, 0.0))
+    norm = np.sqrt(par.h * s1 * s2)[:, None]
+    pm_over_x = ((par.h * ca - ca / par.h) / (p + mm))[:, None]  # (P - M)/X without X division
+    p, mm = p[:, None], mm[:, None]
+    e1, e2 = t1 @ ctx.vielbein.T, t2 @ ctx.vielbein.T  # frame components
+    return trials, _dev(
+        rec - expected,
+        sym(rec) - sym(tv.n_lower),
+        np.einsum("irp,ip->ir", fr, t1) - (inv.dot11[:, None] * pm_over_x * e2 + mm * e1) / norm,
+        np.einsum("irp,ip->ir", fr, t2) - p * e2 / norm,
+        np.einsum("ir,irp->ip", e1, fr) - p * t1l / norm,
+        np.einsum("ir,irp->ip", e2, fr) - (inv.dot22[:, None] * pm_over_x * t1l + mm * t2l) / norm,
+    )
 
 
 def check_covector_closed(par, ctx, rng, trials, tol):
-    res = 0.0
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, trials, max_alpha=0.95 * math.pi, regime_margin=0.05)):
-        cp = covector_pair(par, ctx, t1, t2)
-        tv = two_vector_metric(par, ctx, t1, t2)
-        inv = tv.pair
-        res = max(
-            res,
-            _dev(cp.T1 - tv.n_lower @ t2),
-            _dev(cp.T2 - t1 @ tv.n_lower),
-            abs(t1 @ cp.T1 + t2 @ cp.T2 - 2.0 * scalar_product(par, ctx, t1, t2)),
-        )
-        tt11, tt22, tt12, cap_u, _ = _pair_dots(ctx.r_pq_inv, cp.T1, cp.T2)
-        ca, sa = math.cos(inv.alpha), math.sin(inv.alpha)
-        cc, ss = ca * ca, sa * sa / par.h**2
-        eps = co_orientation(par, inv.alpha)
-        res = max(
-            res,
-            abs(tt11 - inv.dot22 * (cc + ss)),
-            abs(tt22 - inv.dot11 * (cc + ss)),
-            abs(tt12 - ((cc - ss) * inv.dot12 + 2.0 / par.h * inv.u * sa * ca)),
-            abs(eps * cap_u - (2.0 / par.h * inv.dot12 * sa * ca - (cc - ss) * inv.u)),
-            abs(cp.f_scale + eps * cap_u / inv.u),
-        )
+    t1, t2 = draw_pairs(rng, ctx, par, trials, max_alpha=0.95 * math.pi, regime_margin=0.05)
+    cp = covector_pair(par, ctx, t1, t2)
+    tv = two_vector_metric(par, ctx, t1, t2)
+    inv = tv.pair
+    dot = lambda x, y: np.einsum("ip,ip->i", x, y)
+    codot = lambda x, y: _dots(ctx.r_pq_inv, x, y)
+    sp = scalar_product(par, ctx, t1, t2)
+    tt11, tt22, tt12, cap_u, _ = _pair_dots(ctx.r_pq_inv, cp.T1, cp.T2)
+    ca, sa = np.cos(inv.alpha), np.sin(inv.alpha)
+    cc, ss = ca * ca, sa * sa / par.h**2
+    eps_u = co_orientation(par, inv.alpha) * cap_u
+    # the co-vectors at coincidence
+    cpc = covector_pair(par, ctx, t1, t1 + 1e-8 * t2)
+    return trials, _dev(
+        cp.T1 - np.einsum("ipq,iq->ip", tv.n_lower, t2),
+        cp.T2 - np.einsum("ip,ipq->iq", t1, tv.n_lower),
+        dot(t1, cp.T1) + dot(t2, cp.T2) - 2.0 * sp,
+        tt11 - inv.dot22 * (cc + ss),
+        tt22 - inv.dot11 * (cc + ss),
+        tt12 - ((cc - ss) * inv.dot12 + 2.0 / par.h * inv.u * sa * ca),
+        eps_u - (2.0 / par.h * inv.dot12 * sa * ca - (cc - ss) * inv.u),
+        cp.f_scale + eps_u / inv.u,
         # rotation-like inversions of the product pair
-        res = max(
-            res,
-            abs((cc + ss) ** 2 * inv.u - (2.0 / par.h * tt12 * sa * ca - (cc - ss) * eps * cap_u)),
-            abs((cc + ss) ** 2 * inv.dot12 - ((cc - ss) * tt12 + 2.0 / par.h * sa * ca * eps * cap_u)),
-            abs(
-                (cc + ss) * (-inv.dot12 * sa / par.h + inv.u * ca)
-                - (tt12 * sa / par.h - eps * cap_u * ca)
-            ),
-        )
+        (cc + ss) ** 2 * inv.u - (2.0 / par.h * tt12 * sa * ca - (cc - ss) * eps_u),
+        (cc + ss) ** 2 * inv.dot12 - ((cc - ss) * tt12 + 2.0 / par.h * sa * ca * eps_u),
+        (cc + ss) * (-inv.dot12 * sa / par.h + inv.u * ca) - (tt12 * sa / par.h - eps_u * ca),
         # D battery
-        res = max(
-            res,
-            abs(ctx.codot(cp.T1, cp.D1)),
-            abs(ctx.codot(cp.T2, cp.D2)),
-            abs(ctx.codot(cp.D1, cp.D2) + tt12),
-            abs(ctx.codot(cp.D1, cp.D1) - tt11),
-            abs(ctx.codot(cp.D2, cp.D2) - tt22),
-            abs(ctx.codot(cp.D1, cp.T2) - cap_u),
-            abs(ctx.codot(cp.T1, cp.D2) - cap_u),
-        )
+        codot(cp.T1, cp.D1),
+        codot(cp.T2, cp.D2),
+        codot(cp.D1, cp.D2) + tt12,
+        codot(cp.D1, cp.D1) - tt11,
+        codot(cp.D2, cp.D2) - tt22,
+        codot(cp.D1, cp.T2) - cap_u,
+        codot(cp.T1, cp.D2) - cap_u,
         # co-version of the scalar product (read as <T1, T2>): equals the
         # primal product scaled by cos^2 + sin^2/h^2
-        res = max(
-            res,
-            abs(
-                math.sqrt(tt11 * tt22) * math.cos(inv.alpha)
-                - (cc + ss) * scalar_product(par, ctx, t1, t2)
-            ),
-        )
-        # coincidence of the co-vectors
-        t2c = t1 + 1e-8 * t2
-        cpc = covector_pair(par, ctx, t1, t2c)
-        res = max(res, min(_dev(cpc.T1 - ctx.lower(t1)), 1.0) * 1e-4)
-    return trials, res
+        np.sqrt(tt11 * tt22) * ca - (cc + ss) * sp,
+        np.minimum(np.max(np.abs(cpc.T1 - _lower(ctx.r_pq, t1)), axis=-1), 1.0) * 1e-4,
+    )
 
 
 def check_covector_metric_fd(par, ctx, rng, trials, tol):
     res = 0.0
     m = _budget(trials, 8)
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, m, unit=True, max_alpha=0.95 * math.pi, regime_margin=0.05)):
-        tv = two_vector_metric(par, ctx, t1, t2)
-        fd1 = numdiff.jacobian(numdiff.rowwise(lambda y: covector_pair(par, ctx, t1, y).T1), t2)
-        fd2 = numdiff.jacobian(numdiff.rowwise(lambda x: covector_pair(par, ctx, x, t2).T2), t1)
-        res = max(res, _dev(fd1 - tv.n_lower), _dev(fd2 - tv.n_lower.T))
+    t1s, t2s = draw_pairs(rng, ctx, par, m, unit=True, max_alpha=0.95 * math.pi, regime_margin=0.05)
+    for t1, t2, n in zip(t1s, t2s, two_vector_metric(par, ctx, t1s, t2s).n_lower):
+        fd1 = numdiff.jacobian(lambda y: covector_pair(par, ctx, t1, y).T1, t2)
+        fd2 = numdiff.jacobian(lambda x: covector_pair(par, ctx, x, t2).T2, t1)
+        res = max(res, _dev(fd1 - n, fd2 - n.T))
     return m, res
 
 
 def check_covector_inversion(par, ctx, rng, trials, tol):
-    res = 0.0
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, trials, max_alpha=0.95 * math.pi, regime_margin=0.05)):
-        inv = pair_invariants(par, ctx, t1, t2)
-        cp = covector_pair(par, ctx, t1, t2)
-        r1, r2 = invert_covectors(par, ctx, cp.T1, cp.T2, inv.alpha)
-        res = max(res, _dev(r1 - t1), _dev(r2 - t2))
-    return trials, res
+    t1, t2 = draw_pairs(rng, ctx, par, trials, max_alpha=0.95 * math.pi, regime_margin=0.05)
+    cp = covector_pair(par, ctx, t1, t2)
+    r1, r2 = invert_covectors(par, ctx, cp.T1, cp.T2, pair_invariants(par, ctx, t1, t2).alpha)
+    return trials, _dev(r1 - t1, r2 - t2)
 
 
 def check_co_angle(par, ctx, rng, trials, tol):
@@ -1045,19 +1042,17 @@ def check_co_angle(par, ctx, rng, trials, tol):
 
 
 def check_oplus(par, ctx, rng, trials, tol):
-    res = 0.0
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, trials, min_cos=0.1)):
-        t3 = oplus_first_order(par, ctx, t1, t2)
-        res = max(res, _dev(t3 - oplus_first_order(par, ctx, t2, t1)))
-        if par.g == 0.0:
-            res = max(res, _dev(t3 - (t1 + t2)))
-        # first-order residual bound ~ O(k^2)
-        k = 1.0 / par.h - 1.0
-        r1, r2 = parallelogram_residuals(par, ctx, t1, t2, t3)
-        scale = max(ctx.s_norm(t1), ctx.s_norm(t2))
-        bound = 60.0 * k * k * scale + 1e-12
-        res = max(res, max(abs(r1), abs(r2)) / bound * tol if bound > 0 else 0.0)
-    return trials, res
+    t1, t2 = draw_pairs(rng, ctx, par, trials, min_cos=0.1)
+    t3 = oplus_first_order(par, ctx, t1, t2)
+    # first-order residual bound ~ O(k^2)
+    k = 1.0 / par.h - 1.0
+    r1, r2 = parallelogram_residuals(par, ctx, t1, t2, t3)
+    bound = 60.0 * k * k * np.maximum(_norms(ctx, t1), _norms(ctx, t2)) + 1e-12
+    return trials, _dev(
+        t3 - oplus_first_order(par, ctx, t2, t1),
+        t3 - (t1 + t2) if par.g == 0.0 else [],
+        np.maximum(np.abs(r1), np.abs(r2)) / bound * tol,
+    )
 
 
 def check_oplus_order(par, ctx, rng, trials, tol):
@@ -1065,21 +1060,15 @@ def check_oplus_order(par, ctx, rng, trials, tol):
     ks = [1e-1, 1e-2, 1e-3]
     par_big = make_parameter(2.0 * math.sqrt(1.0 - (1.0 / (1.0 + ks[0])) ** 2))
     m = _budget(trials, 16)
-    pairs = list(zip(*draw_pairs(rng, ctx, par_big, m, min_cos=0.2)))
+    t1, t2 = draw_pairs(rng, ctx, par_big, m, min_cos=0.2)
     worst_res = []
     worst_comp = []
     for k in ks:
         h = 1.0 / (1.0 + k)
         p = make_parameter(2.0 * math.sqrt(1.0 - h * h))
-        w_r, w_c = 0.0, 0.0
-        for t1, t2 in pairs:
-            t3 = oplus_first_order(p, ctx, t1, t2)
-            r1, r2 = parallelogram_residuals(p, ctx, t1, t2, t3)
-            w_r = max(w_r, abs(r1), abs(r2))
-            back = ominus_first_order(p, ctx, t1, t3)
-            w_c = max(w_c, _dev(back - t2))
-        worst_res.append(w_r)
-        worst_comp.append(w_c)
+        t3 = oplus_first_order(p, ctx, t1, t2)
+        worst_res.append(_dev(*parallelogram_residuals(p, ctx, t1, t2, t3)))
+        worst_comp.append(_dev(ominus_first_order(p, ctx, t1, t3) - t2))
     lk = np.log(ks)
     slope_r = float(np.polyfit(lk, np.log(worst_res), 1)[0])
     slope_c = float(np.polyfit(lk, np.log(worst_comp), 1)[0])
@@ -1088,42 +1077,35 @@ def check_oplus_order(par, ctx, rng, trials, tol):
 
 
 def check_ominus(par, ctx, rng, trials, tol):
-    res = 0.0
-    for t1, t3 in zip(*draw_pairs(rng, ctx, par, trials, min_cos=0.05)):
-        v = t3 - t1
-        if ctx.s_norm(v) < 0.05:
-            continue
-        k = 1.0 / par.h - 1.0
-        if k == 0.0:
-            res = max(res, _dev(ominus_first_order(par, ctx, t1, t3) - v))
-            continue
-        s_vec = (ominus_first_order(par, ctx, t1, t3) - v) / k
-        _, _, _, u13, ang_a = _pair_dots(ctx.r_pq, t1, t3)
-        _, _, _, u_v3, ang_b = _pair_dots(ctx.r_pq, v, t3)
-        res = max(
-            res,
-            abs(ctx.dot(v, s_vec) - u13 * ang_a),
-            abs(ctx.dot(t1, s_vec) - u13 * ang_b),
-            abs(u_v3 - u13),
-        )
-    return trials, res
+    t1, t3 = draw_pairs(rng, ctx, par, trials, min_cos=0.05)
+    far = _norms(ctx, t3 - t1) >= 0.05  # the pairs checked
+    t1, t3 = t1[far], t3[far]
+    v = t3 - t1
+    k = 1.0 / par.h - 1.0
+    diff = ominus_first_order(par, ctx, t1, t3) - v
+    if k == 0.0:
+        return len(v), _dev(diff)
+    s_vec = diff / k
+    _, _, _, u13, ang_a = _pair_dots(ctx.r_pq, t1, t3)
+    _, _, _, u_v3, ang_b = _pair_dots(ctx.r_pq, v, t3)
+    return len(v), _dev(
+        _dots(ctx.r_pq, v, s_vec) - u13 * ang_a,
+        _dots(ctx.r_pq, t1, s_vec) - u13 * ang_b,
+        u_v3 - u13,
+    )
 
 
 def check_parallelogram_refine(par, ctx, rng, trials, tol):
-    res = 0.0
     m = _budget(trials, 4)
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, m, min_cos=0.1)):
-        t3 = parallelogram_refine(par, ctx, t1, t2)
-        r1, r2 = parallelogram_residuals(par, ctx, t1, t2, t3)
-        res = max(res, abs(r1), abs(r2))
-        if par.g == 0.0:
-            res = max(res, _dev(t3 - (t1 + t2)))
-        else:
-            k = 1.0 / par.h - 1.0
-            gap = _dev(t3 - oplus_first_order(par, ctx, t1, t2))
-            scale = max(ctx.s_norm(t1), ctx.s_norm(t2))
-            res = max(res, max(0.0, gap - 60.0 * k * k * scale) * 1e-3)
-    return m, res
+    t1, t2 = draw_pairs(rng, ctx, par, m, min_cos=0.1)
+    t3 = parallelogram_refine(par, ctx, t1, t2)
+    r1, r2 = parallelogram_residuals(par, ctx, t1, t2, t3)
+    if par.g == 0.0:
+        return m, _dev(r1, r2, t3 - (t1 + t2))
+    k = 1.0 / par.h - 1.0
+    gap = np.max(np.abs(t3 - oplus_first_order(par, ctx, t1, t2)), axis=-1)
+    scale = np.maximum(_norms(ctx, t1), _norms(ctx, t2))
+    return m, _dev(r1, r2, np.maximum(0.0, gap - 60.0 * k * k * scale) * 1e-3)
 
 
 def check_finsler_product(par, ctx, rng, trials, tol):
@@ -1298,30 +1280,28 @@ def check_euclidean_degeneration(par, ctx, rng, trials, tol):
     v, w = np.moveaxis(_vector_pairs(rng, ctx, trials), 1, 0)
     dot = lambda x, y: _dots(ctx.r_pq, x, y)
     sv, sw = _norms(ctx, v), _norms(ctx, w)
+    al = angle(p0, ctx, v, w)
+    # the first-order sum and difference need an acute, independent pair
+    ok = (np.sin(al) > _COLLINEAR_TOL) & (al < 0.5 * math.pi)
+    vo, wo = v[ok], w[ok]
     res = _dev(
         kfun(p0, ctx, v) - sv,
         metric_tensor(p0, ctx, v) - ctx.r_pq,
         quasi_metric(p0, ctx, v).n_lower - ctx.r_pq,
         sigma_map(p0, ctx, v) - v,
-        angle(p0, ctx, v, w) - np.arccos(np.clip(dot(v, w) / (sv * sw), -1.0, 1.0)),
+        al - np.arccos(np.clip(dot(v, w) / (sv * sw), -1.0, 1.0)),
         scalar_product(p0, ctx, v, w) - dot(v, w),
         distance_squared(p0, ctx, v, w) - dot(v - w, v - w),
+        oplus_first_order(p0, ctx, vo, wo) - (vo + wo),
+        ominus_first_order(p0, ctx, vo, wo) - (wo - vo),
     )
-    # the chord and the first-order sum and difference take one pair
+    # the chord takes one pair
     for vi, wi in zip(v, w):
         try:
             ch = solve_chord(p0, ctx, vi, wi)
             s = 0.5 * ch.delta_s
             lerp = vi + (wi - vi) * (s / ch.delta_s)
             res = max(res, _dev(geodesic_point(ch, s) - lerp))
-        except FinsleroidError:
-            pass
-        try:  # the first-order sum and difference need an acute, independent pair
-            res = max(
-                res,
-                _dev(oplus_first_order(p0, ctx, vi, wi) - (vi + wi)),
-                _dev(ominus_first_order(p0, ctx, vi, wi) - (wi - vi)),
-            )
         except FinsleroidError:
             pass
     return trials, res

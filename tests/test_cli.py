@@ -340,14 +340,25 @@ def test_geodesic_non_finite_pullback_exits_1(monkeypatch, capsys, fmt):
     assert err == "error: non-finite pulled-back samples in float64\n"
 
 
-def test_geodesic_overflowing_chord_exits_1(capsys):
-    # |t|^2 along this chord leaves float64, so geodesic_point's samples are not finite
-    argv = ["geodesic", "--g", "1", "--t1=1e154,0,5e153", "--t2=2e153,1e154,4e153", "--samples", "2"]
+def test_geodesic_chord_near_1e154_is_homogeneous(capsys):
+    # a^2 and |t|^2 along this chord leave float64; the chord is evaluated
+    # at an exact power-of-two scale, so its samples are those of the unit
+    # pair scaled by 1e154 (the pullback is 1-homogeneous too)
+    big, unit = ("--t1=1e154,0,5e153", "--t2=2e153,1e154,4e153"), ("--t1=1,0,0.5", "--t2=0.2,1,0.4")
     for extra in ([], ["--pullback"]):
+        samples = {}
         for fmt in ("json", "csv"):
-            code, out, err = run_cli(capsys, *argv, *extra, "--format", fmt)
-            assert (code, out) == (1, "")
-            assert err == "error: non-finite geodesic samples in float64\n"
+            for pair in (big, unit):
+                code, out, err = run_cli(capsys, "geodesic", "--g", "1", *pair, "--samples", "6", *extra, "--format", fmt)
+                assert (code, err) == (0, "")
+                if fmt == "json":
+                    rows = json.loads(out)["samples"]
+                    samples[pair] = np.array([[s["s"], *s["t"], *s.get("r", [])] for s in rows])
+                else:
+                    rows = [line.split(",") for line in out.splitlines() if not line.startswith(("#", "s,"))]
+                    np.testing.assert_array_equal(np.array(rows, dtype=float)[:, :-1], samples[pair])
+        want = 1e154 * samples[unit]
+        np.testing.assert_allclose(samples[big], want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

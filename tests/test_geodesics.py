@@ -343,3 +343,20 @@ def test_chord_at_scale_extremes_follows_homogeneity(lam, size):
         assert getattr(ch, name) == pytest.approx(lam * getattr(ref, name), rel=1e-14), name
     assert ch.alpha == pytest.approx(ref.alpha, rel=1e-14)
 
+
+
+@pytest.mark.parametrize("k", [-500, -200, 200, 511])
+def test_chord_points_at_scale_extremes_follow_homogeneity(k):
+    # S^2(s) = a^2 + 2 b s + s^2 and the interpolation terms leave float64
+    # near 1e+-154: the chord is evaluated at 2^-e (a, b, s), so a pair
+    # scaled by 2^k gives the points (degree 1), radii (1) and velocities
+    # (0) of the unscaled pair scaled exactly
+    par, ctx = fl.make_parameter(1.0), fl.MetricContext(3)
+    t1, t2 = np.array([1.5, 0.0, 0.75]), np.array([0.3, 1.5, 0.6])  # 2^511 t1 is about 1.2e154
+    lam = 2.0**k
+    for u1, u2 in ((t1, t2), (t1, 0.5 * t1)):  # a chord and a radial chord
+        ref, ch = fl.solve_chord(par, ctx, u1, u2), fl.solve_chord(par, ctx, lam * u1, lam * u2)
+        s = np.linspace(0.0, ref.delta_s, 9)
+        np.testing.assert_array_max_ulp(fl.geodesic_point(ch, lam * s), lam * fl.geodesic_point(ref, s), maxulp=2)
+        np.testing.assert_array_max_ulp(ch.radius(lam * s), lam * ref.radius(s), maxulp=2)
+        np.testing.assert_allclose(fl.geodesic_velocity(ch, lam * s), fl.geodesic_velocity(ref, s), rtol=0.0, atol=1e-15)

@@ -105,13 +105,3 @@ def test_kernel_stencils_match_point_loops(rng):
     prod = lambda x, y: fl.finsler_product(par, ctx, x, y).product
     np.testing.assert_array_equal(numdiff.mixed_second(prod, r, s), loop_mixed_second(prod, r, s))
 
-
-def test_rowwise_adapts_single_vector_functions(rng):
-    par = fl.make_parameter(0.6)
-    ctx = fl.MetricContext(3)
-    t = rng.uniform(-1, 1, 3)
-    f = lambda x: fl.quasi_metric(par, ctx, x).n_lower
-    np.testing.assert_array_equal(numdiff.jacobian(numdiff.rowwise(f), t), loop_jacobian(f, t))
-    g, calls = _counted(lambda x, y: fl.scalar_product(par, ctx, x, y))
-    two = numdiff.rowwise(g)(np.ones((4, 3)), np.eye(3)[[0, 1, 2, 0]])
-    assert two.shape == (4,) and len(calls) == 4

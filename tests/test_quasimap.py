@@ -302,7 +302,7 @@ def test_mu_map_rows_rejected(ctx):
             fl.mu_map(par, ctx, np.ones(shape))
     # the kernels that stay per-vector keep to one vector
     with pytest.raises(fl.OutOfRangeError):
-        fl.covector_pair(par, ctx, np.ones((2, n)), np.eye(n)[:2])
+        fl.solve_chord(par, ctx, np.ones((2, n)), np.eye(n)[:2])
 
 
 def test_mu_near_two_raises_typed_errors():

@@ -3,6 +3,7 @@ row-wise agreement with single calls, errors that name the offending row,
 and typed errors or prescaled values instead of NaN at scale extremes."""
 
 import dataclasses
+import math
 import operator
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import finsleroid as fl
 from finsleroid import oracles
+from finsleroid.twovector import co_orientation
 
 GS = [0.0, 0.7, -1.1, 1.5]
 # the metric kernels of R, whose rows at scale extremes raise NumericalDomainError
@@ -252,7 +254,27 @@ PAIR_KERNELS = {
     "two_vector_determinant_reference": lambda par, ctx, a, b: [
         oracles.two_vector_determinant_reference(par, ctx, a, b)
     ],
+    "covector_pair": lambda par, ctx, a, b: [
+        getattr(fl.covector_pair(par, ctx, a, b), f) for f in ("T1", "T2", "D1", "D2", "f_scale")
+    ],
+    # (a, b) read as a co-vector pair, with alpha the angle of each pair
+    "invert_covectors": lambda par, ctx, a, b: list(fl.invert_covectors(par, ctx, a, b, fl.angle(par, ctx, a, b))),
+    "frame": lambda par, ctx, a, b: [fl.frame(par, ctx, a, b)],
+    "frame_reconstruct": lambda par, ctx, a, b: [fl.frame_reconstruct(par, ctx, a, b)],
+    "oplus_first_order": lambda par, ctx, a, b: [fl.oplus_first_order(par, ctx, a, b)],
+    "ominus_first_order": lambda par, ctx, a, b: [fl.ominus_first_order(par, ctx, a, b)],
+    "parallelogram_refine": lambda par, ctx, a, b: [fl.parallelogram_refine(par, ctx, a, b)],
 }
+# the kernels of acute pairs (alpha < pi/2): the parallelogram law, and the
+# frame and the inversion, which large angles take out of their domain
+ACUTE = {"invert_covectors", "frame", "frame_reconstruct", "oplus_first_order", "parallelogram_refine"}
+
+
+def _acute(ctx, T1, T2):
+    """The pairs (T1, T1 + 0.4 S(T1) T2/S(T2)), of euclidean angle at most
+    asin(0.4), so alpha < pi/2 for |g| <= 1.5; collinear pairs stay collinear."""
+    norm = lambda x: np.sqrt(np.einsum("...p,pq,...q->...", x, ctx.r_pq, x))[..., None]
+    return T1 + 0.4 * norm(T1) / norm(T2) * T2
 
 
 def _pair_rows(rng, n, count=24):
@@ -273,8 +295,9 @@ def _pair_rows(rng, n, count=24):
 def test_pair_kernel_rows_match_single_pairs(g, n, rng):
     par = fl.make_parameter(g)
     ctx = _spd_context(rng, n)
-    T1, T2 = _pair_rows(rng, n)
+    T1, U2 = _pair_rows(rng, n)
     for name, fn in PAIR_KERNELS.items():
+        T2 = _acute(ctx, T1, U2) if name in ACUTE else U2
         single = [fn(par, ctx, a, b) for a, b in zip(T1, T2)]
         batched = fn(par, ctx, T1, T2)
         stacked = fn(par, ctx, T1[:8].reshape(2, 4, n), T2[:8].reshape(2, 4, n))
@@ -308,7 +331,8 @@ def test_pair_kernel_rows_rejected(name, rng):
     L = T2.copy()
     L[4] = 2.5 * T1[4]
     if name in ("pair_invariants", "two_vector_metric", "finsler_two_vector_tensor",
-                "two_vector_determinant_reference"):
+                "two_vector_determinant_reference", "covector_pair", "invert_covectors", "frame",
+                "frame_reconstruct", "oplus_first_order", "ominus_first_order", "parallelogram_refine"):
         with pytest.raises(fl.CollinearError, match=r"sin\(theta\) = [-+.0-9e]+ <= 1e-12 \(row 4\)"):
             fn(par, ctx, T1, L)
     elif name == "finsler_product":
@@ -322,11 +346,77 @@ def test_pair_kernels_broadcast(rng):
     # finite-difference stencils use them
     par = fl.make_parameter(-1.1)
     ctx = _spd_context(rng, 3)
-    T1, T2 = _pair_rows(rng, 3, 6)
+    U1, T2 = _pair_rows(rng, 3, 6)
     for name, fn in PAIR_KERNELS.items():
+        T1 = _acute(ctx, np.broadcast_to(T2[5], U1.shape), U1) if name in ACUTE else U1
         for rows, ref in zip(fn(par, ctx, T1, T2[5]), fn(par, ctx, T1, np.broadcast_to(T2[5], T1.shape))):
             # a field of the second vector alone (dot22) keeps its own shape
             assert_rows_match(np.broadcast_to(rows, ref.shape), ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("g", GS)
+def test_parallelogram_residual_rows_match_single_triples(g, n, rng):
+    par = fl.make_parameter(g)
+    ctx = _spd_context(rng, n)
+    T1, T2 = _pair_rows(rng, n)
+    T2 = _acute(ctx, T1, T2)
+    T3 = fl.parallelogram_refine(par, ctx, T1, T2) + 1e-3 * rng.uniform(-1, 1, T1.shape)
+    single = np.array([fl.parallelogram_residuals(par, ctx, *t) for t in zip(T1, T2, T3)])
+    assert all(np.ndim(x) == 0 for x in fl.parallelogram_residuals(par, ctx, T1[0], T2[0], T3[0]))
+    for rows, ref in zip(fl.parallelogram_residuals(par, ctx, T1, T2, T3), single.T):
+        assert_rows_match(rows, ref)
+    # stacked triples, and a stack of sums against one pair
+    for rows, ref in zip(fl.parallelogram_residuals(par, ctx, *(x[:8].reshape(2, 4, n) for x in (T1, T2, T3))),
+                         single.T):
+        assert_rows_match(rows.ravel(), ref[:8])
+    wide = [np.broadcast_to(x, T3.shape) for x in (T1[0], T2[0])]
+    for rows, ref in zip(fl.parallelogram_residuals(par, ctx, T1[0], T2[0], T3),
+                         fl.parallelogram_residuals(par, ctx, *wide, T3)):
+        assert_rows_match(rows, ref)
+
+
+def test_co_orientation_is_elementwise():
+    par = fl.make_parameter(1.9)
+    alpha = np.linspace(0.0, math.pi / par.h, 42).reshape(2, 21)
+    single = np.array([[co_orientation(par, float(a)) for a in row] for row in alpha])
+    assert set(single.ravel()) == {-1.0, 1.0}  # both regimes at large g
+    np.testing.assert_array_equal(co_orientation(par, alpha), single)
+
+
+def test_two_vector_kernels_name_rejected_pairs(rng):
+    # the precondition of each two-vector kernel is tested pair by pair, and
+    # the message names the first pair that fails it
+    par, ctx = fl.make_parameter(1.5), fl.MetricContext(3)
+    T1, T2 = _pair_rows(rng, 3, 6)
+    T2 = _acute(ctx, T1, T2)
+    for fn in (fl.frame, fl.frame_reconstruct, fl.oplus_first_order, fl.parallelogram_refine,
+               fl.ominus_first_order):
+        fn(par, ctx, T1, T2)
+    # at g = 1.9 an angle alpha = 0.9 pi < pi makes a frame radicand negative
+    wide, theta = T2.copy(), 0.9 * math.pi * fl.make_parameter(1.9).h
+    d = T2[4] - (T1[4] @ T2[4]) / (T1[4] @ T1[4]) * T1[4]
+    wide[4] = math.cos(theta) * T1[4] + math.sin(theta) * np.linalg.norm(T1[4]) / np.linalg.norm(d) * d
+    fl.frame(fl.make_parameter(1.9), ctx, T1[:4], T2[:4])
+    with pytest.raises(fl.NumericalDomainError, match=r"negative frame radicand for this pair \(row 4\)"):
+        fl.frame(fl.make_parameter(1.9), ctx, T1, wide)
+    back = T2.copy()
+    back[4] = -T1[4] + 0.3 * T2[4]  # alpha beyond pi
+    with pytest.raises(fl.NumericalDomainError, match=r"frame needs sin\(alpha\) >= 0 .* \(row 4\)"):
+        fl.frame(par, ctx, T1, back)
+    obtuse = T2.copy()
+    obtuse[3] = np.cross(T1[3], T2[3])  # euclid-orthogonal: alpha = pi/(2h) > pi/2
+    for fn in (fl.oplus_first_order, fl.parallelogram_refine):
+        with pytest.raises(fl.ObtuseInputError, match=r"needs alpha < pi/2, got [0-9.]+ \(row 3\)"):
+            fn(par, ctx, T1, obtuse)
+    with pytest.raises(fl.ObtuseInputError, match=r"\(row \(1, 1\)\)"):
+        fl.oplus_first_order(par, ctx, T1[:4].reshape(2, 2, 3), obtuse[:4].reshape(2, 2, 3))
+    same = T2.copy()
+    same[2] = T1[2]
+    with pytest.raises(fl.ZeroVectorError, match=r"difference of coincident vectors \(row 2\)"):
+        fl.ominus_first_order(par, ctx, T1, same)
+    with pytest.raises(fl.NumericalDomainError, match=r"inversion needs 0 < alpha < pi, got 4\.0 \(row 1\)"):
+        fl.invert_covectors(par, ctx, T1, T2, np.array([1.0, 4.0, 5.0, 1.0, 1.0, 1.0]))
 
 
 def test_cosine_guard_names_the_pair():

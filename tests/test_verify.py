@@ -261,6 +261,11 @@ FAULTS = {
     "quasimap.quasi_metric": ("quasi_metric", _scaled_field("n_lower")),
     "tensors.cartan_algebraic_form": ("cartan_tensor", _scaled_field("c_lower")),
     "quasimap.mu_jacobian": ("mu_jacobian", lambda f: lambda *a: f(*a) * (1 + 1e-6)),
+    # the stacked two-vector checks
+    "twovector.covector_closed": ("covector_pair", _scaled_field("T1")),
+    "twovector.frame": ("frame", lambda f: lambda *a: f(*a) * (1 + 1e-6)),
+    # an asymmetric fault: the sum of (t1, t2) moves along t1
+    "twovector.oplus": ("oplus_first_order", lambda f: lambda par, ctx, t1, t2: f(par, ctx, t1, t2) + 1e-6 * t1),
 }
 
 
