@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .core import MetricContext, make_parameter, parse_metric_spec, scalar_bundle
+from .core import MetricContext, kfun, make_parameter, parse_metric_spec, scalar_bundle
 from .errors import FinsleroidError, NumericalDomainError, OnAxisError, OutOfRangeError
 from .geodesics import geodesic_point, in_segment, solve_chord
 from .quasimap import mu_map
@@ -56,7 +56,9 @@ def cmd_eval(args) -> int:
         print(f"error: vector has {vec.size} components, dimension is {dim}", file=sys.stderr)
         return 2
     ctx = _context(args, dim)
-    sb = scalar_bundle(par, ctx, vec)
+    sb = scalar_bundle(par, ctx, vec)  # the raw fields, which leave float64 beyond about 1e154
+    fields = {"q": sb.q, "b_form": sb.B, "phi": sb.phi, "j": sb.J}
+    scalars = {key: _finite(float(x), key) for key, x in fields.items()}
     gm = metric_tensor(par, ctx, vec)
     with np.errstate(over="ignore", invalid="ignore"):
         det_g = _finite(float(np.linalg.det(gm)), "det(g_pq)")
@@ -76,11 +78,8 @@ def cmd_eval(args) -> int:
         "h": par.h,
         "dim": dim,
         "vector": vec,
-        "q": float(sb.q),
-        "b_form": float(sb.B),
-        "phi": float(sb.phi),
-        "j": float(sb.J),
-        "k": float(sb.K),
+        **scalars,
+        "k": float(kfun(par, ctx, vec)),
         "metric_tensor": gm,
         "det_metric": det_g,
         "det_identity": det_identity,
@@ -110,8 +109,7 @@ def cmd_geodesic(args) -> int:
     ctx = _context(args, t1.size)
     chord = solve_chord(par, ctx, t1, t2)
     svals = np.linspace(0.0, chord.delta_s, args.samples + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
-        pts = geodesic_point(chord, svals)
+    pts = geodesic_point(chord, svals)
     # checked before mu_map, which would reject a non-finite point as bad input (exit 2)
     table = _finite(np.column_stack([svals, pts]), "geodesic samples")
     if args.pullback:

@@ -14,6 +14,7 @@ level set K = 1 (the "finsleroid") replaces the unit sphere.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -98,31 +99,12 @@ def _require(ok, error, message: str, value=None) -> None:
 
 
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
-
-
-def _normal(x) -> bool:
-    """Whether each per-row scalar x is a finite normal float64.  One
-    vector's x is a float64 scalar, which a Python comparison tests at a
-    tenth of the cost of the array test."""
-    if isinstance(x, np.ndarray):
-        return bool(((x >= _TINY) & (x <= _HUGE)).all())
-    return _TINY <= x <= _HUGE
-
-
-def _require_normal(squares, what: str) -> None:
-    """Raise NumericalDomainError where a squared norm is not a finite
-    normal float64 (the vectors are beyond about 1e154 or below about
-    1e-154), naming the first such row.  ``squares`` has shape (k, ...):
-    the k squared norms of each row, k = 1 for a vector, 2 for a pair."""
-    normal = (squares >= _TINY) & (squares <= _HUGE)
-    if np.count_nonzero(normal) != normal.size:
-        bad = ~normal.all(axis=0)
-        first = squares[:, bad][:, 0] if bad.ndim else squares
-        values = ", ".join(repr(float(x)) for x in first)
-        noun = "squared norms {} leave" if len(first) > 1 else "squared norm {} leaves"
-        raise NumericalDomainError(
-            f"{what}: {noun.format(values)} the float64 range" + _first_row(bad)
-        )
+# a row inside 2^(+-100) is evaluated as it is
+_LO, _HI = 2.0**-100, 2.0**100
+# the vectors of a pair or triple, scaled by 2^-e for the largest, lie above
+# this, so that their terms of degree 3 (q B in the sigma Jacobian) stay
+# normal float64 numbers
+_SMALLEST = 2.0**-300
 
 
 def _outer(u, v):
@@ -193,8 +175,10 @@ class MetricContext:
         self.r_pq_inv = np.linalg.inv(r_pq)
         # vielbein: r_pq = sum_R e[R,p] e[R,q], frame components t^R = e[R,p] t^p
         self.vielbein = np.linalg.cholesky(r_pq).T
-        self._ones = np.ones(n)
-        for arr in (self.r_ab, self.r_pq, self.r_ab_inv, self.r_pq_inv, self.vielbein, self._ones):
+        # 2^-k with 2^k >= 2N: a row's L1 norm times it is exact and below
+        # half the largest component, so it cannot overflow
+        self._l1_weights = np.full(n, 0.5 ** math.ceil(math.log2(2 * n)))
+        for arr in (self.r_ab, self.r_pq, self.r_ab_inv, self.r_pq_inv, self.vielbein, self._l1_weights):
             arr.setflags(write=False)
 
     def q(self, bold) -> float:
@@ -233,29 +217,43 @@ class MetricContext:
     def raise_(self, xi) -> np.ndarray:
         return self.r_pq_inv @ np.asarray(xi, dtype=float)
 
-    def check_rows(self, x, nonzero: bool = False) -> np.ndarray:
+    def check_rows(self, x, nonzero: bool = False):
         """Validate N-vectors stacked along leading axes, shape (..., N); a
-        non-finite (or, with ``nonzero``, zero) row raises naming its index."""
+        non-finite (or, with ``nonzero``, zero) row raises naming its index.
+
+        Returns (v, e): the rows as float64, and the exponent at which the
+        kernels evaluate them (see _scaled_rows).  e is the int 0 when every
+        row lies inside 2^(+-100) (its scaled L1 norm does); otherwise it has
+        the leading shape and holds, row by row, 0 for such a row and the
+        binary exponent of the largest component, rounded up to even, for
+        any other.
+        """
         v = np.asarray(x, dtype=float)
         if v.ndim == 0 or v.shape[-1] != self.n:
             raise OutOfRangeError(f"expected vectors of length {self.n}, got shape {v.shape}")
-        l1 = np.abs(v) @ self._ones  # row L1 norms: 0 only for a zero row
+        l1 = np.abs(v) @ self._l1_weights  # NaN for a row with a NaN
         # one vector's l1 is a float64 scalar, which a Python comparison
         # tests at a tenth of the cost of the array test
         if isinstance(l1, np.ndarray):
-            ok = not np.count_nonzero(~((l1 < math.inf) & ((l1 > 0.0) | (not nonzero))))
+            inside = (l1 > _LO) & (l1 < _HI)
+            if inside.all():
+                return v, 0
+        elif _LO < l1 < _HI:
+            return v, 0
         else:
-            ok = (l1 > 0.0 or not nonzero) and l1 < math.inf
-        if not ok:
-            infinite = ~np.isfinite(v).all(axis=-1)
-            if infinite.any():
-                raise OutOfRangeError("vector components must be finite" + _first_row(infinite))
-            if nonzero and not (l1 > 0.0).all():
-                raise ZeroVectorError("operation requires a nonzero vector" + _first_row(~(l1 > 0.0)))
-        return v
+            inside = False
+        infinite = ~np.isfinite(v).all(axis=-1)
+        if infinite.any():
+            raise OutOfRangeError("vector components must be finite" + _first_row(infinite))
+        top = np.maximum.reduce(np.abs(v), axis=-1)
+        if nonzero and not (top > 0.0).all():
+            raise ZeroVectorError("operation requires a nonzero vector" + _first_row(~(top > 0.0)))
+        e = np.frexp(top)[1]
+        # an even e keeps square roots exact: sqrt(2^-2e x) = 2^-e sqrt(x)
+        return v, np.where(inside, 0, e + (e & 1))
 
-    def check_vector(self, x, nonzero: bool = False) -> np.ndarray:
-        """Validate one N-vector, shape (N,)."""
+    def check_vector(self, x, nonzero: bool = False):
+        """Validate one N-vector, shape (N,); returns (v, e) as check_rows."""
         if np.ndim(x) != 1:
             raise OutOfRangeError(f"expected a 1-d vector, got shape {np.shape(x)}")
         return self.check_rows(x, nonzero)
@@ -341,8 +339,7 @@ class ScalarBundle(NamedTuple):
 
 def q_norm(ctx: MetricContext, R) -> float:
     """q(R) = sqrt(r_ab R^a R^b), the norm of the non-axis part."""
-    R = ctx.check_vector(R)
-    return ctx.q(R[:-1])
+    return ctx.q(ctx.check_vector(R)[0][:-1])
 
 
 def phi_function(par: GParameter, q, z):
@@ -370,7 +367,7 @@ def scalar_bundle(par: GParameter, ctx: MetricContext, R) -> ScalarBundle:
     """Evaluate q, Z, B, Q, E, A, L, Phi, J and K at nonzero vectors R,
     shape (..., N); each field has the leading shape (a scalar for one
     vector).  At scale extremes a field may be 0 or not finite."""
-    return _bundle(par, ctx, ctx.check_rows(R, nonzero=True))
+    return _bundle(par, ctx, ctx.check_rows(R, nonzero=True)[0])
 
 
 def _bundle(par: GParameter, ctx: MetricContext, R) -> ScalarBundle:
@@ -380,46 +377,96 @@ def _bundle(par: GParameter, ctx: MetricContext, R) -> ScalarBundle:
         return _bundle_from_qz(par, ctx.q_rows(R[..., :-1]), R[..., -1][()])
 
 
-def kfun(par: GParameter, ctx: MetricContext, R):
-    """The metric function K(g; R), over rows (..., N) like ``scalar_bundle``."""
-    k = scalar_bundle(par, ctx, R).K
-    bad = ~((k > 0.0) & (k < math.inf))
-    if np.count_nonzero(bad):
-        raise NumericalDomainError("K is 0 or not finite at this scale" + _first_row(bad))
-    return k
-
-
 def _require_finite(out, lead_ndim: int, what: str) -> None:
     """Raise NumericalDomainError naming the first row, over the leading
-    ``lead_ndim`` axes of ``out``, whose result is not finite (scale
-    extremes)."""
+    ``lead_ndim`` axes of ``out``, whose result is not finite."""
     bad = ~np.isfinite(out)
     if np.count_nonzero(bad):
         bad = bad.reshape(bad.shape[:lead_ndim] + (-1,)).any(axis=-1)
         raise NumericalDomainError(f"{what} is not finite at this scale" + _first_row(bad))
 
 
-def _rows_kernel(what: str):
+def _scaled_rows(ctx: MetricContext, *stacks):
+    """Nonzero rows at the scale where the kernels evaluate them.
+
+    ``stacks`` is one stack of rows, shape (..., N), or a pair or triple of
+    stacks that broadcast against each other, each validated by
+    ``ctx.check_rows``.  Returns (*rows, e) with the rows scaled by 2^-e,
+    an exact scaling: e, per row, is the exponent of the largest vector of
+    the row, so that its largest component lies in [1/4, 1), and the int 0
+    when every vector lies inside 2^(+-100), where the rows are returned as
+    they are.  A kernel of degree d is then 2^(d e) times its value at the
+    scaled rows (see _scaled_back).  NumericalDomainError names the first row
+    of a pair or triple whose smaller vector lies more than about 2^300
+    below its largest.
+    """
+    checked = [ctx.check_rows(x, nonzero=True) for x in stacks]
+    rows = [v for v, _ in checked]
+    if not any(isinstance(e, np.ndarray) for _, e in checked):
+        return (*rows, 0)
+    e = np.asarray(functools.reduce(np.maximum, [e for _, e in checked]))
+    rows = [np.ldexp(v, -e[..., None]) for v in rows]
+    if len(rows) > 1:
+        low = functools.reduce(np.minimum, [np.maximum.reduce(np.abs(v), axis=-1) for v in rows])
+        _require(low > _SMALLEST, NumericalDomainError,
+                 "the vectors of this pair differ in scale by more than 2^300")
+    return (*rows, e)
+
+
+def _scaled_back(x, e, degree, what: str):
+    """A kernel's output x at rows scaled by 2^-e (see _scaled_rows),
+    brought back to the rows: 2^(degree e) x, by np.ldexp for an integer
+    degree and np.exp2 for a fractional one.  x is an array, None, or a
+    record or tuple of them, with ``degree`` then the tuple of the degrees
+    of its fields; for e the int 0 it is x itself.  NumericalDomainError
+    names the first row where a rescaled array is not finite.
+    """
+    if not isinstance(e, np.ndarray) or x is None or degree == 0:
+        return x
+    if isinstance(degree, tuple):
+        fields = [getattr(x, f.name) for f in dataclasses.fields(x)] if dataclasses.is_dataclass(x) else x
+        items = [_scaled_back(v, e, d, what) for v, d in zip(fields, degree)]
+        return tuple(items) if type(x) is tuple else type(x)(*items)
+    shift = e.reshape(e.shape + (1,) * (np.ndim(x) - e.ndim))
+    with np.errstate(over="ignore"):  # _require_finite reports it
+        x = np.ldexp(x, int(degree) * shift) if float(degree).is_integer() else x * np.exp2(degree * shift)
+    _require_finite(x, e.ndim, what)
+    return x
+
+
+def _rows_kernel(what: str, degree):
     """Turn a closed form f(par, ctx, R, sb) of rows R, shape (..., N), and
-    their scalar bundle into the kernel f(par, ctx, R), which builds the
-    bundle once, evaluates with floating-point warnings off and raises
-    NumericalDomainError naming the first row whose result is not finite
-    (scale extremes).  ``kernel.from_bundle`` is f itself.
+    their scalar bundle, of homogeneity degree ``degree`` in R, into the
+    kernel f(par, ctx, R).  The kernel evaluates f at 2^-e R (see
+    _scaled_rows) with floating-point warnings off and rescales it by
+    2^(degree e); NumericalDomainError names the first row whose result is
+    not finite.  ``kernel.from_bundle`` is f itself.
     """
 
     def wrap(fn):
         @functools.wraps(fn)
         def kernel(par, ctx, R):
+            R, e = _scaled_rows(ctx, R)
             with np.errstate(all="ignore"):
-                out = fn(par, ctx, np.asarray(R, dtype=float), scalar_bundle(par, ctx, R))
-            _require_finite(out, np.ndim(R) - 1, what)
-            return out
+                out = fn(par, ctx, R, _bundle(par, ctx, R))
+            _require_finite(out, R.ndim - 1, what)
+            return _scaled_back(out, e, degree, what)
 
         del kernel.__wrapped__  # the signature is (par, ctx, R)
         kernel.from_bundle = fn
         return kernel
 
     return wrap
+
+
+def kfun(par: GParameter, ctx: MetricContext, R):
+    """The metric function K(g; R), of degree 1, over rows (..., N) like
+    ``scalar_bundle``; NumericalDomainError names the first row where K is
+    0 or not finite."""
+    R, e = _scaled_rows(ctx, R)
+    k = _bundle(par, ctx, R).K
+    _require((k > 0.0) & (k < math.inf), NumericalDomainError, "K is 0 or not finite at this scale")
+    return _scaled_back(k, e, 1, "K")
 
 
 def generating_j(par: GParameter, w):

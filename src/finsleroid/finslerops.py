@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, _bundle, _off_axis, _require_finite, _require_normal
+from .core import GParameter, MetricContext, _bundle, _off_axis, _scaled_back, _scaled_rows
 from .errors import CollinearError
 from .geodesics import (
     GeodesicChord,
     _check_cosine,
-    _checked_pair,
     _dots,
     _require_independent,
     _stacked,
@@ -45,7 +44,8 @@ __all__ = [
 
 
 def _pair_core(par: GParameter, ctx: MetricContext, R, S):
-    """One evaluation of the pairs: (R, S, sb_r, sb_s, dot_bold, roots, sine, alpha).
+    """One evaluation of the pairs: (R, S, sb_r, sb_s, dot_bold, roots, sine,
+    alpha, e), at 2^-e (R, S) (see core._scaled_rows).
 
     R and S are (..., N) stacks that broadcast against each other; the
     scalars have the leading shape of the pairs, and roots stacks
@@ -54,11 +54,10 @@ def _pair_core(par: GParameter, ctx: MetricContext, R, S):
     symmetric in the pair, so the record of (S, R) is this one with the R
     and S fields (and roots) swapped.
     """
-    R, S = _checked_pair(ctx, R, S)
+    R, S, e = _scaled_rows(ctx, R, S)
     sb_r = _bundle(par, ctx, R)
     sb_s = _bundle(par, ctx, S)
     squares = _stacked(sb_r.B, sb_s.B)
-    _require_normal(squares, "image pair")
     dot_bold = _dots(ctx.r_ab, R[..., :-1], S[..., :-1])
     roots = np.sqrt(squares)
     # every piece below is divided by sigma = sqrt(B(R)B(S)) before it is
@@ -78,7 +77,7 @@ def _pair_core(par: GParameter, ctx: MetricContext, R, S):
     delta = 0.5 * _dots(ctx.r_ab, bgap, bgap)
     w2 = cross * cross + qq / sigma * delta * ((2.0 * sb_r.A * sb_s.A + par.h**2 * (qq + dot_bold)) / sigma)
     sine = par.h * np.sqrt(np.maximum(w2, 0.0))
-    return R, S, sb_r, sb_s, dot_bold, roots, sine, np.arctan2(sine, cos) / par.h
+    return R, S, sb_r, sb_s, dot_bold, roots, sine, np.arctan2(sine, cos) / par.h, e
 
 
 def _m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots) -> np.ndarray:
@@ -97,12 +96,8 @@ def _m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots) -> np.ndarray:
 
 
 def _m_covector(m_unit, sb_r, roots) -> np.ndarray:
-    """M_p from M_p / (B(R) sqrt(B(S))); of degree 3, so beyond about
-    1e102 it leaves float64 and raises NumericalDomainError naming the pair."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        m_r = m_unit * (sb_r.B * roots[1])[..., None]
-    _require_finite(m_r, m_r.ndim - 1, "m_r")
-    return m_r
+    """M_p from M_p / (B(R) sqrt(B(S)))."""
+    return m_unit * (sb_r.B * roots[1])[..., None]
 
 
 def _s_covector(m_unit, sb_r, sine) -> np.ndarray:
@@ -113,7 +108,7 @@ def _s_covector(m_unit, sb_r, sine) -> np.ndarray:
 def finsler_angle(par: GParameter, ctx: MetricContext, R, S):
     """Deformed angle between two vectors in the original coordinates, over
     pairs stacked as (..., N)."""
-    return _pair_core(par, ctx, R, S)[-1]
+    return _pair_core(par, ctx, R, S)[-2]
 
 
 def m_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
@@ -123,28 +118,24 @@ def m_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
     M_a = r_ab(-Z R^b A(S) + S^b B(R) - (r R S)(q + g Z/2) R^b/q).
     The axis q(R) = 0 is a removable limit: M_a -> r_ab S^b B(R).
     """
-    R, S, sb_r, sb_s, dot_bold, roots, _, _ = _pair_core(par, ctx, R, S)
-    return _m_covector(_m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots), sb_r, roots)
+    R, S, sb_r, sb_s, dot_bold, roots, _, _, e = _pair_core(par, ctx, R, S)
+    m_r = _m_covector(_m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots), sb_r, roots)
+    return _scaled_back(m_r, e, 3, "m_r")
 
 
 def s_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
     """s_p(g; R, S) = M_p K(R) / (W B(R)); annihilates R^p."""
-    R, S, sb_r, sb_s, dot_bold, roots, sine, _ = _pair_core(par, ctx, R, S)
+    R, S, sb_r, sb_s, dot_bold, roots, sine, _, _ = _pair_core(par, ctx, R, S)  # of degree 0
     _require_independent(sine, "s-vector undefined for image-collinear pairs")
     return _s_covector(_m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots), sb_r, sine)
 
 
 def _pullback_tensor(par, ctx, R, S, sb_r, sb_s):
-    """G = sigma'(R)^T n(sigma(R), sigma(S)) sigma'(S), without the collinearity
-    guard; NumericalDomainError names the first pair where G is not finite
-    (sigma' divides by q B, of degree 3, which leaves float64 beyond about 1e+-102)."""
-    with np.errstate(all="ignore"):
-        t_r, t_s = sigma_map.from_bundle(par, ctx, R, sb_r), sigma_map.from_bundle(par, ctx, S, sb_s)
-        n = two_vector_metric(par, ctx, t_r, t_s).n_lower
-        j_r, j_s = (sigma_jacobian.from_bundle(par, ctx, *rs) for rs in ((R, sb_r), (S, sb_s)))
-        tensor = np.swapaxes(j_r, -1, -2) @ n @ j_s
-    _require_finite(tensor, tensor.ndim - 2, "two-vector tensor G")
-    return tensor
+    """G = sigma'(R)^T n(sigma(R), sigma(S)) sigma'(S), without the collinearity guard."""
+    t_r, t_s = sigma_map.from_bundle(par, ctx, R, sb_r), sigma_map.from_bundle(par, ctx, S, sb_s)
+    n = two_vector_metric(par, ctx, t_r, t_s).n_lower
+    j_r, j_s = (sigma_jacobian.from_bundle(par, ctx, *rs) for rs in ((R, sb_r), (S, sb_s)))
+    return np.swapaxes(j_r, -1, -2) @ n @ j_s
 
 
 @dataclass(frozen=True)
@@ -164,11 +155,13 @@ class FinslerPairProduct:
     s_r: np.ndarray | None
     g_lower: np.ndarray | None
 
+    degrees = (2, 0, 2, 3, 0, 0)  # homogeneity degrees of the fields in the pair
+
 
 def finsler_product(par: GParameter, ctx: MetricContext, R, S) -> FinslerPairProduct:
     """Scalar product <R, S> over pairs stacked as (..., N); equals K^2 at
     S = R and the euclidean product at g = 0."""
-    R, S, sb_r, sb_s, dot_bold, roots, sine, alpha = _pair_core(par, ctx, R, S)
+    R, S, sb_r, sb_s, dot_bold, roots, sine, alpha, e = _pair_core(par, ctx, R, S)
     m_unit = _m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots)
     m_r = _m_covector(m_unit, sb_r, roots)
     try:
@@ -177,7 +170,8 @@ def finsler_product(par: GParameter, ctx: MetricContext, R, S) -> FinslerPairPro
     except CollinearError:
         s_r = g_lower = None
     w = sine * roots[0] * roots[1]
-    return FinslerPairProduct(sb_r.K * sb_s.K * np.cos(alpha), alpha, w, m_r, s_r, g_lower)
+    product = FinslerPairProduct(sb_r.K * sb_s.K * np.cos(alpha), alpha, w, m_r, s_r, g_lower)
+    return _scaled_back(product, e, FinslerPairProduct.degrees, "Finsler product")
 
 
 def finsler_two_vector_tensor(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
@@ -188,14 +182,14 @@ def finsler_two_vector_tensor(par: GParameter, ctx: MetricContext, R, S) -> np.n
     with the closed-form two-vector tensor n and Jacobian sigma'.
     Reduces to the one-vector metric tensor in the coincidence limit.
     """
-    R, S, sb_r, sb_s, _, _, sine, _ = _pair_core(par, ctx, R, S)
+    R, S, sb_r, sb_s, _, _, sine, _, _ = _pair_core(par, ctx, R, S)  # of degree 0
     _require_independent(sine, "two-vector tensor needs image-independent vectors")
     return _pullback_tensor(par, ctx, R, S, sb_r, sb_s)
 
 
 def product_gradients(par: GParameter, ctx: MetricContext, R, S):
     """(d<R,S>/dR^p, d<R,S>/dS^q) in closed form."""
-    R, S, sb_r, sb_s, dot_bold, roots, sine, alpha = _pair_core(par, ctx, R, S)
+    R, S, sb_r, sb_s, dot_bold, roots, sine, alpha, e = _pair_core(par, ctx, R, S)
     _require_independent(sine, "gradients need image-independent vectors")
     product = sb_r.K * sb_s.K * math.cos(alpha)
     sa = math.sin(alpha)
@@ -203,7 +197,7 @@ def product_gradients(par: GParameter, ctx: MetricContext, R, S):
     s_sr = _s_covector(_m_unit(par, ctx, S, R, sb_s, sb_r, dot_bold, roots[::-1]), sb_s, sine)
     d_r = gradient_covector.from_bundle(par, ctx, R, sb_r) * (product / sb_r.K**2) + par.h * sb_s.K * s_rs * sa
     d_s = gradient_covector.from_bundle(par, ctx, S, sb_s) * (product / sb_s.K**2) + par.h * sb_r.K * s_sr * sa
-    return d_r, d_s
+    return _scaled_back((d_r, d_s), e, (1, 1), "product gradients")
 
 
 def finsler_chord(par: GParameter, ctx: MetricContext, R1, R2) -> GeodesicChord:
@@ -228,6 +222,5 @@ def axis_angles(par: GParameter, ctx: MetricContext, R):
     Since B = A^2 + h^2 q^2 = L^2 + h^2 Z^2, they are formed as
     (1/h) atan2(h q, A) and (1/h) atan2(h |Z|, L), which need no clamp.
     """
-    sb = _bundle(par, ctx, ctx.check_rows(R, nonzero=True))
-    _require_normal(np.asarray(sb.B)[None], "vector")
+    sb = _bundle(par, ctx, _scaled_rows(ctx, R)[0])  # of degree 0
     return np.arctan2(par.h * sb.q, sb.A) / par.h, np.arctan2(par.h * np.abs(sb.Z), sb.L) / par.h

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, _normal, _require, _require_normal
-from .errors import CollinearError, DegenerateChordError, NumericalDomainError
+from .core import GParameter, MetricContext, _require, _scaled_back, _scaled_rows
+from .errors import CollinearError, DegenerateChordError, NumericalDomainError, OutOfRangeError
 
 __all__ = [
     "GeodesicChord",
@@ -69,18 +69,15 @@ def _pair_dots(form, t1, t2):
     near collinearity when formed literally, so it is built from the
     transverse projections t2 - ((t1t2)/(t1t1)) t1 and its mirror, as
     sqrt(|t1||t2 - ...|) sqrt(|t2||t1 - ...|): no intermediate exceeds the
-    squared norms, which must be finite normal numbers.  The euclidean
-    angle comes from atan2(sin, cos), well conditioned at both ends of
-    [0, pi].  Returns (dot11, dot22, dot12, u, theta), each with the
-    leading shape of the pairs (float64 scalars for one pair).
+    squared norms.  The euclidean angle comes from atan2(sin, cos), well
+    conditioned at both ends of [0, pi].  Returns (dot11, dot22, dot12, u,
+    theta), each with the leading shape of the pairs (float64 scalars for
+    one pair).
     """
     pair = _stacked(t1, t2)  # (2, ..., N)
-    with np.errstate(over="ignore", invalid="ignore"):  # _require_normal reports it
-        gram = (pair[:, None, ..., None, :] @ form @ pair[None, :, ..., :, None])[..., 0, 0]
+    gram = (pair[:, None, ..., None, :] @ form @ pair[None, :, ..., :, None])[..., 0, 0]
     dot11, dot22, dot12 = gram[0, 0], gram[1, 1], gram[0, 1]
     squares = np.array((dot11, dot22))
-    if not (_normal(dot11) and _normal(dot22)):
-        _require_normal(squares, "pair")
     norms = np.sqrt(squares)
     size = norms[0] * norms[1]
     cos = dot12 / size
@@ -104,14 +101,12 @@ def _companions(form, t1, t2, what: str):
     return dot11, dot22, dot12, u, theta, d1, d2
 
 
-def _checked_pair(ctx: MetricContext, t1, t2):
-    """Nonzero finite vector pairs, shape (..., N) each."""
-    return ctx.check_rows(t1, nonzero=True), ctx.check_rows(t2, nonzero=True)
-
-
 def _checked_vectors(ctx: MetricContext, t1, t2):
-    """One nonzero finite vector pair, shape (N,) each."""
-    return ctx.check_vector(t1, nonzero=True), ctx.check_vector(t2, nonzero=True)
+    """core._scaled_rows of one vector pair, shape (N,) each."""
+    for t in (t1, t2):
+        if np.ndim(t) != 1:
+            raise OutOfRangeError(f"expected a 1-d vector, got shape {np.shape(t)}")
+    return _scaled_rows(ctx, t1, t2)
 
 
 def angle(par: GParameter, ctx: MetricContext, t1, t2):
@@ -122,7 +117,7 @@ def angle(par: GParameter, ctx: MetricContext, t1, t2):
     shape (a float64 scalar for one pair); an invalid pair raises, naming
     the first such row.
     """
-    return _pair_dots(ctx.r_pq, *_checked_pair(ctx, t1, t2))[4] / par.h
+    return _pair_dots(ctx.r_pq, *_scaled_rows(ctx, t1, t2)[:2])[4] / par.h
 
 
 @dataclass(frozen=True)
@@ -142,6 +137,8 @@ class PairInvariants:
     d2: np.ndarray
     alpha: float
 
+    degrees = (2, 2, 2, 2, 1, 1, 0)  # homogeneity degrees of the fields in the pair
+
 
 def _invariants(par: GParameter, ctx: MetricContext, t1, t2) -> PairInvariants:
     """pair_invariants of validated pairs."""
@@ -154,20 +151,24 @@ def _invariants(par: GParameter, ctx: MetricContext, t1, t2) -> PairInvariants:
 
 
 def pair_invariants(par: GParameter, ctx: MetricContext, t1, t2) -> PairInvariants:
-    return _invariants(par, ctx, *_checked_pair(ctx, t1, t2))
+    t1, t2, e = _scaled_rows(ctx, t1, t2)
+    return _scaled_back(_invariants(par, ctx, t1, t2), e, PairInvariants.degrees, "pair invariants")
 
 
 def scalar_product(par: GParameter, ctx: MetricContext, t1, t2):
     """<t1, t2> = |t1| |t2| cos(alpha); reduces to the euclidean product at g = 0."""
-    dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, *_checked_pair(ctx, t1, t2))
-    return np.sqrt(dot11) * np.sqrt(dot22) * np.cos(theta / par.h)
+    t1, t2, e = _scaled_rows(ctx, t1, t2)
+    dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, t1, t2)
+    return _scaled_back(np.sqrt(dot11) * np.sqrt(dot22) * np.cos(theta / par.h), e, 2, "scalar product")
 
 
 def distance_squared(par: GParameter, ctx: MetricContext, t1, t2):
     """Squared two-point length (t1t1) + (t2t2) - 2 |t1||t2| cos(alpha)."""
-    dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, *_checked_pair(ctx, t1, t2))
+    t1, t2, e = _scaled_rows(ctx, t1, t2)
+    dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, t1, t2)
     root = np.sqrt(dot11) * np.sqrt(dot22)
-    return np.maximum(dot11 + dot22 - 2.0 * root * np.cos(theta / par.h), 0.0)
+    distance2 = np.maximum(dot11 + dot22 - 2.0 * root * np.cos(theta / par.h), 0.0)
+    return _scaled_back(distance2, e, 2, "squared distance")
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,8 @@ class GeodesicChord:
 
     Satisfies (Delta s)^2 = s_end^2 + a^2 - 2 a s_end cos(alpha) together
     with the split sqrt(a^2 - b^2) Delta s = a s_end sin(alpha) and
-    a^2 + b Delta s = a s_end cos(alpha).
+    a^2 + b Delta s = a s_end cos(alpha).  The chord is evaluated at
+    2^-e (t1, t2), with e the exponent of the pair (see core._scaled_rows).
     """
 
     t1: np.ndarray
@@ -187,35 +189,19 @@ class GeodesicChord:
     delta_s: float
     b: float
     h: float
+    e: int | np.ndarray
 
     def radius(self, s):
         """Euclidean radius S(s) = sqrt(a^2 + 2 b s + s^2) along the chord."""
-        e, a, b, _, _, s = _scaled(self, np.asarray(s, dtype=float))
-        return _ldexp(_radius(a, b, s), e)
-
-
-def _chord_exponent(a: float, s_end: float) -> int:
-    """The exponent e at which the quadratic forms of a chord are evaluated,
-    at 2^-e (a, b, s), an exact scaling: the binary exponent of
-    max(a, s_end) beyond 2^(+-100), where the squares of a chord near 1e154
-    overflow, and 0 inside, where the forms are evaluated as they stand."""
-    e = math.frexp(max(a, s_end))[1]
-    return e if abs(e) > 100 else 0
+        a, b, _, _, _, _, s = _scaled(self, np.asarray(s, dtype=float))
+        return _scaled_back(_radius(a, b, s), self.e, 1, "geodesic radius")
 
 
 def _scaled(chord: GeodesicChord, s):
-    """e (see _chord_exponent) and, at 2^-e, the chord constants a, b,
-    Delta s, s_end and the parameters s."""
-    e = _chord_exponent(chord.a, chord.s_end)
-    if not e:
-        return 0, chord.a, chord.b, chord.delta_s, chord.s_end, s
-    a, b, ds, s_end = (math.ldexp(x, -e) for x in (chord.a, chord.b, chord.delta_s, chord.s_end))
-    return e, a, b, ds, s_end, np.ldexp(s, -e)
-
-
-def _ldexp(x, e: int):
-    """x 2^e; x itself for e = 0, a chord inside 2^(+-100)."""
-    return np.ldexp(x, e) if e else x
+    """The chord at 2^-e: its constants a, b, Delta s, s_end, its endpoints
+    and the parameters s, each of degree 1 and so scaled by 2^-e."""
+    values = (chord.a, chord.b, chord.delta_s, chord.s_end, chord.t1, chord.t2, s)
+    return _scaled_back(values, chord.e, (-1,) * len(values), "geodesic chord")
 
 
 def _radius(a, b, s):
@@ -230,7 +216,7 @@ def solve_chord(par: GParameter, ctx: MetricContext, t1, t2) -> GeodesicChord:
     smooth chord (the extremal path degenerates through the origin) and
     raise NumericalDomain.
     """
-    t1, t2 = _checked_vectors(ctx, t1, t2)
+    t1, t2, e = _checked_vectors(ctx, t1, t2)
     dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, t1, t2)
     a = math.sqrt(dot11)
     s_end = math.sqrt(dot22)
@@ -239,20 +225,17 @@ def solve_chord(par: GParameter, ctx: MetricContext, t1, t2) -> GeodesicChord:
         raise NumericalDomainError(
             "no smooth chord: the pair subtends an angle of pi or more"
         )
-    # a^2 + s_end^2 overflows beyond about 1e154: delta_s and b are of
-    # degree 1, so they are formed at 2^-e (a, s_end)
-    e = _chord_exponent(a, s_end)
-    a_e, s_e = math.ldexp(a, -e), math.ldexp(s_end, -e)
-    ds2 = a_e * a_e + s_e * s_e - 2.0 * a_e * s_e * math.cos(alpha)
-    ds_e = math.sqrt(max(ds2, 0.0))
-    delta_s = math.ldexp(ds_e, e)
+    ds2 = a * a + s_end * s_end - 2.0 * a * s_end * math.cos(alpha)
+    delta_s = math.sqrt(max(ds2, 0.0))
     if delta_s <= 1e-14 * (a + s_end):
         raise DegenerateChordError("coincident endpoints")
-    b = math.ldexp((a_e * s_e * math.cos(alpha) - a_e * a_e) / ds_e, e)
+    b = (a * s_end * math.cos(alpha) - a * a) / delta_s
     # rounding can push b fractionally past +-a on near-radial pairs
     b = min(max(b, -a), a)
+    t1, t2, a, s_end, delta_s, b = _scaled_back((t1, t2, a, s_end, delta_s, b), e, (1,) * 6, "geodesic chord")
     return GeodesicChord(
-        t1=t1.copy(), t2=t2.copy(), a=a, s_end=s_end, alpha=alpha, delta_s=delta_s, b=b, h=par.h
+        t1=t1.copy(), t2=t2.copy(), a=float(a), s_end=float(s_end), alpha=alpha, delta_s=float(delta_s),
+        b=float(b), h=par.h, e=e,
     )
 
 
@@ -271,6 +254,18 @@ def _chord_angles(h: float, a, b, ds, s):
     return c, tau1, tau2, math.sin(h * math.atan2(c * ds, a**2 + b * ds))
 
 
+def _point(h, a, b, ds, s_end, t1, t2, s):
+    """Points t(s) of the chord at 2^-e, from its values there (see _scaled)."""
+    rad = _radius(a, b, s)
+    c, tau1, tau2, denom = _chord_angles(h, a, b, ds, s)
+    if c <= 1e-15 * a:
+        # radial chord: t(s) = t1 * S(s)/a
+        return np.outer(rad / a, t1)
+    coeff1 = rad * np.sin(h * tau1) / (a * denom)
+    coeff2 = rad * np.sin(h * tau2) / (s_end * denom)
+    return np.outer(coeff1, t1) + np.outer(coeff2, t2)
+
+
 def geodesic_point(chord: GeodesicChord, s):
     """Point t(s) of the chord; s may be a scalar or an array.
 
@@ -278,38 +273,27 @@ def geodesic_point(chord: GeodesicChord, s):
     curves) with (t(s) . t(s)) = S^2(s).
     """
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    _, a, b, ds, s_end, s = _scaled(chord, np.atleast_1d(s))
-    rad = _radius(a, b, s)
-    c, tau1, tau2, denom = _chord_angles(chord.h, a, b, ds, s)
-    if c <= 1e-15 * a:
-        # radial chord: t(s) = t1 * S(s)/a
-        out = np.outer(rad / a, chord.t1)
-    else:
-        coeff1 = rad * np.sin(chord.h * tau1) / (a * denom)
-        coeff2 = rad * np.sin(chord.h * tau2) / (s_end * denom)
-        out = np.outer(coeff1, chord.t1) + np.outer(coeff2, chord.t2)
-    return out[0] if scalar else out
+    out = _scaled_back(_point(chord.h, *_scaled(chord, np.atleast_1d(s))), chord.e, 1, "geodesic point")
+    return out[0] if s.ndim == 0 else out
 
 
 def geodesic_velocity(chord: GeodesicChord, s):
-    """First derivative dt/ds; unit vector of the metric n along the chord."""
+    """First derivative dt/ds, of degree 0; unit vector of the metric n
+    along the chord."""
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    e, a, b, ds, s_end, s_e = _scaled(chord, s)
+    scaled = _scaled(chord, np.atleast_1d(s))
+    a, b, ds, s_end, t1, t2, s_e = scaled
     rad = _radius(a, b, s_e)
     c, tau1, tau2, denom = _chord_angles(chord.h, a, b, ds, s_e)
-    # the terms are of degree -1 at 2^-e: each is scaled back by 2^-e
     if c <= 1e-15 * a:
-        out = np.outer(_ldexp((b + s_e) / (a * rad), -e), chord.t1)
+        out = np.outer((b + s_e) / (a * rad), t1)
     else:
-        point = geodesic_point(chord, s)
-        radial = _ldexp((b + s_e) / rad**2, -e)
-        coeff1 = _ldexp(c * chord.h * np.cos(chord.h * tau1) / (a * rad * denom), -e)
-        coeff2 = _ldexp(c * chord.h * np.cos(chord.h * tau2) / (s_end * rad * denom), -e)
-        out = point * radial[:, None] - np.outer(coeff1, chord.t1) + np.outer(coeff2, chord.t2)
-    return out[0] if scalar else out
+        radial = (b + s_e) / rad**2
+        coeff1 = c * chord.h * np.cos(chord.h * tau1) / (a * rad * denom)
+        coeff2 = c * chord.h * np.cos(chord.h * tau2) / (s_end * rad * denom)
+        point = _point(chord.h, *scaled)
+        out = point * radial[:, None] - np.outer(coeff1, t1) + np.outer(coeff2, t2)
+    return out[0] if s.ndim == 0 else out
 
 
 def in_segment(chord: GeodesicChord, s, slack: float = 0.0) -> np.ndarray:
@@ -326,7 +310,7 @@ def length_gradients(par: GParameter, ctx: MetricContext, t1, t2):
     the coincidence limit, and t1.b1 + t2.b2 equals the squared length
     (Euler identity for a 2-homogeneous function).
     """
-    t1, t2 = _checked_vectors(ctx, t1, t2)
+    t1, t2, e = _checked_vectors(ctx, t1, t2)
     inv = _invariants(par, ctx, t1, t2)
     s1 = math.sqrt(inv.dot11)
     s2 = math.sqrt(inv.dot22)
@@ -334,4 +318,4 @@ def length_gradients(par: GParameter, ctx: MetricContext, t1, t2):
     sa = math.sin(inv.alpha)
     b1 = ctx.lower(t1) * (1.0 - s2 * ca / s1) - ctx.lower(inv.d1) * (s2 / (par.h * s1)) * sa
     b2 = ctx.lower(t2) * (1.0 - s1 * ca / s2) - ctx.lower(inv.d2) * (s1 / (par.h * s2)) * sa
-    return b1, b2
+    return _scaled_back((b1, b2), e, (1, 1), "length gradients")

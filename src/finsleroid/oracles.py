@@ -57,7 +57,7 @@ def angular_block_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarra
     h_ab = K^2/B r_ab - (gZ + q) (r_a.R)(r_b.R) K^2 / (q B^2), whose last
     term is 0 on the axis q = 0.
     """
-    R = ctx.check_rows(R, nonzero=True)
+    R = ctx.check_rows(R, nonzero=True)[0]
     sb = _bundle(par, ctx, R)
     z, q = sb.Z, sb.q
     k2 = _pow(sb.K, 2)
@@ -75,7 +75,7 @@ def angular_block_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarra
 def cartan_mixed_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
     """Explicit chart closed forms for C_p^q_r (independent cross-check),
     over rows (..., N) -> (..., N, N, N)."""
-    R = ctx.check_rows(R, nonzero=True)
+    R = ctx.check_rows(R, nonzero=True)[0]
     sb = _bundle(par, ctx, R)
     z, w, w_up, w_low, v2 = _chart(ctx, R, sb)
     n = ctx.n
@@ -117,7 +117,7 @@ def cartan_fd_diagnostic(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
     finite-difference accuracy; on the axis itself the one-sided kink of
     the metric limits it further.
     """
-    R = ctx.check_vector(R, nonzero=True)
+    R = ctx.check_vector(R, nonzero=True)[0]
     return 0.5 * numdiff.jacobian(lambda x: metric_tensor(par, ctx, x), R)
 
 
@@ -150,8 +150,8 @@ def coincidence_limits(par: GParameter, ctx: MetricContext, t, eps_sequence, v) 
     by central differences with step eps/1000 (the global step convention
     is too coarse this close to coincidence).
     """
-    t = ctx.check_vector(t, nonzero=True)
-    v = ctx.check_vector(v)
+    t = ctx.check_vector(t, nonzero=True)[0]
+    v = ctx.check_vector(v)[0]
     n_one = quasi_metric(par, ctx, t).n_lower
     dn_one = quasi_metric_derivative(par, ctx, t)
     eps_sequence = np.asarray(eps_sequence, dtype=float)

@@ -13,7 +13,6 @@ makes n conformally euclidean.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +24,15 @@ from .core import (
     MetricContext,
     _first_row,
     _lower,
-    _normal,
     _off_axis,
     _outer,
     _per_row,
     _pow,
+    _require,
     _require_finite,
-    _require_normal,
     _rows_kernel,
+    _scaled_back,
+    _scaled_rows,
 )
 from .errors import NumericalDomainError, OnAxisError
 
@@ -50,26 +50,14 @@ __all__ = [
 ]
 
 
-def _image_terms(ctx: MetricContext, t):
-    """(t, t_p, m(t)^2, t^N, S^2) of nonzero image rows t, shape (..., N),
-    unchecked: S^2 may overflow, so call it under np.errstate and then test
-    S^2 with _normal."""
-    t = ctx.check_rows(t, nonzero=True)
+def _image_rows(ctx: MetricContext, t):
+    """(t, t_p, m(t)^2, t^N, S^2, e) of nonzero image rows t, shape (..., N),
+    at 2^-e t (see core._scaled_rows)."""
+    t, e = _scaled_rows(ctx, t)
     tn = t[..., -1][()]
     tl = _lower(ctx.r_pq, t)
     m2 = (tl[..., None, :-1] @ t[..., :-1, None])[..., 0, 0][()]  # r_ab t^a t^b
-    return t, tl, m2, tn, m2 + tn * tn
-
-
-def _image_rows(ctx: MetricContext, t):
-    """The _image_terms of rows t, checked: each S^2 must be a finite
-    normal float64, otherwise NumericalDomainError names the first row
-    (scale extremes)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the range test reports it
-        terms = _image_terms(ctx, t)
-    if not _normal(terms[-1]):
-        _require_normal(np.asarray(terms[-1])[None], "vector")
-    return terms
+    return t, tl, m2, tn, m2 + tn * tn, e
 
 
 def _plane_norm(m2):
@@ -77,7 +65,7 @@ def _plane_norm(m2):
     return np.sqrt(np.abs(m2))
 
 
-@_rows_kernel("sigma map")
+@_rows_kernel("sigma map", 1)
 def sigma_map(par: GParameter, ctx: MetricContext, R, sb) -> np.ndarray:
     """t^a = R^a h J(g;R), t^N = A(g;R) J(g;R), over rows (..., N) -> (..., N);
     satisfies S(t) = K(g;R)."""
@@ -89,34 +77,26 @@ def sigma_map(par: GParameter, ctx: MetricContext, R, sb) -> np.ndarray:
 def phi_angle(par: GParameter, ctx: MetricContext, t):
     """Polar angle of t from the non-axis plane, over rows (..., N); equals
     Phi(g; mu(t))."""
-    _, _, m2, tn, _ = _image_rows(ctx, t)
+    _, _, m2, tn, _, _ = _image_rows(ctx, t)
     return np.arctan2(tn, _plane_norm(m2))
 
 
-def _mu_rows(par: GParameter, ctx: MetricContext, t, what: str, closed_form):
+def _mu_rows(par: GParameter, ctx: MetricContext, t, what: str, degree: int, closed_form):
     """closed_form(par, t, t_p, m, t^N, S^2, k) at the checked rows t, with
-    k = exp(G phi/2) and phi the polar angle of each row: the one path of
-    mu_map and mu_jacobian.  Near |g| = 2, where G is large, k or the
-    result can leave float64: NumericalDomainError then names the first
-    row where k is not a finite normal float64, or where the result is
-    not finite."""
-    # one np.errstate for the image terms and the closed form: on one
-    # vector a second one would cost about 5 % of mu_jacobian
+    k = exp(G phi/2) and phi the polar angle of each row, of degree
+    ``degree`` in t: the one path of mu_map and mu_jacobian.  Near |g| = 2,
+    where G is large, k or the result can leave float64:
+    NumericalDomainError then names the first row where k is not a finite
+    normal float64, or where the result is not finite."""
+    t, tl, m2, tn, s2, e = _image_rows(ctx, t)
     with np.errstate(all="ignore"):  # the range tests report it
-        t, tl, m2, tn, s2 = _image_terms(ctx, t)
-        if not _normal(s2):
-            _require_normal(np.asarray(s2)[None], "vector")
         m = _plane_norm(m2)
         k = np.exp(0.5 * par.big_g * np.arctan2(tn, m))
         out = closed_form(par, t, tl, m, tn, s2, k)
-    if not _normal(k):
-        bad = ~((k >= _TINY) & (k <= _HUGE))
-        raise NumericalDomainError(
-            f"{what}: k = exp(G phi/2) = {float(np.asarray(k)[bad][0])!r} is not a finite normal"
-            f" float64 at g = {par.g!r}" + _first_row(bad)
-        )
-    _require_finite(out, np.ndim(t) - 1, what)
-    return out
+    _require((k >= _TINY) & (k <= _HUGE), NumericalDomainError,
+             f"{what}: k = exp(G phi/2) = {{!r}} is not a finite normal float64 at g = {par.g!r}", k)
+    _require_finite(out, t.ndim - 1, what)
+    return _scaled_back(out, e, degree, what)
 
 
 def _mu_closed_form(par, t, tl, m, tn, s2, k):
@@ -133,17 +113,16 @@ def mu_map(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
     along leading axes, shape (..., N); R has the shape of t.  A zero or
     non-finite row raises, naming the index of the first such row.
     """
-    return _mu_rows(par, ctx, t, "mu map", _mu_closed_form)
+    return _mu_rows(par, ctx, t, "mu map", 1, _mu_closed_form)
 
 
-@_rows_kernel("sigma Jacobian")
+@_rows_kernel("sigma Jacobian", 0)
 def sigma_jacobian(par: GParameter, ctx: MetricContext, R, sb) -> np.ndarray:
     """J[p, q] = d sigma^p / dR^q in closed form, over rows (..., N) ->
     (..., N, N); det = h^(N-1) J^N.
 
     The 1/q term of the transverse block is O(q), so on the axis q = 0 it
-    is dropped, as in ``metric_tensor``.  It divides by q B, of degree 3,
-    so rows beyond about 1e+-102 raise NumericalDomainError.
+    is dropped, as in ``metric_tensor``.
     """
     g = par.g
     q = sb.q
@@ -158,12 +137,7 @@ def sigma_jacobian(par: GParameter, ctx: MetricContext, R, sb) -> np.ndarray:
     out[..., :-1, -1] = (0.5 * g * q * sb.J * par.h)[..., None] * bold / b
     block = out[..., :-1, :-1]
     block[...] = np.eye(ctx.n - 1)
-    # q B is of degree 3: off the axis, where it leaves the normal range
-    # (beyond about 1e+-102), the row turns NaN and raises instead of
-    # returning this term rounded away
-    qb = _off_axis(q) * sb.B
-    qb = np.where((qb >= _TINY) & (qb <= _HUGE) | (q == 0.0), qb, math.nan)
-    block -= 0.5 * g * _outer(bold, rr) * (sb.Z / qb)[..., None, None]
+    block -= 0.5 * g * _outer(bold, rr) * (sb.Z / (_off_axis(q) * sb.B))[..., None, None]
     block *= (sb.J * par.h)[..., None, None]
     return out
 
@@ -203,7 +177,7 @@ def mu_jacobian(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
 
     A row on the axis (m = 0) raises OnAxisError naming it.
     """
-    return _mu_rows(par, ctx, t, "mu Jacobian", _mu_jacobian_closed_form)
+    return _mu_rows(par, ctx, t, "mu Jacobian", 0, _mu_jacobian_closed_form)
 
 
 @dataclass(frozen=True)
@@ -223,19 +197,22 @@ class QuasiGeometry:
     christoffel: np.ndarray
     curvature: np.ndarray
 
+    degrees = (0, 0, 0, -1, -2)  # homogeneity degrees of the fields in t
+
 
 def _unit_rows(ctx: MetricContext, t):
-    """(S, L^p, L_p, H_pq) of nonzero image rows: L = t/S and H = r - L L."""
-    t, tl, _, _, s2 = _image_rows(ctx, t)
+    """(S, L^p, L_p, H_pq, e) of nonzero image rows at 2^-e t: L = t/S and
+    H = r - L L."""
+    t, tl, _, _, s2, e = _image_rows(ctx, t)
     s = np.sqrt(s2)
     l_up, l_low = t / _per_row(s), tl / _per_row(s)
-    return s, l_up, l_low, ctx.r_pq - _outer(l_low, l_low)
+    return s, l_up, l_low, ctx.r_pq - _outer(l_low, l_low), e
 
 
 def quasi_metric(par: GParameter, ctx: MetricContext, t) -> QuasiGeometry:
     """n_rs, its inverse, the projector H_rs, Christoffels and curvature,
     over rows (..., N)."""
-    s, l_up, l_low, h_lower = _unit_rows(ctx, t)
+    s, l_up, l_low, h_lower, e = _unit_rows(ctx, t)
     g2q = 0.25 * par.big_g**2
     n_lower = ctx.r_pq / par.h**2 - g2q * _outer(l_low, l_low)
     n_upper = par.h**2 * ctx.r_pq_inv + 0.25 * par.g**2 * _outer(l_up, l_up)
@@ -249,22 +226,24 @@ def quasi_metric(par: GParameter, ctx: MetricContext, t) -> QuasiGeometry:
         )
         / _per_row(s * s, 4)
     )
-    return QuasiGeometry(
+    geometry = QuasiGeometry(
         n_lower=n_lower,
         n_upper=n_upper,
         h_lower=h_lower,
         christoffel=christoffel,
         curvature=curvature,
     )
+    return _scaled_back(geometry, e, QuasiGeometry.degrees, "quasi-euclidean metric")
 
 
 def quasi_metric_derivative(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
     """d n_pq / dt^r as an [..., p, q, r] array over rows (..., N):
     -(G^2/4)(H_pr L_q + H_qr L_p)/S."""
-    s, _, l_low, h_lower = _unit_rows(ctx, t)
+    s, _, l_low, h_lower, e = _unit_rows(ctx, t)
     g2q = 0.25 * par.big_g**2
     h_l = h_lower[..., :, None, :] * l_low[..., None, :, None]  # H_pr L_q at [p, q, r]
-    return -g2q * (h_l + np.swapaxes(h_l, -3, -2)) / _per_row(s, 3)
+    derivative = -g2q * (h_l + np.swapaxes(h_l, -3, -2)) / _per_row(s, 3)
+    return _scaled_back(derivative, e, -1, "quasi-metric derivative")
 
 
 def conformal_flatten(par: GParameter, ctx: MetricContext, t):
@@ -272,19 +251,21 @@ def conformal_flatten(par: GParameter, ctx: MetricContext, t):
     over rows (..., N).
 
     The pushforward of n^rs through this map is f^2 r^rs, i.e. the
-    quasi-euclidean metric is conformally euclidean.  Returns (image, f).
+    quasi-euclidean metric is conformally euclidean.  Returns (image, f),
+    of degrees h and gamma in t.
     """
-    t, _, _, _, s2 = _image_rows(ctx, t)
+    t, _, _, _, s2, e = _image_rows(ctx, t)
     f = _pow(0.5 * s2, 0.5 * par.gamma)
-    return _per_row(f) * t / par.h, f
+    return _scaled_back((_per_row(f) * t / par.h, f), e, (par.h, par.gamma), "conformal flattening")
 
 
 def conformal_jacobian(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
     """Analytic Jacobian k^p_q = (f delta^p_q + f' t^p t_q)/h of the
-    flattening, over rows (..., N) -> (..., N, N)."""
-    t, tl, _, _, s2 = _image_rows(ctx, t)
+    flattening, over rows (..., N) -> (..., N, N), of degree gamma in t."""
+    t, tl, _, _, s2, e = _image_rows(ctx, t)
     f = _pow(0.5 * s2, 0.5 * par.gamma)
     # f' = d f / d(S^2/2) = gamma f / S^2, of degree gamma - 2: f' t^p t_q is
     # formed as f gamma (t^p t_q / S^2), whose factors are of degree gamma and 0
     tt = _outer(t, tl) / _per_row(s2, 2)
-    return _per_row(f, 2) * (np.eye(ctx.n) + par.gamma * tt) / par.h
+    jacobian = _per_row(f, 2) * (np.eye(ctx.n) + par.gamma * tt) / par.h
+    return _scaled_back(jacobian, e, par.gamma, "conformal Jacobian")

@@ -23,8 +23,9 @@ from .core import (
     _outer,
     _per_row,
     _pow,
-    _require_finite,
     _rows_kernel,
+    _scaled_back,
+    _scaled_rows,
 )
 from .errors import OnAxisError
 
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 
-@_rows_kernel("gradient covector")
+@_rows_kernel("gradient covector", 1)
 def gradient_covector(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> np.ndarray:
     """R_p = (1/2) dK^2/dR^p, over rows (..., N) -> (..., N).
 
@@ -54,7 +55,7 @@ def gradient_covector(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) 
     return out
 
 
-@_rows_kernel("metric tensor")
+@_rows_kernel("metric tensor", 0)
 def metric_tensor(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> np.ndarray:
     """g_pq = (1/2) d^2 K^2 / dR^p dR^q in closed form, over rows (..., N)
     -> (..., N, N).
@@ -78,7 +79,7 @@ def metric_tensor(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> n
     return g
 
 
-@_rows_kernel("inverse metric")
+@_rows_kernel("inverse metric", 0)
 def inverse_metric(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> np.ndarray:
     """Reciprocal tensor g^pq in closed form, over rows (..., N) ->
     (..., N, N); g^pq g_qr = delta^p_r."""
@@ -96,7 +97,7 @@ def inverse_metric(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> 
     return g
 
 
-@_rows_kernel("angular tensor")
+@_rows_kernel("angular tensor", 0)
 def angular_tensor(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> np.ndarray:
     """h_pq = g_pq - R_p R_q / K^2, over rows (..., N) -> (..., N, N);
     annihilates R^q."""
@@ -119,6 +120,8 @@ class CartanTensor:
     c_vec_lower: np.ndarray
     c_vec_upper: np.ndarray
 
+    degrees = (-1, -1, -1, -1)  # homogeneity degrees of the fields in R
+
 
 def _chart(ctx, R, sb):
     """(Z, w, w^a, w_a, V^2) of checked rows R, shape (..., N), with their
@@ -132,40 +135,6 @@ def _chart(ctx, R, sb):
     return z, sb.q / z, w_up, ctx.r_rows(w_up), _pow(sb.K / z, 2)  # V^2 = K^2/Z^2
 
 
-def _prescaled(ctx, R):
-    """(2^-e R, e) for rows R, shape (..., N): e, per row, is 0 while the
-    row's largest component lies within 2^(+-100), where no scalar of the
-    Cartan stack leaves float64, and the binary exponent of that component
-    beyond; e is None when every row is inside.  A d-homogeneous quantity
-    is 2^(d e) times its value at 2^-e R, and power-of-two scaling is exact."""
-    R = ctx.check_rows(R, nonzero=True)
-    top = np.abs(R).max(axis=-1)
-    outside = ~((top > 2.0**-100) & (top < 2.0**100))
-    if not np.count_nonzero(outside):
-        return R, None
-    e = np.where(outside, np.frexp(top)[1], 0)
-    return np.ldexp(R, -e[..., None]), e
-
-
-def _rescaled(what, x, e, degree):
-    """2^(degree e) x, row by row (x itself for e None); NumericalDomainError
-    names the first row where it leaves float64."""
-    if e is None:
-        return x
-    with np.errstate(over="ignore", under="ignore"):
-        x = np.ldexp(x, (degree * e).reshape(e.shape + (1,) * (x.ndim - e.ndim)))
-    _require_finite(x, e.ndim, what)
-    return x
-
-
-def _scaled_cartan(ct: CartanTensor, e) -> CartanTensor:
-    """The Cartan tensor at 2^e R from the one at R (degree -1)."""
-    if e is None:
-        return ct
-    fields = (ct.c_lower, ct.c_mixed, ct.c_vec_lower, ct.c_vec_upper)
-    return CartanTensor(*(_rescaled("Cartan tensor", x, e, -1) for x in fields))
-
-
 def _cartan_at(par, ctx, R) -> CartanTensor:
     sb = _bundle(par, ctx, R)
     return _cartan_from_bundle(par, ctx, R, sb, inverse_metric.from_bundle(par, ctx, R, sb))
@@ -174,8 +143,8 @@ def _cartan_at(par, ctx, R) -> CartanTensor:
 def cartan_tensor(par: GParameter, ctx: MetricContext, R) -> CartanTensor:
     """Assemble the Cartan tensor from the chart closed forms, over rows
     (..., N); every row needs q != 0 and Z != 0."""
-    R, e = _prescaled(ctx, R)
-    return _scaled_cartan(_cartan_at(par, ctx, R), e)
+    R, e = _scaled_rows(ctx, R)
+    return _scaled_back(_cartan_at(par, ctx, R), e, CartanTensor.degrees, "Cartan tensor")
 
 
 def _cartan_from_bundle(par, ctx, R, sb, g_up) -> CartanTensor:
@@ -222,11 +191,11 @@ def curvature_tensor(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
     Equals S* (h_pr h_qs - h_ps h_qr)/K^2 with the constant S* = -g^2/4;
     the implied level-surface curvature is 1 + S* = h^2.
     """
-    R, e = _prescaled(ctx, R)
+    R, e = _scaled_rows(ctx, R)
     ct = _cartan_at(par, ctx, R)
     # the second term is the first with r and s swapped
     term = np.einsum("...tqr,...pts->...pqrs", ct.c_lower, ct.c_mixed)
-    return _rescaled("curvature tensor", term - np.swapaxes(term, -1, -2), e, -2)
+    return _scaled_back(term - np.swapaxes(term, -1, -2), e, -2, "curvature tensor")
 
 
 @dataclass(frozen=True)
@@ -243,16 +212,18 @@ class TensorStack:
     c_vec_lower: np.ndarray
     c_vec_upper: np.ndarray
 
+    degrees = (1, 0, 0, 0) + CartanTensor.degrees
+
 
 def tensor_stack(par: GParameter, ctx: MetricContext, R) -> TensorStack:
     """Build the full stack over rows (..., N) (needs the Cartan chart, so
     q != 0 and Z != 0 in every row)."""
-    R, e = _prescaled(ctx, R)
+    R, e = _scaled_rows(ctx, R)
     sb = _bundle(par, ctx, R)
     g_up = inverse_metric.from_bundle(par, ctx, R, sb)
-    ct = _scaled_cartan(_cartan_from_bundle(par, ctx, R, sb, g_up), e)
-    return TensorStack(
-        r_lower=_rescaled("gradient covector", gradient_covector.from_bundle(par, ctx, R, sb), e, 1),
+    ct = _cartan_from_bundle(par, ctx, R, sb, g_up)
+    stack = TensorStack(
+        r_lower=gradient_covector.from_bundle(par, ctx, R, sb),
         g_lower=metric_tensor.from_bundle(par, ctx, R, sb),
         g_upper=g_up,
         h_lower=angular_tensor.from_bundle(par, ctx, R, sb),
@@ -261,3 +232,4 @@ def tensor_stack(par: GParameter, ctx: MetricContext, R) -> TensorStack:
         c_vec_lower=ct.c_vec_lower,
         c_vec_upper=ct.c_vec_upper,
     )
+    return _scaled_back(stack, e, TensorStack.degrees, "tensor stack")

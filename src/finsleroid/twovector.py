@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, _lower, _outer, _per_row, _require
+from .core import GParameter, MetricContext, _lower, _outer, _per_row, _require, _scaled_back, _scaled_rows
 from .errors import (
     MaxIterationsError,
     NoRootError,
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .geodesics import (
     PairInvariants,
-    _checked_pair,
+    _checked_vectors,
     _companions,
     _dots,
     _invariants,
@@ -65,8 +65,9 @@ class TwoVectorTensor:
     n_lower: np.ndarray
     a1: float
     a2: float
-    z: float
     pair: PairInvariants
+
+    degrees = (0, 0, 0, PairInvariants.degrees)  # homogeneity degrees of the fields in the pair
 
 
 def _pair_scalars(inv: PairInvariants):
@@ -87,7 +88,7 @@ def _lowered(ctx: MetricContext, t1, t2, inv: PairInvariants):
 def two_vector_metric(par: GParameter, ctx: MetricContext, t1, t2) -> TwoVectorTensor:
     """Closed form of the mixed second derivative of the scalar product,
     over pairs stacked as (..., N) (n_lower is (..., N, N))."""
-    t1, t2 = _checked_pair(ctx, t1, t2)
+    t1, t2, e = _scaled_rows(ctx, t1, t2)
     inv = _invariants(par, ctx, t1, t2)
     s1, s2, ca, sa = _pair_scalars(inv)
     a1 = ca - inv.dot12 * sa / (par.h * inv.u)
@@ -99,9 +100,8 @@ def two_vector_metric(par: GParameter, ctx: MetricContext, t1, t2) -> TwoVectorT
         + mat(a1 / (s1 * s2)) * _outer(t1l, t2l)
         - mat(a2 / (par.h * s1 * s2)) * _outer(d1l, d2l)
     )
-    zsq = s1 * s2 * sa * (s1 * s2 / inv.u)
-    z = np.sqrt(np.where(zsq >= 0.0, zsq, math.nan))
-    return TwoVectorTensor(n_lower=n, a1=a1, a2=a2, z=z, pair=inv)
+    tensor = TwoVectorTensor(n_lower=n, a1=a1, a2=a2, pair=inv)
+    return _scaled_back(tensor, e, TwoVectorTensor.degrees, "two-vector tensor")
 
 
 def _frame_pieces(par, inv):
@@ -127,7 +127,7 @@ def frame(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray:
     Raises NumericalDomain, naming the first such pair, where sin(alpha)
     or a radicand is negative (large angles).
     """
-    t1, t2 = _checked_pair(ctx, t1, t2)
+    t1, t2, _ = _scaled_rows(ctx, t1, t2)  # of degree 0
     inv = _invariants(par, ctx, t1, t2)
     (s1, s2, zsq, p_rad, m_rad, delta_p, delta_m), upper, real = _frame_pieces(par, inv)
     _require(upper, NumericalDomainError, "frame needs sin(alpha) >= 0 (alpha <= pi)")
@@ -171,6 +171,8 @@ class CovectorPair:
     D2: np.ndarray
     f_scale: float
 
+    degrees = (1, 1, 1, 1, 0)  # homogeneity degrees of the fields in the pair
+
 
 def co_regime_gap(par: GParameter, alpha):
     """sin(h*alpha - 2*atan2(sin(alpha)/h, cos(alpha))), the signed regime
@@ -198,7 +200,7 @@ def co_orientation(par: GParameter, alpha):
 def covector_pair(par: GParameter, ctx: MetricContext, t1, t2) -> CovectorPair:
     """Closed forms of the co-vectors and their companions, over pairs
     stacked as (..., N)."""
-    t1, t2 = _checked_pair(ctx, t1, t2)
+    t1, t2, e = _scaled_rows(ctx, t1, t2)
     inv = _invariants(par, ctx, t1, t2)
     s1, s2, ca, sa = _pair_scalars(inv)
     t1l, t2l, d1l, d2l = _lowered(ctx, t1, t2, inv)
@@ -211,13 +213,14 @@ def covector_pair(par: GParameter, ctx: MetricContext, t1, t2) -> CovectorPair:
     # direct form of the inversion denominator scale; equals
     # -co_orientation * cap_u / u
     f_scale = ca * ca - sa * sa / par.h**2 - 2.0 * sa * ca * inv.dot12 / (par.h * inv.u)
-    return CovectorPair(T1=big_t1, T2=big_t2, D1=big_d1, D2=big_d2, f_scale=f_scale)
+    pair = CovectorPair(T1=big_t1, T2=big_t2, D1=big_d1, D2=big_d2, f_scale=f_scale)
+    return _scaled_back(pair, e, CovectorPair.degrees, "co-vector pair")
 
 
 def invert_covectors(par: GParameter, ctx: MetricContext, T1, T2, alpha):
     """Recover (t1, t2) from the co-vector pairs, stacked as (..., N), and
     the angle alpha of each pair."""
-    big_t1, big_t2 = _checked_pair(ctx, T1, T2)
+    big_t1, big_t2, e = _scaled_rows(ctx, T1, T2)
     tt11, tt22, _, _, _, big_d1, big_d2 = _companions(
         ctx.r_pq_inv, big_t1, big_t2, "co-vector pair is collinear"
     )
@@ -230,7 +233,7 @@ def invert_covectors(par: GParameter, ctx: MetricContext, T1, T2, alpha):
     den = _per_row(ca * ca + sa * sa / par.h**2)
     t1_low = _per_row(np.sqrt(tt22 / tt11)) * (ca_r * big_t1 + ta_r * big_d1) / den
     t2_low = _per_row(np.sqrt(tt11 / tt22)) * (ca_r * big_t2 + ta_r * big_d2) / den
-    return tuple(_lower(ctx.r_pq_inv, _stacked(t1_low, t2_low)))
+    return _scaled_back(tuple(_lower(ctx.r_pq_inv, _stacked(t1_low, t2_low))), e, (1, 1), "inverted vectors")
 
 
 def _co_angle_cos_side(par, tt11, tt22, tt12, cap_u, alpha):
@@ -285,8 +288,7 @@ def solve_co_angle(par: GParameter, ctx: MetricContext, T1, T2) -> float:
     -beta before any other-regime target, so a pair with an other-regime
     root always has this main-regime root as well.
     """
-    big_t1 = ctx.check_vector(T1, nonzero=True)
-    big_t2 = ctx.check_vector(T2, nonzero=True)
+    big_t1, big_t2, _ = _checked_vectors(ctx, T1, T2)  # of degree 0
     tt11, tt22, tt12, cap_u, beta = _pair_dots(ctx.r_pq_inv, big_t1, big_t2)
     _require_independent(np.sin(beta), "co-vector pair is collinear")
     beta = float(beta)  # the Newton iteration runs on Python floats
@@ -320,7 +322,7 @@ def oplus_first_order(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray
     t1 (+) t2 ~ t1 + t2 + (1/h - 1)(m(t1,t2) t1 + m(t2,t1) t2), exact at
     g = 0; the defining-equation residuals are O(k^2) in k = 1/h - 1.
     """
-    t1, t2 = _checked_pair(ctx, t1, t2)
+    t1, t2, e = _scaled_rows(ctx, t1, t2)
     inv = _invariants(par, ctx, t1, t2)
     _require_acute(inv)
     total = t1 + t2
@@ -328,13 +330,13 @@ def oplus_first_order(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray
     m12 = (inv.dot12 * th1 - inv.dot22 * th2) / inv.u
     m21 = (inv.dot12 * th2 - inv.dot11 * th1) / inv.u
     k = 1.0 / par.h - 1.0
-    return total + k * (_per_row(m12) * t1 + _per_row(m21) * t2)
+    return _scaled_back(total + k * (_per_row(m12) * t1 + _per_row(m21) * t2), e, 1, "first-order sum")
 
 
 def ominus_first_order(par: GParameter, ctx: MetricContext, t1, t3) -> np.ndarray:
     """First-order difference vector t3 (-) t1, inverse of the sum to O(k^2),
     over pairs stacked as (..., N)."""
-    t1, t3 = _checked_pair(ctx, t1, t3)
+    t1, t3, e = _scaled_rows(ctx, t1, t3)
     v = t3 - t1
     _require(v.any(axis=-1), ZeroVectorError, "difference of coincident vectors")
     dot11, _, _, u, ang_a = _pair_dots(ctx.r_pq, t1, t3)
@@ -344,13 +346,13 @@ def ominus_first_order(par: GParameter, ctx: MetricContext, t1, t3) -> np.ndarra
     s_vec = (_per_row((dot11 * ang_a - vt1 * ang_b) / u) * v
              + _per_row((vv * ang_b - vt1 * ang_a) / u) * t1)
     k = 1.0 / par.h - 1.0
-    return v + k * s_vec
+    return _scaled_back(v + k * s_vec, e, 1, "first-order difference")
 
 
 def parallelogram_residuals(par: GParameter, ctx: MetricContext, t1, t2, t3):
     """Residuals of the two defining side-length equations of the tetragon,
     over triples stacked as (..., N), the three stacks broadcasting."""
-    t1, t2, t3 = (ctx.check_rows(t, nonzero=True) for t in (t1, t2, t3))
+    t1, t2, t3, e = _scaled_rows(ctx, t1, t2, t3)
     if not t1.shape == t2.shape == t3.shape:
         t1, t2, t3 = np.broadcast_arrays(t1, t2, t3)
     # the pairs (t1, t3) and (t2, t3) in one call
@@ -358,7 +360,7 @@ def parallelogram_residuals(par: GParameter, ctx: MetricContext, t1, t2, t3):
     s1, s2, s3 = np.sqrt(dot11), np.sqrt(dot22), np.sqrt(dot33)
     r1 = s3 - (s2 * s2 - s1 * s1) / s3 - 2.0 * s1 * np.cos(theta13 / par.h)
     r2 = s3 - (s1 * s1 - s2 * s2) / s3 - 2.0 * s2 * np.cos(theta23 / par.h)
-    return r1, r2
+    return _scaled_back((r1, r2), e, (1, 1), "parallelogram residuals")
 
 
 def parallelogram_refine(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray:
@@ -371,14 +373,14 @@ def parallelogram_refine(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndar
     rho^2 = |t1|^2 + |t2|^2 + 2 |t1||t2| cos(alpha) and t3 lies at the
     euclidean angle h atan2(|t2| sin(alpha), |t1| + |t2| cos(alpha)) from t1.
     """
-    t1, t2 = _checked_pair(ctx, t1, t2)
+    t1, t2, e = _scaled_rows(ctx, t1, t2)
     inv = _invariants(par, ctx, t1, t2)
     _require_acute(inv)
     if par.g == 0.0:
-        return t1 + t2
+        return _scaled_back(t1 + t2, e, 1, "sum vector")
     s1, s2, ca, sa = _pair_scalars(inv)
     x, y = s1 + s2 * ca, s2 * sa  # rho = hypot(x, y), without overflow
     theta13 = par.h * np.arctan2(y, x)
     # d1 is t2's part transverse to t1, rescaled to |d1| = |t1|
     rotated = _per_row(np.cos(theta13)) * t1 + _per_row(np.sin(theta13)) * inv.d1
-    return _per_row(np.hypot(x, y) / s1) * rotated
+    return _scaled_back(_per_row(np.hypot(x, y) / s1) * rotated, e, 1, "sum vector")

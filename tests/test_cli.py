@@ -369,6 +369,41 @@ def test_eval_overflowing_determinant_exits_1(capsys, fmt):
     assert err == "error: non-finite det(g_pq) in float64\n"
 
 
+def _eval_json(capsys, vector):
+    code, out, err = run_cli(capsys, "eval", "--g", "1", f"--vector={vector}", "--format", "json")
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+def test_eval_at_large_vectors_is_homogeneous(capsys):
+    # B^2 leaves float64 at 1e140 times a vector; the metric tensor, of
+    # degree 0, is the unit vector's all the same: to rounding at 1e140 x,
+    # which is not an exact scaling of x, and to the bit at 2^465 x
+    unit = _eval_json(capsys, "0.4,-0.7,0.9")
+    big = _eval_json(capsys, "0.4e140,-0.7e140,0.9e140")
+    exact = _eval_json(capsys, ",".join(repr(math.ldexp(x, 465)) for x in (0.4, -0.7, 0.9)))
+    for key in ("metric_tensor", "det_metric", "phi", "j", "det_identity"):
+        np.testing.assert_allclose(big[key], unit[key], rtol=1e-15, err_msg=key)
+        assert exact[key] == unit[key], key
+    for key, degree in (("q", 1), ("b_form", 2), ("k", 1)):
+        assert big[key] == pytest.approx(1e140**degree * unit[key], rel=1e-15), key
+        assert exact[key] == math.ldexp(unit[key], 465 * degree), key
+    np.testing.assert_allclose(big["cartan"]["c_p_c_p"], 1e-280 * unit["cartan"]["c_p_c_p"], rtol=1e-15)
+    code, out, _ = run_cli(capsys, "eval", "--g", "1", "--vector=0.4e140,-0.7e140,0.9e140")
+    assert code == 0
+    assert re.search(r"^det_metric += 41\.992117638096", out, re.M)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("vector", ["8e307,-1.4e308,1.7e308", "0.4e200,-0.7e200,0.9e200"])
+def test_eval_beyond_float64_exits_1(capsys, vector, fmt):
+    # the printed bundle fields q and B, formed from squares, leave float64:
+    # a typed error, without a numpy warning (pytest turns those into errors)
+    code, out, err = run_cli(capsys, "eval", "--g", "1", f"--vector={vector}", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "error: non-finite q in float64\n"
+
+
 def test_verify_near_two_exits_1_without_warnings(capsys):
     # checks fail near |g| = 2, each with a residual or a typed error; no
     # numpy warning escapes (pytest turns those into errors)
