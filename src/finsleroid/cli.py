@@ -56,7 +56,7 @@ def cmd_eval(args) -> int:
         print(f"error: vector has {vec.size} components, dimension is {dim}", file=sys.stderr)
         return 2
     ctx = _context(args, dim)
-    sb = scalar_bundle(par, ctx, vec)  # the raw fields, which leave float64 beyond about 1e154
+    sb = scalar_bundle(par, ctx, vec)  # raises where B or another field leaves float64
     fields = {"q": sb.q, "b_form": sb.B, "phi": sb.phi, "j": sb.J}
     scalars = {key: _finite(float(x), key) for key, x in fields.items()}
     gm = metric_tensor(par, ctx, vec)

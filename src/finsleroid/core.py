@@ -323,6 +323,8 @@ class ScalarBundle(NamedTuple):
     J: np.ndarray
     K: np.ndarray
 
+    degrees = (0, 1, 1, 2, 1, 1, 0, 0, 1)  # homogeneity degrees of the fields in R (g has none)
+
     @property
     def w(self):
         return self.q / np.where(self.Z != 0.0, self.Z, math.nan)
@@ -366,20 +368,38 @@ def _bundle_from_qz(par: GParameter, q, z) -> ScalarBundle:
 def scalar_bundle(par: GParameter, ctx: MetricContext, R) -> ScalarBundle:
     """Evaluate q, Z, B, Q, E, A, L, Phi, J and K at nonzero vectors R,
     shape (..., N); each field has the leading shape (a scalar for one
-    vector).  At scale extremes a field may be 0 or not finite."""
-    return _bundle(par, ctx, ctx.check_rows(R, nonzero=True)[0])
+    vector).
+
+    The fields are evaluated at 2^-e R (see _scaled_rows) and brought back
+    by their degree: q, Z, A, L and K by 1, B by 2, Phi and J by 0, so
+    that each holds at any scale where its value fits float64; where one
+    does not, NumericalDomainError names the field and the first such row.
+    Near |g| = 2, J = exp(G Phi/2) and with it K leave float64 at any scale.
+    """
+    R, e = _scaled_rows(ctx, R)
+    sb = _bundle(par, ctx, R)
+    if not isinstance(e, np.ndarray):
+        return sb
+    return ScalarBundle(*(_scaled_back(x, e, d, name) for x, d, name in zip(sb, sb.degrees, sb._fields)))
 
 
 def _bundle(par: GParameter, ctx: MetricContext, R) -> ScalarBundle:
     """scalar_bundle of rows already checked."""
+    # [()] turns the 0-d Z of one vector into a scalar
+    q, z = ctx.q_rows(R[..., :-1]), R[..., -1][()]
+    if abs(par.big_g) * (0.25 * math.pi) < 709.0:  # |G Phi/2| < 709: J = exp(G Phi/2) cannot overflow
+        return _bundle_from_qz(par, q, z)
     with np.errstate(over="ignore", invalid="ignore"):
-        # [()] turns the 0-d Z of one vector into a scalar
-        return _bundle_from_qz(par, ctx.q_rows(R[..., :-1]), R[..., -1][()])
+        return _bundle_from_qz(par, q, z)
 
 
 def _require_finite(out, lead_ndim: int, what: str) -> None:
     """Raise NumericalDomainError naming the first row, over the leading
-    ``lead_ndim`` axes of ``out``, whose result is not finite."""
+    ``lead_ndim`` axes of the array ``out``, whose result is not finite.
+    Called with floating-point warnings off, as its first test, the sum,
+    can overflow."""
+    if math.isfinite(out.sum()):  # then every entry is: the cheap test
+        return
     bad = ~np.isfinite(out)
     if np.count_nonzero(bad):
         bad = bad.reshape(bad.shape[:lead_ndim] + (-1,)).any(axis=-1)
@@ -428,9 +448,9 @@ def _scaled_back(x, e, degree, what: str):
         items = [_scaled_back(v, e, d, what) for v, d in zip(fields, degree)]
         return tuple(items) if type(x) is tuple else type(x)(*items)
     shift = e.reshape(e.shape + (1,) * (np.ndim(x) - e.ndim))
-    with np.errstate(over="ignore"):  # _require_finite reports it
+    with np.errstate(all="ignore"):  # _require_finite reports it
         x = np.ldexp(x, int(degree) * shift) if float(degree).is_integer() else x * np.exp2(degree * shift)
-    _require_finite(x, e.ndim, what)
+        _require_finite(x, e.ndim, what)
     return x
 
 
@@ -449,7 +469,7 @@ def _rows_kernel(what: str, degree):
             R, e = _scaled_rows(ctx, R)
             with np.errstate(all="ignore"):
                 out = fn(par, ctx, R, _bundle(par, ctx, R))
-            _require_finite(out, R.ndim - 1, what)
+                _require_finite(out, R.ndim - 1, what)
             return _scaled_back(out, e, degree, what)
 
         del kernel.__wrapped__  # the signature is (par, ctx, R)

@@ -201,12 +201,15 @@ def product_gradients(par: GParameter, ctx: MetricContext, R, S):
 
 
 def finsler_chord(par: GParameter, ctx: MetricContext, R1, R2) -> GeodesicChord:
-    """Chord of the image-space geodesic joining sigma(R1) to sigma(R2)."""
+    """Chords of the image-space geodesics joining sigma(R1) to sigma(R2),
+    over pairs stacked as (..., N) (see geodesics.solve_chord)."""
     return solve_chord(par, ctx, sigma_map(par, ctx, R1), sigma_map(par, ctx, R2))
 
 
 def finsler_geodesic(par: GParameter, ctx: MetricContext, R1, R2, s):
-    """Geodesic through the pullback: R(s) = mu(t(s)) over the image chord.
+    """Geodesics through the pullback: R(s) = mu(t(s)) over the image
+    chords, shaped as geodesic_point (L + (k, N) for pairs of leading shape
+    L and s broadcasting against L + (k,)).
 
     Endpoints are reproduced at s = 0 and s = Delta s; the arc length of
     the curve in the direction-dependent metric equals Delta s.

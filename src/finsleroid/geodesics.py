@@ -9,12 +9,13 @@ whole chord is an explicit combination of its endpoints.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, _require, _scaled_back, _scaled_rows
+from .core import GParameter, MetricContext, _lower, _per_row, _require, _scaled_back, _scaled_rows
 from .errors import CollinearError, DegenerateChordError, NumericalDomainError, OutOfRangeError
 
 __all__ = [
@@ -101,14 +102,6 @@ def _companions(form, t1, t2, what: str):
     return dot11, dot22, dot12, u, theta, d1, d2
 
 
-def _checked_vectors(ctx: MetricContext, t1, t2):
-    """core._scaled_rows of one vector pair, shape (N,) each."""
-    for t in (t1, t2):
-        if np.ndim(t) != 1:
-            raise OutOfRangeError(f"expected a 1-d vector, got shape {np.shape(t)}")
-    return _scaled_rows(ctx, t1, t2)
-
-
 def angle(par: GParameter, ctx: MetricContext, t1, t2):
     """The deformed angle alpha = (1/h) * euclidean angle, in [0, pi/h].
 
@@ -173,34 +166,66 @@ def distance_squared(par: GParameter, ctx: MetricContext, t1, t2):
 
 @dataclass(frozen=True)
 class GeodesicChord:
-    """A solved geodesic segment between two image-space vectors.
+    """Solved geodesic segments between image-space vectors, one per pair.
 
     Satisfies (Delta s)^2 = s_end^2 + a^2 - 2 a s_end cos(alpha) together
     with the split sqrt(a^2 - b^2) Delta s = a s_end sin(alpha) and
-    a^2 + b Delta s = a s_end cos(alpha).  The chord is evaluated at
-    2^-e (t1, t2), with e the exponent of the pair (see core._scaled_rows).
+    a^2 + b Delta s = a s_end cos(alpha).  For pairs stacked as (..., N)
+    the scalars a, s_end, alpha, delta_s and b have their leading shape L
+    and t1, t2 the shape L + (N,); for one pair they are Python floats.
+    The chords are evaluated at 2^-e (t1, t2), with e the exponent of
+    each pair (see core._scaled_rows).
+
+    Parameters s along the chords broadcast against L + (k,), so that each
+    chord takes its own k values (or all chords the same k); a scalar s
+    takes one value per chord and drops the k axis.
     """
 
     t1: np.ndarray
     t2: np.ndarray
-    a: float
-    s_end: float
-    alpha: float
-    delta_s: float
-    b: float
+    a: float | np.ndarray
+    s_end: float | np.ndarray
+    alpha: float | np.ndarray
+    delta_s: float | np.ndarray
+    b: float | np.ndarray
     h: float
     e: int | np.ndarray
 
+    def __getitem__(self, i):
+        """The chords of the pairs at index i of a stack of chords."""
+        pick = lambda x: x[i] if isinstance(x, np.ndarray) else x
+        return GeodesicChord(*(pick(getattr(self, f.name)) for f in dataclasses.fields(self)))
+
     def radius(self, s):
-        """Euclidean radius S(s) = sqrt(a^2 + 2 b s + s^2) along the chord."""
-        a, b, _, _, _, _, s = _scaled(self, np.asarray(s, dtype=float))
-        return _scaled_back(_radius(a, b, s), self.e, 1, "geodesic radius")
+        """Euclidean radius S(s) = sqrt(a^2 + 2 b s + s^2) along the chords,
+        shape L + (k,)."""
+        grid, single = _grid(self, s)
+        a, b, _, _, _, _, s = _scaled(self, grid)
+        out = _scaled_back(_radius(a, b, s), self.e, 1, "geodesic radius")
+        return out[..., 0][()] if single else out
+
+
+def _grid(chord: GeodesicChord, s):
+    """s as float64 broadcast to L + (k,), L the leading shape of the
+    chords, and whether s is a scalar (then k = 1, an axis the caller drops)."""
+    s = np.asarray(s, dtype=float)
+    grid = s.reshape(1) if s.ndim == 0 else s
+    lead = chord.t1.shape[:-1]
+    if grid.shape[:-1] != lead:
+        try:
+            grid = np.broadcast_to(grid, lead + grid.shape[-1:])
+        except ValueError:
+            raise OutOfRangeError(f"parameters of shape {s.shape} do not broadcast against {lead} + (k,)") from None
+    return grid, s.ndim == 0
 
 
 def _scaled(chord: GeodesicChord, s):
-    """The chord at 2^-e: its constants a, b, Delta s, s_end, its endpoints
-    and the parameters s, each of degree 1 and so scaled by 2^-e."""
-    values = (chord.a, chord.b, chord.delta_s, chord.s_end, chord.t1, chord.t2, s)
+    """The chords at 2^-e: their constants a, b, Delta s, s_end with an axis
+    for the parameters (shape L + (1,); scalars for one chord), their
+    endpoints with one before the last (L + (1, N)), and the parameters s,
+    of shape L + (k,); each of degree 1 and so scaled by 2^-e."""
+    values = (*(_per_row(x) for x in (chord.a, chord.b, chord.delta_s, chord.s_end)),
+              chord.t1[..., None, :], chord.t2[..., None, :], s)
     return _scaled_back(values, chord.e, (-1,) * len(values), "geodesic chord")
 
 
@@ -208,114 +233,141 @@ def _radius(a, b, s):
     return np.sqrt(np.maximum(a**2 + 2.0 * b * s + s * s, 0.0))
 
 
+def _chord_terms(par: GParameter, ctx: MetricContext, t1, t2):
+    """The chord constants of pairs stacked as (..., N), before the guards
+    of solve_chord: (t1, t2, e, a, s_end, alpha, delta_s, b, wide,
+    coincident), with the pairs and constants at 2^-e (see
+    core._scaled_rows) and the flags of the pairs at an angle of pi or
+    more and of coincident endpoints, where b is not defined."""
+    t1, t2, e = _scaled_rows(ctx, t1, t2)
+    dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, t1, t2)
+    a, s_end = np.sqrt(dot11), np.sqrt(dot22)
+    alpha = theta / par.h
+    cos = np.cos(alpha)
+    delta_s = np.sqrt(np.maximum(a * a + s_end * s_end - 2.0 * a * s_end * cos, 0.0))
+    coincident = delta_s <= 1e-14 * (a + s_end)
+    b = (a * s_end * cos - a * a) / (delta_s + coincident)  # Delta s, but 1 where it may be 0
+    # rounding can push b fractionally past +-a on near-radial pairs
+    b = np.minimum(np.maximum(b, -a), a)
+    return t1, t2, e, a, s_end, alpha, delta_s, b, alpha >= math.pi * (1.0 - 1e-9), coincident
+
+
 def solve_chord(par: GParameter, ctx: MetricContext, t1, t2) -> GeodesicChord:
-    """Solve for the chord constants (a, b, Delta s, alpha) of the pair.
+    """Solve for the chord constants (a, b, Delta s, alpha) of pairs stacked
+    as (..., N), the two stacks broadcasting against each other.
 
     Radial pairs (alpha = 0) are admitted and give b = +-a; coincident
     endpoints raise DegenerateChord.  Pairs with alpha >= pi have no
     smooth chord (the extremal path degenerates through the origin) and
-    raise NumericalDomain.
+    raise NumericalDomain.  Each message names the first such pair.
     """
-    t1, t2, e = _checked_vectors(ctx, t1, t2)
-    dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, t1, t2)
-    a = math.sqrt(dot11)
-    s_end = math.sqrt(dot22)
-    alpha = float(theta) / par.h
-    if alpha >= math.pi * (1.0 - 1e-9):
-        raise NumericalDomainError(
-            "no smooth chord: the pair subtends an angle of pi or more"
-        )
-    ds2 = a * a + s_end * s_end - 2.0 * a * s_end * math.cos(alpha)
-    delta_s = math.sqrt(max(ds2, 0.0))
-    if delta_s <= 1e-14 * (a + s_end):
-        raise DegenerateChordError("coincident endpoints")
-    b = (a * s_end * math.cos(alpha) - a * a) / delta_s
-    # rounding can push b fractionally past +-a on near-radial pairs
-    b = min(max(b, -a), a)
+    t1, t2, e, a, s_end, alpha, delta_s, b, wide, coincident = _chord_terms(par, ctx, t1, t2)
+    _require(~wide, NumericalDomainError, "no smooth chord: the pair subtends an angle of pi or more")
+    _require(~coincident, DegenerateChordError, "coincident endpoints")
+    if t1.shape != t2.shape:
+        t1, t2 = np.broadcast_arrays(t1, t2)
     t1, t2, a, s_end, delta_s, b = _scaled_back((t1, t2, a, s_end, delta_s, b), e, (1,) * 6, "geodesic chord")
-    return GeodesicChord(
-        t1=t1.copy(), t2=t2.copy(), a=float(a), s_end=float(s_end), alpha=alpha, delta_s=float(delta_s),
-        b=float(b), h=par.h, e=e,
-    )
+    if np.ndim(a) == 0:
+        a, s_end, alpha, delta_s, b = (float(x) for x in (a, s_end, alpha, delta_s, b))
+    return GeodesicChord(t1=t1.copy(), t2=t2.copy(), a=a, s_end=s_end, alpha=alpha, delta_s=delta_s, b=b,
+                         h=par.h, e=e)
+
+
+def _atan2(y, x):
+    """Elementwise math.atan2, to which the printed samples of the
+    ``geodesic`` command are pinned: numpy's arctan2 differs from libm's
+    in the last bit on some inputs."""
+    if np.ndim(y) == 0:
+        return math.atan2(y, x)
+    pairs = zip(np.ravel(y).tolist(), np.ravel(x).tolist())
+    return np.array([math.atan2(p, q) for p, q in pairs]).reshape(np.shape(y))
 
 
 def _chord_angles(h: float, a, b, ds, s):
-    """Continuous angle parameters of the interpolation formula, and c =
-    sqrt(a^2 - b^2) and the denominator sin(h alpha); all of degree 0
-    except c (1), so they take the chord at 2^-e (see _scaled).
+    """Continuous angle parameters of the interpolation formula, c =
+    sqrt(a^2 - b^2), the denominator sin(h alpha) and the flags of the
+    radial chords (c <= 1e-15 a), whose denominator, about 0, is raised
+    by 1 as their points take their own formula; all of degree 0 except
+    c (1), so they take the chords at 2^-e (see _scaled).
 
     tau2(s) tracks the sweep from t1 to t(s), tau1(s) the remaining sweep
     to t2; atan2 keeps both continuous through the quarter-turn where the
     rational arctan argument blows up.
     """
-    c = math.sqrt(max(a * a - b * b, 0.0))
+    c = np.sqrt(np.maximum(a * a - b * b, 0.0))
     tau1 = np.arctan2(c * (ds - s), a * a + b * ds + (b + ds) * s)
     tau2 = np.arctan2(c * s, a * a + b * s)
-    return c, tau1, tau2, math.sin(h * math.atan2(c * ds, a**2 + b * ds))
+    radial = c <= 1e-15 * a
+    return c, tau1, tau2, np.sin(h * _atan2(c * ds, a**2 + b * ds)) + radial, radial
+
+
+def _radial(flags, general, radial):
+    """general, but radial() on the radial chords (flags), along (..., k, N)."""
+    return np.where(flags[..., None], radial(), general) if flags.any() else general
 
 
 def _point(h, a, b, ds, s_end, t1, t2, s):
-    """Points t(s) of the chord at 2^-e, from its values there (see _scaled)."""
+    """Points t(s), shape L + (k, N), of the chords at 2^-e, from their
+    values there (see _scaled)."""
     rad = _radius(a, b, s)
-    c, tau1, tau2, denom = _chord_angles(h, a, b, ds, s)
-    if c <= 1e-15 * a:
-        # radial chord: t(s) = t1 * S(s)/a
-        return np.outer(rad / a, t1)
+    _, tau1, tau2, denom, radial = _chord_angles(h, a, b, ds, s)
     coeff1 = rad * np.sin(h * tau1) / (a * denom)
     coeff2 = rad * np.sin(h * tau2) / (s_end * denom)
-    return np.outer(coeff1, t1) + np.outer(coeff2, t2)
+    # radial chord: t(s) = t1 * S(s)/a
+    return _radial(radial, coeff1[..., None] * t1 + coeff2[..., None] * t2, lambda: (rad / a)[..., None] * t1)
 
 
 def geodesic_point(chord: GeodesicChord, s):
-    """Point t(s) of the chord; s may be a scalar or an array.
+    """Points t(s) of the chords, shape L + (k, N); (N,) for one chord and
+    a scalar s.
 
-    The result is a combination of the two endpoints (geodesics are plane
-    curves) with (t(s) . t(s)) = S^2(s).
+    Each point is a combination of the chord's two endpoints (geodesics
+    are plane curves) with (t(s) . t(s)) = S^2(s).
     """
-    s = np.asarray(s, dtype=float)
-    out = _scaled_back(_point(chord.h, *_scaled(chord, np.atleast_1d(s))), chord.e, 1, "geodesic point")
-    return out[0] if s.ndim == 0 else out
+    grid, single = _grid(chord, s)
+    out = _scaled_back(_point(chord.h, *_scaled(chord, grid)), chord.e, 1, "geodesic point")
+    return out[..., 0, :] if single else out
 
 
 def geodesic_velocity(chord: GeodesicChord, s):
-    """First derivative dt/ds, of degree 0; unit vector of the metric n
-    along the chord."""
-    s = np.asarray(s, dtype=float)
-    scaled = _scaled(chord, np.atleast_1d(s))
+    """First derivative dt/ds, of degree 0, shaped as geodesic_point; unit
+    vector of the metric n along the chords."""
+    grid, single = _grid(chord, s)
+    scaled = _scaled(chord, grid)
     a, b, ds, s_end, t1, t2, s_e = scaled
+    h = chord.h
     rad = _radius(a, b, s_e)
-    c, tau1, tau2, denom = _chord_angles(chord.h, a, b, ds, s_e)
-    if c <= 1e-15 * a:
-        out = np.outer((b + s_e) / (a * rad), t1)
-    else:
-        radial = (b + s_e) / rad**2
-        coeff1 = c * chord.h * np.cos(chord.h * tau1) / (a * rad * denom)
-        coeff2 = c * chord.h * np.cos(chord.h * tau2) / (s_end * rad * denom)
-        point = _point(chord.h, *scaled)
-        out = point * radial[:, None] - np.outer(coeff1, t1) + np.outer(coeff2, t2)
-    return out[0] if s.ndim == 0 else out
+    c, tau1, tau2, denom, radial = _chord_angles(h, a, b, ds, s_e)
+    coeff1 = c * h * np.cos(h * tau1) / (a * rad * denom)
+    coeff2 = c * h * np.cos(h * tau2) / (s_end * rad * denom)
+    out = _point(h, *scaled) * ((b + s_e) / rad**2)[..., None] - coeff1[..., None] * t1 + coeff2[..., None] * t2
+    out = _radial(radial, out, lambda: ((b + s_e) / (a * rad))[..., None] * t1)
+    return out[..., 0, :] if single else out
 
 
 def in_segment(chord: GeodesicChord, s, slack: float = 0.0) -> np.ndarray:
-    """Flag whether parameter values lie on the solved segment [0, Delta s]."""
-    s = np.asarray(s, dtype=float)
-    return (s >= -slack) & (s <= chord.delta_s + slack)
+    """Flag whether parameter values lie on the solved segments [0, Delta s],
+    shape L + (k,)."""
+    grid, single = _grid(chord, s)
+    flags = (grid >= -slack) & (grid <= _per_row(chord.delta_s) + slack)
+    return flags[..., 0][()] if single else flags
 
 
 def length_gradients(par: GParameter, ctx: MetricContext, t1, t2):
-    """Half gradients of the squared two-point length, as covectors.
+    """Half gradients of the squared two-point length, as covectors, over
+    pairs stacked as (..., N).
 
     b1 = t1 - t1 |t2| cos(alpha)/|t1| - d1 |t2| sin(alpha)/(h |t1|) with
     all vectors index-lowered, and symmetrically for b2.  Both vanish in
     the coincidence limit, and t1.b1 + t2.b2 equals the squared length
-    (Euler identity for a 2-homogeneous function).
+    (Euler identity for a 2-homogeneous function).  A collinear pair
+    raises CollinearError naming its index.
     """
-    t1, t2, e = _checked_vectors(ctx, t1, t2)
+    t1, t2, e = _scaled_rows(ctx, t1, t2)
     inv = _invariants(par, ctx, t1, t2)
-    s1 = math.sqrt(inv.dot11)
-    s2 = math.sqrt(inv.dot22)
-    ca = math.cos(inv.alpha)
-    sa = math.sin(inv.alpha)
-    b1 = ctx.lower(t1) * (1.0 - s2 * ca / s1) - ctx.lower(inv.d1) * (s2 / (par.h * s1)) * sa
-    b2 = ctx.lower(t2) * (1.0 - s1 * ca / s2) - ctx.lower(inv.d2) * (s1 / (par.h * s2)) * sa
+    s1, s2 = np.sqrt(inv.dot11), np.sqrt(inv.dot22)
+    ca, sa = np.cos(inv.alpha), _per_row(np.sin(inv.alpha))
+    t1l, t2l, d1l, d2l = (_lower(ctx.r_pq, x) for x in (t1, t2, inv.d1, inv.d2))
+    b1 = t1l * _per_row(1.0 - s2 * ca / s1) - d1l * _per_row(s2 / (par.h * s1)) * sa
+    b2 = t2l * _per_row(1.0 - s1 * ca / s2) - d2l * _per_row(s1 / (par.h * s2)) * sa
     return _scaled_back((b1, b2), e, (1, 1), "length gradients")

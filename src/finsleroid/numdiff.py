@@ -7,7 +7,11 @@ the inverse pair separation squared, so the global step is too coarse).
 
 The vector stencils (``jacobian``, ``gradient``, ``hessian``,
 ``mixed_second``) stack all their points and call the function once, so
-it must take rows (k, N), as the library kernels do.
+it must take rows (k, N), as the library kernels do; ``jacobian`` and
+``gradient`` also take base points stacked as (..., n), whose stencils
+are stacked together in that one call.  The curve differences
+(``derivative``, ``second_derivative``) take a scalar parameter or an
+array of them, and call the function once per stencil point.
 """
 
 from __future__ import annotations
@@ -28,20 +32,28 @@ def gradient(f, x, scale: float = DEFAULT_SCALE) -> np.ndarray:
 
 
 def jacobian(f, x, scale: float = DEFAULT_SCALE) -> np.ndarray:
-    """Central-difference derivative of an array-valued function.
+    """Central-difference derivative of an array-valued function at base
+    points x, one vector of shape (n,) or vectors stacked as (..., n).
 
-    ``f`` takes the 2n stencil points stacked as (2n, n) rows in one call
-    and returns their values stacked along the first axis.  Returns an
-    array of shape ``f(x).shape + x.shape``; the trailing axis indexes
-    the differentiation direction.
+    ``f`` takes the 2n stencil points of every base point stacked as
+    (2n, ..., n) rows in one call and returns their values stacked along
+    the same leading axes.  Returns an array of shape ``x.shape[:-1] +
+    f(x).shape[x.ndim - 1:] + (n,)``, that is ``f(x).shape + (n,)`` for
+    one vector; the trailing axis indexes the differentiation direction.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     h = steps(x, scale)
-    e = np.diag(h)
+    e = np.moveaxis(h[..., None] * np.eye(n), -2, 0)  # e[i] = h_i e_i at every base point
     values = np.asarray(f(np.concatenate((x + e, x - e))))
-    cols = (values[:n] - values[n:]) / (2.0 * h).reshape((n,) + (1,) * (values.ndim - 1))
+    cols = (values[:n] - values[n:]) / _spread(np.moveaxis(2.0 * h, -1, 0), values.ndim)
     return np.moveaxis(cols, 0, -1)
+
+
+def _spread(h, ndim: int):
+    """h with trailing axes added up to ndim, so that it broadcasts against
+    values whose leading axes are those of h."""
+    return np.reshape(h, np.shape(h) + (1,) * (ndim - np.ndim(h)))
 
 
 HESSIAN_SCALE = 6e-5
@@ -91,13 +103,21 @@ def mixed_second(f, x, y, scale: float = HESSIAN_SCALE) -> np.ndarray:
     return ((fpp - fpm - fmp + fmm) / np.outer(4.0 * hx, hy).ravel()).reshape(x.size, y.size)
 
 
-def second_derivative(f, s: float, scale: float = HESSIAN_SCALE):
-    """Central second difference of a (possibly vector valued) curve."""
-    h = scale * (1.0 + abs(s))
-    return (np.asarray(f(s + h)) - 2.0 * np.asarray(f(s)) + np.asarray(f(s - h))) / h**2
+def second_derivative(f, s, scale: float = HESSIAN_SCALE):
+    """Central second difference of a (possibly vector valued) curve at the
+    parameters s, a scalar or an array; ``f`` maps an array of parameters
+    to values whose leading axes are those of the array, and is called
+    once per stencil point with all of s."""
+    s = np.asarray(s, dtype=float)
+    h = scale * (1.0 + np.abs(s))
+    d2 = np.asarray(f(s + h)) - 2.0 * np.asarray(f(s)) + np.asarray(f(s - h))
+    return d2 / _spread(h**2, d2.ndim)
 
 
-def derivative(f, s: float, scale: float = DEFAULT_SCALE):
-    """Central first difference of a curve parameter."""
-    h = scale * (1.0 + abs(s))
-    return (np.asarray(f(s + h)) - np.asarray(f(s - h))) / (2.0 * h)
+def derivative(f, s, scale: float = DEFAULT_SCALE):
+    """Central first difference of a curve at the parameters s, taking f
+    as second_derivative does."""
+    s = np.asarray(s, dtype=float)
+    h = scale * (1.0 + np.abs(s))
+    d = np.asarray(f(s + h)) - np.asarray(f(s - h))
+    return d / _spread(2.0 * h, d.ndim)

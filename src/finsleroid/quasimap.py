@@ -93,9 +93,9 @@ def _mu_rows(par: GParameter, ctx: MetricContext, t, what: str, degree: int, clo
         m = _plane_norm(m2)
         k = np.exp(0.5 * par.big_g * np.arctan2(tn, m))
         out = closed_form(par, t, tl, m, tn, s2, k)
-    _require((k >= _TINY) & (k <= _HUGE), NumericalDomainError,
-             f"{what}: k = exp(G phi/2) = {{!r}} is not a finite normal float64 at g = {par.g!r}", k)
-    _require_finite(out, t.ndim - 1, what)
+        _require((k >= _TINY) & (k <= _HUGE), NumericalDomainError,
+                 f"{what}: k = exp(G phi/2) = {{!r}} is not a finite normal float64 at g = {par.g!r}", k)
+        _require_finite(out, t.ndim - 1, what)
     return _scaled_back(out, e, degree, what)
 
 

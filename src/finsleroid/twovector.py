@@ -23,11 +23,11 @@ from .errors import (
     NoRootError,
     NumericalDomainError,
     ObtuseInputError,
+    OutOfRangeError,
     ZeroVectorError,
 )
 from .geodesics import (
     PairInvariants,
-    _checked_vectors,
     _companions,
     _dots,
     _invariants,
@@ -271,6 +271,14 @@ def _decreasing_root(fun, lo, hi, x0, max_iter=100):
                 return x_new
         x = x_new
     raise MaxIterationsError("bracketed Newton iteration did not converge")
+
+
+def _checked_vectors(ctx: MetricContext, t1, t2):
+    """core._scaled_rows of one vector pair, shape (N,) each."""
+    for t in (t1, t2):
+        if np.ndim(t) != 1:
+            raise OutOfRangeError(f"expected a 1-d vector, got shape {np.shape(t)}")
+    return _scaled_rows(ctx, t1, t2)
 
 
 def solve_co_angle(par: GParameter, ctx: MetricContext, T1, T2) -> float:

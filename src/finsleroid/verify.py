@@ -19,11 +19,13 @@ one at a time would give, in one (m, N) stack, and past a fixed draw
 cap they raise OutOfRangeError.  Where every kernel of a check takes
 stacked rows, the check calls each kernel once on its stack and reduces
 the residuals with a max; a sample that a kernel's precondition excludes
-is masked out.  Finite-difference oracles keep one stencil per sample,
-and the checks of the chord family and of the co-angle solve, which take
-one vector pair, loop over their stacked samples.  A check that skips
-the samples a kernel rejects draws more as it needs them, and gives up
-with OutOfRangeError after 50 rejected per trial.
+is masked out.  The oracles of the chord checks difference all their
+samples in one stencil; other finite-difference oracles keep one stencil
+per sample, and the check of the co-angle solve, which takes one vector
+pair, loops over its stacked samples.  A check that skips the samples a
+kernel rejects (the chord and frame checks test them by the kernel's
+own guards) draws more as it needs them, and gives up with
+OutOfRangeError after 50 rejected per trial.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .core import (
     phi_function,
     scalar_bundle,
 )
-from .core import _HUGE, _TINY, _bundle_from_qz
+from .core import _HUGE, _TINY, _bundle_from_qz, _pow
 from .errors import FinsleroidError, NumericalDomainError, OutOfRangeError
 from .finslerops import (
     axis_angles,
@@ -63,6 +65,7 @@ from .finslerops import (
 )
 from .geodesics import (
     _COLLINEAR_TOL,
+    _chord_terms,
     _dots,
     _pair_dots,
     angle,
@@ -251,14 +254,26 @@ def _refills(draw, m, trials):
 
 def _admitted(samples, admit, m):
     """The first m samples of the iterator ``samples`` that ``admit`` keeps,
-    stacked; admit flags each sample of a stack of them.  Each round takes
-    as many samples as are still missing, so none is drawn that a check
-    taking them one at a time would not draw."""
+    stacked; admit flags each sample of a stack of them, and where it
+    raises a FinsleroidError for a stack, each of its samples is judged
+    alone, one that raises not kept.  Each round takes as many samples as
+    are still missing, so none is drawn that a check taking them one at
+    a time would not draw."""
     kept = []
     while (count := sum(map(len, kept))) < m:
         batch = np.array(list(itertools.islice(samples, m - count)))
-        kept.append(batch[admit(batch)])
+        kept.append(batch[_flags(admit, batch)])
     return np.concatenate(kept)
+
+
+def _flags(admit, batch):
+    """admit(batch), or the samples judged one at a time where it raises."""
+    try:
+        return admit(batch)
+    except FinsleroidError:
+        if len(batch) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_flags(admit, batch[i:i + 1]) for i in range(len(batch))])
 
 
 def _vector_pairs(rng, ctx, m, **kw):
@@ -734,101 +749,81 @@ def check_pair_invariants(par, ctx, rng, trials, tol):
 
 
 def check_chord_constants(par, ctx, rng, trials, tol):
-    res = 0.0
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, trials, unit=True, max_alpha=0.95 * math.pi)):
-        ch = solve_chord(par, ctx, t1, t2)
-        c2 = ch.a**2 - ch.b**2
-        res = max(res, max(0.0, -c2))
-        c = math.sqrt(max(c2, 0.0))
-        res = max(
-            res,
-            abs(c * ch.delta_s - ch.a * ch.s_end * math.sin(ch.alpha)),
-            abs(ch.a**2 + ch.b * ch.delta_s - ch.a * ch.s_end * math.cos(ch.alpha)),
-            abs((c * ch.delta_s) ** 2 + (ch.a**2 + ch.b * ch.delta_s) ** 2 - ch.a**2 * ch.radius(ch.delta_s) ** 2),
-            abs(ch.delta_s**2 - distance_squared(par, ctx, t1, t2)),
-            abs(
-                ch.delta_s**2
-                - (ch.s_end**2 + ch.a**2 - 2.0 * ch.a * ch.s_end * math.cos(ch.alpha))
-            ),
-            abs(scalar_product(par, ctx, t1, t2) - ch.a * ch.s_end * math.cos(ch.alpha)),
-        )
-        # radial chord
-        lam = rng.uniform(1.1, 3.0)
-        chr_ = solve_chord(par, ctx, t1, lam * t1)
-        res = max(
-            res,
-            abs(chr_.alpha),
-            abs(chr_.delta_s - (lam - 1.0) * chr_.a),
-            abs(chr_.b - chr_.a),
-        )
-    return trials, res
+    t1, t2 = draw_pairs(rng, ctx, par, trials, unit=True, max_alpha=0.95 * math.pi)
+    lam = rng.uniform(1.1, 3.0, (trials, 1))
+    # the chords of (t1, t2) and the radial chords of (t1, lam t1) in one call
+    ch = solve_chord(par, ctx, np.stack([t1, t1]), np.stack([t2, lam * t1]))
+    a, s_end, alpha, ds, b = (x[0] for x in (ch.a, ch.s_end, ch.alpha, ch.delta_s, ch.b))
+    c2 = a**2 - b**2
+    c = np.sqrt(np.maximum(c2, 0.0))
+    return trials, _dev(
+        np.maximum(-c2, 0.0),
+        c * ds - a * s_end * np.sin(alpha),
+        a**2 + b * ds - a * s_end * np.cos(alpha),
+        (c * ds) ** 2 + (a**2 + b * ds) ** 2 - a**2 * ch.radius(ch.delta_s[..., None])[0, :, 0] ** 2,
+        ds**2 - distance_squared(par, ctx, t1, t2),
+        ds**2 - (s_end**2 + a**2 - 2.0 * a * s_end * np.cos(alpha)),
+        scalar_product(par, ctx, t1, t2) - a * s_end * np.cos(alpha),
+        # radial chords: alpha = 0, Delta s = (lam - 1) a, b = a
+        ch.alpha[1],
+        ch.delta_s[1] - (lam[:, 0] - 1.0) * ch.a[1],
+        ch.b[1] - ch.a[1],
+    )
+
+
+def _chords(par, ctx, rng, m):
+    """m chords of draw_pairs pairs of unit vectors below 0.95 pi, and the pairs."""
+    t1, t2 = draw_pairs(rng, ctx, par, m, unit=True, max_alpha=0.95 * math.pi)
+    return solve_chord(par, ctx, t1, t2), t1, t2
 
 
 def check_geodesic_endpoints(par, ctx, rng, trials, tol):
-    res = 0.0
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, trials, unit=True, max_alpha=0.95 * math.pi)):
-        ch = solve_chord(par, ctx, t1, t2)
-        res = max(
-            res,
-            _dev(geodesic_point(ch, 0.0) - t1),
-            _dev(geodesic_point(ch, ch.delta_s) - t2),
-        )
-        ss = np.linspace(0.0, ch.delta_s, 7)
-        pts = geodesic_point(ch, ss)
-        res = max(res, _dev(np.einsum("ip,pq,iq->i", pts, ctx.r_pq, pts) - ch.radius(ss) ** 2))
-        # plane curve: residual off span{t1, t2}
-        basis = np.linalg.qr(np.stack([t1, t2], axis=1))[0]
-        proj = pts @ basis @ basis.T
-        res = max(res, _dev(pts - proj))
-    return trials, res
+    ch, t1, t2 = _chords(par, ctx, rng, trials)
+    ss = np.linspace(0.0, ch.delta_s, 7, axis=-1)  # from exactly 0 to exactly Delta s
+    pts = geodesic_point(ch, ss)
+    n = ctx.n
+    radii2 = np.einsum("ip,pq,iq->i", pts.reshape(-1, n), ctx.r_pq, pts.reshape(-1, n)).reshape(ss.shape)
+    # plane curve: residual off span{t1, t2}
+    basis = np.linalg.qr(np.stack([t1, t2], axis=-1))[0]
+    return trials, _dev(
+        pts[:, 0] - t1,
+        pts[:, -1] - t2,
+        radii2 - ch.radius(ss) ** 2,
+        pts - pts @ basis @ np.swapaxes(basis, 1, 2),
+    )
 
 
 def check_geodesic_ode(par, ctx, rng, trials, tol):
-    res = 0.0
     m = _budget(trials, 4)
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, m, unit=True, max_alpha=0.95 * math.pi)):
-        ch = solve_chord(par, ctx, t1, t2)
-        c2 = ch.a**2 - ch.b**2
-        for s in np.linspace(0.15 * ch.delta_s, 0.85 * ch.delta_s, 3):
-            if ch.radius(s) < 0.3 * max(ch.a, ch.s_end):
-                continue
-            d2 = numdiff.second_derivative(lambda x: geodesic_point(ch, x), float(s))
-            rhs = 0.25 * par.g**2 * c2 * geodesic_point(ch, float(s)) / ch.radius(float(s)) ** 4
-            res = max(res, _dev(d2 - rhs))
-    return m, res
+    ch, _, _ = _chords(par, ctx, rng, m)
+    ss = np.linspace(0.15 * ch.delta_s, 0.85 * ch.delta_s, 3, axis=-1)
+    rad = ch.radius(ss)
+    d2 = numdiff.second_derivative(lambda x: geodesic_point(ch, x), ss)
+    rhs = (0.25 * par.g**2 * (ch.a**2 - ch.b**2))[:, None, None] * geodesic_point(ch, ss) / _pow(rad, 4)[..., None]
+    far = rad >= 0.3 * np.maximum(ch.a, ch.s_end)[:, None]  # where float64 differencing holds
+    return m, _dev((d2 - rhs)[far])
 
 
 def check_geodesic_velocity(par, ctx, rng, trials, tol):
-    res_fd = 0.0
-    res = 0.0
     m = _budget(trials, 4)
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, m, unit=True, max_alpha=0.95 * math.pi)):
-        ch = solve_chord(par, ctx, t1, t2)
-        ss = np.linspace(0.05 * ch.delta_s, 0.95 * ch.delta_s, 10)
-        pts = geodesic_point(ch, ss)
-        vel = geodesic_velocity(ch, ss)
-        for i, s in enumerate(ss):
-            res_fd = max(
-                res_fd,
-                _dev(vel[i] - numdiff.derivative(lambda x: geodesic_point(ch, x), float(s))),
-            )
-            ng = quasi_metric(par, ctx, pts[i]).n_lower
-            res = max(
-                res,
-                abs(vel[i] @ ng @ vel[i] - 1.0),
-                abs(ctx.dot(pts[i], vel[i]) - (ch.b + s)),
-            )
-    return m, max(res, res_fd * 1e-2)
+    ch, _, _ = _chords(par, ctx, rng, m)
+    ss = np.linspace(0.05 * ch.delta_s, 0.95 * ch.delta_s, 10, axis=-1)
+    pts = geodesic_point(ch, ss)
+    vel = geodesic_velocity(ch, ss)
+    fd = numdiff.derivative(lambda x: geodesic_point(ch, x), ss)
+    ng = quasi_metric(par, ctx, pts).n_lower
+    res = _dev(_dots(ng, vel, vel) - 1.0, _dots(ctx.r_pq, pts, vel) - (ch.b[:, None] + ss))
+    return m, max(res, _dev(vel - fd) * 1e-2)
 
 
 def check_arc_length(par, ctx, rng, trials, tol):
     res = 0.0
     m = _budget(trials, 4)
     segs = 1000
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, m, unit=True, max_alpha=0.95 * math.pi)):
-        ch = solve_chord(par, ctx, t1, t2)
-        sg = np.linspace(0.0, ch.delta_s, segs + 1)
-        pts = geodesic_point(ch, sg)
+    chords, _, _ = _chords(par, ctx, rng, m)
+    for i in range(m):  # integrated one chord at a time
+        ch = chords[i]
+        pts = geodesic_point(ch, np.linspace(0.0, ch.delta_s, segs + 1))
         mid = 0.5 * (pts[1:] + pts[:-1])
         dp = pts[1:] - pts[:-1]
         s_mid = np.sqrt(np.einsum("ip,pq,iq->i", mid, ctx.r_pq, mid))
@@ -840,34 +835,33 @@ def check_arc_length(par, ctx, rng, trials, tol):
 
 
 def check_length_gradients(par, ctx, rng, trials, tol):
-    res = 0.0
-    res_fd = 0.0
     m = _budget(trials, 2)
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, m, unit=True, max_alpha=0.95 * math.pi)):
-        b1, b2 = length_gradients(par, ctx, t1, t2)
-        fd1 = 0.5 * numdiff.gradient(lambda x: distance_squared(par, ctx, x, t2), t1)
-        fd2 = 0.5 * numdiff.gradient(lambda y: distance_squared(par, ctx, t1, y), t2)
-        res_fd = max(res_fd, _dev(b1 - fd1), _dev(b2 - fd2))
-        inv = pair_invariants(par, ctx, t1, t2)
-        s1, s2 = math.sqrt(inv.dot11), math.sqrt(inv.dot22)
-        ca, sa = math.cos(inv.alpha), math.sin(inv.alpha)
-        k2 = 1.0 / par.h**2 - 1.0
-        x = s1 / s2 + s2 / s1
-        bb11 = inv.dot11 + inv.dot22 - 2 * s1 * s2 * ca + k2 * inv.dot22 * sa * sa
-        bb22 = inv.dot22 + inv.dot11 - 2 * s1 * s2 * ca + k2 * inv.dot11 * sa * sa
-        bb12 = -((x - 2 * ca) * ca + k2 * sa * sa) * inv.dot12 - (x - 2 * ca) * inv.u * sa / par.h
-        res = max(
-            res,
-            abs(t1 @ b1 + t2 @ b2 - distance_squared(par, ctx, t1, t2)),
-            abs(ctx.codot(b1, b1) - bb11),
-            abs(ctx.codot(b2, b2) - bb22),
-            abs(ctx.codot(b1, b2) - bb12),
-        )
-        # coincidence limit: both gradients vanish
-        eps = 1e-7
-        g1, g2 = length_gradients(par, ctx, t1, t1 + eps * t2)
-        res = max(res, min(_dev(g1), 1.0) * 1e-3, min(_dev(g2), 1.0) * 1e-3)
-    return m, max(res, res_fd * 1e-3)
+    t1, t2 = draw_pairs(rng, ctx, par, m, unit=True, max_alpha=0.95 * math.pi)
+    # the pairs and, in the coincidence limit where both vanish, (t1, t1 + 1e-7 t2)
+    (b1, g1), (b2, g2) = length_gradients(par, ctx, np.stack([t1, t1]), np.stack([t2, t1 + 1e-7 * t2]))
+    # one stencil: the squared length in t1 at fixed t2, and in t2 at fixed t1
+    first = np.array([True, False])[:, None, None]
+    fd = 0.5 * numdiff.gradient(
+        lambda x: distance_squared(par, ctx, np.where(first, x, t1), np.where(first, t2, x)), np.stack([t1, t2])
+    )
+    inv = pair_invariants(par, ctx, t1, t2)
+    s1, s2 = np.sqrt(inv.dot11), np.sqrt(inv.dot22)
+    ca, sa = np.cos(inv.alpha), np.sin(inv.alpha)
+    k2 = 1.0 / par.h**2 - 1.0
+    x = s1 / s2 + s2 / s1
+    bb11 = inv.dot11 + inv.dot22 - 2 * s1 * s2 * ca + k2 * inv.dot22 * sa * sa
+    bb22 = inv.dot22 + inv.dot11 - 2 * s1 * s2 * ca + k2 * inv.dot11 * sa * sa
+    bb12 = -((x - 2 * ca) * ca + k2 * sa * sa) * inv.dot12 - (x - 2 * ca) * inv.u * sa / par.h
+    dot = lambda x, y: (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    codot = lambda x, y: _dots(ctx.r_pq_inv, x, y)
+    res = _dev(
+        dot(t1, b1) + dot(t2, b2) - distance_squared(par, ctx, t1, t2),
+        codot(b1, b1) - bb11,
+        codot(b2, b2) - bb22,
+        codot(b1, b2) - bb12,
+    )
+    res = max(res, min(_dev(g1), 1.0) * 1e-3, min(_dev(g2), 1.0) * 1e-3)
+    return m, max(res, _dev(np.stack([b1, b2]) - fd) * 1e-3)
 
 
 def check_fundamental_limit(par, ctx, rng, trials, tol):
@@ -1217,44 +1211,44 @@ def check_finsler_coincidence(par, ctx, rng, trials, tol):
     return m, 1.0 if rising.any() else 0.0
 
 
+def _has_chord(par, ctx, t1, t2, min_c=0.0):
+    """Flags the pairs solve_chord takes, by its own guards, whose chord
+    keeps its closest approach to the origin, sqrt(a^2 - b^2), at least
+    min_c max(a, s_end)."""
+    _, _, _, a, s_end, _, _, b, wide, coincident = _chord_terms(par, ctx, t1, t2)
+    return ~wide & ~coincident & (np.sqrt(np.maximum(a**2 - b**2, 0.0)) >= min_c * np.maximum(a, s_end))
+
+
+def _chord_pairs(par, ctx, rng, m, trials, min_c=0.0):
+    """m vector pairs (R1, R2), each (m, N), whose image pairs _has_chord flags."""
+    admit = lambda s: _has_chord(par, ctx, sigma_map(par, ctx, s[:, 0]), sigma_map(par, ctx, s[:, 1]), min_c)
+    kept = _admitted(_refills(lambda: _vector_pairs(rng, ctx, m), m, trials), admit, m)
+    return kept[:, 0], kept[:, 1]
+
+
 def check_finsler_geodesic(par, ctx, rng, trials, tol):
-    res = 0.0
     m = _budget(trials, 4)
-    cnt = 0
-    for r1, r2 in _refills(lambda: _vector_pairs(rng, ctx, m), m, trials):
-        try:
-            ch = finsler_chord(par, ctx, r1, r2)
-        except FinsleroidError:
-            continue
-        cnt += 1
-        pts = finsler_geodesic(par, ctx, r1, r2, np.array([0.0, ch.delta_s]))
-        res = max(res, _dev(pts[0] - r1), _dev(pts[-1] - r2))
-        if cnt == m:
-            return m, res
+    r1, r2 = _chord_pairs(par, ctx, rng, m, trials)
+    ds = finsler_chord(par, ctx, r1, r2).delta_s
+    pts = finsler_geodesic(par, ctx, r1, r2, np.stack([np.zeros(m), ds], axis=-1))
+    return m, _dev(pts[:, 0] - r1, pts[:, -1] - r2)
 
 
 def check_finsler_arc(par, ctx, rng, trials, tol):
     res = 0.0
     m = _budget(trials, 16)
     segs = 3000  # pullback paths can graze the axis, where quadrature converges slower
-    cnt = 0
-    for r1, r2 in _refills(lambda: _vector_pairs(rng, ctx, m), m, trials):
-        try:
-            ch = finsler_chord(par, ctx, r1, r2)
-        except FinsleroidError:
-            continue
-        # the composite rule needs the integrand smooth: keep the chord's
-        # closest approach to the origin bounded (same guard as the ODE check)
-        if math.sqrt(max(ch.a**2 - ch.b**2, 0.0)) < 0.3 * max(ch.a, ch.s_end):
-            continue
-        cnt += 1
-        pts = finsler_geodesic(par, ctx, r1, r2, np.linspace(0.0, ch.delta_s, segs + 1))
+    # the composite rule needs the integrand smooth: keep the chord's
+    # closest approach to the origin bounded (same guard as the ODE check)
+    chords = finsler_chord(par, ctx, *_chord_pairs(par, ctx, rng, m, trials, min_c=0.3))
+    for i in range(m):  # integrated one chord at a time, to keep the metric tensors small
+        ch = chords[i]
+        pts = mu_map(par, ctx, geodesic_point(ch, np.linspace(0.0, ch.delta_s, segs + 1)))
         dp = pts[1:] - pts[:-1]
         gm = metric_tensor(par, ctx, 0.5 * (pts[1:] + pts[:-1]))
         total = float(np.sqrt(np.maximum(np.einsum("ip,ipq,iq->i", dp, gm, dp), 0.0)).sum())
         res = max(res, abs(total - ch.delta_s) / ch.delta_s)
-        if cnt == m:
-            return m, res
+    return m, res
 
 
 def check_axis_angles(par, ctx, rng, trials, tol):
@@ -1284,7 +1278,13 @@ def check_euclidean_degeneration(par, ctx, rng, trials, tol):
     # the first-order sum and difference need an acute, independent pair
     ok = (np.sin(al) > _COLLINEAR_TOL) & (al < 0.5 * math.pi)
     vo, wo = v[ok], w[ok]
-    res = _dev(
+    # the chords, of the pairs that have one, at their midpoints
+    has = _has_chord(p0, ctx, v, w)
+    vc, wc = v[has], w[has]
+    ch = solve_chord(p0, ctx, vc, wc)
+    s = 0.5 * ch.delta_s
+    lerp = vc + (wc - vc) * (s / ch.delta_s)[:, None]
+    return trials, _dev(
         kfun(p0, ctx, v) - sv,
         metric_tensor(p0, ctx, v) - ctx.r_pq,
         quasi_metric(p0, ctx, v).n_lower - ctx.r_pq,
@@ -1294,17 +1294,8 @@ def check_euclidean_degeneration(par, ctx, rng, trials, tol):
         distance_squared(p0, ctx, v, w) - dot(v - w, v - w),
         oplus_first_order(p0, ctx, vo, wo) - (vo + wo),
         ominus_first_order(p0, ctx, vo, wo) - (wo - vo),
+        geodesic_point(ch, s[:, None])[:, 0] - lerp,
     )
-    # the chord takes one pair
-    for vi, wi in zip(v, w):
-        try:
-            ch = solve_chord(p0, ctx, vi, wi)
-            s = 0.5 * ch.delta_s
-            lerp = vi + (wi - vi) * (s / ch.delta_s)
-            res = max(res, _dev(geodesic_point(ch, s) - lerp))
-        except FinsleroidError:
-            pass
-    return trials, res
 
 
 CHECKS = [

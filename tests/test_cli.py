@@ -397,11 +397,12 @@ def test_eval_at_large_vectors_is_homogeneous(capsys):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("vector", ["8e307,-1.4e308,1.7e308", "0.4e200,-0.7e200,0.9e200"])
 def test_eval_beyond_float64_exits_1(capsys, vector, fmt):
-    # the printed bundle fields q and B, formed from squares, leave float64:
-    # a typed error, without a numpy warning (pytest turns those into errors)
+    # the printed bundle field B, of degree 2, leaves float64 (q, of degree 1,
+    # still fits): a typed error naming it, without a numpy warning (pytest
+    # turns those into errors)
     code, out, err = run_cli(capsys, "eval", "--g", "1", f"--vector={vector}", "--format", fmt)
     assert (code, out) == (1, "")
-    assert err == "error: non-finite q in float64\n"
+    assert err == "error: B is not finite at this scale\n"
 
 
 def test_verify_near_two_exits_1_without_warnings(capsys):

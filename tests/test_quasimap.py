@@ -300,9 +300,14 @@ def test_mu_map_rows_rejected(ctx):
     for shape in ((3, n + 1), (n - 1,), ()):
         with pytest.raises(fl.OutOfRangeError):
             fl.mu_map(par, ctx, np.ones(shape))
-    # the kernels that stay per-vector keep to one vector
-    with pytest.raises(fl.OutOfRangeError):
-        fl.solve_chord(par, ctx, np.ones((2, n)), np.eye(n)[:2])
+    # the chord takes pairs stacked as (..., N): each row is its pair's chord
+    T1, T2 = np.ones((2, n)), np.eye(n)[:2]
+    rows = fl.solve_chord(par, ctx, T1, T2)
+    for i in range(2):
+        one = fl.solve_chord(par, ctx, T1[i], T2[i])
+        assert [getattr(rows, f)[i] for f in ("a", "s_end", "alpha", "delta_s", "b")] == [
+            one.a, one.s_end, one.alpha, one.delta_s, one.b]
+        np.testing.assert_array_equal(np.stack([rows.t1[i], rows.t2[i]]), np.stack([one.t1, one.t2]))
 
 
 def test_mu_near_two_raises_typed_errors():

@@ -195,10 +195,32 @@ PAIR_KERNELS = {
     "oplus_first_order": lambda par, ctx, a, b: [fl.oplus_first_order(par, ctx, a, b)],
     "ominus_first_order": lambda par, ctx, a, b: [fl.ominus_first_order(par, ctx, a, b)],
     "parallelogram_refine": lambda par, ctx, a, b: [fl.parallelogram_refine(par, ctx, a, b)],
+    "length_gradients": lambda par, ctx, a, b: list(fl.length_gradients(par, ctx, a, b)),
+    "solve_chord": lambda par, ctx, a, b: [
+        getattr(fl.solve_chord(par, ctx, a, b), f) for f in ("t1", "t2", "a", "s_end", "alpha", "delta_s", "b")
+    ],
+    "geodesic_point": lambda par, ctx, a, b: _along_chord(fl.geodesic_point, par, ctx, a, b),
+    "geodesic_velocity": lambda par, ctx, a, b: _along_chord(fl.geodesic_velocity, par, ctx, a, b),
 }
 # the kernels of acute pairs (alpha < pi/2): the parallelogram law, and the
-# frame and the inversion, which large angles take out of their domain
-ACUTE = {"invert_covectors", "frame", "frame_reconstruct", "oplus_first_order", "parallelogram_refine"}
+# frame, the inversion and the chord, which large angles take out of their
+# domain
+CHORD = {"solve_chord", "geodesic_point", "geodesic_velocity"}
+ACUTE = {"invert_covectors", "frame", "frame_reconstruct", "oplus_first_order", "parallelogram_refine"} | CHORD
+# the kernels whose rows equal the single-pair calls bit for bit
+BITWISE = CHORD | {"length_gradients"}
+
+
+def _along_chord(fn, par, ctx, a, b):
+    """fn of the chords of the pairs at 0, 1/3, 1 and 1.2 times Delta s
+    (shape L + (4, N)), and at the midpoints, a scalar s for one pair and
+    an s per chord for a stack (L + (N,))."""
+    chord = fl.solve_chord(par, ctx, a, b)
+    ds = np.asarray(chord.delta_s)
+    samples = fn(chord, ds[..., None] * np.array([0.0, 1.0 / 3.0, 1.0, 1.2]))
+    if ds.ndim == 0:
+        return [samples, fn(chord, 0.5 * chord.delta_s)]
+    return [samples, fn(chord, 0.5 * ds[..., None])[..., 0, :]]
 
 
 def _acute(ctx, T1, T2):
@@ -238,6 +260,9 @@ def test_pair_kernel_rows_match_single_pairs(g, n, rng):
             assert_rows_match(rows, ref)
             assert grid.shape == (2, 4) + ref.shape[1:], (name, k)
             assert_rows_match(grid.reshape(ref[:8].shape), ref[:8])
+            if name in BITWISE:  # NaN-aware
+                np.testing.assert_array_equal(rows, ref)
+                np.testing.assert_array_equal(grid.reshape(ref[:8].shape), ref[:8])
         # one pair gives float64 scalars, not 0-d arrays
         assert all(np.ndim(x) > 0 or not isinstance(x, np.ndarray) for x in single[5]), name
 
@@ -263,13 +288,28 @@ def test_pair_kernel_rows_rejected(name, rng):
     L[4] = 2.5 * T1[4]
     if name in ("pair_invariants", "two_vector_metric", "finsler_two_vector_tensor",
                 "two_vector_determinant_reference", "covector_pair", "invert_covectors", "frame",
-                "frame_reconstruct", "oplus_first_order", "ominus_first_order", "parallelogram_refine"):
+                "frame_reconstruct", "oplus_first_order", "ominus_first_order", "parallelogram_refine",
+                "length_gradients"):
         with pytest.raises(fl.CollinearError, match=r"sin\(theta\) = [-+.0-9e]+ <= 1e-12 \(row 4\)"):
             fn(par, ctx, T1, L)
     elif name == "finsler_product":
         product, *_, s_r, g_lower = fn(par, ctx, T1, L)
         assert s_r is None and g_lower is None
         assert np.all(np.isfinite(product))
+    elif name in CHORD:
+        # a collinear pair is a radial chord; coincident endpoints and an
+        # angle of pi or more have none
+        A = _acute(ctx, T1, T2)
+        A[4] = 2.5 * T1[4]
+        radial = fl.solve_chord(par, ctx, T1, A)
+        assert radial.alpha[4] == 0.0 and radial.b[4] == radial.a[4]
+        fn(par, ctx, T1, A)
+        A[2] = T1[2]
+        with pytest.raises(fl.DegenerateChordError, match=r"^coincident endpoints \(row 2\)$"):
+            fn(par, ctx, T1, A)
+        A[1] = -0.5 * T1[1]
+        with pytest.raises(fl.NumericalDomainError, match=r"angle of pi or more \(row 1\)$"):
+            fn(par, ctx, T1, A)
 
 
 def test_pair_kernels_broadcast(rng):
@@ -414,10 +454,13 @@ def _two_vector_metric(par, ctx, t1, t2):
     return [tv.n_lower, tv.a1, tv.a2] + _arrays(tv.pair)
 
 
-def _chord_points(par, ctx, t1, t2):
-    # the chord sampled at 0, 1/3 and 1 times Delta s: both scale
-    chord = fl.solve_chord(par, ctx, t1, t2)
-    return [fl.geodesic_point(chord, chord.delta_s * np.array([0.0, 1.0 / 3.0, 1.0]))]
+def _chord_samples(fn):
+    """fn of the chords sampled at 0, 1/3 and 1 times Delta s, which scales
+    with the pair, returning a list of arrays."""
+    def sampled(par, ctx, t1, t2):
+        chord = fl.solve_chord(par, ctx, t1, t2)
+        return [fn(chord, np.asarray(chord.delta_s)[..., None] * np.array([0.0, 1.0 / 3.0, 1.0]))]
+    return sampled
 
 
 # every pair kernel as (function of (par, ctx, t1, t2, t3, alpha) returning a
@@ -439,12 +482,13 @@ PAIR_TABLE = {
     "parallelogram_residuals": (lambda par, ctx, a, b, c, al: list(fl.parallelogram_residuals(par, ctx, a, b, c)),
                                 (1, 1), True),
     "product_gradients": (_pair(lambda *a: list(fl.product_gradients(*a))), (1, 1), False),
-    "length_gradients": (_pair(lambda *a: list(fl.length_gradients(*a))), (1, 1), False),
+    "length_gradients": (_pair(lambda *a: list(fl.length_gradients(*a))), (1, 1), True),
     "solve_co_angle": (_pair(lambda par, ctx, a, b: [fl.solve_co_angle(par, ctx, *_covectors(par, ctx, a, b))]),
                        0, False),
     "solve_chord": (_pair(lambda *a: [getattr(fl.solve_chord(*a), f) for f in ("a", "s_end", "alpha", "delta_s", "b")]),
-                    (1, 1, 0, 1, 1), False),
-    "geodesic_point": (_pair(_chord_points), 1, False),
+                    (1, 1, 0, 1, 1), True),
+    "geodesic_point": (_pair(_chord_samples(fl.geodesic_point)), 1, True),
+    "geodesic_velocity": (_pair(_chord_samples(fl.geodesic_velocity)), 0, True),
 }
 
 
@@ -513,6 +557,27 @@ def test_one_vector_kernels_follow_their_degree(g, n):
         fn = KERNELS[name]
         ref = _arrays(fn(par, ctx, x))
         _sweep(lambda r: _arrays(fn(par, ctx, r)), (rows,), SWEEP_K, ref, _degrees(degree, par.h, len(ref)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("g", [0.0, 1.0, -1.5])
+def test_scalar_bundle_follows_its_degrees(g, n):
+    # every row 2^k x, k from -1000 to 1023: Phi and J equal their values at
+    # x, and q, Z, A, L, K (degree 1) and B (2) follow their degree; where B
+    # leaves float64, beyond 2^511, the bundle raises naming the field
+    par, ctx = fl.make_parameter(g), fl.MetricContext(n)
+    x = VECTOR[:n]
+    fields = ("q", "Z", "B", "A", "L", "phi", "J", "K")
+    bundle = lambda r: [getattr(fl.scalar_bundle(par, ctx, r), f) for f in fields]
+    ref = bundle(x)
+    rows = np.ldexp(x, SWEEP_K[:, None])
+    _sweep(bundle, (rows,), SWEEP_K, ref, (1, 1, 2, 1, 1, 0, 0, 1))
+    fits = SWEEP_K < 511
+    _, _, B, _, _, phi, j, _ = bundle(rows[fits])
+    assert np.all(phi == ref[5]) and np.all(j == ref[6])
+    assert np.isfinite(B).all()
+    with pytest.raises(fl.NumericalDomainError, match=r"^B is not finite at this scale \(row 1\)$"):
+        fl.scalar_bundle(par, ctx, np.stack([x, 1e200 * x]))
 
 
 @pytest.mark.parametrize("n", [3, 4])

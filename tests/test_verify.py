@@ -183,18 +183,20 @@ def test_draw_pair_and_rejection_budget_raise(monkeypatch):
     with pytest.raises(fl.OutOfRangeError, match=r"draw cap: \d+ rows drawn"):
         V.draw_pairs(np.random.default_rng(0), ctx, fl.make_parameter(1.0), 4, min_frac=0.8)
 
-    calls = []
+    judged = []
 
-    def no_chord(*args):
-        calls.append(args)
-        raise fl.NumericalDomainError("no chord")
+    def no_chord(par, ctx, t1, t2, min_c=0.0):
+        judged.append(len(t1))
+        return np.zeros(len(t1), dtype=bool)
 
-    # every sample rejected by the kernel: the check gives up after 50
-    # rejected samples per trial, plus the m - 1 = 3 it could still accept
-    monkeypatch.setattr(V, "finsler_chord", no_chord)
+    # every sample rejected by the chord's guards: the check gives up after
+    # 50 rejected samples per trial, plus the m - 1 = 3 it could still
+    # accept; it judges the 4 samples still missing at a time, so the last
+    # 3 drawn reach the cap before they are judged
+    monkeypatch.setattr(V, "_has_chord", no_chord)
     with pytest.raises(fl.OutOfRangeError, match="draw cap: 103 samples drawn without 4 admissible ones"):
         V.check_finsler_arc(fl.make_parameter(1.0), ctx, np.random.default_rng(0), 2, 1e-5)
-    assert len(calls) == 103
+    assert judged == [4] * 25
 
 
 def _draw_vector(rng, ctx, min_frac=0.0, unit=False):
@@ -266,6 +268,11 @@ FAULTS = {
     "twovector.frame": ("frame", lambda f: lambda *a: f(*a) * (1 + 1e-6)),
     # an asymmetric fault: the sum of (t1, t2) moves along t1
     "twovector.oplus": ("oplus_first_order", lambda f: lambda par, ctx, t1, t2: f(par, ctx, t1, t2) + 1e-6 * t1),
+    # the chord checks: one chord solve and one stencil per check
+    "geodesics.chord_constants": ("solve_chord", _scaled_field("delta_s")),
+    "geodesics.velocity": ("geodesic_velocity", lambda f: lambda *a: f(*a) * (1 + 1e-6)),
+    "geodesics.length_gradients": ("length_gradients", lambda f: lambda *a: tuple(b * (1 + 1e-6) for b in f(*a))),
+    "finslerops.geodesic": ("finsler_geodesic", lambda f: lambda *a: f(*a) * (1 + 1e-6)),
 }
 
 
