@@ -94,7 +94,7 @@ def cmd_eval(args) -> int:
         for row in gm:
             print("   " + "  ".join(repr(float(x)) for x in row))
         if cartan is None:
-            print("cartan        = (undefined on the axis or plane)")
+            print("cartan        = (undefined on the axis)")
         else:
             print(f"c_p_c_p       = {cartan['c_p_c_p']!r}")
     return 0

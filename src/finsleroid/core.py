@@ -105,6 +105,8 @@ _LO, _HI = 2.0**-100, 2.0**100
 # this, so that their terms of degree 3 (q B in the sigma Jacobian) stay
 # normal float64 numbers
 _SMALLEST = 2.0**-300
+# q^2 below this is evaluated at a power-of-two scale (see MetricContext.q_rows)
+_Q2_LOW = 2.0**-900
 
 
 def _outer(u, v):
@@ -183,17 +185,30 @@ class MetricContext:
 
     def q(self, bold) -> float:
         """Euclidean norm of an (N-1)-vector under r_ab."""
-        bold = np.asarray(bold, dtype=float)
-        return math.sqrt(max(float(bold @ self.r_ab @ bold), 0.0))
+        return float(self.q_rows(np.asarray(bold, dtype=float)))
 
     def r_rows(self, bold) -> np.ndarray:
         """r_ab bold^b of stacked (N-1)-vectors, each row on its own."""
         return (bold[..., None, :] @ self.r_ab)[..., 0, :]
 
     def q_rows(self, bold) -> np.ndarray:
-        """Norms under r_ab of (N-1)-vectors stacked along leading axes."""
-        q2 = (bold[..., None, :] @ self.r_ab @ bold[..., :, None])[..., 0, 0]
-        return np.sqrt(abs(q2))  # r_ab is positive definite: q2 < 0 only by rounding
+        """Norms under r_ab of (N-1)-vectors stacked along leading axes.
+
+        Where q^2 falls below 2^-900, its terms can leave the normal range
+        of float64: those rows are evaluated at 2^-e bold, an exact scaling
+        that puts their largest component in [1/2, 1), and q is 2^e times
+        that norm.
+        """
+        q2 = self._q2_rows(bold)
+        # one vector's q2 is 0-d, which a Python comparison tests at a tenth
+        # of the cost of the array test
+        if not (float(q2) < _Q2_LOW if q2.ndim == 0 else (q2 < _Q2_LOW).any()):
+            return np.sqrt(abs(q2))  # r_ab is positive definite: q2 < 0 only by rounding
+        e = np.where(q2 < _Q2_LOW, np.frexp(np.maximum.reduce(np.abs(bold), axis=-1))[1], 0)
+        return np.ldexp(np.sqrt(abs(self._q2_rows(np.ldexp(bold, -e[..., None])))), e)
+
+    def _q2_rows(self, bold):
+        return (bold[..., None, :] @ self.r_ab @ bold[..., :, None])[..., 0, 0]
 
     def m(self, t) -> float:
         """Norm of the non-axis part of a full N-vector."""

@@ -18,7 +18,8 @@ class ZeroVectorError(FinsleroidError):
 
 
 class OnAxisError(FinsleroidError):
-    """Closed-form branch undefined on the symmetry axis (q = 0) or plane (Z = 0)."""
+    """A quantity with no limit on the symmetry axis (q = 0), as the Cartan
+    tensor; the verifier's chart oracles also raise it in the plane (Z = 0)."""
 
 
 class CollinearError(FinsleroidError):

@@ -308,13 +308,16 @@ def _radial(flags, general, radial):
 
 def _point(h, a, b, ds, s_end, t1, t2, s):
     """Points t(s), shape L + (k, N), of the chords at 2^-e, from their
-    values there (see _scaled)."""
+    values there (see _scaled); with the radius S(s) and the
+    _chord_angles at s, which geodesic_velocity reuses."""
     rad = _radius(a, b, s)
-    _, tau1, tau2, denom, radial = _chord_angles(h, a, b, ds, s)
+    angles = _chord_angles(h, a, b, ds, s)
+    _, tau1, tau2, denom, radial = angles
     coeff1 = rad * np.sin(h * tau1) / (a * denom)
     coeff2 = rad * np.sin(h * tau2) / (s_end * denom)
     # radial chord: t(s) = t1 * S(s)/a
-    return _radial(radial, coeff1[..., None] * t1 + coeff2[..., None] * t2, lambda: (rad / a)[..., None] * t1)
+    point = _radial(radial, coeff1[..., None] * t1 + coeff2[..., None] * t2, lambda: (rad / a)[..., None] * t1)
+    return point, rad, angles
 
 
 def geodesic_point(chord: GeodesicChord, s):
@@ -325,7 +328,7 @@ def geodesic_point(chord: GeodesicChord, s):
     are plane curves) with (t(s) . t(s)) = S^2(s).
     """
     grid, single = _grid(chord, s)
-    out = _scaled_back(_point(chord.h, *_scaled(chord, grid)), chord.e, 1, "geodesic point")
+    out = _scaled_back(_point(chord.h, *_scaled(chord, grid))[0], chord.e, 1, "geodesic point")
     return out[..., 0, :] if single else out
 
 
@@ -336,11 +339,10 @@ def geodesic_velocity(chord: GeodesicChord, s):
     scaled = _scaled(chord, grid)
     a, b, ds, s_end, t1, t2, s_e = scaled
     h = chord.h
-    rad = _radius(a, b, s_e)
-    c, tau1, tau2, denom, radial = _chord_angles(h, a, b, ds, s_e)
+    point, rad, (c, tau1, tau2, denom, radial) = _point(h, *scaled)
     coeff1 = c * h * np.cos(h * tau1) / (a * rad * denom)
     coeff2 = c * h * np.cos(h * tau2) / (s_end * rad * denom)
-    out = _point(h, *scaled) * ((b + s_e) / rad**2)[..., None] - coeff1[..., None] * t1 + coeff2[..., None] * t2
+    out = point * ((b + s_e) / rad**2)[..., None] - coeff1[..., None] * t1 + coeff2[..., None] * t2
     out = _radial(radial, out, lambda: ((b + s_e) / (a * rad))[..., None] * t1)
     return out[..., 0, :] if single else out
 

@@ -1,9 +1,10 @@
 """Reference forms the verifier checks the library against: each restates
 a closed form the library computes another way (the printed branch
-families of Phi, the angular and mixed Cartan components, the two-vector
-determinant) or estimates it by finite differences (the Cartan tensor, the
-coincidence limits of the two-vector tensor).  Only :mod:`finsleroid.verify`
-and the tests import this module; the library never does.
+families of Phi, the angular components, the mixed Cartan components on
+the chart w = q/Z, the two-vector determinant) or estimates it by finite
+differences (the Cartan tensor, the coincidence limits of the two-vector
+tensor).  Only :mod:`finsleroid.verify` and the tests import this module;
+the library never does.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numdiff
-from .core import GParameter, MetricContext, _bundle, _off_axis, _outer, _per_row, _pow
+from .core import GParameter, MetricContext, _bundle, _first_row, _off_axis, _outer, _per_row, _pow
+from .errors import OnAxisError
 from .geodesics import pair_invariants
 from .quasimap import quasi_metric, quasi_metric_derivative
-from .tensors import _chart, metric_tensor
+from .tensors import metric_tensor
 from .twovector import _pair_scalars, two_vector_metric
 
 __all__ = [
@@ -72,15 +74,25 @@ def angular_block_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarra
     return h
 
 
+def _chart(ctx: MetricContext, R, sb):
+    """(Z, w, Q, w^a, w_a) of checked rows R, shape (..., N), on the chart
+    w = q/Z, with their bundle sb; OnAxisError names the first row on the
+    axis (q = 0) or in the plane (Z = 0), where the chart forms are
+    singular."""
+    bad = (sb.q == 0.0) | (sb.Z == 0.0)
+    if np.count_nonzero(bad):
+        raise OnAxisError("the chart forms need q != 0 and Z != 0" + _first_row(bad))
+    w_up = R[..., :-1] / _per_row(sb.Z)
+    return sb.Z, sb.w, sb.Q, w_up, ctx.r_rows(w_up)
+
+
 def cartan_mixed_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
     """Explicit chart closed forms for C_p^q_r (independent cross-check),
     over rows (..., N) -> (..., N, N, N)."""
     R = ctx.check_rows(R, nonzero=True)[0]
-    sb = _bundle(par, ctx, R)
-    z, w, w_up, w_low, v2 = _chart(ctx, R, sb)
+    z, w, qw, w_up, w_low = _chart(ctx, R, _bundle(par, ctx, R))
     n = ctx.n
     g = par.g
-    qw = sb.Q
     eye = np.eye(n - 1)
     w3, qw2 = _pow(w, 3), _pow(qw, 2)
 
@@ -111,11 +123,11 @@ def cartan_mixed_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarray
 
 
 def cartan_fd_diagnostic(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
-    """Finite-difference estimate (1/2) dg_pq/dR^r.
+    """Finite-difference estimate (1/2) dg_pq/dR^r, an oracle independent
+    of the closed form.
 
-    Works where the chart closed forms raise OnAxis (q = 0 or Z = 0), at
-    finite-difference accuracy; on the axis itself the one-sided kink of
-    the metric limits it further.
+    It also evaluates on the axis, where the Cartan tensor has no limit;
+    there the one-sided kink of the metric limits its accuracy further.
     """
     R = ctx.check_vector(R, nonzero=True)[0]
     return 0.5 * numdiff.jacobian(lambda x: metric_tensor(par, ctx, x), R)

@@ -22,7 +22,6 @@ from .core import (
     _TINY,
     GParameter,
     MetricContext,
-    _first_row,
     _lower,
     _off_axis,
     _outer,
@@ -34,7 +33,7 @@ from .core import (
     _scaled_back,
     _scaled_rows,
 )
-from .errors import NumericalDomainError, OnAxisError
+from .errors import NumericalDomainError
 
 __all__ = [
     "QuasiGeometry",
@@ -143,8 +142,6 @@ def sigma_jacobian(par: GParameter, ctx: MetricContext, R, sb) -> np.ndarray:
 
 
 def _mu_jacobian_closed_form(par, t, tl, m, tn, s2, k):
-    if (m == 0.0).any():
-        raise OnAxisError("mu_jacobian closed form needs m(t) != 0" + _first_row(m == 0.0))
     g, h = par.g, par.h
     # in the degree-0 factors t/S, m/S and t^N/S: no intermediate scales
     # with S^-2, which leaves float64 near the ends of the range of S
@@ -157,9 +154,10 @@ def _mu_jacobian_closed_form(par, t, tl, m, tn, s2, k):
     out[..., -1, -1] = 1.0 / k - 0.5 * g * mh * (nh - 0.5 * par.big_g * mh) * c
     out[..., -1, :-1] = _per_row(-(h * mh + 0.5 * g * nh) * e) * rt
     out[..., :-1, -1] = _per_row(-mh * e) * bold
-    # t^N/m first onto t^a/S, which keeps it of the order of t^N/S
+    # t^N/m first onto t^a/S, which keeps it of the order of t^N/S; the
+    # term is O(m), and 0 on the axis m = 0
     block = out[..., :-1, :-1]
-    np.multiply(_outer(bold * _per_row(tn / m), rt), _per_row(e, 2), out=block)
+    np.multiply(_outer(bold * _per_row(tn / _off_axis(m)), rt), _per_row(e, 2), out=block)
     block += _per_row(c, 2) * np.eye(t.shape[-1] - 1)
     return out
 
@@ -175,7 +173,8 @@ def mu_jacobian(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
         mu^a_N = -(g/2) m t^a / (h^2 k S^2)
         mu^a_b = delta^a_b/(h k) + (g/2) t^N t^a r_bc t^c / (h^2 m k S^2)
 
-    A row on the axis (m = 0) raises OnAxisError naming it.
+    The last term is O(m): on the axis m = 0 it is evaluated as its limit
+    0, as in ``sigma_jacobian``.
     """
     return _mu_rows(par, ctx, t, "mu Jacobian", 0, _mu_jacobian_closed_form)
 

@@ -3,8 +3,11 @@ angular tensor, Cartan tensor with contractions, and the curvature tensor.
 
 Everything here is a closed form in the scalars of :mod:`finsleroid.core`.
 The metric tensor is the half Hessian of K^2 and is 0-homogeneous in R;
-the Cartan tensor is half its R-derivative.  The Cartan closed forms live
-on the chart w = q/Z and therefore need q != 0 and Z != 0.
+the Cartan tensor is half its R-derivative.  The Cartan tensor and its
+contractions are built from the angular tensor h_pq and the vector
+u_p = (1/h) dPhi/dR^p, which is smooth off the axis, on the plane Z = 0 too;
+on the axis q = 0 its direction has no limit.  The curvature tensor needs
+only h_pq and K and is defined on the axis as well.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from .core import (
     MetricContext,
     ScalarBundle,
     _bundle,
-    _first_row,
     _off_axis,
     _outer,
     _per_row,
     _pow,
+    _require,
     _rows_kernel,
     _scaled_back,
     _scaled_rows,
@@ -97,12 +100,16 @@ def inverse_metric(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> 
     return g
 
 
+def _angular(r_lower, g_lower, sb):
+    """h_pq = g_pq - R_p R_q / K^2 from R_p and g_pq."""
+    return g_lower - _outer(r_lower, r_lower) / _per_row(_pow(sb.K, 2), 2)
+
+
 @_rows_kernel("angular tensor", 0)
 def angular_tensor(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> np.ndarray:
     """h_pq = g_pq - R_p R_q / K^2, over rows (..., N) -> (..., N, N);
     annihilates R^q."""
-    rl = gradient_covector.from_bundle(par, ctx, R, sb)
-    return metric_tensor.from_bundle(par, ctx, R, sb) - _outer(rl, rl) / _per_row(_pow(sb.K, 2), 2)
+    return _angular(gradient_covector.from_bundle(par, ctx, R, sb), metric_tensor.from_bundle(par, ctx, R, sb), sb)
 
 
 @dataclass(frozen=True)
@@ -123,79 +130,51 @@ class CartanTensor:
     degrees = (-1, -1, -1, -1)  # homogeneity degrees of the fields in R
 
 
-def _chart(ctx, R, sb):
-    """(Z, w, w^a, w_a, V^2) of checked rows R, shape (..., N), with their
-    bundle sb; OnAxisError names the first row on the axis (q = 0) or in
-    the plane (Z = 0)."""
-    z = sb.Z
-    bad = (sb.q == 0.0) | (z == 0.0)
-    if np.count_nonzero(bad):
-        raise OnAxisError("Cartan closed forms need q != 0 and Z != 0" + _first_row(bad))
-    w_up = R[..., :-1] / _per_row(z)
-    return z, sb.q / z, w_up, ctx.r_rows(w_up), _pow(sb.K / z, 2)  # V^2 = K^2/Z^2
-
-
-def _cartan_at(par, ctx, R) -> CartanTensor:
-    sb = _bundle(par, ctx, R)
-    return _cartan_from_bundle(par, ctx, R, sb, inverse_metric.from_bundle(par, ctx, R, sb))
-
-
 def cartan_tensor(par: GParameter, ctx: MetricContext, R) -> CartanTensor:
-    """Assemble the Cartan tensor from the chart closed forms, over rows
-    (..., N); every row needs q != 0 and Z != 0."""
+    """The Cartan tensor and its contractions over rows (..., N); a row on
+    the axis (q = 0), where C_p has no limit, raises OnAxisError naming it."""
     R, e = _scaled_rows(ctx, R)
-    return _scaled_back(_cartan_at(par, ctx, R), e, CartanTensor.degrees, "Cartan tensor")
+    sb = _bundle(par, ctx, R)
+    h = angular_tensor.from_bundle(par, ctx, R, sb)
+    ct = _cartan_from_bundle(par, ctx, R, sb, h, inverse_metric.from_bundle(par, ctx, R, sb))
+    return _scaled_back(ct, e, CartanTensor.degrees, "Cartan tensor")
 
 
-def _cartan_from_bundle(par, ctx, R, sb, g_up) -> CartanTensor:
-    """The Cartan tensor of checked rows from their bundle and g^pq."""
-    z, w, w_up, w_low, v2 = _chart(ctx, R, sb)
-    n = ctx.n
-    g = par.g
-    qw = 1.0 + g * w + w * w  # Q of the bundle, with w already at hand
-    r_ab = ctx.r_ab
+def _cartan_from_bundle(par, ctx, R, sb, h, g_up) -> CartanTensor:
+    """The Cartan tensor of checked rows from their bundle, h_pq and g^pq:
 
-    c = np.empty(np.shape(z) + (n, n, n))
-    # symmetric placement: the chart lists give the independent components
-    w3, qw2, qw3 = _pow(w, 3), _pow(qw, 2), _pow(qw, 3)
-    c_nnn = g * w3 * v2 / qw3
-    c_ann = _per_row(-g * w * v2 / qw3) * w_low
-    c_abn = _per_row(0.5 * g * w * v2 / qw2, 2) * r_ab + _per_row(
-        0.5 * g * (1.0 - g * w - w * w) / w * v2 / qw3, 2
-    ) * _outer(w_low, w_low)
-    sym3 = (
-        r_ab[:, :, None] * w_low[..., None, None, :]
-        + r_ab[:, None, :] * w_low[..., None, :, None]
-        + r_ab * w_low[..., :, None, None]
+        C_pqr = (g/2)(h_pq u_r + h_pr u_q + h_qr u_p - K^2 u_p u_q u_r),
+        C_p = (N g/2) u_p,
+
+    with u_a = -Z r_ab R^b/(q B) and u_N = q/B, where u_p u^p = 1/K^2."""
+    q = sb.q
+    _require(q != 0.0, OnAxisError, "the Cartan tensor has no limit on the axis q = 0")
+    u = np.empty(R.shape)
+    u[..., :-1] = ctx.r_rows(R[..., :-1]) / _per_row(q) * _per_row(-sb.Z / sb.B)
+    u[..., -1] = q / sb.B
+    hu = h[..., :, :, None] * u[..., None, None, :]  # h_pq u_r at [p, q, r]
+    uuu = _outer(u * _per_row(_pow(sb.K, 2)), u)[..., None] * u[..., None, None, :]
+    c = 0.5 * par.g * (hu + np.swapaxes(hu, -1, -2) + np.moveaxis(hu, -1, -3) - uuu)
+    c_vec_lower = 0.5 * ctx.n * par.g * u
+    return CartanTensor(
+        c_lower=c,
+        c_mixed=np.einsum("...qt,...ptr->...pqr", g_up, c),
+        c_vec_lower=c_vec_lower,
+        c_vec_upper=np.einsum("...pq,...q->...p", g_up, c_vec_lower),
     )
-    c_abc = _per_row(-0.5 * g * v2 / (qw2 * w), 3) * sym3 + _per_row(
-        g * (0.5 * qw + g * w + w * w) * v2 / (qw3 * w3), 3
-    ) * (_outer(w_low, w_low)[..., None] * w_low[..., None, None, :])
-
-    c[..., -1, -1, -1] = c_nnn
-    c[..., :-1, -1, -1] = c[..., -1, :-1, -1] = c[..., -1, -1, :-1] = c_ann
-    c[..., :-1, :-1, -1] = c[..., :-1, -1, :-1] = c[..., -1, :-1, :-1] = c_abn
-    c[..., :-1, :-1, :-1] = c_abc
-    c /= _per_row(z, 3)
-
-    c_mixed = np.einsum("...qt,...ptr->...pqr", g_up, c)
-    c_vec_lower = np.einsum("...pqr,...qr->...p", c, g_up)
-    c_vec_upper = np.einsum("...pq,...q->...p", g_up, c_vec_lower)
-    return CartanTensor(c_lower=c, c_mixed=c_mixed, c_vec_lower=c_vec_lower, c_vec_upper=c_vec_upper)
 
 
-def curvature_tensor(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
-    """S_pqrs = C_tqr C_p^t_s - C_tqs C_p^t_r, over rows (..., N) ->
-    (..., N, N, N, N).
+@_rows_kernel("curvature tensor", -2)
+def curvature_tensor(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> np.ndarray:
+    """S_pqrs = S* (h_pr h_qs - h_ps h_qr)/K^2 with the constant S* = -g^2/4,
+    over rows (..., N) -> (..., N, N, N, N); on the axis too.
 
-    Equals S* (h_pr h_qs - h_ps h_qr)/K^2 with the constant S* = -g^2/4;
-    the implied level-surface curvature is 1 + S* = h^2.
+    Off the axis it equals C_tqr C_p^t_s - C_tqs C_p^t_r; the implied
+    level-surface curvature is 1 + S* = h^2.
     """
-    R, e = _scaled_rows(ctx, R)
-    ct = _cartan_at(par, ctx, R)
-    # the second term is the first with r and s swapped
-    term = np.einsum("...tqr,...pts->...pqrs", ct.c_lower, ct.c_mixed)
-    return _scaled_back(term - np.swapaxes(term, -1, -2), e, -2, "curvature tensor")
+    h = angular_tensor.from_bundle(par, ctx, R, sb)
+    hh = h[..., :, None, :, None] * h[..., None, :, None, :]  # h_pr h_qs at [p, q, r, s]
+    return (hh - np.swapaxes(hh, -1, -2)) * _per_row(-0.25 * par.g**2 / _pow(sb.K, 2), 4)
 
 
 @dataclass(frozen=True)
@@ -216,20 +195,14 @@ class TensorStack:
 
 
 def tensor_stack(par: GParameter, ctx: MetricContext, R) -> TensorStack:
-    """Build the full stack over rows (..., N) (needs the Cartan chart, so
-    q != 0 and Z != 0 in every row)."""
+    """Build the full stack over rows (..., N); a row on the axis raises
+    OnAxisError, as in cartan_tensor."""
     R, e = _scaled_rows(ctx, R)
     sb = _bundle(par, ctx, R)
-    g_up = inverse_metric.from_bundle(par, ctx, R, sb)
-    ct = _cartan_from_bundle(par, ctx, R, sb, g_up)
-    stack = TensorStack(
-        r_lower=gradient_covector.from_bundle(par, ctx, R, sb),
-        g_lower=metric_tensor.from_bundle(par, ctx, R, sb),
-        g_upper=g_up,
-        h_lower=angular_tensor.from_bundle(par, ctx, R, sb),
-        c_lower=ct.c_lower,
-        c_mixed=ct.c_mixed,
-        c_vec_lower=ct.c_vec_lower,
-        c_vec_upper=ct.c_vec_upper,
-    )
+    r_lower = gradient_covector.from_bundle(par, ctx, R, sb)
+    g_lower = metric_tensor.from_bundle(par, ctx, R, sb)
+    g_upper = inverse_metric.from_bundle(par, ctx, R, sb)
+    h_lower = _angular(r_lower, g_lower, sb)
+    ct = _cartan_from_bundle(par, ctx, R, sb, h_lower, g_upper)
+    stack = TensorStack(r_lower, g_lower, g_upper, h_lower, ct.c_lower, ct.c_mixed, ct.c_vec_lower, ct.c_vec_upper)
     return _scaled_back(stack, e, TensorStack.degrees, "tensor stack")

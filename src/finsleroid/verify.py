@@ -78,6 +78,7 @@ from .geodesics import (
     solve_chord,
 )
 from .oracles import (
+    _chart,
     _phi_a_form,
     _phi_qz_form,
     angular_block_reference,
@@ -180,9 +181,9 @@ def draw_vectors(rng, ctx, m, min_frac=0.0, unit=False):
     rejected below norm 0.1.
 
     ``min_frac`` keeps both q and |Z| above that fraction of the norm
-    (required by chart-based closed forms and by second-difference
-    oracles near the axis); ``unit`` rescales each row to S = 1 for checks
-    whose oracle accuracy depends on the sample scale.
+    (required by the chart oracles and by second-difference oracles near
+    the axis); ``unit`` rescales each row to S = 1 for checks whose oracle
+    accuracy depends on the sample scale.
     """
     chunks = _vector_chunks(rng, ctx, max(2 * m, 64), min_frac, unit)
     rows = next(chunks)
@@ -489,12 +490,8 @@ def check_cartan_closed_forms(par, ctx, rng, trials, tol):
         c - np.swapaxes(c, 2, 3),
         np.abs(cc - target) / np.maximum(np.abs(target), 1e-30) if g != 0.0 else cc,
     ]
-    # closed-form contraction vectors
-    z = v[:, -1]
-    w = ctx.q_rows(v[:, :-1]) / z
-    qw = 1.0 + g * w + w * w
-    w_up = v[:, :-1] / z[:, None]
-    w_low = ctx.r_rows(w_up)
+    # closed-form contraction vectors on the chart
+    z, w, qw, w_up, w_low = _chart(ctx, v, scalar_bundle(par, ctx, v))
     res.append(ct.c_vec_lower[:, -1] - n * g * w / (2.0 * qw * z))
     if g != 0.0:
         res += [
@@ -529,21 +526,11 @@ def check_cartan_algebraic_form(par, ctx, rng, trials, tol):
 
 
 def check_curvature_constancy(par, ctx, rng, trials, tol):
-    star = -0.25 * par.g**2
     v = draw_vectors(rng, ctx, trials, min_frac=1e-6, unit=True)
-    s4 = curvature_tensor(par, ctx, v)
-    ha = angular_tensor(par, ctx, v)
-    k2 = kfun(par, ctx, v) ** 2
-    hh = ha[:, :, None, :, None] * ha[:, None, :, None, :]  # h_pr h_qs at [p, q, r, s]
-    res = _dev(s4 - star * (hh - np.swapaxes(hh, 3, 4)) / k2[:, None, None, None, None])
-    # recover the constant from a full contraction where it is nonzero
-    # (at N = 2 the antisymmetrized product of rank-one h vanishes identically)
-    if par.g != 0.0 and ctx.n > 2:
-        gu = inverse_metric(par, ctx, v)
-        num = np.einsum("ipqrs,ipr,iqs->i", s4, gu, gu) * k2
-        den = np.einsum("ipr,iqs,ipr,iqs->i", ha, ha, gu, gu) - np.einsum("ips,iqr,ipr,iqs->i", ha, ha, gu, gu)
-        res = max(res, _dev(num / den - star))
-    return trials, res
+    ct = cartan_tensor(par, ctx, v)
+    # the definition S_pqrs = C_tqr C_p^t_s - C_tqs C_p^t_r
+    cc = np.einsum("itqr,ipts->ipqrs", ct.c_lower, ct.c_mixed)
+    return trials, _dev(curvature_tensor(par, ctx, v) - (cc - np.swapaxes(cc, 3, 4)))
 
 
 def check_sigma_norm(par, ctx, rng, trials, tol):

@@ -40,7 +40,7 @@ def test_eval_axis_phi(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["phi"] == pytest.approx(math.pi / 2, abs=1e-15)
-    assert payload["cartan"] is None  # axis: chart closed forms undefined
+    assert payload["cartan"] is None  # axis: the Cartan tensor has no limit there
 
 
 def test_eval_determinant_identity(capsys):
@@ -392,6 +392,20 @@ def test_eval_at_large_vectors_is_homogeneous(capsys):
     code, out, _ = run_cli(capsys, "eval", "--g", "1", "--vector=0.4e140,-0.7e140,0.9e140")
     assert code == 0
     assert re.search(r"^det_metric += 41\.992117638096", out, re.M)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("vector", ["1,0.3,0", "3e-162,4e-162,1"])
+def test_eval_cartan_in_the_plane_and_near_the_axis(capsys, vector):
+    # in the plane Z = 0, and at q = 5e-162, whose q^2 is subnormal: finite
+    # Cartan data with C_p C^p = N^2 g^2/(4 K^2), and no warning
+    payload = _eval_json(capsys, vector)
+    assert np.isfinite(payload["cartan"]["c_vec_lower"] + payload["cartan"]["c_vec_upper"]).all()
+    assert payload["cartan"]["c_p_c_p"] == pytest.approx(9 / (4 * payload["k"] ** 2), rel=1e-14)
+    assert payload["q"] == pytest.approx(math.hypot(*map(float, vector.split(",")[:2])), rel=1e-15)
+    code, out, err = run_cli(capsys, "eval", "--g", "1", f"--vector={vector}")
+    assert (code, err) == (0, "")
+    assert f"c_p_c_p       = {payload['cartan']['c_p_c_p']!r}\n" in out
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

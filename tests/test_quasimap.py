@@ -110,8 +110,10 @@ def test_sigma_jacobian_on_axis(ctx, rng):
             lambda x, y: fl.finsler_product(par, ctx, x, y).product, axis, s_vec, scale=1e-5
         )
         assert np.max(np.abs(big_g - fd)) < 1e-4
-    with pytest.raises(fl.OnAxisError):
-        fl.mu_jacobian(par, ctx, axis)
+        # mu' has its limit on the axis: the inverse of sigma' there
+        t = fl.sigma_map(par, ctx, axis)
+        inverse = np.linalg.inv(fl.sigma_jacobian(par, ctx, fl.mu_map(par, ctx, t)))
+        assert np.max(np.abs(fl.mu_jacobian(par, ctx, t) - inverse)) <= 1e-15 * np.max(np.abs(inverse))
 
 
 @pytest.mark.parametrize("g", GS)

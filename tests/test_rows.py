@@ -4,6 +4,7 @@ and homogeneity at every scale float64 holds."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,10 +40,10 @@ KERNELS = {
     "angular_block_reference": oracles.angular_block_reference,
     "cartan_mixed_reference": oracles.cartan_mixed_reference,
 }
-# chart closed forms: OnAxisError on the axis (q = 0, or m(t) = 0) and,
-# for the Cartan tensor, in the plane (Z = 0)
-ON_AXIS = {"cartan_tensor", "curvature_tensor", "tensor_stack", "cartan_mixed_reference", "mu_jacobian"}
-IN_PLANE = ON_AXIS - {"mu_jacobian"}
+# OnAxisError on the axis (q = 0), where the Cartan tensor has no limit,
+# and, for the chart oracle, in the plane (Z = 0)
+ON_AXIS = {"cartan_tensor", "tensor_stack", "cartan_mixed_reference"}
+IN_PLANE = {"cartan_mixed_reference"}
 FIELDS = ("q", "Z", "B", "Q", "E", "A", "L", "phi", "J", "K")
 
 
@@ -80,7 +81,7 @@ def test_kernel_rows_match_single_vectors(g, n, rng):
     R[2, :-1] = 0.0
     R[2, -1] = -0.7  # on the lower axis
     for name, fn in KERNELS.items():
-        rows = R[3:] if name in ON_AXIS else R
+        rows = R[3:] if name in IN_PLANE else np.delete(R, [0, 2], axis=0) if name in ON_AXIS else R
         single = [_arrays(fn(par, ctx, r)) for r in rows]
         batched = _arrays(fn(par, ctx, rows))
         stacked = _arrays(fn(par, ctx, rows[:8].reshape(2, 4, n)))
@@ -90,7 +91,8 @@ def test_kernel_rows_match_single_vectors(g, n, rng):
             assert_rows_match(b, ref)
             assert grid.shape == (2, 4) + ref.shape[1:], (name, k)
             assert_rows_match(grid.reshape(ref[:8].shape), ref[:8])
-        # a row on the axis or in the plane raises OnAxisError naming it
+        # a row on the axis, or for the chart oracle in the plane, raises
+        # OnAxisError naming it
         for i in (0, 2) if name in ON_AXIS else ():
             with pytest.raises(fl.OnAxisError, match=r"\(row 2\)"):
                 fn(par, ctx, np.stack([R[3], R[4], R[i]]))
@@ -756,9 +758,62 @@ def test_cartan_scale_extremes(g, n):
             finite = _check_decimal_scale(fn, (generic,), lam, ref, degrees)
             # the curvature, ~ 1/|R|^2, leaves float64 below 1e-154 unless it is 0
             assert finite == (name != "curvature_tensor" or lam > 1.0 or g == 0.0), (name, lam)
-            for kind in (np.r_[generic[:-1], 0.0], np.r_[np.zeros(n - 1), 0.8]):  # plane, axis
-                with pytest.raises(fl.OnAxisError):
-                    kernel(par, ctx, lam * kind)
+            # in the plane each follows its degree; on the axis the Cartan
+            # tensor has no limit, while the curvature is continuous there
+            for kind in (np.r_[generic[:-1], 0.0], np.r_[np.zeros(n - 1), 0.8]):
+                if kind[-1] != 0.0 and name != "curvature_tensor":
+                    with pytest.raises(fl.OnAxisError):
+                        kernel(par, ctx, lam * kind)
+                    continue
+                finite = _check_decimal_scale(fn, (kind,), lam, fn(kind), degrees)
+                assert finite == (name != "curvature_tensor" or lam > 1.0 or g == 0.0), (name, lam)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("g", [1.0, -1.5])
+def test_cartan_toward_the_plane_and_the_axis(g, n):
+    # R = (1, 0.3, 0.., 10^-k), k = 0..320, and Z = 0; R = (0.3, 0.4, 0..) 2^-k
+    # + e_N, k = 0..1000: finite values with no warning, C_p C^p =
+    # N^2 g^2/(4 K^2), and the Cartan tensor continuous at the plane
+    par, ctx = fl.make_parameter(g), fl.MetricContext(n)
+    plane = np.zeros((322, n))
+    plane[:, :2] = 1.0, 0.3
+    plane[:-1, -1] = 10.0 ** -np.arange(321.0)
+    axis = np.zeros((1001, n))
+    axis[:, :2] = np.ldexp([0.3, 0.4], np.arange(-1000, 1)[::-1, None])
+    axis[:, -1] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for R in (plane, axis):
+            # every row in one stack, every tenth row alone
+            for rows in [R] + list(R[::10]):
+                ct = fl.cartan_tensor(par, ctx, rows)
+                stack = fl.tensor_stack(par, ctx, rows)
+                curvature = fl.curvature_tensor(par, ctx, rows)
+                for x in _arrays(ct) + _arrays(stack) + [curvature]:
+                    assert np.isfinite(x).all()
+                cc = np.einsum("...p,...p->...", ct.c_vec_lower, ct.c_vec_upper)
+                target = n * n * g * g / (4.0 * fl.kfun(par, ctx, rows) ** 2)
+                np.testing.assert_allclose(cc, target, rtol=1e-13, atol=0.0)
+        at_1e60, at_plane = (fl.cartan_tensor(par, ctx, plane[k]).c_lower for k in (60, -1))
+    assert np.abs(at_1e60 - at_plane).max() <= 1e-15 * np.abs(at_plane).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_q_is_exact_off_a_tiny_part(n):
+    # q = 5 2^-k at (3, 4, 0..) 2^-k + e_N, k = 0..1000, where q^2 leaves
+    # the normal float64 range from about k = 512: within 2 ulp, alone and
+    # stacked
+    par, ctx = fl.make_parameter(1.0), fl.MetricContext(n)
+    k = np.arange(1001)
+    bold = [3.0, 4.0] if n > 2 else [5.0]
+    R = np.zeros((len(k), n))
+    R[:, :len(bold)] = np.ldexp(bold, -k[:, None])
+    R[:, -1] = 1.0
+    want = np.ldexp(5.0, -k)
+    single = np.array([fl.scalar_bundle(par, ctx, r).q for r in R])
+    for q in (single, fl.scalar_bundle(par, ctx, R).q, [fl.q_norm(ctx, r) for r in R]):
+        assert np.all(np.abs(np.asarray(q) - want) <= 2 * np.spacing(want))
 
 
 @pytest.mark.parametrize("g", [0.0, 1.0, -1.5])

@@ -152,8 +152,8 @@ def test_cartan_vanishes_at_g_zero(ctx3, rng):
 
 
 def test_cartan_fd_diagnostic(ctx3, rng):
-    # agrees with the closed forms off the chart boundary and stays
-    # finite on the axis, where the closed forms refuse to evaluate
+    # agrees with the closed forms away from the axis and the plane, and
+    # stays finite in the plane
     par = fl.make_parameter(0.9)
     v = sample(rng, ctx3, min_frac=0.2, unit=True)
     ct = fl.cartan_tensor(par, ctx3, v)
@@ -166,8 +166,14 @@ def test_cartan_on_axis_raises(ctx3):
     par = fl.make_parameter(0.9)
     with pytest.raises(fl.OnAxisError):
         fl.cartan_tensor(par, ctx3, np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(fl.OnAxisError):
-        fl.cartan_tensor(par, ctx3, np.array([1.0, 0.0, 0.0]))
+    # in the plane Z = 0 the tensor is finite, the limit of Z -> 0
+    plane = np.array([1.0, 0.0, 0.0])
+    ct = fl.cartan_tensor(par, ctx3, plane)
+    near = fl.cartan_tensor(par, ctx3, np.array([1.0, 0.0, 1e-60])).c_lower
+    assert np.abs(near - ct.c_lower).max() <= 1e-15 * np.abs(ct.c_lower).max()
+    assert ct.c_vec_lower @ ct.c_vec_upper == pytest.approx(
+        9 * par.g**2 / (4 * fl.kfun(par, ctx3, plane) ** 2), rel=1e-13
+    )
     with pytest.raises(fl.ZeroVectorError):
         fl.cartan_tensor(par, ctx3, np.zeros(3))
 
@@ -210,10 +216,10 @@ def test_curvature_tensor_constant(g, ctx, rng):
     for _ in range(10):
         v = sample(rng, ctx, min_frac=1e-9, unit=True)
         s4 = fl.curvature_tensor(par, ctx, v)
-        ha = fl.angular_tensor(par, ctx, v)
-        k2 = fl.kfun(par, ctx, v) ** 2
-        closed = star * (np.einsum("pr,qs->pqrs", ha, ha) - np.einsum("ps,qr->pqrs", ha, ha)) / k2
-        assert np.max(np.abs(s4 - closed)) < 1e-8
+        # the definition S_pqrs = C_tqr C_p^t_s - C_tqs C_p^t_r
+        ct = fl.cartan_tensor(par, ctx, v)
+        cc = np.einsum("tqr,pts->pqrs", ct.c_lower, ct.c_mixed)
+        assert np.max(np.abs(s4 - (cc - np.swapaxes(cc, 2, 3)))) < 1e-8
     # the implied level-surface curvature is 1 + S* = h^2
     assert 1.0 + star == pytest.approx(par.h**2, abs=1e-15)
 

@@ -262,6 +262,8 @@ FAULTS = {
     # the stacked one-vector checks: one call per kernel on the (m, N) stack
     "quasimap.quasi_metric": ("quasi_metric", _scaled_field("n_lower")),
     "tensors.cartan_algebraic_form": ("cartan_tensor", _scaled_field("c_lower")),
+    "tensors.cartan_closed_forms": ("cartan_tensor", _scaled_field("c_mixed")),
+    "tensors.curvature_constancy": ("curvature_tensor", lambda f: lambda *a: f(*a) * (1 + 1e-6)),
     "quasimap.mu_jacobian": ("mu_jacobian", lambda f: lambda *a: f(*a) * (1 + 1e-6)),
     # the stacked two-vector checks
     "twovector.covector_closed": ("covector_pair", _scaled_field("T1")),
