@@ -321,14 +321,10 @@ class ScalarBundle(NamedTuple):
     """Every scalar attached to a vector R = (bold R, Z), or to each row of
     a stack of vectors.
 
-    Q = 1 + g w + w^2 and E = 1 + g w/2 live on the chart w = q/Z; they
-    are evaluated on access, from the parameter g the bundle was built
-    with, and are NaN on the plane Z = 0.
     Identities maintained (and tested): A^2 + h^2 q^2 = B,
     L^2 + h^2 Z^2 = B, -pi/2 <= Phi <= pi/2, K = sqrt(B) J.
     """
 
-    g: float
     q: np.ndarray
     Z: np.ndarray
     B: np.ndarray
@@ -338,20 +334,7 @@ class ScalarBundle(NamedTuple):
     J: np.ndarray
     K: np.ndarray
 
-    degrees = (0, 1, 1, 2, 1, 1, 0, 0, 1)  # homogeneity degrees of the fields in R (g has none)
-
-    @property
-    def w(self):
-        return self.q / np.where(self.Z != 0.0, self.Z, math.nan)
-
-    @property
-    def Q(self):
-        w = self.w
-        return 1.0 + self.g * w + w * w
-
-    @property
-    def E(self):
-        return 1.0 + 0.5 * self.g * self.w
+    degrees = (1, 1, 2, 1, 1, 0, 0, 1)  # homogeneity degrees of the fields in R
 
 
 def q_norm(ctx: MetricContext, R) -> float:
@@ -377,11 +360,11 @@ def _bundle_from_qz(par: GParameter, q, z) -> ScalarBundle:
     j = np.exp(0.5 * par.big_g * phi)
     b = z * z + par.g * q * z + q * q
     a, lfun = z + 0.5 * par.g * q, q + 0.5 * par.g * z
-    return ScalarBundle(par.g, q, z, b, a, lfun, phi, j, np.sqrt(b) * j)
+    return ScalarBundle(q, z, b, a, lfun, phi, j, np.sqrt(b) * j)
 
 
 def scalar_bundle(par: GParameter, ctx: MetricContext, R) -> ScalarBundle:
-    """Evaluate q, Z, B, Q, E, A, L, Phi, J and K at nonzero vectors R,
+    """Evaluate q, Z, B, A, L, Phi, J and K at nonzero vectors R,
     shape (..., N); each field has the leading shape (a scalar for one
     vector).
 

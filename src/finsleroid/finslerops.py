@@ -9,12 +9,11 @@ quasi-euclidean map, with closed forms in the scalars A, B, L, K of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, _bundle, _off_axis, _scaled_back, _scaled_rows
+from .core import GParameter, MetricContext, _bundle, _off_axis, _per_row, _scaled_back, _scaled_rows
 from .errors import CollinearError
 from .geodesics import (
     GeodesicChord,
@@ -188,15 +187,18 @@ def finsler_two_vector_tensor(par: GParameter, ctx: MetricContext, R, S) -> np.n
 
 
 def product_gradients(par: GParameter, ctx: MetricContext, R, S):
-    """(d<R,S>/dR^p, d<R,S>/dS^q) in closed form."""
+    """(d<R,S>/dR^p, d<R,S>/dS^q) in closed form, over pairs stacked as
+    (..., N)."""
     R, S, sb_r, sb_s, dot_bold, roots, sine, alpha, e = _pair_core(par, ctx, R, S)
     _require_independent(sine, "gradients need image-independent vectors")
-    product = sb_r.K * sb_s.K * math.cos(alpha)
-    sa = math.sin(alpha)
+    product = sb_r.K * sb_s.K * np.cos(alpha)
+    sa = _per_row(np.sin(alpha))
     s_rs = _s_covector(_m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots), sb_r, sine)
     s_sr = _s_covector(_m_unit(par, ctx, S, R, sb_s, sb_r, dot_bold, roots[::-1]), sb_s, sine)
-    d_r = gradient_covector.from_bundle(par, ctx, R, sb_r) * (product / sb_r.K**2) + par.h * sb_s.K * s_rs * sa
-    d_s = gradient_covector.from_bundle(par, ctx, S, sb_s) * (product / sb_s.K**2) + par.h * sb_r.K * s_sr * sa
+    d_r = gradient_covector.from_bundle(par, ctx, R, sb_r) * _per_row(product / sb_r.K**2)
+    d_r = d_r + _per_row(par.h * sb_s.K) * s_rs * sa
+    d_s = gradient_covector.from_bundle(par, ctx, S, sb_s) * _per_row(product / sb_s.K**2)
+    d_s = d_s + _per_row(par.h * sb_r.K) * s_sr * sa
     return _scaled_back((d_r, d_s), e, (1, 1), "product gradients")
 
 

@@ -74,23 +74,24 @@ def angular_block_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarra
     return h
 
 
-def _chart(ctx: MetricContext, R, sb):
+def _chart(par: GParameter, ctx: MetricContext, R, sb):
     """(Z, w, Q, w^a, w_a) of checked rows R, shape (..., N), on the chart
-    w = q/Z, with their bundle sb; OnAxisError names the first row on the
-    axis (q = 0) or in the plane (Z = 0), where the chart forms are
-    singular."""
+    w = q/Z, with Q = 1 + g w + w^2, from their bundle sb; OnAxisError
+    names the first row on the axis (q = 0) or in the plane (Z = 0), where
+    the chart forms are singular."""
     bad = (sb.q == 0.0) | (sb.Z == 0.0)
     if np.count_nonzero(bad):
         raise OnAxisError("the chart forms need q != 0 and Z != 0" + _first_row(bad))
+    w = sb.q / sb.Z
     w_up = R[..., :-1] / _per_row(sb.Z)
-    return sb.Z, sb.w, sb.Q, w_up, ctx.r_rows(w_up)
+    return sb.Z, w, 1.0 + par.g * w + w * w, w_up, ctx.r_rows(w_up)
 
 
 def cartan_mixed_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
     """Explicit chart closed forms for C_p^q_r (independent cross-check),
     over rows (..., N) -> (..., N, N, N)."""
     R = ctx.check_rows(R, nonzero=True)[0]
-    z, w, qw, w_up, w_low = _chart(ctx, R, _bundle(par, ctx, R))
+    z, w, qw, w_up, w_low = _chart(par, ctx, R, _bundle(par, ctx, R))
     n = ctx.n
     g = par.g
     eye = np.eye(n - 1)
@@ -124,12 +125,13 @@ def cartan_mixed_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarray
 
 def cartan_fd_diagnostic(par: GParameter, ctx: MetricContext, R) -> np.ndarray:
     """Finite-difference estimate (1/2) dg_pq/dR^r, an oracle independent
-    of the closed form.
+    of the closed form, over rows (..., N) -> (..., N, N, N), all their
+    stencils in one metric_tensor call.
 
     It also evaluates on the axis, where the Cartan tensor has no limit;
     there the one-sided kink of the metric limits its accuracy further.
     """
-    R = ctx.check_vector(R, nonzero=True)[0]
+    R = ctx.check_rows(R, nonzero=True)[0]
     return 0.5 * numdiff.jacobian(lambda x: metric_tensor(par, ctx, x), R)
 
 
@@ -145,7 +147,8 @@ def two_vector_determinant_reference(par: GParameter, ctx: MetricContext, t1, t2
 
 @dataclass(frozen=True)
 class CoincidenceReport:
-    """Convergence data for the coincidence limit t2 -> t1, one entry per eps."""
+    """Convergence data for the coincidence limit t2 -> t1: each array has
+    one entry per eps along its first axis, then the leading shape of t."""
 
     tensor_error: np.ndarray
     derivative_error: np.ndarray
@@ -155,37 +158,30 @@ class CoincidenceReport:
 
 
 def coincidence_limits(par: GParameter, ctx: MetricContext, t, eps_sequence, v) -> CoincidenceReport:
-    """Probe n(t, t + eps v) -> n(t) and the derivative-sum limit.
+    """Probe n(t, t + eps v) -> n(t) and the derivative-sum limit, for
+    vectors t and directions v stacked as (..., N).
 
     The sum of the two partial derivatives of the two-vector tensor tends
     to the derivative of the one-vector metric; each partial is estimated
     by central differences with step eps/1000 (the global step convention
-    is too coarse this close to coincidence).
+    is too coarse this close to coincidence).  Every eps and every vector
+    goes through one two_vector_metric call and one stencil per partial.
     """
-    t = ctx.check_vector(t, nonzero=True)[0]
-    v = ctx.check_vector(v)[0]
+    t = ctx.check_rows(t, nonzero=True)[0]
+    v = ctx.check_rows(v)[0]
     n_one = quasi_metric(par, ctx, t).n_lower
     dn_one = quasi_metric_derivative(par, ctx, t)
-    eps_sequence = np.asarray(eps_sequence, dtype=float)
-
-    tensor_err = np.empty_like(eps_sequence)
-    deriv_err = np.empty_like(eps_sequence)
-    a1_vals = np.empty_like(eps_sequence)
-    a2u_vals = np.empty_like(eps_sequence)
-    for i, eps in enumerate(eps_sequence):
-        t2 = t + eps * v
-        tv = two_vector_metric(par, ctx, t, t2)
-        tensor_err[i] = float(np.max(np.abs(tv.n_lower - n_one)))
-        a1_vals[i] = tv.a1
-        a2u_vals[i] = tv.a2 / tv.pair.u
-        step = eps / 1000.0
-        j1 = numdiff.jacobian(lambda x: two_vector_metric(par, ctx, x, t2).n_lower, t, scale=step)
-        j2 = numdiff.jacobian(lambda y: two_vector_metric(par, ctx, t, y).n_lower, t2, scale=step)
-        deriv_err[i] = float(np.max(np.abs(j1 + j2 - dn_one)))
+    eps = np.asarray(eps_sequence, dtype=float).reshape((-1,) + (1,) * t.ndim)
+    t2 = t + eps * v  # (eps, ..., N)
+    t1 = np.broadcast_to(t, t2.shape)
+    step = eps / 1000.0
+    tv = two_vector_metric(par, ctx, t1, t2)
+    j1 = numdiff.jacobian(lambda x: two_vector_metric(par, ctx, x, t2).n_lower, t1, scale=step)
+    j2 = numdiff.jacobian(lambda y: two_vector_metric(par, ctx, t1, y).n_lower, t2, scale=step)
     return CoincidenceReport(
-        tensor_error=tensor_err,
-        derivative_error=deriv_err,
-        a1=a1_vals,
-        a2_over_u=a2u_vals,
+        tensor_error=np.max(np.abs(tv.n_lower - n_one), axis=(-2, -1)),
+        derivative_error=np.max(np.abs(j1 + j2 - dn_one), axis=(-3, -2, -1)),
+        a1=tv.a1,
+        a2_over_u=tv.a2 / tv.pair.u,
         a1_limit=1.0 - 1.0 / par.h**2,
     )

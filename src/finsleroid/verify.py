@@ -16,16 +16,17 @@ Samples are drawn in bulk: ``draw_vectors`` and ``draw_pairs`` draw
 uniform rows in chunks and apply the rules above as array masks (a pair
 is two consecutive accepted vectors), so a check gets the rows a draw
 one at a time would give, in one (m, N) stack, and past a fixed draw
-cap they raise OutOfRangeError.  Where every kernel of a check takes
-stacked rows, the check calls each kernel once on its stack and reduces
-the residuals with a max; a sample that a kernel's precondition excludes
-is masked out.  The oracles of the chord checks difference all their
-samples in one stencil; other finite-difference oracles keep one stencil
-per sample, and the check of the co-angle solve, which takes one vector
-pair, loops over its stacked samples.  A check that skips the samples a
-kernel rejects (the chord and frame checks test them by the kernel's
-own guards) draws more as it needs them, and gives up with
-OutOfRangeError after 50 rejected per trial.
+cap they raise OutOfRangeError.  A check calls each kernel once on its
+stack and reduces the residuals with a max; a sample that a kernel's
+precondition excludes is masked out.  Each finite-difference oracle
+evaluates the stencils of all its samples in one call, and each
+quadrature check integrates all its chords in one call, except that of
+the pullback geodesic, which takes one chord at a time to keep its
+metric tensors small.  The check of the co-angle solve, which takes one
+vector pair, loops over its stacked samples.  A check that skips the
+samples a kernel rejects tests them by the kernel's own guards (the
+chord, frame, gradient and two-vector checks), draws more as it needs
+them, and gives up with OutOfRangeError after 50 rejected per trial.
 """
 
 from __future__ import annotations
@@ -344,14 +345,15 @@ def check_scalar_identities(par, ctx, rng, trials, tol):
     v = draw_vectors(rng, ctx, trials)
     sb = scalar_bundle(par, ctx, v)
     z = sb.Z
-    off = z != 0.0  # the chart w = q/Z
+    off = z != 0.0  # the chart w = q/Z, with Q = 1 + g w + w^2 and E = 1 + g w/2
     w = sb.q[off] / z[off]
+    qw, ew = 1.0 + par.g * w + w * w, 1.0 + 0.5 * par.g * w
     return trials, _dev(
         (sb.A**2 + par.h**2 * sb.q**2 - sb.B) / sb.B,
         (sb.L**2 + par.h**2 * z**2 - sb.B) / sb.B,
         (sb.K - np.sqrt(sb.B) * sb.J) / sb.K,
         np.maximum(np.abs(sb.phi) - 0.5 * math.pi, 0.0),
-        (sb.E[off] ** 2 + par.h**2 * w * w - sb.Q[off]) / sb.Q[off],
+        (ew**2 + par.h**2 * w * w - qw) / qw,
         (np.abs(z[off]) * generating_v(par, w) - sb.K[off]) / sb.K[off],
     )
 
@@ -408,7 +410,7 @@ def check_gradient_covector(par, ctx, rng, trials, tol):
     m = _budget(trials, 2)
     v = draw_vectors(rng, ctx, m, min_frac=0.15, unit=True)
     rl = gradient_covector(par, ctx, v)
-    fd = np.array([0.5 * numdiff.gradient(lambda x: kfun(par, ctx, x) ** 2, x) for x in v])
+    fd = 0.5 * numdiff.gradient(lambda x: kfun(par, ctx, x) ** 2, v)
     return m, _dev(rl - fd, np.einsum("ip,ip->i", rl, v) - kfun(par, ctx, v) ** 2)
 
 
@@ -417,7 +419,7 @@ def check_metric_hessian(par, ctx, rng, trials, tol):
     v = draw_vectors(rng, ctx, m, min_frac=0.15)
     v = v / kfun(par, ctx, v)[:, None]
     gm = metric_tensor(par, ctx, v)
-    fd = np.array([0.5 * numdiff.hessian(lambda x: kfun(par, ctx, x) ** 2, x) for x in v])
+    fd = 0.5 * numdiff.hessian(lambda x: kfun(par, ctx, x) ** 2, v)
     return m, float(np.max(np.max(np.abs(gm - fd), axis=(1, 2)) / np.max(np.abs(gm), axis=(1, 2))))
 
 
@@ -471,8 +473,9 @@ def check_cartan_fd(par, ctx, rng, trials, tol):
     m = _budget(trials, 8)
     v = draw_vectors(rng, ctx, m, min_frac=0.15, unit=True)
     c = cartan_tensor(par, ctx, v).c_lower
-    res = max(_dev(ci - cartan_fd_diagnostic(par, ctx, x)) / max(_dev(ci), 1.0) for ci, x in zip(c, v))
-    return m, max(res, _dev(np.einsum("ipqr,ir->ipq", c, v)))
+    fd = cartan_fd_diagnostic(par, ctx, v)
+    top = lambda x: np.max(np.abs(x), axis=(1, 2, 3))
+    return m, _dev(top(c - fd) / np.maximum(top(c), 1.0), np.einsum("ipqr,ir->ipq", c, v))
 
 
 def check_cartan_closed_forms(par, ctx, rng, trials, tol):
@@ -491,7 +494,7 @@ def check_cartan_closed_forms(par, ctx, rng, trials, tol):
         np.abs(cc - target) / np.maximum(np.abs(target), 1e-30) if g != 0.0 else cc,
     ]
     # closed-form contraction vectors on the chart
-    z, w, qw, w_up, w_low = _chart(ctx, v, scalar_bundle(par, ctx, v))
+    z, w, qw, w_up, w_low = _chart(par, ctx, v, scalar_bundle(par, ctx, v))
     res.append(ct.c_vec_lower[:, -1] - n * g * w / (2.0 * qw * z))
     if g != 0.0:
         res += [
@@ -556,7 +559,7 @@ def check_sigma_jacobian_fd(par, ctx, rng, trials, tol):
     m = _budget(trials, 2)
     v = draw_vectors(rng, ctx, m, min_frac=0.05, unit=True)
     sj = sigma_jacobian(par, ctx, v)
-    fd = np.array([numdiff.jacobian(lambda x: sigma_map(par, ctx, x), x) for x in v])
+    fd = numdiff.jacobian(lambda x: sigma_map(par, ctx, x), v)
     return m, _dev(sj - fd)
 
 
@@ -658,7 +661,7 @@ def check_metric_derivative_fd(par, ctx, rng, trials, tol):
     m = _budget(trials, 4)
     t = draw_vectors(rng, ctx, m, unit=True)
     dn = quasi_metric_derivative(par, ctx, t)
-    fd = np.array([numdiff.jacobian(lambda x: quasi_metric(par, ctx, x).n_lower, x) for x in t])
+    fd = numdiff.jacobian(lambda x: quasi_metric(par, ctx, x).n_lower, t)
     return m, _dev(fd - dn)
 
 
@@ -666,7 +669,7 @@ def check_curvature_fd(par, ctx, rng, trials, tol):
     m = _budget(trials, 8)
     t = draw_vectors(rng, ctx, m, unit=True)
     qg = quasi_metric(par, ctx, t)
-    dg = np.array([numdiff.jacobian(lambda x: quasi_metric(par, ctx, x).christoffel, x) for x in t])
+    dg = numdiff.jacobian(lambda x: quasi_metric(par, ctx, x).christoffel, t)
     nc = qg.christoffel
     mixed = (
         dg
@@ -697,7 +700,7 @@ def check_conformal_jacobian_fd(par, ctx, rng, trials, tol):
     m = _budget(trials, 4)
     t = draw_vectors(rng, ctx, m, unit=True)
     kj = conformal_jacobian(par, ctx, t)
-    fd = np.array([numdiff.jacobian(lambda x: conformal_flatten(par, ctx, x)[0], x) for x in t])
+    fd = numdiff.jacobian(lambda x: conformal_flatten(par, ctx, x)[0], t)
     return m, _dev(kj - fd)
 
 
@@ -804,21 +807,16 @@ def check_geodesic_velocity(par, ctx, rng, trials, tol):
 
 
 def check_arc_length(par, ctx, rng, trials, tol):
-    res = 0.0
     m = _budget(trials, 4)
     segs = 1000
-    chords, _, _ = _chords(par, ctx, rng, m)
-    for i in range(m):  # integrated one chord at a time
-        ch = chords[i]
-        pts = geodesic_point(ch, np.linspace(0.0, ch.delta_s, segs + 1))
-        mid = 0.5 * (pts[1:] + pts[:-1])
-        dp = pts[1:] - pts[:-1]
-        s_mid = np.sqrt(np.einsum("ip,pq,iq->i", mid, ctx.r_pq, mid))
-        dr2 = np.einsum("ip,pq,iq->i", dp, ctx.r_pq, dp)
-        ldot = np.einsum("ip,pq,iq->i", mid, ctx.r_pq, dp) / s_mid
-        seg = np.sqrt(dr2 / par.h**2 - 0.25 * par.big_g**2 * ldot**2)
-        res = max(res, abs(float(np.sum(seg)) - ch.delta_s) / ch.delta_s)
-    return m, res
+    ch, _, _ = _chords(par, ctx, rng, m)
+    pts = geodesic_point(ch, np.linspace(0.0, ch.delta_s, segs + 1, axis=-1))  # (m, segs + 1, N)
+    mid = 0.5 * (pts[:, 1:] + pts[:, :-1])
+    dp = pts[:, 1:] - pts[:, :-1]
+    dot = lambda x, y: np.einsum("kip,pq,kiq->ki", x, ctx.r_pq, y)
+    ldot = dot(mid, dp) / np.sqrt(dot(mid, mid))
+    seg = np.sqrt(dot(dp, dp) / par.h**2 - 0.25 * par.big_g**2 * ldot**2)
+    return m, _dev((np.sum(seg, axis=-1) - ch.delta_s) / ch.delta_s)
 
 
 def check_length_gradients(par, ctx, rng, trials, tol):
@@ -861,15 +859,12 @@ def check_fundamental_limit(par, ctx, rng, trials, tol):
 
 
 def check_two_vector_fd(par, ctx, rng, trials, tol):
-    res = 0.0
     m = _budget(trials, 8)
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, m, unit=True)):
-        tv = two_vector_metric(par, ctx, t1, t2)
-        fd = numdiff.mixed_second(lambda x, y: scalar_product(par, ctx, x, y), t1, t2)
-        res = max(res, _dev(tv.n_lower - fd))
-        fd_dist = numdiff.mixed_second(lambda x, y: distance_squared(par, ctx, x, y), t1, t2)
-        res = max(res, _dev(tv.n_lower + 0.5 * fd_dist))
-    return m, res
+    t1, t2 = draw_pairs(rng, ctx, par, m, unit=True)
+    n = two_vector_metric(par, ctx, t1, t2).n_lower
+    fd = numdiff.mixed_second(lambda x, y: scalar_product(par, ctx, x, y), t1, t2)
+    fd_dist = numdiff.mixed_second(lambda x, y: distance_squared(par, ctx, x, y), t1, t2)
+    return m, _dev(n - fd, n + 0.5 * fd_dist)
 
 
 def check_two_vector_closed(par, ctx, rng, trials, tol):
@@ -884,17 +879,13 @@ def check_two_vector_closed(par, ctx, rng, trials, tol):
 
 
 def check_coincidence(par, ctx, rng, trials, tol):
-    res = 0.0
     m = _budget(trials, 16)
-    eps_seq = np.array([1e-2, 1e-3, 1e-4])
-    for t, v in _vector_pairs(rng, ctx, m, unit=True):
-        rep = coincidence_limits(par, ctx, t, eps_seq, 0.3 * v)
-        if not np.all(np.diff(rep.tensor_error) < 0.0) and rep.tensor_error[0] > 1e-13:
-            res = max(res, 1.0)
-        res = max(res, rep.derivative_error[-1])
-        res = max(res, abs(rep.a1[-1] - rep.a1_limit))
-        res = max(res, abs(rep.a2_over_u[-1]) * 1e-3)
-    return m, res
+    t, v = np.moveaxis(_vector_pairs(rng, ctx, m, unit=True), 1, 0)
+    rep = coincidence_limits(par, ctx, t, [1e-2, 1e-3, 1e-4], 0.3 * v)  # (eps, sample)
+    err = rep.tensor_error
+    rising = ~np.all(np.diff(err, axis=0) < 0.0, axis=0) & (err[0] > 1e-13)
+    limits = (rep.derivative_error[-1], rep.a1[-1] - rep.a1_limit, rep.a2_over_u[-1] * 1e-3)
+    return m, _dev(float(rising.any()), *limits)
 
 
 def _has_frame(par, ctx, t1, t2):
@@ -986,14 +977,12 @@ def check_covector_closed(par, ctx, rng, trials, tol):
 
 
 def check_covector_metric_fd(par, ctx, rng, trials, tol):
-    res = 0.0
     m = _budget(trials, 8)
-    t1s, t2s = draw_pairs(rng, ctx, par, m, unit=True, max_alpha=0.95 * math.pi, regime_margin=0.05)
-    for t1, t2, n in zip(t1s, t2s, two_vector_metric(par, ctx, t1s, t2s).n_lower):
-        fd1 = numdiff.jacobian(lambda y: covector_pair(par, ctx, t1, y).T1, t2)
-        fd2 = numdiff.jacobian(lambda x: covector_pair(par, ctx, x, t2).T2, t1)
-        res = max(res, _dev(fd1 - n, fd2 - n.T))
-    return m, res
+    t1, t2 = draw_pairs(rng, ctx, par, m, unit=True, max_alpha=0.95 * math.pi, regime_margin=0.05)
+    n = two_vector_metric(par, ctx, t1, t2).n_lower
+    fd1 = numdiff.jacobian(lambda y: covector_pair(par, ctx, t1, y).T1, t2)
+    fd2 = numdiff.jacobian(lambda x: covector_pair(par, ctx, x, t2).T2, t1)
+    return m, _dev(fd1 - n, fd2 - np.swapaxes(n, 1, 2))
 
 
 def check_covector_inversion(par, ctx, rng, trials, tol):
@@ -1101,7 +1090,7 @@ def check_finsler_product(par, ctx, rng, trials, tol):
     t2 = sigma_map(par, ctx, s_vec_)
     # (R, R) is image-collinear, so the stacked record has no s_r: s_vector
     # runs on the image-independent pairs, its precondition
-    indep = np.sin(par.h * pp.alpha[0]) > _COLLINEAR_TOL
+    indep = _independent(par, pp.alpha[0])
     s_r = s_vector(par, ctx, r_vec[indep], s_vec_[indep])
     return trials, _dev(
         product - scalar_product(par, ctx, t1, t2),
@@ -1114,74 +1103,67 @@ def check_finsler_product(par, ctx, rng, trials, tol):
     )
 
 
+def _independent(par, alpha):
+    """Flags the pairs of angle alpha whose images are independent, by the
+    pair kernels' own guard: sin(h alpha) > _COLLINEAR_TOL."""
+    return np.sin(par.h * alpha) > _COLLINEAR_TOL
+
+
+def _kept_pairs(rng, ctx, m, trials, admit, **kw):
+    """m vector pairs (R1, R2), each (m, N), of _vector_pairs draws with
+    the draw_vectors options kw, those that admit(R1, R2) flags."""
+    draw = lambda: _vector_pairs(rng, ctx, m, **kw)
+    kept = _admitted(_refills(draw, m, trials), lambda s: admit(s[:, 0], s[:, 1]), m)
+    return kept[:, 0], kept[:, 1]
+
+
 def check_finsler_gradients(par, ctx, rng, trials, tol):
-    res_fd = 0.0
-    res = 0.0
     m = _budget(trials, 8)
-    cnt = 0
-    for r_vec, s_vec_ in _refills(lambda: _vector_pairs(rng, ctx, m, min_frac=0.15, unit=True), m, trials):
-        try:
-            d_r, d_s = product_gradients(par, ctx, r_vec, s_vec_)
-        except FinsleroidError:
-            continue
-        cnt += 1
-        fprod = lambda x, y: finsler_product(par, ctx, x, y).product
-        res_fd = max(
-            res_fd,
-            _dev(d_r - numdiff.gradient(lambda x: fprod(x, s_vec_), r_vec)),
-            _dev(d_s - numdiff.gradient(lambda y: fprod(r_vec, y), s_vec_)),
-        )
-        mv = m_vector(par, ctx, r_vec, s_vec_)
-        sb_r = scalar_bundle(par, ctx, r_vec)
-        sb_s = scalar_bundle(par, ctx, s_vec_)
-        dot_bold = float(r_vec[:-1] @ ctx.r_ab @ s_vec_[:-1])
-        num = sb_r.A * sb_s.A + par.h**2 * dot_bold
-        h2mn = sb_r.B * sb_s.A - num * sb_r.A
-        h2ma = (
-            sb_r.B * (0.5 * par.g * r_vec[:-1] / sb_r.q * sb_s.A + par.h**2 * s_vec_[:-1])
-            - num * (0.5 * par.g * r_vec[-1] + sb_r.q) * r_vec[:-1] / sb_r.q
-        ) @ ctx.r_ab
-        res = max(res, abs(par.h**2 * mv[-1] - h2mn), _dev(par.h**2 * mv[:-1] - h2ma))
-        if cnt == m:
-            return m, max(res, res_fd * 1e-3)
+    admit = lambda r, s: _independent(par, finsler_angle(par, ctx, r, s))
+    r, s = _kept_pairs(rng, ctx, m, trials, admit, min_frac=0.15, unit=True)
+    d_r, d_s = product_gradients(par, ctx, r, s)
+    fprod = lambda x, y: finsler_product(par, ctx, x, y).product
+    fd_r = numdiff.gradient(lambda x: fprod(x, s), r)
+    fd_s = numdiff.gradient(lambda y: fprod(r, y), s)
+    # the simplified M against its unsimplified display
+    mv = m_vector(par, ctx, r, s)
+    sb_r = scalar_bundle(par, ctx, r)
+    sb_s = scalar_bundle(par, ctx, s)
+    col = lambda x: x[:, None]
+    num = sb_r.A * sb_s.A + par.h**2 * _dots(ctx.r_ab, r[:, :-1], s[:, :-1])
+    h2mn = sb_r.B * sb_s.A - num * sb_r.A
+    h2ma = (
+        col(sb_r.B) * (0.5 * par.g * r[:, :-1] / col(sb_r.q) * col(sb_s.A) + par.h**2 * s[:, :-1])
+        - col(num * (0.5 * par.g * r[:, -1] + sb_r.q)) * r[:, :-1] / col(sb_r.q)
+    ) @ ctx.r_ab
+    return m, _dev(
+        par.h**2 * mv[:, -1] - h2mn, par.h**2 * mv[:, :-1] - h2ma, (d_r - fd_r) * 1e-3, (d_s - fd_s) * 1e-3
+    )
 
 
 def check_finsler_two_vector(par, ctx, rng, trials, tol):
-    res = 0.0
     m = _budget(trials, 8)
-    cnt = 0
-    for r_vec, s_vec_ in _refills(lambda: _vector_pairs(rng, ctx, m, min_frac=0.1, unit=True), m, trials):
-        try:
-            t1 = sigma_map(par, ctx, r_vec)
-            t2 = sigma_map(par, ctx, s_vec_)
-            if angle(par, ctx, t1, t2) > 0.9 * math.pi:
-                continue
-            big_g = finsler_two_vector_tensor(par, ctx, r_vec, s_vec_)
-            sj_r = sigma_jacobian(par, ctx, r_vec)
-            sj_s = sigma_jacobian(par, ctx, s_vec_)
-            ntv = two_vector_metric(par, ctx, t1, t2).n_lower
-            d_r, d_s = product_gradients(par, ctx, r_vec, s_vec_)
-        except FinsleroidError:
-            continue
-        cnt += 1
+
+    def admit(r, s):  # image pairs independent and at most 0.9 pi apart
+        al = angle(par, ctx, sigma_map(par, ctx, r), sigma_map(par, ctx, s))
+        return (al <= 0.9 * math.pi) & _independent(par, al)
+
+    r, s = _kept_pairs(rng, ctx, m, trials, admit, min_frac=0.1, unit=True)
+    big_g = finsler_two_vector_tensor(par, ctx, r, s)
+    sj_r = sigma_jacobian(par, ctx, r)
+    sj_s = sigma_jacobian(par, ctx, s)
+    ntv = two_vector_metric(par, ctx, sigma_map(par, ctx, r), sigma_map(par, ctx, s)).n_lower
+    d_r, d_s = product_gradients(par, ctx, r, s)
+    fd = numdiff.mixed_second(lambda x, y: finsler_product(par, ctx, x, y).product, r, s)
+    swapped = np.swapaxes(finsler_two_vector_tensor(par, ctx, s, r), 1, 2)
+    return m, _dev(
+        big_g - np.einsum("irp,isq,irs->ipq", sj_r, sj_s, ntv),
         # Euler contractions (<R, S> is 1-homogeneous in each argument)
-        res = max(
-            res,
-            _dev(big_g - np.einsum("rp,sq,rs->pq", sj_r, sj_s, ntv)),
-            _dev(r_vec @ big_g - d_s),
-            _dev(big_g @ s_vec_ - d_r),
-        )
-        res = max(
-            res,
-            _dev(big_g - finsler_two_vector_tensor(par, ctx, s_vec_, r_vec).T)
-            * 1e-2,
-        )
-        fd = numdiff.mixed_second(
-            lambda x, y: finsler_product(par, ctx, x, y).product, r_vec, s_vec_
-        )
-        res = max(res, _dev(big_g - fd) * 1e-2)
-        if cnt == m:
-            return m, res
+        _lower(big_g, r) - d_s,
+        (big_g @ s[:, :, None])[:, :, 0] - d_r,
+        (big_g - swapped) * 1e-2,
+        (big_g - fd) * 1e-2,
+    )
 
 
 def check_finsler_coincidence(par, ctx, rng, trials, tol):
@@ -1208,9 +1190,8 @@ def _has_chord(par, ctx, t1, t2, min_c=0.0):
 
 def _chord_pairs(par, ctx, rng, m, trials, min_c=0.0):
     """m vector pairs (R1, R2), each (m, N), whose image pairs _has_chord flags."""
-    admit = lambda s: _has_chord(par, ctx, sigma_map(par, ctx, s[:, 0]), sigma_map(par, ctx, s[:, 1]), min_c)
-    kept = _admitted(_refills(lambda: _vector_pairs(rng, ctx, m), m, trials), admit, m)
-    return kept[:, 0], kept[:, 1]
+    admit = lambda r1, r2: _has_chord(par, ctx, sigma_map(par, ctx, r1), sigma_map(par, ctx, r2), min_c)
+    return _kept_pairs(rng, ctx, m, trials, admit)
 
 
 def check_finsler_geodesic(par, ctx, rng, trials, tol):

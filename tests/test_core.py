@@ -8,7 +8,7 @@ import pytest
 
 import finsleroid as fl
 from finsleroid import numdiff
-from finsleroid.oracles import _phi_a_form, _phi_lz_form, _phi_qz_form
+from finsleroid.oracles import _chart, _phi_a_form, _phi_lz_form, _phi_qz_form
 
 GRID = [0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 1.9, -1.9]
 
@@ -95,8 +95,13 @@ def test_bundle_on_axis(ctx3):
     assert up.phi == pytest.approx(math.pi / 2, abs=1e-15)
     assert down.phi == pytest.approx(-math.pi / 2, abs=1e-15)
     assert up.K == pytest.approx(math.exp(par.big_g * math.pi / 4), rel=1e-15)
-    assert not math.isnan(fl.scalar_bundle(par, ctx3, np.array([1.0, 0.0, 0.5])).Q)
-    assert math.isnan(fl.scalar_bundle(par, ctx3, np.array([1.0, 1.0, 0.0])).Q)
+    # Q = 1 + g w + w^2 lives on the chart w = q/Z, which has no plane Z = 0;
+    # the bundle itself is finite there
+    off, plane = np.array([1.0, 0.0, 0.5]), np.array([1.0, 1.0, 0.0])
+    assert _chart(par, ctx3, off, fl.scalar_bundle(par, ctx3, off))[2] == 7.0  # w = 2
+    assert all(math.isfinite(x) for x in fl.scalar_bundle(par, ctx3, plane))
+    with pytest.raises(fl.OnAxisError):
+        _chart(par, ctx3, plane, fl.scalar_bundle(par, ctx3, plane))
 
 
 def test_euclidean_norm_at_g_zero(rng, ctx3):
@@ -123,8 +128,9 @@ def test_bundle_identities(g, rng, ctx3):
         assert sb.B > 0.0
         if v[-1] != 0.0:
             w = sb.q / v[-1]
-            assert sb.Q == pytest.approx(1 + g * w + w * w, rel=1e-12)
-            assert sb.E**2 + par.h**2 * w * w == pytest.approx(sb.Q, rel=1e-12)
+            qw = _chart(par, ctx3, v, sb)[2]
+            assert qw == pytest.approx(1 + g * w + w * w, rel=1e-12)
+            assert (1 + 0.5 * g * w) ** 2 + par.h**2 * w * w == pytest.approx(qw, rel=1e-12)
             assert abs(v[-1]) * fl.generating_v(par, w) == pytest.approx(sb.K, rel=1e-13)
 
 

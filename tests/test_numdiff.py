@@ -80,17 +80,36 @@ def loop_mixed_second(f, x, y, scale=numdiff.HESSIAN_SCALE):
 def test_stencils_equal_point_loops_in_one_call(n, rng):
     x = rng.uniform(-2, 2, n)
     y = rng.uniform(-2, 2, n + 1)
-    for fn, stacked, loop, args in (
-        (_scalar, numdiff.gradient, loop_jacobian, (x,)),
-        (_matrix, numdiff.jacobian, loop_jacobian, (x,)),
-        (_scalar, numdiff.hessian, loop_hessian, (x,)),
-        (_pair, numdiff.mixed_second, loop_mixed_second, (x, y)),
+    # base points stacked as (2, 3, .): every stencil in one call, each
+    # point's result bit for bit its one-point call
+    xs = rng.uniform(-2, 2, (2, 3, n))
+    ys = rng.uniform(-2, 2, (2, 3, n + 1))
+    for fn, stacked, loop, args, stacks in (
+        (_scalar, numdiff.gradient, loop_jacobian, (x,), (xs,)),
+        (_matrix, numdiff.jacobian, loop_jacobian, (x,), (xs,)),
+        (_scalar, numdiff.hessian, loop_hessian, (x,), (xs,)),
+        (_pair, numdiff.mixed_second, loop_mixed_second, (x, y), (xs, ys)),
     ):
         f, calls = _counted(fn)
         got = stacked(f, *args, scale=3e-5)
         assert len(calls) == 1, stacked.__name__
         assert all(a.ndim == 2 for a in calls[0])
         np.testing.assert_array_equal(got, loop(fn, *args, scale=3e-5))
+        calls.clear()
+        got = stacked(f, *stacks, scale=3e-5)
+        assert len(calls) == 1, stacked.__name__
+        assert all(a.shape[1:-1] == (2, 3) for a in calls[0])
+        for i, j in np.ndindex(2, 3):
+            np.testing.assert_array_equal(got[i, j], stacked(fn, *(a[i, j] for a in stacks), scale=3e-5))
+
+
+def test_stacked_steps_broadcast(rng):
+    # an array scale, one step per base point, equals the one-point calls
+    xs = rng.uniform(-2, 2, (4, 3))
+    scale = np.array([1e-5, 3e-6, 1e-6, 3e-7])[:, None]
+    got = numdiff.jacobian(_matrix, xs, scale=scale)
+    for i in range(4):
+        np.testing.assert_array_equal(got[i], numdiff.jacobian(_matrix, xs[i], scale=float(scale[i, 0])))
 
 
 def test_kernel_stencils_match_point_loops(rng):

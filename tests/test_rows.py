@@ -44,7 +44,7 @@ KERNELS = {
 # and, for the chart oracle, in the plane (Z = 0)
 ON_AXIS = {"cartan_tensor", "tensor_stack", "cartan_mixed_reference"}
 IN_PLANE = {"cartan_mixed_reference"}
-FIELDS = ("q", "Z", "B", "Q", "E", "A", "L", "phi", "J", "K")
+FIELDS = ("q", "Z", "B", "A", "L", "phi", "J", "K")
 
 
 def _arrays(x):
@@ -109,7 +109,11 @@ def test_kernel_rows_match_single_vectors(g, n, rng):
         assert_rows_match(getattr(rows, field), np.array([getattr(sb, field) for sb in bundles]))
         # one vector gives scalars, not 0-d arrays
         assert not isinstance(getattr(bundles[3], field), np.ndarray), field
-    assert np.isnan(rows.Q[1]) and np.isnan(rows.E[1])
+    # the bundle is finite in the plane Z = 0 (row 1), where the chart w = q/Z
+    # of the oracles ends, naming that row
+    assert np.all(np.isfinite([getattr(rows, field)[1] for field in FIELDS]))
+    with pytest.raises(fl.OnAxisError, match=r"\(row 1\)"):
+        oracles._chart(par, ctx, R[[3, 1]], fl.scalar_bundle(par, ctx, R[[3, 1]]))
 
 
 def test_kernel_rows_rejected(rng):

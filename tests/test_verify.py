@@ -1,6 +1,8 @@
 """Verification harness: report structure, determinism, stress behavior."""
 
+import collections
 import dataclasses
+import inspect
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -111,7 +113,7 @@ def test_kernels_are_concurrency_safe():
         assert np.array_equal(gm, fl.metric_tensor(par, ctx, v))
 
 
-def test_two_vector_fd_oracle_is_one_product_call_per_pair(monkeypatch):
+def test_two_vector_fd_oracle_is_one_product_call_per_check(monkeypatch):
     from finsleroid import verify as V
 
     calls = []
@@ -127,8 +129,64 @@ def test_two_vector_fd_oracle_is_one_product_call_per_pair(monkeypatch):
         rng = np.random.default_rng(7)
         samples, residual = V.check_finsler_two_vector(par, fl.MetricContext(n), rng, 32, 1e-8)
         assert residual < 1e-8
-        # one stacked call of the 4 N^2 stencil pairs per accepted pair
-        assert calls == [(4 * n * n, n)] * samples
+        # one stacked call of the 4 N^2 stencil pairs of every sample
+        assert calls == [(4 * n * n, samples, n)]
+
+
+# the finite-difference and quadrature checks, which evaluate each kernel
+# and each stencil once on their whole stack of samples
+STACKED_ORACLES = [
+    "tensors.gradient_covector", "tensors.metric_hessian", "tensors.cartan_fd",
+    "quasimap.sigma_jacobian_fd", "quasimap.metric_derivative", "quasimap.curvature_fd",
+    "quasimap.conformal_jacobian_fd", "geodesics.arc_length", "twovector.tensor_fd",
+    "twovector.coincidence", "twovector.covector_metric_fd", "finslerops.gradients",
+    "finslerops.two_vector",
+]
+
+
+@pytest.mark.parametrize("check_id", STACKED_ORACLES)
+def test_oracle_checks_make_as_many_kernel_calls_at_any_trials(monkeypatch, check_id):
+    from finsleroid import numdiff, oracles
+    from finsleroid import verify as V
+
+    calls = collections.Counter()
+    quiet = []  # set while samples are drawn and admitted
+
+    def counted(name, f):
+        def wrapped(*a, **kw):
+            if not quiet:
+                calls[name] += 1
+            return f(*a, **kw)
+        return wrapped
+
+    def silenced(f):
+        def wrapped(*a, **kw):
+            quiet.append(f)
+            try:
+                return f(*a, **kw)
+            finally:
+                quiet.pop()
+        return wrapped
+
+    # the kernels verify and the oracles import, and the stencils
+    for module in (V, oracles):
+        for name, f in vars(module).items():
+            if inspect.isfunction(f) and f.__module__.startswith("finsleroid.") and f.__module__ != module.__name__:
+                monkeypatch.setattr(module, name, counted(f"{f.__module__}.{f.__name__}", f))
+    for name in ("jacobian", "gradient", "hessian", "mixed_second"):
+        monkeypatch.setattr(numdiff, name, counted("numdiff." + name, getattr(numdiff, name)))
+    for name in ("draw_vectors", "draw_pairs", "_admitted"):
+        monkeypatch.setattr(V, name, silenced(getattr(V, name)))
+    fn, tol = next((c[3], c[4]) for c in CHECKS if c[0] == check_id)
+    par, ctx = fl.make_parameter(1.0), fl.MetricContext(3)
+    counts = []
+    for trials in (16, 128):  # at least twice the samples at 128 trials
+        calls.clear()
+        samples, residual = fn(par, ctx, np.random.default_rng(3), trials, tol)
+        assert residual < tol
+        counts.append((samples, dict(calls)))
+    assert counts[0][0] < counts[1][0]
+    assert counts[0][1] == counts[1][1] and counts[0][1]
 
 
 HANGED_NEAR_2 = {
@@ -255,6 +313,11 @@ def _scaled_field(name):
 # the acceptance battery relies on per kernel family
 FAULTS = {
     "tensors.metric_determinant": ("metric_tensor", lambda f: lambda *a: f(*a) * (1 + 1e-6)),
+    # the finite-difference checks: one stencil per check
+    "tensors.metric_hessian": ("metric_tensor", lambda f: lambda *a: f(*a) * (1 + 1e-6)),
+    "quasimap.sigma_jacobian_fd": ("sigma_jacobian", lambda f: lambda *a: f(*a) * (1 + 1e-6)),
+    "twovector.covector_metric_fd": ("two_vector_metric", _transposed),
+    "finslerops.gradients": ("product_gradients", lambda f: lambda *a: tuple(d * (1 + 1e-6) for d in f(*a))),
     "quasimap.sigma_norm": ("sigma_map", lambda f: lambda *a: f(*a) * (1 + 1e-9)),
     "geodesics.endpoints": ("geodesic_point", lambda f: lambda *a: f(*a) + 1e-9),
     "twovector.tensor_fd": ("two_vector_metric", _transposed),
