@@ -114,6 +114,20 @@ def _outer(u, v):
     return u[..., :, None] * v[..., None, :]
 
 
+@functools.lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, read-only: r_ab or r_pq at whitened rows."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def _dots(x, y, form=None):
+    """x^p form_pq y^q of pairs stacked as (..., N), each row on its own
+    (``form`` the identity if omitted); a float64 scalar for one pair."""
+    return ((x[..., None, :] if form is None else x[..., None, :] @ form) @ y[..., :, None])[..., 0, 0][()]
+
+
 def _lower(form, x):
     """x^p form_pq of vectors stacked as (..., N), each row on its own."""
     return (x[..., None, :] @ form)[..., 0, :]
@@ -144,8 +158,13 @@ class MetricContext:
     ``r_ab`` is a symmetric positive-definite (N-1) x (N-1) matrix over the
     non-axis coordinates; ``r_pq`` is its N x N extension with r_NN = 1 and
     r_Na = 0.  Positive definiteness is checked by Cholesky factorization
-    at construction; the factor doubles as the vielbein used by the
-    two-vector frame.
+    at construction; the factor gives the vielbein E, r_pq = E^T E, which
+    whitens the input: the kernels evaluate the identity-metric closed
+    forms at the rows x E^T and map each output back by its index types
+    (see _scaled_rows and _scaled_back).  ``E`` is None when r_ab is the
+    identity, where both maps are the identity and are skipped.  The other
+    members (``r_pq``, ``q_rows``, ``lower``, ``codot`` ...) restate the
+    raw-coordinate forms for the verifier and the tests.
     """
 
     def __init__(self, n: int, r_ab=None):
@@ -177,10 +196,17 @@ class MetricContext:
         self.r_pq_inv = np.linalg.inv(r_pq)
         # vielbein: r_pq = sum_R e[R,p] e[R,q], frame components t^R = e[R,p] t^p
         self.vielbein = np.linalg.cholesky(r_pq).T
+        self.E = None if np.array_equal(r_ab, np.eye(n - 1)) else self.vielbein
+        # x -> x A of the rows by index type ("u" a vector, "l" a co-vector):
+        # into the whitened frame, and back
+        e_inv = np.linalg.inv(self.vielbein)
+        self._whiten = {"u": self.vielbein.T, "l": e_inv}
+        self._unwhiten = {"u": e_inv.T, "l": self.vielbein}
         # 2^-k with 2^k >= 2N: a row's L1 norm times it is exact and below
         # half the largest component, so it cannot overflow
         self._l1_weights = np.full(n, 0.5 ** math.ceil(math.log2(2 * n)))
-        for arr in (self.r_ab, self.r_pq, self.r_ab_inv, self.r_pq_inv, self.vielbein, self._l1_weights):
+        for arr in (self.r_ab, self.r_pq, self.r_ab_inv, self.r_pq_inv, self.vielbein, self._l1_weights,
+                    *self._whiten.values(), *self._unwhiten.values()):
             arr.setflags(write=False)
 
     def q(self, bold) -> float:
@@ -192,23 +218,8 @@ class MetricContext:
         return (bold[..., None, :] @ self.r_ab)[..., 0, :]
 
     def q_rows(self, bold) -> np.ndarray:
-        """Norms under r_ab of (N-1)-vectors stacked along leading axes.
-
-        Where q^2 falls below 2^-900, its terms can leave the normal range
-        of float64: those rows are evaluated at 2^-e bold, an exact scaling
-        that puts their largest component in [1/2, 1), and q is 2^e times
-        that norm.
-        """
-        q2 = self._q2_rows(bold)
-        # one vector's q2 is 0-d, which a Python comparison tests at a tenth
-        # of the cost of the array test
-        if not (float(q2) < _Q2_LOW if q2.ndim == 0 else (q2 < _Q2_LOW).any()):
-            return np.sqrt(abs(q2))  # r_ab is positive definite: q2 < 0 only by rounding
-        e = np.where(q2 < _Q2_LOW, np.frexp(np.maximum.reduce(np.abs(bold), axis=-1))[1], 0)
-        return np.ldexp(np.sqrt(abs(self._q2_rows(np.ldexp(bold, -e[..., None])))), e)
-
-    def _q2_rows(self, bold):
-        return (bold[..., None, :] @ self.r_ab @ bold[..., :, None])[..., 0, 0]
+        """Norms under r_ab of (N-1)-vectors stacked along leading axes (see _q_rows)."""
+        return _q_rows(bold, self.r_ab)
 
     def m(self, t) -> float:
         """Norm of the non-axis part of a full N-vector."""
@@ -317,6 +328,25 @@ def _reals(tokens, what):
         raise OutOfRangeError(f"{what}: {exc}") from None
 
 
+def _q_rows(bold, form=None):
+    """Norms of (N-1)-vectors stacked along leading axes under ``form``, the
+    identity if it is omitted.
+
+    Where q^2 falls below 2^-900, its terms can leave the normal range
+    of float64: those rows are evaluated at 2^-e bold, an exact scaling
+    that puts their largest component in [1/2, 1), and q is 2^e times
+    that norm.
+    """
+    q2 = _dots(bold, bold, form)
+    # one vector's q2 is 0-d, which a Python comparison tests at a tenth
+    # of the cost of the array test
+    if not (float(q2) < _Q2_LOW if q2.ndim == 0 else (q2 < _Q2_LOW).any()):
+        return np.sqrt(abs(q2))  # form is positive definite: q2 < 0 only by rounding
+    e = np.where(q2 < _Q2_LOW, np.frexp(np.maximum.reduce(np.abs(bold), axis=-1))[1], 0)
+    bold = np.ldexp(bold, -e[..., None])
+    return np.ldexp(np.sqrt(abs(_dots(bold, bold, form))), e)
+
+
 class ScalarBundle(NamedTuple):
     """Every scalar attached to a vector R = (bold R, Z), or to each row of
     a stack of vectors.
@@ -375,16 +405,17 @@ def scalar_bundle(par: GParameter, ctx: MetricContext, R) -> ScalarBundle:
     Near |g| = 2, J = exp(G Phi/2) and with it K leave float64 at any scale.
     """
     R, e = _scaled_rows(ctx, R)
-    sb = _bundle(par, ctx, R)
+    sb = _bundle(par, R)
     if not isinstance(e, np.ndarray):
         return sb
     return ScalarBundle(*(_scaled_back(x, e, d, name) for x, d, name in zip(sb, sb.degrees, sb._fields)))
 
 
-def _bundle(par: GParameter, ctx: MetricContext, R) -> ScalarBundle:
-    """scalar_bundle of rows already checked."""
+def _bundle(par: GParameter, R, form=None) -> ScalarBundle:
+    """scalar_bundle of rows already checked, with q under ``form`` (the
+    identity of the whitened rows if it is omitted)."""
     # [()] turns the 0-d Z of one vector into a scalar
-    q, z = ctx.q_rows(R[..., :-1]), R[..., -1][()]
+    q, z = _q_rows(R[..., :-1], form), R[..., -1][()]
     if abs(par.big_g) * (0.25 * math.pi) < 709.0:  # |G Phi/2| < 709: J = exp(G Phi/2) cannot overflow
         return _bundle_from_qz(par, q, z)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -404,20 +435,26 @@ def _require_finite(out, lead_ndim: int, what: str) -> None:
         raise NumericalDomainError(f"{what} is not finite at this scale" + _first_row(bad))
 
 
-def _scaled_rows(ctx: MetricContext, *stacks):
+def _scaled_rows(ctx: MetricContext, *stacks, index: str = "u"):
     """Nonzero rows at the scale where the kernels evaluate them.
 
     ``stacks`` is one stack of rows, shape (..., N), or a pair or triple of
-    stacks that broadcast against each other, each validated by
-    ``ctx.check_rows``.  Returns (*rows, e) with the rows scaled by 2^-e,
-    an exact scaling: e, per row, is the exponent of the largest vector of
-    the row, so that its largest component lies in [1/4, 1), and the int 0
-    when every vector lies inside 2^(+-100), where the rows are returned as
-    they are.  A kernel of degree d is then 2^(d e) times its value at the
-    scaled rows (see _scaled_back).  NumericalDomainError names the first row
-    of a pair or triple whose smaller vector lies more than about 2^300
-    below its largest.
+    stacks that broadcast against each other.  Each row is first mapped to
+    the whitened frame of ``ctx``, where r_pq is the identity: a vector
+    (``index`` "u") x to x E^T, a co-vector ("l") to x E^-1; rows that are
+    frame components already (".") are taken as they are, and so is every
+    row where E is None.  The rows are then validated by ``ctx.check_rows``.
+    Returns (*rows, e) with the rows scaled by 2^-e, an exact scaling: e,
+    per row, is the exponent of the largest vector of the row, so that its
+    largest component lies in [1/4, 1), and the int 0 when every vector
+    lies inside 2^(+-100), where the rows are returned as they are.  A
+    kernel of degree d is then 2^(d e) times its value at the scaled rows
+    (see _scaled_back).  NumericalDomainError names the first row of a
+    pair or triple whose smaller vector lies more than about 2^300 below
+    its largest.
     """
+    if ctx.E is not None and index != ".":
+        stacks = [_whitened(ctx, x, index) for x in stacks]
     checked = [ctx.check_rows(x, nonzero=True) for x in stacks]
     rows = [v for v, _ in checked]
     if not any(isinstance(e, np.ndarray) for _, e in checked):
@@ -431,34 +468,82 @@ def _scaled_rows(ctx: MetricContext, *stacks):
     return (*rows, e)
 
 
-def _scaled_back(x, e, degree, what: str):
-    """A kernel's output x at rows scaled by 2^-e (see _scaled_rows),
-    brought back to the rows: 2^(degree e) x, by np.ldexp for an integer
-    degree and np.exp2 for a fractional one.  x is an array, None, or a
-    record or tuple of them, with ``degree`` then the tuple of the degrees
-    of its fields; for e the int 0 it is x itself.  NumericalDomainError
-    names the first row where a rescaled array is not finite.
+def _given_rows(ctx: MetricContext, rows, e, *stacks):
+    """The stacks of vectors as given, as float64 at the scale 2^-e of their
+    whitened ``rows`` from _scaled_rows, which they are where E is None.
+    A combination of them with invariant coefficients is in the input
+    coordinates already: it needs no map back, and is exact where the
+    coefficients are (t1 + t2 at g = 0)."""
+    if ctx.E is None:
+        return rows
+    given = [np.asarray(x, dtype=float) for x in stacks]
+    return [np.ldexp(v, -e[..., None]) for v in given] if isinstance(e, np.ndarray) else given
+
+
+def _whitened(ctx: MetricContext, x, index: str):
+    """Rows x of index type ``index`` in the whitened frame (see _scaled_rows)."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 0 or v.shape[-1] != ctx.n:
+        return v  # check_rows names the shape
+    with np.errstate(all="ignore"):  # check_rows names a row that leaves float64
+        return _lower(ctx._whiten[index], v)
+
+
+def _scaled_back(x, e, degree, what: str, ctx: MetricContext | None = None, indices=""):
+    """A kernel's output x at whitened rows scaled by 2^-e (see
+    _scaled_rows), brought back to the rows.
+
+    ``indices`` holds the index type of each trailing axis of x: "l" a
+    lower index, mapped back by E (g_pq -> E^T g E), "u" an upper index or
+    a vector, by E^-1, and "." a frame index, left as it is; "" is an
+    invariant scalar.  x is first brought to the scale of the rows,
+    2^(degree e) x, by np.ldexp for an integer degree and np.exp2 for a
+    fractional one, and then mapped, where ``ctx`` has a vielbein E (see
+    MetricContext): a whitened row can lie far from its raw scale, and
+    the product of the two factors is what fits float64.  x is an array,
+    None, or a record or tuple of them, with ``degree`` and ``indices``
+    then the tuples of its fields; where there is nothing to map and e is
+    the int 0 it is x itself.
+    NumericalDomainError names the first row where a result is not finite.
     """
-    if not isinstance(e, np.ndarray) or x is None or degree == 0:
+    mapped = bool(indices) and ctx is not None and ctx.E is not None
+    if x is None or not mapped and (not isinstance(e, np.ndarray) or degree == 0):
         return x
     if isinstance(degree, tuple):
         fields = [getattr(x, f.name) for f in dataclasses.fields(x)] if dataclasses.is_dataclass(x) else x
-        items = [_scaled_back(v, e, d, what) for v, d in zip(fields, degree)]
+        kinds = indices if mapped else ("",) * len(degree)
+        items = [_scaled_back(v, e, d, what, ctx, i) for v, d, i in zip(fields, degree, kinds)]
         return tuple(items) if type(x) is tuple else type(x)(*items)
-    shift = e.reshape(e.shape + (1,) * (np.ndim(x) - e.ndim))
     with np.errstate(all="ignore"):  # _require_finite reports it
-        x = np.ldexp(x, int(degree) * shift) if float(degree).is_integer() else x * np.exp2(degree * shift)
-        _require_finite(x, e.ndim, what)
+        if isinstance(e, np.ndarray) and degree != 0:
+            shift = e.reshape(e.shape + (1,) * (np.ndim(x) - e.ndim))
+            x = np.ldexp(x, int(degree) * shift) if float(degree).is_integer() else x * np.exp2(degree * shift)
+        if mapped:
+            x = _unwhitened(ctx, x, indices)
+        _require_finite(x, e.ndim if isinstance(e, np.ndarray) else np.ndim(x) - len(indices), what)
     return x
 
 
-def _rows_kernel(what: str, degree):
+def _unwhitened(ctx: MetricContext, x, indices: str):
+    """x from the whitened frame back to the input coordinates, each of its
+    trailing axes by its index type (see _scaled_back)."""
+    for axis, index in enumerate(indices, -len(indices)):
+        if index != ".":
+            map_, moved = ctx._unwhiten[index], x.swapaxes(axis, -1)
+            # stacked N x N blocks map as one matmul, which rounds each block
+            # as it rounds it alone; vectors map row by row (see _lower)
+            x = (moved @ map_ if len(indices) > 1 else _lower(map_, moved)).swapaxes(axis, -1)
+    return x
+
+
+def _rows_kernel(what: str, degree, indices: str):
     """Turn a closed form f(par, ctx, R, sb) of rows R, shape (..., N), and
-    their scalar bundle, of homogeneity degree ``degree`` in R, into the
-    kernel f(par, ctx, R).  The kernel evaluates f at 2^-e R (see
-    _scaled_rows) with floating-point warnings off and rescales it by
-    2^(degree e); NumericalDomainError names the first row whose result is
-    not finite.  ``kernel.from_bundle`` is f itself.
+    their scalar bundle, of homogeneity degree ``degree`` in R and with the
+    index types ``indices`` (see _scaled_back), into the kernel
+    f(par, ctx, R).  The kernel evaluates f at the whitened rows 2^-e R
+    (see _scaled_rows) with floating-point warnings off, maps it back and
+    rescales it by 2^(degree e); NumericalDomainError names the first row
+    whose result is not finite.  ``kernel.from_bundle`` is f itself.
     """
 
     def wrap(fn):
@@ -466,9 +551,9 @@ def _rows_kernel(what: str, degree):
         def kernel(par, ctx, R):
             R, e = _scaled_rows(ctx, R)
             with np.errstate(all="ignore"):
-                out = fn(par, ctx, R, _bundle(par, ctx, R))
+                out = fn(par, ctx, R, _bundle(par, R))
                 _require_finite(out, R.ndim - 1, what)
-            return _scaled_back(out, e, degree, what)
+            return _scaled_back(out, e, degree, what, ctx, indices)
 
         del kernel.__wrapped__  # the signature is (par, ctx, R)
         kernel.from_bundle = fn
@@ -482,7 +567,7 @@ def kfun(par: GParameter, ctx: MetricContext, R):
     ``scalar_bundle``; NumericalDomainError names the first row where K is
     0 or not finite."""
     R, e = _scaled_rows(ctx, R)
-    k = _bundle(par, ctx, R).K
+    k = _bundle(par, R).K
     _require((k > 0.0) & (k < math.inf), NumericalDomainError, "K is 0 or not finite at this scale")
     return _scaled_back(k, e, 1, "K")
 

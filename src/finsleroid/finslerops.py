@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, _bundle, _off_axis, _per_row, _scaled_back, _scaled_rows
+from .core import GParameter, MetricContext, _bundle, _dots, _off_axis, _per_row, _scaled_back, _scaled_rows
 from .errors import CollinearError
 from .geodesics import (
     GeodesicChord,
     _check_cosine,
-    _dots,
     _require_independent,
     _stacked,
     geodesic_point,
@@ -26,7 +25,7 @@ from .geodesics import (
 )
 from .quasimap import mu_map, sigma_jacobian, sigma_map
 from .tensors import gradient_covector
-from .twovector import two_vector_metric
+from .twovector import _two_vector
 
 __all__ = [
     "FinslerPairProduct",
@@ -44,7 +43,7 @@ __all__ = [
 
 def _pair_core(par: GParameter, ctx: MetricContext, R, S):
     """One evaluation of the pairs: (R, S, sb_r, sb_s, dot_bold, roots, sine,
-    alpha, e), at 2^-e (R, S) (see core._scaled_rows).
+    alpha, e), whitened at 2^-e (R, S) (see core._scaled_rows).
 
     R and S are (..., N) stacks that broadcast against each other; the
     scalars have the leading shape of the pairs, and roots stacks
@@ -54,11 +53,9 @@ def _pair_core(par: GParameter, ctx: MetricContext, R, S):
     and S fields (and roots) swapped.
     """
     R, S, e = _scaled_rows(ctx, R, S)
-    sb_r = _bundle(par, ctx, R)
-    sb_s = _bundle(par, ctx, S)
-    squares = _stacked(sb_r.B, sb_s.B)
-    dot_bold = _dots(ctx.r_ab, R[..., :-1], S[..., :-1])
-    roots = np.sqrt(squares)
+    sb_r, sb_s = _bundle(par, R), _bundle(par, S)
+    dot_bold = _dots(R[..., :-1], S[..., :-1])
+    roots = np.sqrt(_stacked(sb_r.B, sb_s.B))
     # every piece below is divided by sigma = sqrt(B(R)B(S)) before it is
     # squared, so no intermediate exceeds the order of B
     sigma = roots[0] * roots[1]
@@ -73,30 +70,30 @@ def _pair_core(par: GParameter, ctx: MetricContext, R, S):
     qq = sb_r.q * sb_s.q
     cross = (sb_r.A * sb_s.q - sb_s.A * sb_r.q) / sigma
     bgap = R[..., :-1] / _off_axis(sb_r.q)[..., None] - S[..., :-1] / _off_axis(sb_s.q)[..., None]
-    delta = 0.5 * _dots(ctx.r_ab, bgap, bgap)
+    delta = 0.5 * _dots(bgap, bgap)
     w2 = cross * cross + qq / sigma * delta * ((2.0 * sb_r.A * sb_s.A + par.h**2 * (qq + dot_bold)) / sigma)
     sine = par.h * np.sqrt(np.maximum(w2, 0.0))
     return R, S, sb_r, sb_s, dot_bold, roots, sine, np.arctan2(sine, cos) / par.h, e
 
 
-def _m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots) -> np.ndarray:
-    """M_p / (B(R) sqrt(B(S))) of the (broadcast) pairs, of degree 0 in
-    both vectors: each term is formed from R/sqrt(B(R)) and S/sqrt(B(S)),
-    so none leaves float64 where B does not.  On the axis q(R) = 0 its
-    bold part is the limit r_ab S^b/sqrt(B(S)), as every term with R^b
-    vanishes."""
+def _m_unit(par, R, S, sb_r, sb_s, dot_bold, roots) -> np.ndarray:
+    """M_p / (B(R) sqrt(B(S))) of the (broadcast) whitened pairs, of degree
+    0 in both vectors: each term is formed from R/sqrt(B(R)) and
+    S/sqrt(B(S)), so none leaves float64 where B does not.  On the axis
+    q(R) = 0 its bold part is the limit S^a/sqrt(B(S)), as every term
+    with R^a vanishes."""
     r_r, r_s = roots
     x = dot_bold / (r_r * r_s)
-    # M_a = r_ab(c R^b + B(R) S^b), c = -Z A(S) - (r R S)(q + g Z/2)/q
+    # M_a = c R^a + B(R) S^a, c = -Z A(S) - (R.S)(q + g Z/2)/q
     c = -sb_r.Z / r_r * (sb_s.A / r_s) - x * (sb_r.q + 0.5 * par.g * sb_r.Z) / _off_axis(sb_r.q)
     bold = R[..., :-1] * (c / r_r)[..., None] + S[..., :-1] / r_s[..., None]
     last = (sb_r.q / r_r) ** 2 * (sb_s.A / r_s) - x * (sb_r.A / r_r)
-    return np.concatenate((ctx.r_rows(bold), last[..., None]), axis=-1)
+    return np.concatenate((bold, last[..., None]), axis=-1)
 
 
-def _m_covector(m_unit, sb_r, roots) -> np.ndarray:
-    """M_p from M_p / (B(R) sqrt(B(S)))."""
-    return m_unit * (sb_r.B * roots[1])[..., None]
+def _m_covector(m_unit, sb_r, roots, sine) -> np.ndarray:
+    """M_p from M_p / (B(R) sqrt(B(S))); 0 where W = 0, where m_unit is only rounding."""
+    return m_unit * (sb_r.B * roots[1] * (sine > 0.0))[..., None]
 
 
 def _s_covector(m_unit, sb_r, sine) -> np.ndarray:
@@ -117,22 +114,22 @@ def m_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
     M_a = r_ab(-Z R^b A(S) + S^b B(R) - (r R S)(q + g Z/2) R^b/q).
     The axis q(R) = 0 is a removable limit: M_a -> r_ab S^b B(R).
     """
-    R, S, sb_r, sb_s, dot_bold, roots, _, _, e = _pair_core(par, ctx, R, S)
-    m_r = _m_covector(_m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots), sb_r, roots)
-    return _scaled_back(m_r, e, 3, "m_r")
+    R, S, sb_r, sb_s, dot_bold, roots, sine, _, e = _pair_core(par, ctx, R, S)
+    m_r = _m_covector(_m_unit(par, R, S, sb_r, sb_s, dot_bold, roots), sb_r, roots, sine)
+    return _scaled_back(m_r, e, 3, "m_r", ctx, "l")
 
 
 def s_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
     """s_p(g; R, S) = M_p K(R) / (W B(R)); annihilates R^p."""
-    R, S, sb_r, sb_s, dot_bold, roots, sine, _, _ = _pair_core(par, ctx, R, S)  # of degree 0
+    R, S, sb_r, sb_s, dot_bold, roots, sine, _, e = _pair_core(par, ctx, R, S)
     _require_independent(sine, "s-vector undefined for image-collinear pairs")
-    return _s_covector(_m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots), sb_r, sine)
+    return _scaled_back(_s_covector(_m_unit(par, R, S, sb_r, sb_s, dot_bold, roots), sb_r, sine), e, 0, "s_r", ctx, "l")
 
 
 def _pullback_tensor(par, ctx, R, S, sb_r, sb_s):
-    """G = sigma'(R)^T n(sigma(R), sigma(S)) sigma'(S), without the collinearity guard."""
+    """G = sigma'(R)^T n(sigma(R), sigma(S)) sigma'(S) of whitened pairs, without the guard."""
     t_r, t_s = sigma_map.from_bundle(par, ctx, R, sb_r), sigma_map.from_bundle(par, ctx, S, sb_s)
-    n = two_vector_metric(par, ctx, t_r, t_s).n_lower
+    n = _two_vector(par, *_scaled_rows(ctx, t_r, t_s, index=".")[:2]).n_lower  # of degree 0
     j_r, j_s = (sigma_jacobian.from_bundle(par, ctx, *rs) for rs in ((R, sb_r), (S, sb_s)))
     return np.swapaxes(j_r, -1, -2) @ n @ j_s
 
@@ -155,22 +152,22 @@ class FinslerPairProduct:
     g_lower: np.ndarray | None
 
     degrees = (2, 0, 2, 3, 0, 0)  # homogeneity degrees of the fields in the pair
+    indices = ("", "", "", "l", "l", "ll")  # index types of the fields (see core._scaled_back)
 
 
 def finsler_product(par: GParameter, ctx: MetricContext, R, S) -> FinslerPairProduct:
     """Scalar product <R, S> over pairs stacked as (..., N); equals K^2 at
     S = R and the euclidean product at g = 0."""
     R, S, sb_r, sb_s, dot_bold, roots, sine, alpha, e = _pair_core(par, ctx, R, S)
-    m_unit = _m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots)
-    m_r = _m_covector(m_unit, sb_r, roots)
+    m_unit = _m_unit(par, R, S, sb_r, sb_s, dot_bold, roots)
     try:
         _require_independent(sine, "s_r and g_lower need image-independent vectors")
         s_r, g_lower = _s_covector(m_unit, sb_r, sine), _pullback_tensor(par, ctx, R, S, sb_r, sb_s)
     except CollinearError:
         s_r = g_lower = None
-    w = sine * roots[0] * roots[1]
+    m_r, w = _m_covector(m_unit, sb_r, roots, sine), sine * roots[0] * roots[1]
     product = FinslerPairProduct(sb_r.K * sb_s.K * np.cos(alpha), alpha, w, m_r, s_r, g_lower)
-    return _scaled_back(product, e, FinslerPairProduct.degrees, "Finsler product")
+    return _scaled_back(product, e, FinslerPairProduct.degrees, "Finsler product", ctx, FinslerPairProduct.indices)
 
 
 def finsler_two_vector_tensor(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
@@ -181,9 +178,9 @@ def finsler_two_vector_tensor(par: GParameter, ctx: MetricContext, R, S) -> np.n
     with the closed-form two-vector tensor n and Jacobian sigma'.
     Reduces to the one-vector metric tensor in the coincidence limit.
     """
-    R, S, sb_r, sb_s, _, _, sine, _, _ = _pair_core(par, ctx, R, S)  # of degree 0
+    R, S, sb_r, sb_s, _, _, sine, _, e = _pair_core(par, ctx, R, S)
     _require_independent(sine, "two-vector tensor needs image-independent vectors")
-    return _pullback_tensor(par, ctx, R, S, sb_r, sb_s)
+    return _scaled_back(_pullback_tensor(par, ctx, R, S, sb_r, sb_s), e, 0, "two-vector tensor", ctx, "ll")
 
 
 def product_gradients(par: GParameter, ctx: MetricContext, R, S):
@@ -193,13 +190,13 @@ def product_gradients(par: GParameter, ctx: MetricContext, R, S):
     _require_independent(sine, "gradients need image-independent vectors")
     product = sb_r.K * sb_s.K * np.cos(alpha)
     sa = _per_row(np.sin(alpha))
-    s_rs = _s_covector(_m_unit(par, ctx, R, S, sb_r, sb_s, dot_bold, roots), sb_r, sine)
-    s_sr = _s_covector(_m_unit(par, ctx, S, R, sb_s, sb_r, dot_bold, roots[::-1]), sb_s, sine)
+    s_rs = _s_covector(_m_unit(par, R, S, sb_r, sb_s, dot_bold, roots), sb_r, sine)
+    s_sr = _s_covector(_m_unit(par, S, R, sb_s, sb_r, dot_bold, roots[::-1]), sb_s, sine)
     d_r = gradient_covector.from_bundle(par, ctx, R, sb_r) * _per_row(product / sb_r.K**2)
     d_r = d_r + _per_row(par.h * sb_s.K) * s_rs * sa
     d_s = gradient_covector.from_bundle(par, ctx, S, sb_s) * _per_row(product / sb_s.K**2)
     d_s = d_s + _per_row(par.h * sb_r.K) * s_sr * sa
-    return _scaled_back((d_r, d_s), e, (1, 1), "product gradients")
+    return _scaled_back((d_r, d_s), e, (1, 1), "product gradients", ctx, ("l", "l"))
 
 
 def finsler_chord(par: GParameter, ctx: MetricContext, R1, R2) -> GeodesicChord:
@@ -227,5 +224,5 @@ def axis_angles(par: GParameter, ctx: MetricContext, R):
     Since B = A^2 + h^2 q^2 = L^2 + h^2 Z^2, they are formed as
     (1/h) atan2(h q, A) and (1/h) atan2(h |Z|, L), which need no clamp.
     """
-    sb = _bundle(par, ctx, _scaled_rows(ctx, R)[0])  # of degree 0
+    sb = _bundle(par, _scaled_rows(ctx, R)[0])  # of degree 0
     return np.arctan2(par.h * sb.q, sb.A) / par.h, np.arctan2(par.h * np.abs(sb.Z), sb.L) / par.h

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, _lower, _per_row, _require, _scaled_back, _scaled_rows
+from .core import GParameter, MetricContext, _dots, _per_row, _require, _scaled_back, _scaled_rows
 from .errors import CollinearError, DegenerateChordError, NumericalDomainError, OutOfRangeError
 
 __all__ = [
@@ -49,34 +49,30 @@ def _require_independent(sin_theta, what: str) -> None:
             what + ": sin(theta) = {:.3e} <= " + f"{_COLLINEAR_TOL:.0e}", sin_theta)
 
 
-def _dots(form, x, y):
-    """x^p form_pq y^q of pairs stacked as (..., N), each row on its own;
-    a float64 scalar for one pair."""
-    return (x[..., None, :] @ form @ y[..., :, None])[..., 0, 0][()]
-
-
 def _stacked(x, y):
     """x and y broadcast and stacked along a new first axis."""
     return np.array(np.broadcast_arrays(x, y) if x.shape != y.shape else (x, y))
 
 
-def _pair_dots(form, t1, t2):
+def _pair_dots(t1, t2, form=None):
     """Euclidean pair data under the bilinear form ``form``, without
     cancellation or overflow, over pairs stacked as (..., N) (the two
     stacks broadcast).
 
-    ``form`` is ``ctx.r_pq`` for vectors and ``ctx.r_pq_inv`` for co-vectors.
+    The kernels omit ``form`` at their whitened rows; a raw-coordinate
+    reference passes ``ctx.r_pq``, or ``ctx.r_pq_inv`` for co-vectors.
     The Gram root u = sqrt((t1t1)(t2t2) - (t1t2)^2) loses half its digits
     near collinearity when formed literally, so it is built from the
     transverse projections t2 - ((t1t2)/(t1t1)) t1 and its mirror, as
     sqrt(|t1||t2 - ...|) sqrt(|t2||t1 - ...|): no intermediate exceeds the
-    squared norms.  The euclidean angle comes from atan2(sin, cos), well
-    conditioned at both ends of [0, pi].  Returns (dot11, dot22, dot12, u,
-    theta), each with the leading shape of the pairs (float64 scalars for
-    one pair).
+    squared norms.  A sine u/(|t1||t2|) within rounding, 2^-50, is 0:
+    proportional vectors are so only to the rounding of their components.
+    The euclidean angle comes from atan2(sin, cos), well conditioned at
+    both ends of [0, pi].  Returns (dot11, dot22, dot12, u, theta), each
+    with the leading shape of the pairs (float64 scalars for one pair).
     """
     pair = _stacked(t1, t2)  # (2, ..., N)
-    gram = (pair[:, None, ..., None, :] @ form @ pair[None, :, ..., :, None])[..., 0, 0]
+    gram = _dots(pair[:, None], pair[None, :], form)
     dot11, dot22, dot12 = gram[0, 0], gram[1, 1], gram[0, 1]
     squares = np.array((dot11, dot22))
     norms = np.sqrt(squares)
@@ -85,17 +81,18 @@ def _pair_dots(form, t1, t2):
     _check_cosine(cos)
     # rows t2 - ((t1t2)/(t1t1)) t1 and t1 - ((t1t2)/(t2t2)) t2
     transverse = pair[::-1] - (dot12 / squares)[..., None] * pair
-    tt = (transverse[..., None, :] @ form @ transverse[..., :, None])[..., 0, 0]
+    tt = _dots(transverse, transverse, form)
     roots = np.sqrt(norms * np.sqrt(tt))  # each sqrt(u)
     u = roots[0] * roots[1]
+    u = u * (u > 2.0**-50 * size)
     # atan2 of the sine and cosine: numpy's atan2 rounds differently for
     # arguments near the float64 limits
     return dot11, dot22, dot12, u, np.arctan2(u / size, cos)
 
 
-def _companions(form, t1, t2, what: str):
+def _companions(t1, t2, what: str, form=None):
     """_pair_dots of independent pairs plus the companions d1, d2 (see PairInvariants)."""
-    dot11, dot22, dot12, u, theta = _pair_dots(form, t1, t2)
+    dot11, dot22, dot12, u, theta = _pair_dots(t1, t2, form)
     _require_independent(np.sin(theta), what)
     d1 = (dot11 / u)[..., None] * (t2 - (dot12 / dot11)[..., None] * t1)
     d2 = (dot22 / u)[..., None] * (t1 - (dot12 / dot22)[..., None] * t2)
@@ -110,7 +107,7 @@ def angle(par: GParameter, ctx: MetricContext, t1, t2):
     shape (a float64 scalar for one pair); an invalid pair raises, naming
     the first such row.
     """
-    return _pair_dots(ctx.r_pq, *_scaled_rows(ctx, t1, t2)[:2])[4] / par.h
+    return _pair_dots(*_scaled_rows(ctx, t1, t2)[:2])[4] / par.h
 
 
 @dataclass(frozen=True)
@@ -131,13 +128,12 @@ class PairInvariants:
     alpha: float
 
     degrees = (2, 2, 2, 2, 1, 1, 0)  # homogeneity degrees of the fields in the pair
+    indices = ("", "", "", "", "u", "u", "")  # index types of the fields (see core._scaled_back)
 
 
-def _invariants(par: GParameter, ctx: MetricContext, t1, t2) -> PairInvariants:
+def _invariants(par: GParameter, t1, t2) -> PairInvariants:
     """pair_invariants of validated pairs."""
-    dot11, dot22, dot12, u, theta, d1, d2 = _companions(
-        ctx.r_pq, t1, t2, "companion vectors undefined for a collinear pair"
-    )
+    dot11, dot22, dot12, u, theta, d1, d2 = _companions(t1, t2, "companion vectors undefined for a collinear pair")
     return PairInvariants(
         dot11=dot11, dot22=dot22, dot12=dot12, u=u, d1=d1, d2=d2, alpha=theta / par.h
     )
@@ -145,20 +141,21 @@ def _invariants(par: GParameter, ctx: MetricContext, t1, t2) -> PairInvariants:
 
 def pair_invariants(par: GParameter, ctx: MetricContext, t1, t2) -> PairInvariants:
     t1, t2, e = _scaled_rows(ctx, t1, t2)
-    return _scaled_back(_invariants(par, ctx, t1, t2), e, PairInvariants.degrees, "pair invariants")
+    inv = _invariants(par, t1, t2)
+    return _scaled_back(inv, e, inv.degrees, "pair invariants", ctx, inv.indices)
 
 
 def scalar_product(par: GParameter, ctx: MetricContext, t1, t2):
     """<t1, t2> = |t1| |t2| cos(alpha); reduces to the euclidean product at g = 0."""
     t1, t2, e = _scaled_rows(ctx, t1, t2)
-    dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, t1, t2)
+    dot11, dot22, _, _, theta = _pair_dots(t1, t2)
     return _scaled_back(np.sqrt(dot11) * np.sqrt(dot22) * np.cos(theta / par.h), e, 2, "scalar product")
 
 
 def distance_squared(par: GParameter, ctx: MetricContext, t1, t2):
     """Squared two-point length (t1t1) + (t2t2) - 2 |t1||t2| cos(alpha)."""
     t1, t2, e = _scaled_rows(ctx, t1, t2)
-    dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, t1, t2)
+    dot11, dot22, _, _, theta = _pair_dots(t1, t2)
     root = np.sqrt(dot11) * np.sqrt(dot22)
     distance2 = np.maximum(dot11 + dot22 - 2.0 * root * np.cos(theta / par.h), 0.0)
     return _scaled_back(distance2, e, 2, "squared distance")
@@ -174,7 +171,7 @@ class GeodesicChord:
     the scalars a, s_end, alpha, delta_s and b have their leading shape L
     and t1, t2 the shape L + (N,); for one pair they are Python floats.
     The chords are evaluated at 2^-e (t1, t2), with e the exponent of
-    each pair (see core._scaled_rows).
+    each pair (see core._scaled_rows), of the endpoints t1, t2 as given.
 
     Parameters s along the chords broadcast against L + (k,), so that each
     chord takes its own k values (or all chords the same k); a scalar s
@@ -234,13 +231,12 @@ def _radius(a, b, s):
 
 
 def _chord_terms(par: GParameter, ctx: MetricContext, t1, t2):
-    """The chord constants of pairs stacked as (..., N), before the guards
-    of solve_chord: (t1, t2, e, a, s_end, alpha, delta_s, b, wide,
-    coincident), with the pairs and constants at 2^-e (see
-    core._scaled_rows) and the flags of the pairs at an angle of pi or
-    more and of coincident endpoints, where b is not defined."""
+    """(e, a, s_end, alpha, delta_s, b, wide, coincident) of pairs stacked as
+    (..., N), before the guards of solve_chord: the constants at 2^-e (see
+    core._scaled_rows) and the flags of the pairs at an angle of pi or more
+    and of coincident endpoints, where b is not defined."""
     t1, t2, e = _scaled_rows(ctx, t1, t2)
-    dot11, dot22, _, _, theta = _pair_dots(ctx.r_pq, t1, t2)
+    dot11, dot22, _, _, theta = _pair_dots(t1, t2)
     a, s_end = np.sqrt(dot11), np.sqrt(dot22)
     alpha = theta / par.h
     cos = np.cos(alpha)
@@ -249,7 +245,7 @@ def _chord_terms(par: GParameter, ctx: MetricContext, t1, t2):
     b = (a * s_end * cos - a * a) / (delta_s + coincident)  # Delta s, but 1 where it may be 0
     # rounding can push b fractionally past +-a on near-radial pairs
     b = np.minimum(np.maximum(b, -a), a)
-    return t1, t2, e, a, s_end, alpha, delta_s, b, alpha >= math.pi * (1.0 - 1e-9), coincident
+    return e, a, s_end, alpha, delta_s, b, alpha >= math.pi * (1.0 - 1e-9), coincident
 
 
 def solve_chord(par: GParameter, ctx: MetricContext, t1, t2) -> GeodesicChord:
@@ -261,16 +257,14 @@ def solve_chord(par: GParameter, ctx: MetricContext, t1, t2) -> GeodesicChord:
     smooth chord (the extremal path degenerates through the origin) and
     raise NumericalDomain.  Each message names the first such pair.
     """
-    t1, t2, e, a, s_end, alpha, delta_s, b, wide, coincident = _chord_terms(par, ctx, t1, t2)
+    e, a, s_end, alpha, delta_s, b, wide, coincident = _chord_terms(par, ctx, t1, t2)
     _require(~wide, NumericalDomainError, "no smooth chord: the pair subtends an angle of pi or more")
     _require(~coincident, DegenerateChordError, "coincident endpoints")
-    if t1.shape != t2.shape:
-        t1, t2 = np.broadcast_arrays(t1, t2)
-    t1, t2, a, s_end, delta_s, b = _scaled_back((t1, t2, a, s_end, delta_s, b), e, (1,) * 6, "geodesic chord")
+    t1, t2 = _stacked(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
+    a, s_end, delta_s, b = _scaled_back((a, s_end, delta_s, b), e, (1,) * 4, "geodesic chord")
     if np.ndim(a) == 0:
         a, s_end, alpha, delta_s, b = (float(x) for x in (a, s_end, alpha, delta_s, b))
-    return GeodesicChord(t1=t1.copy(), t2=t2.copy(), a=a, s_end=s_end, alpha=alpha, delta_s=delta_s, b=b,
-                         h=par.h, e=e)
+    return GeodesicChord(t1=t1, t2=t2, a=a, s_end=s_end, alpha=alpha, delta_s=delta_s, b=b, h=par.h, e=e)
 
 
 def _atan2(y, x):
@@ -366,10 +360,9 @@ def length_gradients(par: GParameter, ctx: MetricContext, t1, t2):
     raises CollinearError naming its index.
     """
     t1, t2, e = _scaled_rows(ctx, t1, t2)
-    inv = _invariants(par, ctx, t1, t2)
+    inv = _invariants(par, t1, t2)
     s1, s2 = np.sqrt(inv.dot11), np.sqrt(inv.dot22)
     ca, sa = np.cos(inv.alpha), _per_row(np.sin(inv.alpha))
-    t1l, t2l, d1l, d2l = (_lower(ctx.r_pq, x) for x in (t1, t2, inv.d1, inv.d2))
-    b1 = t1l * _per_row(1.0 - s2 * ca / s1) - d1l * _per_row(s2 / (par.h * s1)) * sa
-    b2 = t2l * _per_row(1.0 - s1 * ca / s2) - d2l * _per_row(s1 / (par.h * s2)) * sa
-    return _scaled_back((b1, b2), e, (1, 1), "length gradients")
+    b1 = t1 * _per_row(1.0 - s2 * ca / s1) - inv.d1 * _per_row(s2 / (par.h * s1)) * sa
+    b2 = t2 * _per_row(1.0 - s1 * ca / s2) - inv.d2 * _per_row(s1 / (par.h * s2)) * sa
+    return _scaled_back((b1, b2), e, (1, 1), "length gradients", ctx, ("l", "l"))

@@ -60,7 +60,7 @@ def angular_block_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarra
     term is 0 on the axis q = 0.
     """
     R = ctx.check_rows(R, nonzero=True)[0]
-    sb = _bundle(par, ctx, R)
+    sb = _bundle(par, R, ctx.r_ab)
     z, q = sb.Z, sb.q
     k2 = _pow(sb.K, 2)
     k2b2 = k2 / _pow(sb.B, 2)
@@ -91,7 +91,7 @@ def cartan_mixed_reference(par: GParameter, ctx: MetricContext, R) -> np.ndarray
     """Explicit chart closed forms for C_p^q_r (independent cross-check),
     over rows (..., N) -> (..., N, N, N)."""
     R = ctx.check_rows(R, nonzero=True)[0]
-    z, w, qw, w_up, w_low = _chart(par, ctx, R, _bundle(par, ctx, R))
+    z, w, qw, w_up, w_low = _chart(par, ctx, R, _bundle(par, R, ctx.r_ab))
     n = ctx.n
     g = par.g
     eye = np.eye(n - 1)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParameter, MetricContext, _lower, _outer, _per_row, _require, _scaled_back, _scaled_rows
+from .core import GParameter, MetricContext, _dots, _eye, _given_rows, _outer, _per_row, _require
+from .core import _scaled_back, _scaled_rows
 from .errors import (
     MaxIterationsError,
     NoRootError,
@@ -29,7 +30,6 @@ from .errors import (
 from .geodesics import (
     PairInvariants,
     _companions,
-    _dots,
     _invariants,
     _pair_dots,
     _require_independent,
@@ -68,6 +68,7 @@ class TwoVectorTensor:
     pair: PairInvariants
 
     degrees = (0, 0, 0, PairInvariants.degrees)  # homogeneity degrees of the fields in the pair
+    indices = ("ll", "", "", PairInvariants.indices)  # index types of the fields (see core._scaled_back)
 
 
 def _pair_scalars(inv: PairInvariants):
@@ -76,32 +77,27 @@ def _pair_scalars(inv: PairInvariants):
     return s1, s2, np.cos(inv.alpha), np.sin(inv.alpha)
 
 
-def _lowered(ctx: MetricContext, t1, t2, inv: PairInvariants):
-    """t1, t2, d1, d2 index-lowered in one call, at the broadcast shape of
-    the pairs."""
-    vectors = (t1, t2, inv.d1, inv.d2)
-    if t1.shape != t2.shape:
-        vectors = np.broadcast_arrays(*vectors)
-    return _lower(ctx.r_pq, np.array(vectors))
-
-
 def two_vector_metric(par: GParameter, ctx: MetricContext, t1, t2) -> TwoVectorTensor:
     """Closed form of the mixed second derivative of the scalar product,
     over pairs stacked as (..., N) (n_lower is (..., N, N))."""
     t1, t2, e = _scaled_rows(ctx, t1, t2)
-    inv = _invariants(par, ctx, t1, t2)
+    tensor = _two_vector(par, t1, t2)
+    return _scaled_back(tensor, e, TwoVectorTensor.degrees, "two-vector tensor", ctx, TwoVectorTensor.indices)
+
+
+def _two_vector(par: GParameter, t1, t2) -> TwoVectorTensor:
+    """two_vector_metric of whitened pairs at their scale."""
+    inv = _invariants(par, t1, t2)
     s1, s2, ca, sa = _pair_scalars(inv)
     a1 = ca - inv.dot12 * sa / (par.h * inv.u)
     a2 = ca / par.h - inv.dot12 * sa / inv.u
-    t1l, t2l, d1l, d2l = _lowered(ctx, t1, t2, inv)
     mat = lambda x: np.asarray(x)[..., None, None]
     n = (
-        mat(s1 * s2 * sa / (par.h * inv.u)) * ctx.r_pq
-        + mat(a1 / (s1 * s2)) * _outer(t1l, t2l)
-        - mat(a2 / (par.h * s1 * s2)) * _outer(d1l, d2l)
+        mat(s1 * s2 * sa / (par.h * inv.u)) * _eye(t1.shape[-1])
+        + mat(a1 / (s1 * s2)) * _outer(t1, t2)
+        - mat(a2 / (par.h * s1 * s2)) * _outer(inv.d1, inv.d2)
     )
-    tensor = TwoVectorTensor(n_lower=n, a1=a1, a2=a2, pair=inv)
-    return _scaled_back(tensor, e, TwoVectorTensor.degrees, "two-vector tensor")
+    return TwoVectorTensor(n_lower=n, a1=a1, a2=a2, pair=inv)
 
 
 def _frame_pieces(par, inv):
@@ -124,11 +120,12 @@ def frame(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray:
 
     Rows are frame covectors; contractions with t1, t2 and the sum over
     the frame index against frame components of t1, t2 have closed forms.
-    Raises NumericalDomain, naming the first such pair, where sin(alpha)
-    or a radicand is negative (large angles).
+    The frame components of a vector are its whitened row (see
+    core._scaled_rows).  Raises NumericalDomain, naming the first such
+    pair, where sin(alpha) or a radicand is negative (large angles).
     """
-    t1, t2, _ = _scaled_rows(ctx, t1, t2)  # of degree 0
-    inv = _invariants(par, ctx, t1, t2)
+    t1, t2, e = _scaled_rows(ctx, t1, t2)  # of degree 0
+    inv = _invariants(par, t1, t2)
     (s1, s2, zsq, p_rad, m_rad, delta_p, delta_m), upper, real = _frame_pieces(par, inv)
     _require(upper, NumericalDomainError, "frame needs sin(alpha) >= 0 (alpha <= pi)")
     _require(real, NumericalDomainError, "negative frame radicand for this pair")
@@ -136,15 +133,12 @@ def frame(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray:
     # (z - p)/x rationalized to stay finite for euclid-orthogonal pairs
     c_p = -delta_p / (z + np.sqrt(p_rad))
     c_m = -delta_m / (z + np.sqrt(m_rad))
-    t1l, _, _, d2l = _lowered(ctx, t1, t2, inv)
-    # frame components e[R, p] x^p of t2 and d1
-    t2_frame, d1_frame = _lower(ctx.vielbein.T, _stacked(t2, inv.d1))
     out = (
-        _per_row(z, 2) * ctx.vielbein
-        - _per_row(c_p, 2) * _outer(t2_frame, t1l)
-        + _per_row(c_m, 2) * _outer(d1_frame, d2l)
+        _per_row(z, 2) * _eye(ctx.n)
+        - _per_row(c_p, 2) * _outer(t2, t1)
+        + _per_row(c_m, 2) * _outer(inv.d1, inv.d2)
     )
-    return out / _per_row(np.sqrt(par.h * s1 * s2), 2)
+    return _scaled_back(out / _per_row(np.sqrt(par.h * s1 * s2), 2), e, 0, "frame", ctx, ".l")
 
 
 def frame_reconstruct(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray:
@@ -172,6 +166,7 @@ class CovectorPair:
     f_scale: float
 
     degrees = (1, 1, 1, 1, 0)  # homogeneity degrees of the fields in the pair
+    indices = ("l", "l", "l", "l", "")  # index types of the fields (see core._scaled_back)
 
 
 def co_regime_gap(par: GParameter, alpha):
@@ -201,29 +196,24 @@ def covector_pair(par: GParameter, ctx: MetricContext, t1, t2) -> CovectorPair:
     """Closed forms of the co-vectors and their companions, over pairs
     stacked as (..., N)."""
     t1, t2, e = _scaled_rows(ctx, t1, t2)
-    inv = _invariants(par, ctx, t1, t2)
+    inv = _invariants(par, t1, t2)
     s1, s2, ca, sa = _pair_scalars(inv)
-    t1l, t2l, d1l, d2l = _lowered(ctx, t1, t2, inv)
     ca_r, ta_r = _per_row(ca), _per_row(sa / par.h)
-    big_t1 = _per_row(s2 / s1) * (ca_r * t1l + ta_r * d1l)
-    big_t2 = _per_row(s1 / s2) * (ca_r * t2l + ta_r * d2l)
-    big_d1, big_d2 = _companions(
-        ctx.r_pq_inv, big_t1, big_t2, "co-vectors of the pair are collinear"
-    )[5:]
+    big_t1 = _per_row(s2 / s1) * (ca_r * t1 + ta_r * inv.d1)
+    big_t2 = _per_row(s1 / s2) * (ca_r * t2 + ta_r * inv.d2)
+    big_d1, big_d2 = _companions(big_t1, big_t2, "co-vectors of the pair are collinear")[5:]
     # direct form of the inversion denominator scale; equals
     # -co_orientation * cap_u / u
     f_scale = ca * ca - sa * sa / par.h**2 - 2.0 * sa * ca * inv.dot12 / (par.h * inv.u)
     pair = CovectorPair(T1=big_t1, T2=big_t2, D1=big_d1, D2=big_d2, f_scale=f_scale)
-    return _scaled_back(pair, e, CovectorPair.degrees, "co-vector pair")
+    return _scaled_back(pair, e, CovectorPair.degrees, "co-vector pair", ctx, CovectorPair.indices)
 
 
 def invert_covectors(par: GParameter, ctx: MetricContext, T1, T2, alpha):
     """Recover (t1, t2) from the co-vector pairs, stacked as (..., N), and
     the angle alpha of each pair."""
-    big_t1, big_t2, e = _scaled_rows(ctx, T1, T2)
-    tt11, tt22, _, _, _, big_d1, big_d2 = _companions(
-        ctx.r_pq_inv, big_t1, big_t2, "co-vector pair is collinear"
-    )
+    big_t1, big_t2, e = _scaled_rows(ctx, T1, T2, index="l")
+    tt11, tt22, _, _, _, big_d1, big_d2 = _companions(big_t1, big_t2, "co-vector pair is collinear")
     alpha = np.asarray(alpha, dtype=float)[()]
     _require((alpha > 0.0) & (alpha < math.pi), NumericalDomainError,
              "inversion needs 0 < alpha < pi, got {!r}", alpha)
@@ -233,7 +223,7 @@ def invert_covectors(par: GParameter, ctx: MetricContext, T1, T2, alpha):
     den = _per_row(ca * ca + sa * sa / par.h**2)
     t1_low = _per_row(np.sqrt(tt22 / tt11)) * (ca_r * big_t1 + ta_r * big_d1) / den
     t2_low = _per_row(np.sqrt(tt11 / tt22)) * (ca_r * big_t2 + ta_r * big_d2) / den
-    return _scaled_back(tuple(_lower(ctx.r_pq_inv, _stacked(t1_low, t2_low))), e, (1, 1), "inverted vectors")
+    return _scaled_back((t1_low, t2_low), e, (1, 1), "inverted vectors", ctx, ("u", "u"))
 
 
 def _co_angle_cos_side(par, tt11, tt22, tt12, cap_u, alpha):
@@ -273,12 +263,12 @@ def _decreasing_root(fun, lo, hi, x0, max_iter=100):
     raise MaxIterationsError("bracketed Newton iteration did not converge")
 
 
-def _checked_vectors(ctx: MetricContext, t1, t2):
-    """core._scaled_rows of one vector pair, shape (N,) each."""
-    for t in (t1, t2):
+def _checked_covectors(ctx: MetricContext, T1, T2):
+    """core._scaled_rows of one co-vector pair, shape (N,) each."""
+    for t in (T1, T2):
         if np.ndim(t) != 1:
             raise OutOfRangeError(f"expected a 1-d vector, got shape {np.shape(t)}")
-    return _scaled_rows(ctx, t1, t2)
+    return _scaled_rows(ctx, T1, T2, index="l")
 
 
 def solve_co_angle(par: GParameter, ctx: MetricContext, T1, T2) -> float:
@@ -296,8 +286,8 @@ def solve_co_angle(par: GParameter, ctx: MetricContext, T1, T2) -> float:
     -beta before any other-regime target, so a pair with an other-regime
     root always has this main-regime root as well.
     """
-    big_t1, big_t2, _ = _checked_vectors(ctx, T1, T2)  # of degree 0
-    tt11, tt22, tt12, cap_u, beta = _pair_dots(ctx.r_pq_inv, big_t1, big_t2)
+    big_t1, big_t2, _ = _checked_covectors(ctx, T1, T2)  # of degree 0
+    tt11, tt22, tt12, cap_u, beta = _pair_dots(big_t1, big_t2)
     _require_independent(np.sin(beta), "co-vector pair is collinear")
     beta = float(beta)  # the Newton iteration runs on Python floats
     h = par.h
@@ -330,27 +320,29 @@ def oplus_first_order(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray
     t1 (+) t2 ~ t1 + t2 + (1/h - 1)(m(t1,t2) t1 + m(t2,t1) t2), exact at
     g = 0; the defining-equation residuals are O(k^2) in k = 1/h - 1.
     """
-    t1, t2, e = _scaled_rows(ctx, t1, t2)
-    inv = _invariants(par, ctx, t1, t2)
+    w1, w2, e = _scaled_rows(ctx, t1, t2)
+    inv = _invariants(par, w1, w2)
     _require_acute(inv)
-    total = t1 + t2
-    th1, th2 = _pair_dots(ctx.r_pq, _stacked(t1, t2), total)[4]
+    th1, th2 = _pair_dots(_stacked(w1, w2), w1 + w2)[4]
     m12 = (inv.dot12 * th1 - inv.dot22 * th2) / inv.u
     m21 = (inv.dot12 * th2 - inv.dot11 * th1) / inv.u
     k = 1.0 / par.h - 1.0
-    return _scaled_back(total + k * (_per_row(m12) * t1 + _per_row(m21) * t2), e, 1, "first-order sum")
+    t1, t2 = _given_rows(ctx, (w1, w2), e, t1, t2)
+    return _scaled_back(t1 + t2 + k * (_per_row(m12) * t1 + _per_row(m21) * t2), e, 1, "first-order sum")
 
 
 def ominus_first_order(par: GParameter, ctx: MetricContext, t1, t3) -> np.ndarray:
     """First-order difference vector t3 (-) t1, inverse of the sum to O(k^2),
     over pairs stacked as (..., N)."""
-    t1, t3, e = _scaled_rows(ctx, t1, t3)
-    v = t3 - t1
+    w1, w3, e = _scaled_rows(ctx, t1, t3)
+    v = w3 - w1
     _require(v.any(axis=-1), ZeroVectorError, "difference of coincident vectors")
-    dot11, _, _, u, ang_a = _pair_dots(ctx.r_pq, t1, t3)
+    dot11, _, _, u, ang_a = _pair_dots(w1, w3)
     _require_independent(np.sin(ang_a), "difference undefined for a collinear configuration")
-    vv, _, _, _, ang_b = _pair_dots(ctx.r_pq, v, t3)
-    vt1 = _dots(ctx.r_pq, v, t1)
+    vv, _, _, _, ang_b = _pair_dots(v, w3)
+    vt1 = _dots(v, w1)
+    t1, t3 = _given_rows(ctx, (w1, w3), e, t1, t3)
+    v = t3 - t1
     s_vec = (_per_row((dot11 * ang_a - vt1 * ang_b) / u) * v
              + _per_row((vv * ang_b - vt1 * ang_a) / u) * t1)
     k = 1.0 / par.h - 1.0
@@ -364,7 +356,7 @@ def parallelogram_residuals(par: GParameter, ctx: MetricContext, t1, t2, t3):
     if not t1.shape == t2.shape == t3.shape:
         t1, t2, t3 = np.broadcast_arrays(t1, t2, t3)
     # the pairs (t1, t3) and (t2, t3) in one call
-    (dot11, dot22), (dot33, _), _, _, (theta13, theta23) = _pair_dots(ctx.r_pq, _stacked(t1, t2), t3)
+    (dot11, dot22), (dot33, _), _, _, (theta13, theta23) = _pair_dots(_stacked(t1, t2), t3)
     s1, s2, s3 = np.sqrt(dot11), np.sqrt(dot22), np.sqrt(dot33)
     r1 = s3 - (s2 * s2 - s1 * s1) / s3 - 2.0 * s1 * np.cos(theta13 / par.h)
     r2 = s3 - (s1 * s1 - s2 * s2) / s3 - 2.0 * s2 * np.cos(theta23 / par.h)
@@ -381,14 +373,14 @@ def parallelogram_refine(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndar
     rho^2 = |t1|^2 + |t2|^2 + 2 |t1||t2| cos(alpha) and t3 lies at the
     euclidean angle h atan2(|t2| sin(alpha), |t1| + |t2| cos(alpha)) from t1.
     """
-    t1, t2, e = _scaled_rows(ctx, t1, t2)
-    inv = _invariants(par, ctx, t1, t2)
+    w1, w2, e = _scaled_rows(ctx, t1, t2)
+    inv = _invariants(par, w1, w2)
     _require_acute(inv)
-    if par.g == 0.0:
-        return _scaled_back(t1 + t2, e, 1, "sum vector")
+    if par.g == 0.0:  # t1 + t2, exact
+        return _scaled_back(np.add(*_given_rows(ctx, (w1, w2), e, t1, t2)), e, 1, "sum vector")
     s1, s2, ca, sa = _pair_scalars(inv)
     x, y = s1 + s2 * ca, s2 * sa  # rho = hypot(x, y), without overflow
     theta13 = par.h * np.arctan2(y, x)
     # d1 is t2's part transverse to t1, rescaled to |d1| = |t1|
-    rotated = _per_row(np.cos(theta13)) * t1 + _per_row(np.sin(theta13)) * inv.d1
-    return _scaled_back(_per_row(np.hypot(x, y) / s1) * rotated, e, 1, "sum vector")
+    rotated = _per_row(np.cos(theta13)) * w1 + _per_row(np.sin(theta13)) * inv.d1
+    return _scaled_back(_per_row(np.hypot(x, y) / s1) * rotated, e, 1, "sum vector", ctx, "u")

@@ -41,6 +41,7 @@ import numpy as np
 from . import numdiff
 from .core import (
     MetricContext,
+    _dots,
     _lower,
     _outer,
     generating_j,
@@ -67,7 +68,6 @@ from .finslerops import (
 from .geodesics import (
     _COLLINEAR_TOL,
     _chord_terms,
-    _dots,
     _pair_dots,
     angle,
     distance_squared,
@@ -157,7 +157,7 @@ _REJECTS = 50  # samples per trial a check may skip where a kernel rejects them
 
 def _norms(ctx, x):
     """Euclidean lengths S(x) of rows x, shape (..., N)."""
-    return np.sqrt(_dots(ctx.r_pq, x, x))
+    return np.sqrt(_dots(x, x, ctx.r_pq))
 
 
 def _vector_chunks(rng, ctx, first, min_frac, unit):
@@ -219,7 +219,7 @@ def draw_pairs(rng, ctx, par, m, min_frac=0.0, unit=False, max_alpha=None, min_c
         rows = np.concatenate((rest, next(chunks)))
         cut = len(rows) - len(rows) % 2
         t1, t2, rest = rows[0:cut:2], rows[1:cut:2], rows[cut:]
-        dot11, dot22, _, u, theta = _pair_dots(ctx.r_pq, t1, t2)
+        dot11, dot22, _, u, theta = _pair_dots(t1, t2, ctx.r_pq)
         keep = u >= min_sin * np.sqrt(dot11 * dot22)
         al = theta / par.h
         if max_alpha is not None:
@@ -291,7 +291,8 @@ def _vector_pairs(rng, ctx, m, **kw):
 
 def _dev(*xs) -> float:
     """Largest absolute entry of the arrays xs (0 where they are empty; NaN
-    if an entry is NaN, so that the check fails)."""
+    if an entry is NaN, so that the check fails): every check folds its
+    residuals through it, as Python's max(res, nan) keeps res."""
     return float(np.max([np.max(np.abs(x), initial=0.0) for x in xs]))
 
 
@@ -308,11 +309,10 @@ def _normal(x, what):
 
 
 def check_parameter_identities(par, ctx, rng, trials, tol):
-    res = 0.0
+    res = []
     for g in np.concatenate(([par.g], rng.uniform(-1.999, 1.999, trials))):
         p = make_parameter(g)
-        res = max(
-            res,
+        res += [
             abs(p.g_plus + p.g_minus - p.g),
             abs(p.g_plus - p.g_minus - 2 * p.h),
             abs(p.g_up_plus + p.g_up_minus + p.g),
@@ -321,10 +321,10 @@ def check_parameter_identities(par, ctx, rng, trials, tol):
             abs(p.h**2 + 0.25 * p.g**2 - 1.0),
             abs(p.big_g * p.h - p.g),
             abs(p.gamma - (p.h - 1.0)),
-        )
+        ]
         flip = make_parameter(-g)
-        res = max(res, abs(flip.g_plus + p.g_minus), abs(flip.g_minus + p.g_plus))
-    return trials, res
+        res += [abs(flip.g_plus + p.g_minus), abs(flip.g_minus + p.g_plus)]
+    return trials, _dev(res)
 
 
 def check_gz_parity(par, ctx, rng, trials, tol):
@@ -430,7 +430,7 @@ def check_metric_determinant(par, ctx, rng, trials, tol):
     _normal(target, "J^(2N) det(r_ab)")
     det_g = np.linalg.det(metric_tensor(par, ctx, v))
     res = _dev((det_g - target) / target)
-    return trials, max(res, 1.0) if (det_g <= 0.0).any() else res
+    return trials, _dev(res, 1.0) if (det_g <= 0.0).any() else res
 
 
 def check_inverse_metric(par, ctx, rng, trials, tol):
@@ -465,7 +465,7 @@ def check_angular_tensor(par, ctx, rng, trials, tol):
             det_g = np.linalg.det(metric_tensor(par, ctx, vc))
             v2 = generating_v(par, ctx.q_rows(vc[:, :-1]) / vc[:, -1]) ** 2
         _normal(np.concatenate((det_h, det_g, v2)), "det(h_ab), det(g_pq) or V^2")
-        res = max(res, _dev((det_h - det_g / v2) / det_g))
+        res = _dev(res, (det_h - det_g / v2) / det_g)
     return trials, res
 
 
@@ -638,12 +638,13 @@ def check_angle_image(par, ctx, rng, trials, tol):
         l_low = _lower(ctx.r_pq, l_up)
         lvec = v / kfun(par, ctx, v)[:, None]
         lcov = np.einsum("ipq,iq->ip", metric_tensor(par, ctx, v), lvec)
-        res = max(res, _dev(
+        res = _dev(
+            res,
             np.einsum("ipq,iq->ip", sj, lvec) - l_up,
             np.einsum("ipq,iq->ip", mj, l_up) - lvec,
             np.einsum("iqp,iq->ip", sj, l_low) - lcov,
             np.einsum("iqp,iq->ip", mj, lcov) - l_low,
-        ))
+        )
     return trials, res
 
 
@@ -688,7 +689,7 @@ def check_conformal(par, ctx, rng, trials, tol):
     kj = conformal_jacobian(par, ctx, t)
     img, f = conformal_flatten(par, ctx, t)
     push = kj @ quasi_metric(par, ctx, t).n_upper @ np.swapaxes(kj, 1, 2)
-    unit = np.abs(_dots(ctx.r_pq, t, t) - 2.0) < 1e-12
+    unit = np.abs(_dots(t, t, ctx.r_pq) - 2.0) < 1e-12
     return trials, _dev(
         push - (f * f)[:, None, None] * ctx.r_pq_inv,
         img - f[:, None] * t / par.h,
@@ -725,7 +726,7 @@ def check_angle_properties(par, ctx, rng, trials, tol):
 def check_pair_invariants(par, ctx, rng, trials, tol):
     t1, t2 = draw_pairs(rng, ctx, par, trials)
     inv = pair_invariants(par, ctx, t1, t2)
-    dot = lambda x, y: _dots(ctx.r_pq, x, y)
+    dot = lambda x, y: _dots(x, y, ctx.r_pq)
     return trials, _dev(
         dot(t1, inv.d1),
         dot(t2, inv.d2),
@@ -802,8 +803,8 @@ def check_geodesic_velocity(par, ctx, rng, trials, tol):
     vel = geodesic_velocity(ch, ss)
     fd = numdiff.derivative(lambda x: geodesic_point(ch, x), ss)
     ng = quasi_metric(par, ctx, pts).n_lower
-    res = _dev(_dots(ng, vel, vel) - 1.0, _dots(ctx.r_pq, pts, vel) - (ch.b[:, None] + ss))
-    return m, max(res, _dev(vel - fd) * 1e-2)
+    res = _dev(_dots(vel, vel, ng) - 1.0, _dots(pts, vel, ctx.r_pq) - (ch.b[:, None] + ss))
+    return m, _dev(res, (vel - fd) * 1e-2)
 
 
 def check_arc_length(par, ctx, rng, trials, tol):
@@ -838,15 +839,15 @@ def check_length_gradients(par, ctx, rng, trials, tol):
     bb22 = inv.dot22 + inv.dot11 - 2 * s1 * s2 * ca + k2 * inv.dot11 * sa * sa
     bb12 = -((x - 2 * ca) * ca + k2 * sa * sa) * inv.dot12 - (x - 2 * ca) * inv.u * sa / par.h
     dot = lambda x, y: (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-    codot = lambda x, y: _dots(ctx.r_pq_inv, x, y)
+    codot = lambda x, y: _dots(x, y, ctx.r_pq_inv)
     res = _dev(
         dot(t1, b1) + dot(t2, b2) - distance_squared(par, ctx, t1, t2),
         codot(b1, b1) - bb11,
         codot(b2, b2) - bb22,
         codot(b1, b2) - bb12,
     )
-    res = max(res, min(_dev(g1), 1.0) * 1e-3, min(_dev(g2), 1.0) * 1e-3)
-    return m, max(res, _dev(np.stack([b1, b2]) - fd) * 1e-3)
+    res = _dev(res, min(_dev(g1), 1.0) * 1e-3, min(_dev(g2), 1.0) * 1e-3)
+    return m, _dev(res, (np.stack([b1, b2]) - fd) * 1e-3)
 
 
 def check_fundamental_limit(par, ctx, rng, trials, tol):
@@ -940,9 +941,9 @@ def check_covector_closed(par, ctx, rng, trials, tol):
     tv = two_vector_metric(par, ctx, t1, t2)
     inv = tv.pair
     dot = lambda x, y: np.einsum("ip,ip->i", x, y)
-    codot = lambda x, y: _dots(ctx.r_pq_inv, x, y)
+    codot = lambda x, y: _dots(x, y, ctx.r_pq_inv)
     sp = scalar_product(par, ctx, t1, t2)
-    tt11, tt22, tt12, cap_u, _ = _pair_dots(ctx.r_pq_inv, cp.T1, cp.T2)
+    tt11, tt22, tt12, cap_u, _ = _pair_dots(cp.T1, cp.T2, ctx.r_pq_inv)
     ca, sa = np.cos(inv.alpha), np.sin(inv.alpha)
     cc, ss = ca * ca, sa * sa / par.h**2
     eps_u = co_orientation(par, inv.alpha) * cap_u
@@ -993,22 +994,22 @@ def check_covector_inversion(par, ctx, rng, trials, tol):
 
 
 def check_co_angle(par, ctx, rng, trials, tol):
-    res = 0.0
+    res = []
     m = _budget(trials, 8)
     for t1, t2 in zip(*draw_pairs(rng, ctx, par, m, main_regime=True)):
         inv = pair_invariants(par, ctx, t1, t2)
         cp = covector_pair(par, ctx, t1, t2)
         al = solve_co_angle(par, ctx, cp.T1, cp.T2)
-        res = max(res, abs(al - inv.alpha) * 1e-3)  # forward consistency, own tolerance
+        res.append(abs(al - inv.alpha) * 1e-3)  # forward consistency, own tolerance
         # residual of the implicit cosine equation at the returned root
-        tt11, tt22, tt12, cap_u, _ = _pair_dots(ctx.r_pq_inv, cp.T1, cp.T2)
+        tt11, tt22, tt12, cap_u, _ = _pair_dots(cp.T1, cp.T2, ctx.r_pq_inv)
         ca, sa = math.cos(al), math.sin(al)
         cc, ss = ca * ca, sa * sa / par.h**2
         rhs = ((cc - ss) * tt12 + 2.0 / par.h * sa * ca * co_orientation(par, al) * cap_u) / (
             (cc + ss) * math.sqrt(tt11 * tt22)
         )
-        res = max(res, abs(math.cos(par.h * al) - rhs))
-    return m, res
+        res.append(abs(math.cos(par.h * al) - rhs))
+    return m, _dev(res)
 
 
 def check_oplus(par, ctx, rng, trials, tol):
@@ -1056,11 +1057,11 @@ def check_ominus(par, ctx, rng, trials, tol):
     if k == 0.0:
         return len(v), _dev(diff)
     s_vec = diff / k
-    _, _, _, u13, ang_a = _pair_dots(ctx.r_pq, t1, t3)
-    _, _, _, u_v3, ang_b = _pair_dots(ctx.r_pq, v, t3)
+    _, _, _, u13, ang_a = _pair_dots(t1, t3, ctx.r_pq)
+    _, _, _, u_v3, ang_b = _pair_dots(v, t3, ctx.r_pq)
     return len(v), _dev(
-        _dots(ctx.r_pq, v, s_vec) - u13 * ang_a,
-        _dots(ctx.r_pq, t1, s_vec) - u13 * ang_b,
+        _dots(v, s_vec, ctx.r_pq) - u13 * ang_a,
+        _dots(t1, s_vec, ctx.r_pq) - u13 * ang_b,
         u_v3 - u13,
     )
 
@@ -1130,7 +1131,7 @@ def check_finsler_gradients(par, ctx, rng, trials, tol):
     sb_r = scalar_bundle(par, ctx, r)
     sb_s = scalar_bundle(par, ctx, s)
     col = lambda x: x[:, None]
-    num = sb_r.A * sb_s.A + par.h**2 * _dots(ctx.r_ab, r[:, :-1], s[:, :-1])
+    num = sb_r.A * sb_s.A + par.h**2 * _dots(r[:, :-1], s[:, :-1], ctx.r_ab)
     h2mn = sb_r.B * sb_s.A - num * sb_r.A
     h2ma = (
         col(sb_r.B) * (0.5 * par.g * r[:, :-1] / col(sb_r.q) * col(sb_s.A) + par.h**2 * s[:, :-1])
@@ -1184,7 +1185,7 @@ def _has_chord(par, ctx, t1, t2, min_c=0.0):
     """Flags the pairs solve_chord takes, by its own guards, whose chord
     keeps its closest approach to the origin, sqrt(a^2 - b^2), at least
     min_c max(a, s_end)."""
-    _, _, _, a, s_end, _, _, b, wide, coincident = _chord_terms(par, ctx, t1, t2)
+    _, a, s_end, _, _, b, wide, coincident = _chord_terms(par, ctx, t1, t2)
     return ~wide & ~coincident & (np.sqrt(np.maximum(a**2 - b**2, 0.0)) >= min_c * np.maximum(a, s_end))
 
 
@@ -1203,7 +1204,7 @@ def check_finsler_geodesic(par, ctx, rng, trials, tol):
 
 
 def check_finsler_arc(par, ctx, rng, trials, tol):
-    res = 0.0
+    res = []
     m = _budget(trials, 16)
     segs = 3000  # pullback paths can graze the axis, where quadrature converges slower
     # the composite rule needs the integrand smooth: keep the chord's
@@ -1215,8 +1216,8 @@ def check_finsler_arc(par, ctx, rng, trials, tol):
         dp = pts[1:] - pts[:-1]
         gm = metric_tensor(par, ctx, 0.5 * (pts[1:] + pts[:-1]))
         total = float(np.sqrt(np.maximum(np.einsum("ip,ipq,iq->i", dp, gm, dp), 0.0)).sum())
-        res = max(res, abs(total - ch.delta_s) / ch.delta_s)
-    return m, res
+        res.append(abs(total - ch.delta_s) / ch.delta_s)
+    return m, _dev(res)
 
 
 def check_axis_angles(par, ctx, rng, trials, tol):
@@ -1240,7 +1241,7 @@ def check_euclidean_degeneration(par, ctx, rng, trials, tol):
     # meaningful at any g but only a degeneration statement at g = 0
     p0 = make_parameter(0.0)
     v, w = np.moveaxis(_vector_pairs(rng, ctx, trials), 1, 0)
-    dot = lambda x, y: _dots(ctx.r_pq, x, y)
+    dot = lambda x, y: _dots(x, y, ctx.r_pq)
     sv, sw = _norms(ctx, v), _norms(ctx, w)
     al = angle(p0, ctx, v, w)
     # the first-order sum and difference need an acute, independent pair

@@ -820,6 +820,38 @@ def test_q_is_exact_off_a_tiny_part(n):
         assert np.all(np.abs(np.asarray(q) - want) <= 2 * np.spacing(want))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("g", [1.0, -1.5])
+def test_metric_scale_extremes(g, scale):
+    # at r_ab = scale I the kernels evaluate at whitened rows, of components
+    # sqrt(scale) R^a, and map each output back by its index types: finite,
+    # with no numpy warning, and true to the raw-coordinate identities
+    par, ctx = fl.make_parameter(g), fl.MetricContext(3, scale * np.eye(2))
+    d = np.array([math.sqrt(scale), math.sqrt(scale), 1.0])  # the whitening map
+    # g_pq g^qr = delta, formed at d^-1 g d^-1 and d g^-1 d, whose entries are O(1)
+    unit = lambda low, up: (low / np.outer(d, d)) @ (up * np.outer(d, d))
+    R = np.array([1.0, 1.0, 1.0])
+    t1, t2 = np.array([0.4, -0.7, 0.9]) / d, np.array([0.3, 0.8, 0.5]) / d  # a generic whitened pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k2 = fl.kfun(par, ctx, R) ** 2
+        g_lower, g_upper = fl.metric_tensor(par, ctx, R), fl.inverse_metric(par, ctx, R)
+        stack = fl.tensor_stack(par, ctx, R)
+        quasi = fl.quasi_metric(par, ctx, R)
+        product = fl.finsler_product(par, ctx, R, R)
+        tv = fl.two_vector_metric(par, ctx, t1, t2)
+        t12 = fl.scalar_product(par, ctx, t1, t2)
+    for record in (stack, quasi, product, tv, tv.pair):
+        for value in dataclasses.astuple(record):
+            assert value is None or isinstance(value, tuple) or np.all(np.isfinite(value))
+    assert R @ g_lower @ R == pytest.approx(k2, rel=1e-13)
+    assert stack.r_lower @ R == pytest.approx(k2, rel=1e-13)
+    assert product.product == pytest.approx(k2, rel=1e-13)
+    assert t1 @ tv.n_lower @ t2 == pytest.approx(t12, rel=1e-13)
+    for low, up in ((g_lower, g_upper), (stack.g_lower, stack.g_upper), (quasi.n_lower, quasi.n_upper)):
+        np.testing.assert_allclose(unit(low, up), np.eye(3), rtol=0.0, atol=1e-13)
+
+
 @pytest.mark.parametrize("g", [0.0, 1.0, -1.5])
 def test_image_side_scale_extremes(g):
     # the image-side kernels and axis_angles follow their degree out to the

@@ -270,7 +270,7 @@ def _draw_pair(rng, ctx, par, max_alpha=None, min_cos=None, main_regime=False, r
     """The sequential pair rule: two vectors at a time until the pair passes."""
     while True:
         t1, t2 = _draw_vector(rng, ctx, **kw), _draw_vector(rng, ctx, **kw)
-        dot11, dot22, _, u, theta = _pair_dots(ctx.r_pq, t1, t2)
+        dot11, dot22, _, u, theta = _pair_dots(t1, t2, ctx.r_pq)
         al = theta / par.h
         gap = co_regime_gap(par, al)
         if (u >= 0.05 * np.sqrt(dot11 * dot22) and (max_alpha is None or al < max_alpha)
@@ -351,3 +351,47 @@ def test_checks_fail_on_a_faulty_kernel(monkeypatch, check_id):
     name, fault = FAULTS[check_id]
     monkeypatch.setattr(V, name, fault(getattr(V, name)))
     assert fn(par, ctx, np.random.default_rng(5), 16, tol)[1] > tol
+
+
+def _nan_from_second_call(f, calls):
+    """f, but NaN from its second call on."""
+
+    def faulty(*args):
+        calls.append(None)
+        out = f(*args)
+        return out * math.nan if len(calls) >= 2 else out
+
+    return faulty
+
+
+@pytest.mark.parametrize("check_id, name", [("twovector.co_angle", "solve_co_angle"),
+                                            ("finslerops.geodesic_arc", "metric_tensor")])
+def test_checks_fail_on_a_nan_after_a_finite_residual(monkeypatch, check_id, name):
+    # the loops of these checks fold one residual per sample; a NaN that
+    # arrives after a finite residual must fail the check, as Python's
+    # max(res, nan) would keep res
+    from finsleroid import verify as V
+
+    fn, tol = next((c[3], c[4]) for c in CHECKS if c[0] == check_id)
+    par, ctx = fl.make_parameter(1.0), fl.MetricContext(3)
+    calls = []
+    monkeypatch.setattr(V, name, _nan_from_second_call(getattr(V, name), calls))
+    residual = fn(par, ctx, np.random.default_rng(5), 16, tol)[1]
+    assert len(calls) >= 2
+    assert not residual < tol
+
+
+def test_verify_fails_without_the_whitening_map(monkeypatch):
+    # with E = None the kernels evaluate the identity-metric closed forms at
+    # the raw rows and ignore r_ab; the raw-coordinate oracles see it
+    from finsleroid import verify as V
+
+    def unwhitened(n, r_ab=None):
+        ctx = fl.MetricContext(n, r_ab)
+        ctx.E = None
+        return ctx
+
+    cfg = RunConfig(g=1.0, dim=3, metric="diag:4,0.25", trials=16)
+    assert run_verify(cfg)["overall_pass"] is True
+    monkeypatch.setattr(V, "MetricContext", unwhitened)
+    assert run_verify(cfg)["overall_pass"] is False
