@@ -161,9 +161,14 @@ class MetricContext:
     at construction; the factor gives the vielbein E, r_pq = E^T E, which
     whitens the input: the kernels evaluate the identity-metric closed
     forms at the rows x E^T and map each output back by its index types
-    (see _scaled_rows and _scaled_back).  ``E`` is None when r_ab is the
-    identity, where both maps are the identity and are skipped.  The other
-    members (``r_pq``, ``q_rows``, ``lower``, ``codot`` ...) restate the
+    (see _scaled_rows and _scaled_back).  When r_ab is the identity both
+    maps are the identity and are skipped: ``_whiten`` and ``_unwhiten``
+    are None there.  ``sine_floor`` is the sine below which the kernels
+    take the whitened vectors of a pair as proportional: 0 at the
+    identity, and otherwise N eps |E| |E^-1| (the larger norm of that
+    product and of |E^-1| |E|), the rounding that the whitening leaves in a
+    row relative to its norm.  The other members (``r_pq``,
+    ``vielbein``, ``q_rows``, ``lower``, ``codot`` ...) restate the
     raw-coordinate forms for the verifier and the tests.
     """
 
@@ -196,18 +201,35 @@ class MetricContext:
         self.r_pq_inv = np.linalg.inv(r_pq)
         # vielbein: r_pq = sum_R e[R,p] e[R,q], frame components t^R = e[R,p] t^p
         self.vielbein = np.linalg.cholesky(r_pq).T
-        self.E = None if np.array_equal(r_ab, np.eye(n - 1)) else self.vielbein
-        # x -> x A of the rows by index type ("u" a vector, "l" a co-vector):
-        # into the whitened frame, and back
-        e_inv = np.linalg.inv(self.vielbein)
-        self._whiten = {"u": self.vielbein.T, "l": e_inv}
-        self._unwhiten = {"u": e_inv.T, "l": self.vielbein}
         # 2^-k with 2^k >= 2N: a row's L1 norm times it is exact and below
         # half the largest component, so it cannot overflow
         self._l1_weights = np.full(n, 0.5 ** math.ceil(math.log2(2 * n)))
-        for arr in (self.r_ab, self.r_pq, self.r_ab_inv, self.r_pq_inv, self.vielbein, self._l1_weights,
-                    *self._whiten.values(), *self._unwhiten.values()):
+        for arr in (self.r_ab, self.r_pq, self.r_ab_inv, self.r_pq_inv, self.vielbein, self._l1_weights):
             arr.setflags(write=False)
+        self._whiten = self._unwhiten = None
+        self._power, self.sine_floor = 0, 0.0
+        if not np.array_equal(r_ab, np.eye(n - 1)):
+            e_inv = np.linalg.inv(self.vielbein)
+            # x -> x A of the rows by index type ("u" a vector, "l" a co-vector)
+            # into the whitened frame, and back short of a power of two 2^f:
+            # the lower map E = 2^f E' and the upper E^-T = 2^-f E'^-T, so
+            # that contractions hold between the mapped factors; f = 0 unless
+            # E's largest entry lies outside 2^(+-100), where f puts that of
+            # E' in [1/2, 1)
+            top = np.abs(self.vielbein).max()
+            self._power = 0 if _LO < top < _HI else int(np.frexp(top)[1])
+            self._whiten = {"u": self.vielbein.T, "l": e_inv}
+            back = {"u": np.ldexp(e_inv.T, self._power), "l": np.ldexp(self.vielbein, -self._power), ".": np.eye(n)}
+            # a field of two indices maps as one row of N^2 components, by the
+            # Kronecker product of the maps of its indices
+            self._unwhiten = back | {i + j: np.kron(back[i], back[j]) for i in back for j in back}
+            for arr in (*self._whiten.values(), *self._unwhiten.values()):
+                arr.setflags(write=False)
+            # a whitened row x A is rounded by at most N eps |x| |A|, and
+            # |x| |A| <= |x A| |A^-1| |A|: the sine of two vectors that were
+            # proportional as given is within N eps times that condition
+            skeel = (np.abs(self.vielbein) @ np.abs(e_inv), np.abs(e_inv) @ np.abs(self.vielbein))
+            self.sine_floor = n * max(np.linalg.norm(c, np.inf) for c in skeel) * np.finfo(float).eps
 
     def q(self, bold) -> float:
         """Euclidean norm of an (N-1)-vector under r_ab."""
@@ -443,19 +465,26 @@ def _scaled_rows(ctx: MetricContext, *stacks, index: str = "u"):
     the whitened frame of ``ctx``, where r_pq is the identity: a vector
     (``index`` "u") x to x E^T, a co-vector ("l") to x E^-1; rows that are
     frame components already (".") are taken as they are, and so is every
-    row where E is None.  The rows are then validated by ``ctx.check_rows``.
-    Returns (*rows, e) with the rows scaled by 2^-e, an exact scaling: e,
-    per row, is the exponent of the largest vector of the row, so that its
-    largest component lies in [1/4, 1), and the int 0 when every vector
-    lies inside 2^(+-100), where the rows are returned as they are.  A
-    kernel of degree d is then 2^(d e) times its value at the scaled rows
-    (see _scaled_back).  NumericalDomainError names the first row of a
-    pair or triple whose smaller vector lies more than about 2^300 below
-    its largest.
+    row at the identity metric.  The rows are then validated by
+    ``ctx.check_rows``; NumericalDomainError names the first finite
+    nonzero row whose whitened form leaves float64 (or rounds to 0).  Returns (*rows, e) with the rows
+    scaled by 2^-e, an exact scaling: e, per row, is the exponent of the
+    largest vector of the row, so that its largest component lies in
+    [1/4, 1), and the int 0 when every vector lies inside 2^(+-100), where
+    the rows are returned as they are.  A kernel of degree d is then
+    2^(d e) times its value at the scaled rows (see _scaled_back).
+    NumericalDomainError names the first row of a pair or triple whose
+    smaller vector lies more than about 2^300 below its largest.
     """
-    if ctx.E is not None and index != ".":
-        stacks = [_whitened(ctx, x, index) for x in stacks]
-    checked = [ctx.check_rows(x, nonzero=True) for x in stacks]
+    whitened = [_whitened(ctx, x, index) for x in stacks]
+    try:
+        checked = [ctx.check_rows(x, nonzero=True) for x in whitened]
+    except (OutOfRangeError, ZeroVectorError):
+        for x, w in zip(stacks, whitened):
+            ctx.check_rows(x, nonzero=True)  # names the shape, or a given row that is not finite or 0
+            _require(np.isfinite(w).all(axis=-1) & (w != 0.0).any(axis=-1), NumericalDomainError,
+                     "the whitened vector leaves float64 at this metric")
+        raise
     rows = [v for v, _ in checked]
     if not any(isinstance(e, np.ndarray) for _, e in checked):
         return (*rows, 0)
@@ -468,82 +497,100 @@ def _scaled_rows(ctx: MetricContext, *stacks, index: str = "u"):
     return (*rows, e)
 
 
-def _given_rows(ctx: MetricContext, rows, e, *stacks):
+def _given_rows(e, *stacks):
     """The stacks of vectors as given, as float64 at the scale 2^-e of their
-    whitened ``rows`` from _scaled_rows, which they are where E is None.
-    A combination of them with invariant coefficients is in the input
-    coordinates already: it needs no map back, and is exact where the
-    coefficients are (t1 + t2 at g = 0)."""
-    if ctx.E is None:
-        return rows
+    whitened rows from _scaled_rows.  A combination of them with invariant
+    coefficients is in the input coordinates already: it needs no map
+    back, and is exact where the coefficients are (t1 + t2 at g = 0)."""
     given = [np.asarray(x, dtype=float) for x in stacks]
     return [np.ldexp(v, -e[..., None]) for v in given] if isinstance(e, np.ndarray) else given
 
 
 def _whitened(ctx: MetricContext, x, index: str):
     """Rows x of index type ``index`` in the whitened frame (see _scaled_rows)."""
+    if ctx._whiten is None or index == ".":
+        return x
     v = np.asarray(x, dtype=float)
     if v.ndim == 0 or v.shape[-1] != ctx.n:
         return v  # check_rows names the shape
-    with np.errstate(all="ignore"):  # check_rows names a row that leaves float64
+    with np.errstate(all="ignore"):  # _scaled_rows names a row that leaves float64
         return _lower(ctx._whiten[index], v)
 
 
-def _scaled_back(x, e, degree, what: str, ctx: MetricContext | None = None, indices=""):
+def _unwhitened(ctx: MetricContext, x, indices):
+    """x from the whitened frame back to the input coordinates by its index
+    types (see _scaled_back), short of the power of two 2^f of the maps (see
+    MetricContext), row by row as _lower maps (a field of two indices as a
+    row of N^2 components).  A tuple is mapped field by field, with
+    ``indices`` then the tuple of their types; at the identity metric x is
+    returned as it is."""
+    maps = ctx._unwhiten
+    if maps is None or x is None or not indices:
+        return x
+    if isinstance(indices, tuple):
+        return tuple([_unwhitened(ctx, v, i) for v, i in zip(x, indices)])
+    if len(indices) == 1:
+        return _lower(maps[indices], x)
+    # the fields that the door maps have at most two indices
+    return _lower(maps[indices], x.reshape(x.shape[:-2] + (-1,))).reshape(x.shape)
+
+
+def _scaled_back(x, e, degree, what: str, ctx: MetricContext | None = None, indices="", mapped: bool = False):
     """A kernel's output x at whitened rows scaled by 2^-e (see
     _scaled_rows), brought back to the rows.
 
     ``indices`` holds the index type of each trailing axis of x: "l" a
     lower index, mapped back by E (g_pq -> E^T g E), "u" an upper index or
     a vector, by E^-1, and "." a frame index, left as it is; "" is an
-    invariant scalar.  x is first brought to the scale of the rows,
-    2^(degree e) x, by np.ldexp for an integer degree and np.exp2 for a
-    fractional one, and then mapped, where ``ctx`` has a vielbein E (see
-    MetricContext): a whitened row can lie far from its raw scale, and
-    the product of the two factors is what fits float64.  x is an array,
-    None, or a record or tuple of them, with ``degree`` and ``indices``
-    then the tuples of its fields; where there is nothing to map and e is
-    the int 0 it is x itself.
-    NumericalDomainError names the first row where a result is not finite.
+    invariant scalar.  Where ``ctx`` whitens (see MetricContext), x is
+    first mapped (see _unwhitened), unless ``mapped`` says that the kernel
+    has assembled it from factors that it mapped itself.  x is then brought
+    to the scale of the rows, 2^(degree e + k f) x, with 2^f the power of
+    two that the maps leave out and k the number of its lower indices less
+    that of its upper ones, by np.ldexp for an integer degree and np.exp2
+    for a fractional one.  x is an array, None, or a record or tuple of
+    them, with ``degree`` and ``indices`` then the tuples of its fields;
+    where there is nothing to map or scale it is x itself.
+    NumericalDomainError names the first row where a scaled result is not
+    finite.
     """
-    mapped = bool(indices) and ctx is not None and ctx.E is not None
-    if x is None or not mapped and (not isinstance(e, np.ndarray) or degree == 0):
+    power = 0 if ctx is None or ctx._unwhiten is None else ctx._power
+    if ctx is None or ctx._unwhiten is None or mapped and not power:
+        indices = ""  # nothing to map, nor to scale by index
+    if x is None or not indices and (not isinstance(e, np.ndarray) or degree == 0):
         return x
     if isinstance(degree, tuple):
         fields = [getattr(x, f.name) for f in dataclasses.fields(x)] if dataclasses.is_dataclass(x) else x
-        kinds = indices if mapped else ("",) * len(degree)
-        items = [_scaled_back(v, e, d, what, ctx, i) for v, d, i in zip(fields, degree, kinds)]
+        kinds = indices or ("",) * len(degree)
+        items = [_scaled_back(v, e, d, what, ctx, i, mapped) for v, d, i in zip(fields, degree, kinds)]
         return tuple(items) if type(x) is tuple else type(x)(*items)
+    if indices and not mapped:
+        x = _unwhitened(ctx, x, indices)
+    f = power * (indices.count("l") - indices.count("u"))
+    if not isinstance(e, np.ndarray) and not f:
+        return x
     with np.errstate(all="ignore"):  # _require_finite reports it
         if isinstance(e, np.ndarray) and degree != 0:
             shift = e.reshape(e.shape + (1,) * (np.ndim(x) - e.ndim))
-            x = np.ldexp(x, int(degree) * shift) if float(degree).is_integer() else x * np.exp2(degree * shift)
-        if mapped:
-            x = _unwhitened(ctx, x, indices)
+            if float(degree).is_integer():
+                x = np.ldexp(x, int(degree) * shift + f)
+            else:
+                x = np.ldexp(x * np.exp2(degree * shift), f)
+        elif f:
+            x = np.ldexp(x, f)
         _require_finite(x, e.ndim if isinstance(e, np.ndarray) else np.ndim(x) - len(indices), what)
     return x
 
 
-def _unwhitened(ctx: MetricContext, x, indices: str):
-    """x from the whitened frame back to the input coordinates, each of its
-    trailing axes by its index type (see _scaled_back)."""
-    for axis, index in enumerate(indices, -len(indices)):
-        if index != ".":
-            map_, moved = ctx._unwhiten[index], x.swapaxes(axis, -1)
-            # stacked N x N blocks map as one matmul, which rounds each block
-            # as it rounds it alone; vectors map row by row (see _lower)
-            x = (moved @ map_ if len(indices) > 1 else _lower(map_, moved)).swapaxes(axis, -1)
-    return x
-
-
-def _rows_kernel(what: str, degree, indices: str):
+def _rows_kernel(what: str, degree, indices: str, mapped: bool = False):
     """Turn a closed form f(par, ctx, R, sb) of rows R, shape (..., N), and
     their scalar bundle, of homogeneity degree ``degree`` in R and with the
     index types ``indices`` (see _scaled_back), into the kernel
     f(par, ctx, R).  The kernel evaluates f at the whitened rows 2^-e R
-    (see _scaled_rows) with floating-point warnings off, maps it back and
-    rescales it by 2^(degree e); NumericalDomainError names the first row
-    whose result is not finite.  ``kernel.from_bundle`` is f itself.
+    (see _scaled_rows) with floating-point warnings off, maps it back
+    (unless ``mapped``: f assembles it from factors that it maps itself)
+    and rescales it by 2^(degree e); NumericalDomainError names the first
+    row whose result is not finite.  ``kernel.from_bundle`` is f itself.
     """
 
     def wrap(fn):
@@ -553,7 +600,7 @@ def _rows_kernel(what: str, degree, indices: str):
             with np.errstate(all="ignore"):
                 out = fn(par, ctx, R, _bundle(par, R))
                 _require_finite(out, R.ndim - 1, what)
-            return _scaled_back(out, e, degree, what, ctx, indices)
+            return _scaled_back(out, e, degree, what, ctx, indices, mapped)
 
         del kernel.__wrapped__  # the signature is (par, ctx, R)
         kernel.from_bundle = fn

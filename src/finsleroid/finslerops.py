@@ -129,7 +129,7 @@ def s_vector(par: GParameter, ctx: MetricContext, R, S) -> np.ndarray:
 def _pullback_tensor(par, ctx, R, S, sb_r, sb_s):
     """G = sigma'(R)^T n(sigma(R), sigma(S)) sigma'(S) of whitened pairs, without the guard."""
     t_r, t_s = sigma_map.from_bundle(par, ctx, R, sb_r), sigma_map.from_bundle(par, ctx, S, sb_s)
-    n = _two_vector(par, *_scaled_rows(ctx, t_r, t_s, index=".")[:2]).n_lower  # of degree 0
+    n = _two_vector(par, ctx, *_scaled_rows(ctx, t_r, t_s, index=".")[:2]).n_lower  # of degree 0
     j_r, j_s = (sigma_jacobian.from_bundle(par, ctx, *rs) for rs in ((R, sb_r), (S, sb_s)))
     return np.swapaxes(j_r, -1, -2) @ n @ j_s
 

@@ -54,22 +54,24 @@ def _stacked(x, y):
     return np.array(np.broadcast_arrays(x, y) if x.shape != y.shape else (x, y))
 
 
-def _pair_dots(t1, t2, form=None):
+def _pair_dots(t1, t2, form=None, floor=0.0):
     """Euclidean pair data under the bilinear form ``form``, without
     cancellation or overflow, over pairs stacked as (..., N) (the two
     stacks broadcast).
 
-    The kernels omit ``form`` at their whitened rows; a raw-coordinate
-    reference passes ``ctx.r_pq``, or ``ctx.r_pq_inv`` for co-vectors.
+    The kernels omit ``form`` at their whitened rows and pass
+    ``ctx.sine_floor`` as ``floor``, the rounding of the whitening, below
+    which a sine u/(|t1||t2|) is 0: proportional vectors are so only to
+    that rounding once whitened.  A raw-coordinate reference passes
+    ``ctx.r_pq``, or ``ctx.r_pq_inv`` for co-vectors, and no floor.
     The Gram root u = sqrt((t1t1)(t2t2) - (t1t2)^2) loses half its digits
     near collinearity when formed literally, so it is built from the
     transverse projections t2 - ((t1t2)/(t1t1)) t1 and its mirror, as
     sqrt(|t1||t2 - ...|) sqrt(|t2||t1 - ...|): no intermediate exceeds the
-    squared norms.  A sine u/(|t1||t2|) within rounding, 2^-50, is 0:
-    proportional vectors are so only to the rounding of their components.
-    The euclidean angle comes from atan2(sin, cos), well conditioned at
-    both ends of [0, pi].  Returns (dot11, dot22, dot12, u, theta), each
-    with the leading shape of the pairs (float64 scalars for one pair).
+    squared norms.  The euclidean angle comes from atan2(sin, cos), well
+    conditioned at both ends of [0, pi].  Returns (dot11, dot22, dot12, u,
+    theta), each with the leading shape of the pairs (float64 scalars for
+    one pair).
     """
     pair = _stacked(t1, t2)  # (2, ..., N)
     gram = _dots(pair[:, None], pair[None, :], form)
@@ -84,15 +86,16 @@ def _pair_dots(t1, t2, form=None):
     tt = _dots(transverse, transverse, form)
     roots = np.sqrt(norms * np.sqrt(tt))  # each sqrt(u)
     u = roots[0] * roots[1]
-    u = u * (u > 2.0**-50 * size)
+    if floor:
+        u = u * (u > floor * size)
     # atan2 of the sine and cosine: numpy's atan2 rounds differently for
     # arguments near the float64 limits
     return dot11, dot22, dot12, u, np.arctan2(u / size, cos)
 
 
-def _companions(t1, t2, what: str, form=None):
+def _companions(t1, t2, what: str, form=None, floor=0.0):
     """_pair_dots of independent pairs plus the companions d1, d2 (see PairInvariants)."""
-    dot11, dot22, dot12, u, theta = _pair_dots(t1, t2, form)
+    dot11, dot22, dot12, u, theta = _pair_dots(t1, t2, form, floor)
     _require_independent(np.sin(theta), what)
     d1 = (dot11 / u)[..., None] * (t2 - (dot12 / dot11)[..., None] * t1)
     d2 = (dot22 / u)[..., None] * (t1 - (dot12 / dot22)[..., None] * t2)
@@ -107,7 +110,7 @@ def angle(par: GParameter, ctx: MetricContext, t1, t2):
     shape (a float64 scalar for one pair); an invalid pair raises, naming
     the first such row.
     """
-    return _pair_dots(*_scaled_rows(ctx, t1, t2)[:2])[4] / par.h
+    return _pair_dots(*_scaled_rows(ctx, t1, t2)[:2], floor=ctx.sine_floor)[4] / par.h
 
 
 @dataclass(frozen=True)
@@ -131,9 +134,10 @@ class PairInvariants:
     indices = ("", "", "", "", "u", "u", "")  # index types of the fields (see core._scaled_back)
 
 
-def _invariants(par: GParameter, t1, t2) -> PairInvariants:
+def _invariants(par: GParameter, ctx: MetricContext, t1, t2) -> PairInvariants:
     """pair_invariants of validated pairs."""
-    dot11, dot22, dot12, u, theta, d1, d2 = _companions(t1, t2, "companion vectors undefined for a collinear pair")
+    what = "companion vectors undefined for a collinear pair"
+    dot11, dot22, dot12, u, theta, d1, d2 = _companions(t1, t2, what, floor=ctx.sine_floor)
     return PairInvariants(
         dot11=dot11, dot22=dot22, dot12=dot12, u=u, d1=d1, d2=d2, alpha=theta / par.h
     )
@@ -141,21 +145,21 @@ def _invariants(par: GParameter, t1, t2) -> PairInvariants:
 
 def pair_invariants(par: GParameter, ctx: MetricContext, t1, t2) -> PairInvariants:
     t1, t2, e = _scaled_rows(ctx, t1, t2)
-    inv = _invariants(par, t1, t2)
+    inv = _invariants(par, ctx, t1, t2)
     return _scaled_back(inv, e, inv.degrees, "pair invariants", ctx, inv.indices)
 
 
 def scalar_product(par: GParameter, ctx: MetricContext, t1, t2):
     """<t1, t2> = |t1| |t2| cos(alpha); reduces to the euclidean product at g = 0."""
     t1, t2, e = _scaled_rows(ctx, t1, t2)
-    dot11, dot22, _, _, theta = _pair_dots(t1, t2)
+    dot11, dot22, _, _, theta = _pair_dots(t1, t2, floor=ctx.sine_floor)
     return _scaled_back(np.sqrt(dot11) * np.sqrt(dot22) * np.cos(theta / par.h), e, 2, "scalar product")
 
 
 def distance_squared(par: GParameter, ctx: MetricContext, t1, t2):
     """Squared two-point length (t1t1) + (t2t2) - 2 |t1||t2| cos(alpha)."""
     t1, t2, e = _scaled_rows(ctx, t1, t2)
-    dot11, dot22, _, _, theta = _pair_dots(t1, t2)
+    dot11, dot22, _, _, theta = _pair_dots(t1, t2, floor=ctx.sine_floor)
     root = np.sqrt(dot11) * np.sqrt(dot22)
     distance2 = np.maximum(dot11 + dot22 - 2.0 * root * np.cos(theta / par.h), 0.0)
     return _scaled_back(distance2, e, 2, "squared distance")
@@ -236,7 +240,7 @@ def _chord_terms(par: GParameter, ctx: MetricContext, t1, t2):
     core._scaled_rows) and the flags of the pairs at an angle of pi or more
     and of coincident endpoints, where b is not defined."""
     t1, t2, e = _scaled_rows(ctx, t1, t2)
-    dot11, dot22, _, _, theta = _pair_dots(t1, t2)
+    dot11, dot22, _, _, theta = _pair_dots(t1, t2, floor=ctx.sine_floor)
     a, s_end = np.sqrt(dot11), np.sqrt(dot22)
     alpha = theta / par.h
     cos = np.cos(alpha)
@@ -360,7 +364,7 @@ def length_gradients(par: GParameter, ctx: MetricContext, t1, t2):
     raises CollinearError naming its index.
     """
     t1, t2, e = _scaled_rows(ctx, t1, t2)
-    inv = _invariants(par, t1, t2)
+    inv = _invariants(par, ctx, t1, t2)
     s1, s2 = np.sqrt(inv.dot11), np.sqrt(inv.dot22)
     ca, sa = np.cos(inv.alpha), _per_row(np.sin(inv.alpha))
     b1 = t1 * _per_row(1.0 - s2 * ca / s1) - inv.d1 * _per_row(s2 / (par.h * s1)) * sa

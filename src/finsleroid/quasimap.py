@@ -32,6 +32,7 @@ from .core import (
     _rows_kernel,
     _scaled_back,
     _scaled_rows,
+    _unwhitened,
 )
 from .errors import NumericalDomainError
 
@@ -213,7 +214,9 @@ def quasi_metric(par: GParameter, ctx: MetricContext, t) -> QuasiGeometry:
     g2q = 0.25 * par.big_g**2
     n_lower = _eye(ctx.n) / par.h**2 - g2q * _outer(l_up, l_up)
     n_upper = par.h**2 * _eye(ctx.n) + 0.25 * par.g**2 * _outer(l_up, l_up)
-    # N_p^r_q = -(G^2/4) L^r H_pq / S and R_prqs = -(G^2/4)(H_pq H_rs - H_ps H_qr)/S^2
+    fields = _unwhitened(ctx, (n_lower, n_upper, h_lower, l_up), ("ll", "uu", "ll", "u"))
+    n_lower, n_upper, h_lower, l_up = fields
+    # covariant forms in these: N_p^r_q = -(G^2/4) L^r H_pq / S and R_prqs = -(G^2/4)(H_pq H_rs - H_ps H_qr)/S^2
     christoffel = -g2q * (l_up[..., None, :, None] * h_lower[..., :, None, :]) / _per_row(s, 3)
     curvature = (
         -g2q
@@ -223,24 +226,19 @@ def quasi_metric(par: GParameter, ctx: MetricContext, t) -> QuasiGeometry:
         )
         / _per_row(s * s, 4)
     )
-    geometry = QuasiGeometry(
-        n_lower=n_lower,
-        n_upper=n_upper,
-        h_lower=h_lower,
-        christoffel=christoffel,
-        curvature=curvature,
-    )
-    return _scaled_back(geometry, e, QuasiGeometry.degrees, "quasi-euclidean metric", ctx, QuasiGeometry.indices)
+    geometry = QuasiGeometry(n_lower, n_upper, h_lower, christoffel, curvature)
+    return _scaled_back(geometry, e, geometry.degrees, "quasi-euclidean metric", ctx, geometry.indices, mapped=True)
 
 
 def quasi_metric_derivative(par: GParameter, ctx: MetricContext, t) -> np.ndarray:
     """d n_pq / dt^r as an [..., p, q, r] array over rows (..., N):
     -(G^2/4)(H_pr L_q + H_qr L_p)/S."""
     s, unit, h_lower, e = _unit_rows(ctx, t)
+    h_lower, unit = _unwhitened(ctx, (h_lower, unit), ("ll", "l"))  # L_q, lowered
     g2q = 0.25 * par.big_g**2
     h_l = h_lower[..., :, None, :] * unit[..., None, :, None]  # H_pr L_q at [p, q, r]
     derivative = -g2q * (h_l + np.swapaxes(h_l, -3, -2)) / _per_row(s, 3)
-    return _scaled_back(derivative, e, -1, "quasi-metric derivative", ctx, "lll")
+    return _scaled_back(derivative, e, -1, "quasi-metric derivative", ctx, "lll", mapped=True)
 
 
 def conformal_flatten(par: GParameter, ctx: MetricContext, t):

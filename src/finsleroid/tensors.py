@@ -30,6 +30,7 @@ from .core import (
     _rows_kernel,
     _scaled_back,
     _scaled_rows,
+    _unwhitened,
 )
 from .errors import OnAxisError
 
@@ -134,9 +135,9 @@ def cartan_tensor(par: GParameter, ctx: MetricContext, R) -> CartanTensor:
     the axis (q = 0), where C_p has no limit, raises OnAxisError naming it."""
     R, e = _scaled_rows(ctx, R)
     sb = _bundle(par, R)
-    h = angular_tensor.from_bundle(par, ctx, R, sb)
-    ct = _cartan_from_bundle(par, ctx, R, sb, h, inverse_metric.from_bundle(par, ctx, R, sb))
-    return _scaled_back(ct, e, CartanTensor.degrees, "Cartan tensor", ctx, CartanTensor.indices)
+    factors = angular_tensor.from_bundle(par, ctx, R, sb), inverse_metric.from_bundle(par, ctx, R, sb)
+    ct = _cartan_from_bundle(par, ctx, R, sb, *_unwhitened(ctx, factors, ("ll", "uu")))
+    return _scaled_back(ct, e, CartanTensor.degrees, "Cartan tensor", ctx, CartanTensor.indices, mapped=True)
 
 
 def _cartan_from_bundle(par, ctx, R, sb, h, g_up) -> CartanTensor:
@@ -145,24 +146,21 @@ def _cartan_from_bundle(par, ctx, R, sb, h, g_up) -> CartanTensor:
         C_pqr = (g/2)(h_pq u_r + h_pr u_q + h_qr u_p - K^2 u_p u_q u_r),
         C_p = (N g/2) u_p,
 
-    with u_a = -Z R^a/(q B) and u_N = q/B, where u_p u^p = 1/K^2."""
-    q = sb.q
-    _require(q != 0.0, OnAxisError, "the Cartan tensor has no limit on the axis q = 0")
-    u = R / _per_row(q) * _per_row(-sb.Z / sb.B)
-    u[..., -1] = q / sb.B
+    with u_a = -Z R^a/(q B) and u_N = q/B, where u_p u^p = 1/K^2: covariant
+    forms, of h, g^-1 and u mapped back (see core._unwhitened)."""
+    _require(sb.q != 0.0, OnAxisError, "the Cartan tensor has no limit on the axis q = 0")
+    u = R / _per_row(sb.q) * _per_row(-sb.Z / sb.B)
+    u[..., -1] = sb.q / sb.B
+    u = _unwhitened(ctx, u, "l")
     hu = h[..., :, :, None] * u[..., None, None, :]  # h_pq u_r at [p, q, r]
     uuu = _outer(u * _per_row(_pow(sb.K, 2)), u)[..., None] * u[..., None, None, :]
     c = 0.5 * par.g * (hu + np.swapaxes(hu, -1, -2) + np.moveaxis(hu, -1, -3) - uuu)
     c_vec_lower = 0.5 * ctx.n * par.g * u
-    return CartanTensor(
-        c_lower=c,
-        c_mixed=np.einsum("...qt,...ptr->...pqr", g_up, c),
-        c_vec_lower=c_vec_lower,
-        c_vec_upper=np.einsum("...pq,...q->...p", g_up, c_vec_lower),
-    )
+    c_mixed = np.einsum("...qt,...ptr->...pqr", g_up, c)
+    return CartanTensor(c, c_mixed, c_vec_lower, np.einsum("...pq,...q->...p", g_up, c_vec_lower))
 
 
-@_rows_kernel("curvature tensor", -2, "llll")
+@_rows_kernel("curvature tensor", -2, "llll", mapped=True)
 def curvature_tensor(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -> np.ndarray:
     """S_pqrs = S* (h_pr h_qs - h_ps h_qr)/K^2 with the constant S* = -g^2/4,
     over rows (..., N) -> (..., N, N, N, N); on the axis too.
@@ -170,7 +168,7 @@ def curvature_tensor(par: GParameter, ctx: MetricContext, R, sb: ScalarBundle) -
     Off the axis it equals C_tqr C_p^t_s - C_tqs C_p^t_r; the implied
     level-surface curvature is 1 + S* = h^2.
     """
-    h = angular_tensor.from_bundle(par, ctx, R, sb)
+    h = _unwhitened(ctx, angular_tensor.from_bundle(par, ctx, R, sb), "ll")  # a covariant form in h
     hh = h[..., :, None, :, None] * h[..., None, :, None, :]  # h_pr h_qs at [p, q, r, s]
     return (hh - np.swapaxes(hh, -1, -2)) * _per_row(-0.25 * par.g**2 / _pow(sb.K, 2), 4)
 
@@ -201,7 +199,8 @@ def tensor_stack(par: GParameter, ctx: MetricContext, R) -> TensorStack:
     r_lower = gradient_covector.from_bundle(par, ctx, R, sb)
     g_lower = metric_tensor.from_bundle(par, ctx, R, sb)
     g_upper = inverse_metric.from_bundle(par, ctx, R, sb)
-    h_lower = _angular(r_lower, g_lower, sb)
+    r_lower, g_lower, g_upper = _unwhitened(ctx, (r_lower, g_lower, g_upper), ("l", "ll", "uu"))
+    h_lower = _angular(r_lower, g_lower, sb)  # a covariant form, as the Cartan tensor
     ct = _cartan_from_bundle(par, ctx, R, sb, h_lower, g_upper)
     stack = TensorStack(r_lower, g_lower, g_upper, h_lower, ct.c_lower, ct.c_mixed, ct.c_vec_lower, ct.c_vec_upper)
-    return _scaled_back(stack, e, TensorStack.degrees, "tensor stack", ctx, TensorStack.indices)
+    return _scaled_back(stack, e, TensorStack.degrees, "tensor stack", ctx, TensorStack.indices, mapped=True)

@@ -81,13 +81,13 @@ def two_vector_metric(par: GParameter, ctx: MetricContext, t1, t2) -> TwoVectorT
     """Closed form of the mixed second derivative of the scalar product,
     over pairs stacked as (..., N) (n_lower is (..., N, N))."""
     t1, t2, e = _scaled_rows(ctx, t1, t2)
-    tensor = _two_vector(par, t1, t2)
+    tensor = _two_vector(par, ctx, t1, t2)
     return _scaled_back(tensor, e, TwoVectorTensor.degrees, "two-vector tensor", ctx, TwoVectorTensor.indices)
 
 
-def _two_vector(par: GParameter, t1, t2) -> TwoVectorTensor:
+def _two_vector(par: GParameter, ctx: MetricContext, t1, t2) -> TwoVectorTensor:
     """two_vector_metric of whitened pairs at their scale."""
-    inv = _invariants(par, t1, t2)
+    inv = _invariants(par, ctx, t1, t2)
     s1, s2, ca, sa = _pair_scalars(inv)
     a1 = ca - inv.dot12 * sa / (par.h * inv.u)
     a2 = ca / par.h - inv.dot12 * sa / inv.u
@@ -125,7 +125,7 @@ def frame(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray:
     pair, where sin(alpha) or a radicand is negative (large angles).
     """
     t1, t2, e = _scaled_rows(ctx, t1, t2)  # of degree 0
-    inv = _invariants(par, t1, t2)
+    inv = _invariants(par, ctx, t1, t2)
     (s1, s2, zsq, p_rad, m_rad, delta_p, delta_m), upper, real = _frame_pieces(par, inv)
     _require(upper, NumericalDomainError, "frame needs sin(alpha) >= 0 (alpha <= pi)")
     _require(real, NumericalDomainError, "negative frame radicand for this pair")
@@ -196,12 +196,12 @@ def covector_pair(par: GParameter, ctx: MetricContext, t1, t2) -> CovectorPair:
     """Closed forms of the co-vectors and their companions, over pairs
     stacked as (..., N)."""
     t1, t2, e = _scaled_rows(ctx, t1, t2)
-    inv = _invariants(par, t1, t2)
+    inv = _invariants(par, ctx, t1, t2)
     s1, s2, ca, sa = _pair_scalars(inv)
     ca_r, ta_r = _per_row(ca), _per_row(sa / par.h)
     big_t1 = _per_row(s2 / s1) * (ca_r * t1 + ta_r * inv.d1)
     big_t2 = _per_row(s1 / s2) * (ca_r * t2 + ta_r * inv.d2)
-    big_d1, big_d2 = _companions(big_t1, big_t2, "co-vectors of the pair are collinear")[5:]
+    big_d1, big_d2 = _companions(big_t1, big_t2, "co-vectors of the pair are collinear", floor=ctx.sine_floor)[5:]
     # direct form of the inversion denominator scale; equals
     # -co_orientation * cap_u / u
     f_scale = ca * ca - sa * sa / par.h**2 - 2.0 * sa * ca * inv.dot12 / (par.h * inv.u)
@@ -213,7 +213,8 @@ def invert_covectors(par: GParameter, ctx: MetricContext, T1, T2, alpha):
     """Recover (t1, t2) from the co-vector pairs, stacked as (..., N), and
     the angle alpha of each pair."""
     big_t1, big_t2, e = _scaled_rows(ctx, T1, T2, index="l")
-    tt11, tt22, _, _, _, big_d1, big_d2 = _companions(big_t1, big_t2, "co-vector pair is collinear")
+    what = "co-vector pair is collinear"
+    tt11, tt22, _, _, _, big_d1, big_d2 = _companions(big_t1, big_t2, what, floor=ctx.sine_floor)
     alpha = np.asarray(alpha, dtype=float)[()]
     _require((alpha > 0.0) & (alpha < math.pi), NumericalDomainError,
              "inversion needs 0 < alpha < pi, got {!r}", alpha)
@@ -287,7 +288,7 @@ def solve_co_angle(par: GParameter, ctx: MetricContext, T1, T2) -> float:
     root always has this main-regime root as well.
     """
     big_t1, big_t2, _ = _checked_covectors(ctx, T1, T2)  # of degree 0
-    tt11, tt22, tt12, cap_u, beta = _pair_dots(big_t1, big_t2)
+    tt11, tt22, tt12, cap_u, beta = _pair_dots(big_t1, big_t2, floor=ctx.sine_floor)
     _require_independent(np.sin(beta), "co-vector pair is collinear")
     beta = float(beta)  # the Newton iteration runs on Python floats
     h = par.h
@@ -321,13 +322,13 @@ def oplus_first_order(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndarray
     g = 0; the defining-equation residuals are O(k^2) in k = 1/h - 1.
     """
     w1, w2, e = _scaled_rows(ctx, t1, t2)
-    inv = _invariants(par, w1, w2)
+    inv = _invariants(par, ctx, w1, w2)
     _require_acute(inv)
-    th1, th2 = _pair_dots(_stacked(w1, w2), w1 + w2)[4]
+    th1, th2 = _pair_dots(_stacked(w1, w2), w1 + w2, floor=ctx.sine_floor)[4]
     m12 = (inv.dot12 * th1 - inv.dot22 * th2) / inv.u
     m21 = (inv.dot12 * th2 - inv.dot11 * th1) / inv.u
     k = 1.0 / par.h - 1.0
-    t1, t2 = _given_rows(ctx, (w1, w2), e, t1, t2)
+    t1, t2 = _given_rows(e, t1, t2)
     return _scaled_back(t1 + t2 + k * (_per_row(m12) * t1 + _per_row(m21) * t2), e, 1, "first-order sum")
 
 
@@ -337,11 +338,11 @@ def ominus_first_order(par: GParameter, ctx: MetricContext, t1, t3) -> np.ndarra
     w1, w3, e = _scaled_rows(ctx, t1, t3)
     v = w3 - w1
     _require(v.any(axis=-1), ZeroVectorError, "difference of coincident vectors")
-    dot11, _, _, u, ang_a = _pair_dots(w1, w3)
+    dot11, _, _, u, ang_a = _pair_dots(w1, w3, floor=ctx.sine_floor)
     _require_independent(np.sin(ang_a), "difference undefined for a collinear configuration")
-    vv, _, _, _, ang_b = _pair_dots(v, w3)
+    vv, _, _, _, ang_b = _pair_dots(v, w3, floor=ctx.sine_floor)
     vt1 = _dots(v, w1)
-    t1, t3 = _given_rows(ctx, (w1, w3), e, t1, t3)
+    t1, t3 = _given_rows(e, t1, t3)
     v = t3 - t1
     s_vec = (_per_row((dot11 * ang_a - vt1 * ang_b) / u) * v
              + _per_row((vv * ang_b - vt1 * ang_a) / u) * t1)
@@ -356,7 +357,7 @@ def parallelogram_residuals(par: GParameter, ctx: MetricContext, t1, t2, t3):
     if not t1.shape == t2.shape == t3.shape:
         t1, t2, t3 = np.broadcast_arrays(t1, t2, t3)
     # the pairs (t1, t3) and (t2, t3) in one call
-    (dot11, dot22), (dot33, _), _, _, (theta13, theta23) = _pair_dots(_stacked(t1, t2), t3)
+    (dot11, dot22), (dot33, _), _, _, (theta13, theta23) = _pair_dots(_stacked(t1, t2), t3, floor=ctx.sine_floor)
     s1, s2, s3 = np.sqrt(dot11), np.sqrt(dot22), np.sqrt(dot33)
     r1 = s3 - (s2 * s2 - s1 * s1) / s3 - 2.0 * s1 * np.cos(theta13 / par.h)
     r2 = s3 - (s1 * s1 - s2 * s2) / s3 - 2.0 * s2 * np.cos(theta23 / par.h)
@@ -374,10 +375,10 @@ def parallelogram_refine(par: GParameter, ctx: MetricContext, t1, t2) -> np.ndar
     euclidean angle h atan2(|t2| sin(alpha), |t1| + |t2| cos(alpha)) from t1.
     """
     w1, w2, e = _scaled_rows(ctx, t1, t2)
-    inv = _invariants(par, w1, w2)
+    inv = _invariants(par, ctx, w1, w2)
     _require_acute(inv)
     if par.g == 0.0:  # t1 + t2, exact
-        return _scaled_back(np.add(*_given_rows(ctx, (w1, w2), e, t1, t2)), e, 1, "sum vector")
+        return _scaled_back(np.add(*_given_rows(e, t1, t2)), e, 1, "sum vector")
     s1, s2, ca, sa = _pair_scalars(inv)
     x, y = s1 + s2 * ca, s2 * sa  # rho = hypot(x, y), without overflow
     theta13 = par.h * np.arctan2(y, x)

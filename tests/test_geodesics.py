@@ -51,6 +51,26 @@ def test_angle_basics(ctx, rng):
         fl.angle(par, ctx, np.zeros(ctx.n), t)
 
 
+def test_sine_floor_only_at_whitened_rows(rng):
+    # at the identity metric a sine far below eps keeps its relative
+    # accuracy; where the rows are whitened, vectors proportional as given
+    # read 0, at an ill-conditioned dense r_ab too, and a diagonal r_ab,
+    # whose whitening rounds each component on its own, has the floor N eps
+    par = fl.make_parameter(0.9)
+    ctx = fl.MetricContext(3)
+    assert ctx.sine_floor == 0.0
+    t1, t2 = np.array([1.0, 0.0, 0.5]), np.array([1.0, 1e-17, 0.5])
+    sine = np.linalg.norm(np.cross(t1, t2)) / (np.linalg.norm(t1) * np.linalg.norm(t2))
+    assert fl.angle(par, ctx, t1, t2) == pytest.approx(math.asin(sine) / par.h, rel=1e-12)
+    c, s = math.cos(0.6), math.sin(0.6)
+    rot = np.array([[c, -s], [s, c]])
+    dense = fl.MetricContext(3, rot @ np.diag([1e3, 1e-3]) @ rot.T)
+    for t in draw_vectors(rng, dense, 50):
+        assert fl.angle(par, dense, t, 2.7 * t) == 0.0
+    for scale in (1e200, 1e-200, 4.0):
+        assert fl.MetricContext(3, scale * np.eye(2)).sine_floor == 3 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("g", GS)
 def test_angle_additivity_and_scaling(g, ctx, rng):
     par = fl.make_parameter(g)

@@ -852,6 +852,27 @@ def test_metric_scale_extremes(g, scale):
         np.testing.assert_allclose(unit(low, up), np.eye(3), rtol=0.0, atol=1e-13)
 
 
+def test_whitened_row_out_of_range_is_a_domain_error():
+    # at r_ab = 1e300 I the finite row (1e200, 1, 1) whitens to about 1e350,
+    # and at 1e-300 I the nonzero row (1e-200, 0, 0) to 0: a typed error
+    # naming that row, where a given row that is not finite, or 0, keeps
+    # its own error
+    par, ctx = fl.make_parameter(1.0), fl.MetricContext(3, 1e300 * np.eye(2))
+    rows = np.array([[1.0, 1.0, 1.0], [1e200, 1.0, 1.0]])
+    assert np.all(np.isfinite(fl.metric_tensor(par, ctx, rows[0])))
+    with pytest.raises(fl.NumericalDomainError, match=r"whitened vector leaves float64 at this metric \(row 1\)"):
+        fl.metric_tensor(par, ctx, rows)
+    with pytest.raises(fl.NumericalDomainError, match="whitened vector"):
+        fl.scalar_product(par, ctx, rows[0], rows[1])
+    with pytest.raises(fl.OutOfRangeError, match=r"must be finite \(row 0\)"):
+        fl.metric_tensor(par, ctx, np.array([[np.nan, 1.0, 1.0], [1e200, 1.0, 1.0]]))
+    tiny = fl.MetricContext(3, 1e-300 * np.eye(2))
+    with pytest.raises(fl.NumericalDomainError, match=r"whitened vector leaves float64 at this metric \(row 1\)"):
+        fl.metric_tensor(par, tiny, np.array([[1.0, 1.0, 1.0], [1e-200, 0.0, 0.0]]))
+    with pytest.raises(fl.ZeroVectorError, match=r"\(row 1\)"):
+        fl.metric_tensor(par, tiny, np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
+
+
 @pytest.mark.parametrize("g", [0.0, 1.0, -1.5])
 def test_image_side_scale_extremes(g):
     # the image-side kernels and axis_angles follow their degree out to the

@@ -382,13 +382,13 @@ def test_checks_fail_on_a_nan_after_a_finite_residual(monkeypatch, check_id, nam
 
 
 def test_verify_fails_without_the_whitening_map(monkeypatch):
-    # with E = None the kernels evaluate the identity-metric closed forms at
-    # the raw rows and ignore r_ab; the raw-coordinate oracles see it
+    # without the maps the kernels evaluate the identity-metric closed forms
+    # at the raw rows and ignore r_ab; the raw-coordinate oracles see it
     from finsleroid import verify as V
 
     def unwhitened(n, r_ab=None):
         ctx = fl.MetricContext(n, r_ab)
-        ctx.E = None
+        ctx._whiten = ctx._unwhiten = None
         return ctx
 
     cfg = RunConfig(g=1.0, dim=3, metric="diag:4,0.25", trials=16)
