@@ -199,7 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--metric", default="identity")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--trials", type=int, default=200)
-    p_ver.add_argument("--tol", type=float, default=1e-9)
+    p_ver.add_argument(
+        "--tol", type=float, default=1e-9,
+        help="gate of the checks registered without a fixed one (only core.parameter_identities); "
+        "every other check keeps its own",
+    )
     p_ver.add_argument("--format", choices=("json",), default="json")
     p_ver.set_defaults(func=cmd_verify)
     return parser

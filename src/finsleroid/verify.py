@@ -4,29 +4,28 @@ numerically on seeded random samples, with a machine-readable report.
 Each check draws its own deterministic RNG stream from (seed, index), so
 reports are byte-identical across runs for a fixed configuration.
 Sampling follows one convention: components uniform in [-1, 1]^N,
-rejected when the euclidean norm is below 0.1; pair checks reject nearly
-collinear pairs (u < 0.05 |t1||t2|); chord and covariant checks reject
-angles at or beyond pi, where no smooth chord exists.  Checks whose
-oracle is a second difference rescale samples to unit norm and keep away
-from the removable axis singularity (q or |Z| below 0.15 S), where
-float64 differencing degrades; the corresponding identities at the axis
-are covered by dedicated limit checks.
+rejected when the euclidean norm is below 0.1; pairs are not nearly
+collinear (sin(theta) >= 0.05 at the r-angle theta = h alpha); chord and
+covariant checks keep angles below pi, where a smooth chord exists.
+Checks whose oracle is a second difference rescale samples to unit norm
+and keep away from the removable axis singularity (q or |Z| below
+0.15 S), where float64 differencing degrades; the corresponding
+identities at the axis are covered by dedicated limit checks.
 
-Samples are drawn in bulk: ``draw_vectors`` and ``draw_pairs`` draw
-uniform rows in chunks and apply the rules above as array masks (a pair
-is two consecutive accepted vectors), so a check gets the rows a draw
-one at a time would give, in one (m, N) stack, and past a fixed draw
-cap they raise OutOfRangeError.  A check calls each kernel once on its
-stack and reduces the residuals with a max; a sample that a kernel's
-precondition excludes is masked out.  Each finite-difference oracle
-evaluates the stencils of all its samples in one call, and each
-quadrature check integrates all its chords in one call, except that of
-the pullback geodesic, which takes one chord at a time to keep its
-metric tensors small.  The check of the co-angle solve, which takes one
-vector pair, loops over its stacked samples.  A check that skips the
-samples a kernel rejects tests them by the kernel's own guards (the
-chord, frame, gradient and two-vector checks), draws more as it needs
-them, and gives up with OutOfRangeError after 50 rejected per trial.
+Each check draws its samples as one (m, N) stack and calls each kernel
+once on it.  ``draw_vectors`` applies the rules above as array masks to
+uniform rows, drawn in chunks.  Every pair rule (the angle guards, the
+regime masks, the frame's radicands) is a condition on theta alone, so
+``draw_pairs`` draws theta where they hold and builds each pair at it.
+Both raise OutOfRangeError past a fixed draw cap.  Residuals reduce with
+a max; a sample that a kernel's precondition excludes is masked out.
+Each finite-difference oracle evaluates the stencils of all its samples
+in one call, and each quadrature check integrates all its chords in one
+call, except that of the pullback geodesic, which takes one chord at a
+time to keep its metric tensors small.  The co-angle check loops the
+one-pair solve over its samples.  The finslerops checks that skip vector
+pairs a kernel rejects test them by the kernel's own guards, draw more
+as they need them, and give up after 50 rejected per trial.
 """
 
 from __future__ import annotations
@@ -67,6 +66,7 @@ from .finslerops import (
 )
 from .geodesics import (
     _COLLINEAR_TOL,
+    PairInvariants,
     _chord_terms,
     _pair_dots,
     angle,
@@ -151,7 +151,7 @@ class RunConfig:
 # ----------------------------------------------------------------- sampling
 
 _CHUNK = 1 << 15  # rows of one uniform draw, at most
-_DRAW_CAP = 1 << 23  # rows one sampler call draws before it gives up
+_DRAW_CAP = 1 << 23  # rows (or pair angles) one sampler call draws before it gives up
 _REJECTS = 50  # samples per trial a check may skip where a kernel rejects them
 
 
@@ -160,21 +160,19 @@ def _norms(ctx, x):
     return np.sqrt(_dots(x, x, ctx.r_pq))
 
 
-def _vector_chunks(rng, ctx, first, min_frac, unit):
-    """The accepted rows of successive uniform draws in [-1, 1]^N: the first
-    draw has ``first`` rows and each next one twice as many, up to _CHUNK.
-    OutOfRangeError once _DRAW_CAP rows are drawn."""
-    size = drawn = 0
-    while drawn < _DRAW_CAP:
-        size = min(2 * size if size else first, _CHUNK)
-        v = rng.uniform(-1.0, 1.0, (size, ctx.n))
+def _accepted(m, draw, what):
+    """The first m of the items draw(size) keeps out of size new ones, over
+    draws of max(2m, 64) items and each next one twice as many, up to
+    _CHUNK; OutOfRangeError once _DRAW_CAP items are drawn."""
+    kept, count, size, drawn = [], 0, 0, 0
+    while count < m:
+        if drawn >= _DRAW_CAP:
+            raise OutOfRangeError(f"draw cap: {drawn} {what} drawn without enough admissible samples at this g")
+        size = min(2 * size if size else max(2 * m, 64), _CHUNK)
+        kept.append(draw(size))
         drawn += size
-        s = _norms(ctx, v)
-        ok = s >= 0.1
-        if min_frac > 0.0:
-            ok &= (ctx.q_rows(v[:, :-1]) >= min_frac * s) & (np.abs(v[:, -1]) >= min_frac * s)
-        yield v[ok] / s[ok, None] if unit else v[ok]
-    raise OutOfRangeError(f"draw cap: {drawn} rows drawn without enough admissible samples at this g")
+        count += len(kept[-1])
+    return np.concatenate(kept)[:m]
 
 
 def draw_vectors(rng, ctx, m, min_frac=0.0, unit=False):
@@ -186,56 +184,61 @@ def draw_vectors(rng, ctx, m, min_frac=0.0, unit=False):
     the axis); ``unit`` rescales each row to S = 1 for checks whose oracle
     accuracy depends on the sample scale.
     """
-    chunks = _vector_chunks(rng, ctx, max(2 * m, 64), min_frac, unit)
-    rows = next(chunks)
-    while len(rows) < m:
-        rows = np.concatenate((rows, next(chunks)))
-    return rows[:m]
+
+    def rows(size):
+        v = rng.uniform(-1.0, 1.0, (size, ctx.n))
+        s = _norms(ctx, v)
+        ok = s >= 0.1
+        if min_frac > 0.0:
+            ok &= (ctx.q_rows(v[:, :-1]) >= min_frac * s) & (np.abs(v[:, -1]) >= min_frac * s)
+        return v[ok] / s[ok, None] if unit else v[ok]
+
+    return _accepted(m, rows, "rows")
 
 
-def draw_pairs(rng, ctx, par, m, min_frac=0.0, unit=False, max_alpha=None, min_cos=None,
-               main_regime=False, regime_margin=0.0):
-    """m pairs (t1, t2), each of shape (m, N): consecutive rows of the
-    ``draw_vectors`` rule, with the u-rejection plus per-check angle guards.
+def draw_pairs(rng, ctx, par, m, unit=False, max_alpha=None, min_cos=None, main_regime=False,
+               regime_margin=0.0, keep=None):
+    """m pairs (t1, t2), each of shape (m, N), built at an r-angle theta =
+    h alpha drawn where every guard holds, so that none is rejected.
 
-    ``min_cos`` keeps acute pairs (alpha < pi/2) with cos(alpha) above it;
-    ``regime_margin`` keeps the pair away from the orientation-regime
-    boundary, where the co-vectors of the pair degenerate to a collinear
-    pair; ``main_regime`` additionally restricts to the primary side.
+    theta has the density sin^(N-2) theta of two isotropic directions (Wood
+    1994) on [asin 0.05, pi - asin 0.05], below ``max_alpha`` (alpha below
+    it) and ``min_cos`` (acute, cos(alpha) above it), and where the masks
+    hold: ``regime_margin`` off the orientation-regime boundary, where the
+    co-vectors are collinear, ``main_regime`` on its primary side, ``keep``
+    as a check asks.  t1 and v are draw_vectors rows (``unit``: S = 1), and
+    in the whitened frame t2 = S(v) (cos theta t1/S(t1) + sin theta d), d
+    the unit part of v transverse to t1.
     """
-    min_sin = 0.05
-    if min_cos is not None and par.h * math.acos(max(min_cos, 0.0)) <= math.asin(min_sin):
-        raise OutOfRangeError(
-            f"g = {par.g}: no pair has sin(theta) >= {min_sin} and alpha < pi/2 with cos > {min_cos}"
-        )
-    if max_alpha is not None and par.h * max_alpha <= math.asin(min_sin):
-        raise OutOfRangeError(
-            f"g = {par.g}: no pair has sin(theta) >= {min_sin} and alpha < {max_alpha}"
-        )
-    chunks = _vector_chunks(rng, ctx, max(4 * m, 64), min_frac, unit)
-    rest = np.empty((0, ctx.n))
-    firsts, seconds, count = [], [], 0
-    while count < m:
-        rows = np.concatenate((rest, next(chunks)))
-        cut = len(rows) - len(rows) % 2
-        t1, t2, rest = rows[0:cut:2], rows[1:cut:2], rows[cut:]
-        dot11, dot22, _, u, theta = _pair_dots(t1, t2, ctx.r_pq)
-        keep = u >= min_sin * np.sqrt(dot11 * dot22)
-        al = theta / par.h
-        if max_alpha is not None:
-            keep &= al < max_alpha
-        if min_cos is not None:
-            keep &= (al < 0.5 * math.pi) & (np.cos(al) > min_cos)
-        if main_regime or regime_margin > 0.0:
-            gap = co_regime_gap(par, al)
-            if main_regime:
-                keep &= gap <= -0.05
-            if regime_margin > 0.0:
-                keep &= np.abs(gap) >= regime_margin
-        firsts.append(t1[keep])
-        seconds.append(t2[keep])
-        count += np.count_nonzero(keep)
-    return np.concatenate(firsts)[:m], np.concatenate(seconds)[:m]
+    lo = math.asin(0.05)
+    hi = math.pi - lo
+    if max_alpha is not None:
+        hi = min(hi, par.h * max_alpha)
+    if min_cos is not None:
+        hi = min(hi, par.h * math.acos(max(min_cos, 0.0)))
+    if hi <= lo:
+        raise OutOfRangeError(f"g = {par.g}: no pair has sin(theta) >= 0.05 and theta = h alpha < {hi:.6g}")
+    top = 1.0 if hi >= 0.5 * math.pi else math.sin(hi)  # sin theta at most, as lo < pi/2
+
+    def angles(size):  # uniform proposals, accepted with probability (sin theta/top)^(N-2)
+        theta, bar = rng.uniform(lo, hi, size), rng.uniform(0.0, 1.0, size)
+        gap = co_regime_gap(par, theta / par.h)
+        ok = (bar <= (np.sin(theta) / top) ** (ctx.n - 2)) & (np.abs(gap) >= regime_margin)
+        if main_regime:
+            ok &= gap <= -0.05
+        return theta[ok & keep(theta) if keep else ok]
+
+    theta = _accepted(m, angles, "angles")[:, None]
+    t1, v = np.moveaxis(_vector_pairs(rng, ctx, m, unit=unit), 1, 0)
+    plain = np.array_equal(ctx.r_ab, np.eye(ctx.n - 1))
+    w1, wv = (t1, v) if plain else (t1 @ ctx.vielbein.T, v @ ctx.vielbein.T)
+    norm = lambda x: np.linalg.norm(x, axis=-1, keepdims=True)
+    along = w1 / norm(w1)
+    d = wv
+    for _ in range(2):  # a second projection keeps d transverse where v lies near t1
+        d = d - np.sum(d * along, axis=-1, keepdims=True) * along
+    w2 = norm(wv) * (np.cos(theta) * along + np.sin(theta) * d / norm(d))
+    return t1, w2 if plain else np.linalg.solve(ctx.vielbein, w2.T).T
 
 
 def _refills(draw, m, trials):
@@ -889,20 +892,13 @@ def check_coincidence(par, ctx, rng, trials, tol):
     return m, _dev(float(rising.any()), *limits)
 
 
-def _has_frame(par, ctx, t1, t2):
-    """Whether frame_reconstruct takes each pair: by frame's own test, both
-    the pair and its swap have a frame."""
-    ok = True
-    for a, b in ((t1, t2), (t2, t1)):
-        _, upper, real = _frame_pieces(par, pair_invariants(par, ctx, a, b))
-        ok = ok & upper & real
-    return ok
-
-
 def check_frame(par, ctx, rng, trials, tol):
-    pairs = lambda: np.stack(draw_pairs(rng, ctx, par, trials, max_alpha=0.95 * math.pi), axis=1)
-    kept = _admitted(_refills(pairs, trials, trials), lambda s: _has_frame(par, ctx, s[:, 0], s[:, 1]), trials)
-    t1, t2 = kept[:, 0], kept[:, 1]
+    def framed(theta):  # frame's own test, on a unit pair: its radicands depend on theta alone
+        one = np.ones_like(theta)
+        inv = PairInvariants(one, one, np.cos(theta), np.sin(theta), None, None, theta / par.h)
+        return np.logical_and(*_frame_pieces(par, inv)[1:])  # and so hold for the swapped pair too
+
+    t1, t2 = draw_pairs(rng, ctx, par, trials, max_alpha=0.95 * math.pi, keep=framed)
     fr = frame(par, ctx, t1, t2)
     rec = frame_reconstruct(par, ctx, t1, t2)
     tv = two_vector_metric(par, ctx, t1, t2)
@@ -994,22 +990,24 @@ def check_covector_inversion(par, ctx, rng, trials, tol):
 
 
 def check_co_angle(par, ctx, rng, trials, tol):
-    res = []
     m = _budget(trials, 8)
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, m, main_regime=True)):
-        inv = pair_invariants(par, ctx, t1, t2)
-        cp = covector_pair(par, ctx, t1, t2)
-        al = solve_co_angle(par, ctx, cp.T1, cp.T2)
-        res.append(abs(al - inv.alpha) * 1e-3)  # forward consistency, own tolerance
-        # residual of the implicit cosine equation at the returned root
-        tt11, tt22, tt12, cap_u, _ = _pair_dots(cp.T1, cp.T2, ctx.r_pq_inv)
-        ca, sa = math.cos(al), math.sin(al)
-        cc, ss = ca * ca, sa * sa / par.h**2
-        rhs = ((cc - ss) * tt12 + 2.0 / par.h * sa * ca * co_orientation(par, al) * cap_u) / (
-            (cc + ss) * math.sqrt(tt11 * tt22)
-        )
-        res.append(abs(math.cos(par.h * al) - rhs))
-    return m, _dev(res)
+    t1, t2 = draw_pairs(rng, ctx, par, m, main_regime=True)
+    alpha = pair_invariants(par, ctx, t1, t2).alpha
+    cp = covector_pair(par, ctx, t1, t2)
+    al = np.array([solve_co_angle(par, ctx, big_t1, big_t2) for big_t1, big_t2 in zip(cp.T1, cp.T2)])
+    # the solver returns the root of F = h alpha - 2 phi1(alpha) = -beta: the
+    # pair's own alpha where F(alpha) >= -pi, a smaller one where F(alpha) =
+    # -beta - 2 pi k, k >= 1 (phi1 continuous, as in solve_co_angle)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    own = par.h * alpha - 2.0 * (alpha + np.arctan((1.0 / par.h - 1.0) * sa * ca / (ca * ca + sa * sa / par.h)))
+    # residual of the implicit cosine equation at the returned root
+    tt11, tt22, tt12, cap_u, _ = _pair_dots(cp.T1, cp.T2, ctx.r_pq_inv)
+    ca, sa = np.cos(al), np.sin(al)
+    cc, ss = ca * ca, sa * sa / par.h**2
+    rhs = ((cc - ss) * tt12 + 2.0 / par.h * sa * ca * co_orientation(par, al) * cap_u) / (cc + ss)
+    rhs = rhs / np.sqrt(tt11 * tt22)
+    forward = np.where(own >= -math.pi, np.abs(al - alpha), np.maximum(al - alpha, 0.0))
+    return m, _dev(forward * 1e-3, np.cos(par.h * al) - rhs)  # forward consistency at its own tolerance
 
 
 def check_oplus(par, ctx, rng, trials, tol):
@@ -1313,7 +1311,7 @@ CHECKS = [
     ("twovector.covector_closed", "twovector", "T closed forms vs contraction; product battery; rotation relations; D battery; f value; T -> t at coincidence", check_covector_closed, 1e-9),
     ("twovector.covector_metric_fd", "twovector", "n_pq = dT1_p/dt2^q = dT2_q/dt1^p (FD oracle)", check_covector_metric_fd, 1e-5),
     ("twovector.covector_inversion", "twovector", "roundtrip t -> T -> t", check_covector_inversion, 1e-8),
-    ("twovector.co_angle", "twovector", "implicit equation residual at the root; forward consistency (main regime)", check_co_angle, 1e-12),
+    ("twovector.co_angle", "twovector", "implicit equation residual at the root; forward consistency (main regime): the root is the pair's own alpha where h alpha - 2 phi1(alpha) >= -pi, and at most alpha elsewhere", check_co_angle, 1e-12),
     ("twovector.oplus", "twovector", "symmetry; exact at g = 0; defining-equation residuals bounded by O(k^2)", check_oplus, 1e-9),
     ("twovector.oplus_order", "twovector", "log-log residual and composition slopes in k within [1.8, 2.2]", check_oplus_order, 0.2),
     ("twovector.ominus", "twovector", "s-vector contractions (v s) = u arccos..., (t1 s) = u arccos...; u(t3 - t1, t3) = u(t1, t3)", check_ominus, 1e-10),

@@ -238,8 +238,9 @@ def test_draw_pair_and_rejection_budget_raise(monkeypatch):
     monkeypatch.setattr(V, "_DRAW_CAP", 1 << 14)
     with pytest.raises(fl.OutOfRangeError, match=r"draw cap: \d+ rows drawn"):
         V.draw_vectors(np.random.default_rng(0), ctx, 4, min_frac=0.8)
-    with pytest.raises(fl.OutOfRangeError, match=r"draw cap: \d+ rows drawn"):
-        V.draw_pairs(np.random.default_rng(0), ctx, fl.make_parameter(1.0), 4, min_frac=0.8)
+    # no pair angle kept: the angle draw stops at the same cap
+    with pytest.raises(fl.OutOfRangeError, match=r"draw cap: \d+ angles drawn"):
+        V.draw_pairs(np.random.default_rng(0), ctx, fl.make_parameter(1.0), 4, keep=lambda th: th < 0.0)
 
     judged = []
 
@@ -266,19 +267,6 @@ def _draw_vector(rng, ctx, min_frac=0.0, unit=False):
             return v / s if unit else v
 
 
-def _draw_pair(rng, ctx, par, max_alpha=None, min_cos=None, main_regime=False, regime_margin=0.0, **kw):
-    """The sequential pair rule: two vectors at a time until the pair passes."""
-    while True:
-        t1, t2 = _draw_vector(rng, ctx, **kw), _draw_vector(rng, ctx, **kw)
-        dot11, dot22, _, u, theta = _pair_dots(t1, t2, ctx.r_pq)
-        al = theta / par.h
-        gap = co_regime_gap(par, al)
-        if (u >= 0.05 * np.sqrt(dot11 * dot22) and (max_alpha is None or al < max_alpha)
-                and (min_cos is None or (al < 0.5 * np.pi and np.cos(al) > min_cos))
-                and (not main_regime or gap <= -0.05) and abs(gap) >= regime_margin):
-            return t1, t2
-
-
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_bulk_samplers_return_the_sequential_rows(n):
     # one uniform stream, accepted by masks in chunks: the same rows as the
@@ -286,18 +274,53 @@ def test_bulk_samplers_return_the_sequential_rows(n):
     from finsleroid import verify as V
 
     ctx = fl.MetricContext(n, np.diag(np.linspace(0.7, 1.4, n - 1)))
-    par = fl.make_parameter(1.5)
     for kw in ({}, {"min_frac": 0.15}, {"unit": True}, {"min_frac": 0.15, "unit": True}):
         rng = np.random.default_rng(1)
         seq = np.array([_draw_vector(rng, ctx, **kw) for _ in range(300)])
         bulk = V.draw_vectors(np.random.default_rng(1), ctx, 300, **kw)
         np.testing.assert_array_max_ulp(bulk, seq, maxulp=2 if kw.get("unit") else 0)
-    for kw in ({}, {"max_alpha": 0.6 * np.pi, "unit": True}, {"min_cos": 0.3}, {"main_regime": True},
-               {"regime_margin": 0.05, "min_frac": 0.1}):
-        rng = np.random.default_rng(2)
-        seq = np.array([_draw_pair(rng, ctx, par, **kw) for _ in range(200)])
-        bulk = np.stack(V.draw_pairs(np.random.default_rng(2), ctx, par, 200, **kw), axis=1)
-        np.testing.assert_array_max_ulp(bulk, seq, maxulp=2 if kw.get("unit") else 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_draw_pairs_builds_each_pair_in_its_interval(monkeypatch, n):
+    # each pair is built at an angle drawn in its interval, from one
+    # draw_vectors call of 2m rows: its r-angle lies there, its flags hold,
+    # and t1 is every other row of that call
+    from finsleroid import verify as V
+
+    spd = np.full((n - 1, n - 1), 0.3) + np.diag(np.linspace(0.8, 1.5, n - 1))  # dense r_ab
+    ctx = fl.MetricContext(n, spd)
+    draw_vectors, asked, rows = V.draw_vectors, [], []
+
+    def recorded(rng, ctx, m, **kw):
+        asked.append(m)
+        rows.append(draw_vectors(rng, ctx, m, **kw))
+        return rows[-1]
+
+    monkeypatch.setattr(V, "draw_vectors", recorded)
+    cases = [(1.5, {}), (1.5, {"max_alpha": 0.6 * np.pi, "unit": True}), (1.5, {"min_cos": 0.3}),
+             (1.5, {"main_regime": True}), (1.5, {"regime_margin": 0.05}), (1.99, {"min_cos": 0.1})]
+    for g, kw in cases:
+        par = fl.make_parameter(g)
+        asked.clear()
+        rows.clear()
+        t1, t2 = V.draw_pairs(np.random.default_rng(2), ctx, par, 200, **kw)
+        assert asked == [400]  # no pair rejected, at any g
+        np.testing.assert_array_equal(t1, rows[0][0::2])
+        dot11, dot22, _, _, theta = _pair_dots(t1, t2, ctx.r_pq)
+        eps = 1e-12
+        hi = np.pi - np.arcsin(0.05)
+        if "max_alpha" in kw:
+            hi = min(hi, par.h * kw["max_alpha"])
+        if "min_cos" in kw:
+            hi = min(hi, par.h * np.arccos(kw["min_cos"]))
+        assert np.all(theta >= np.arcsin(0.05) - eps) and np.all(theta <= hi + eps)
+        gap = co_regime_gap(par, theta / par.h)
+        if kw.get("main_regime"):
+            assert np.all(gap <= -0.05 + eps)
+        assert np.all(np.abs(gap) >= kw.get("regime_margin", 0.0) - eps)
+        if kw.get("unit"):
+            np.testing.assert_allclose(np.stack([dot11, dot22]), 1.0, rtol=0, atol=1e-15)
 
 
 def _transposed(f):
@@ -338,6 +361,8 @@ FAULTS = {
     "geodesics.velocity": ("geodesic_velocity", lambda f: lambda *a: f(*a) * (1 + 1e-6)),
     "geodesics.length_gradients": ("length_gradients", lambda f: lambda *a: tuple(b * (1 + 1e-6) for b in f(*a))),
     "finslerops.geodesic": ("finsler_geodesic", lambda f: lambda *a: f(*a) * (1 + 1e-6)),
+    # the one-pair solve, looped over the check's stack
+    "twovector.co_angle": ("solve_co_angle", lambda f: lambda *a: f(*a) + 1e-6),
 }
 
 
@@ -351,6 +376,14 @@ def test_checks_fail_on_a_faulty_kernel(monkeypatch, check_id):
     name, fault = FAULTS[check_id]
     monkeypatch.setattr(V, name, fault(getattr(V, name)))
     assert fn(par, ctx, np.random.default_rng(5), 16, tol)[1] > tol
+
+
+def test_co_angle_check_passes_where_roots_leave_the_pair_angle():
+    # at g = 1.8 most main-regime pairs have alpha on a branch k >= 1, where
+    # the smallest root, the one returned, lies below the pair's own alpha
+    fn, tol = next((c[3], c[4]) for c in CHECKS if c[0] == "twovector.co_angle")
+    samples, residual = fn(fl.make_parameter(1.8), fl.MetricContext(3), np.random.default_rng(0), 200, tol)
+    assert samples == 25 and residual < tol
 
 
 def _nan_from_second_call(f, calls):
