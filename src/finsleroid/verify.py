@@ -8,24 +8,24 @@ rejected when the euclidean norm is below 0.1; pairs are not nearly
 collinear (sin(theta) >= 0.05 at the r-angle theta = h alpha); chord and
 covariant checks keep angles below pi, where a smooth chord exists.
 Checks whose oracle is a second difference rescale samples to unit norm
-and keep away from the removable axis singularity (q or |Z| below
-0.15 S), where float64 differencing degrades; the corresponding
-identities at the axis are covered by dedicated limit checks.
+and keep away from where float64 differencing degrades: the removable
+axis singularity (q or |Z| below 0.15 S), whose identities dedicated limit
+checks cover, and for the two-vector tensor antipodal pairs (sin(theta)
+below 0.25).
 
 Each check draws its samples as one (m, N) stack and calls each kernel
 once on it.  ``draw_vectors`` applies the rules above as array masks to
 uniform rows, drawn in chunks.  Every pair rule (the angle guards, the
 regime masks, the frame's radicands) is a condition on theta alone, so
-``draw_pairs`` draws theta where they hold and builds each pair at it.
-Both raise OutOfRangeError past a fixed draw cap.  Residuals reduce with
-a max; a sample that a kernel's precondition excludes is masked out.
-Each finite-difference oracle evaluates the stencils of all its samples
-in one call, and each quadrature check integrates all its chords in one
-call, except that of the pullback geodesic, which takes one chord at a
-time to keep its metric tensors small.  The co-angle check loops the
-one-pair solve over its samples.  The finslerops checks that skip vector
-pairs a kernel rejects test them by the kernel's own guards, draw more
-as they need them, and give up after 50 rejected per trial.
+``draw_pairs`` draws theta where they hold and builds each pair at it;
+both raise OutOfRangeError past a fixed draw cap.  Residuals reduce with
+a max, masking out samples a kernel's precondition excludes.  Finite-
+difference oracles evaluate all their stencils, and quadrature checks
+all their chords, in one call; the pullback geodesic takes one chord at
+a time, to keep its metric tensors small, and the co-angle solve one
+pair.  The finslerops checks that skip vector pairs a kernel rejects
+test them by the kernel's own guards, draw more as they need them, and
+give up after 50 rejected per trial.
 """
 
 from __future__ import annotations
@@ -196,24 +196,19 @@ def draw_vectors(rng, ctx, m, min_frac=0.0, unit=False):
     return _accepted(m, rows, "rows")
 
 
-def draw_pairs(rng, ctx, par, m, unit=False, max_alpha=None, min_cos=None, main_regime=False,
-               regime_margin=0.0, keep=None):
-    """m pairs (t1, t2), each of shape (m, N), built at an r-angle theta =
-    h alpha drawn where every guard holds, so that none is rejected.
+def draw_pairs(rng, ctx, par, m, unit=False, max_alpha=None, min_cos=None, keep=None):
+    """m pairs (t1, t2), each (m, N), built at an r-angle theta = h alpha
+    drawn where every guard holds, so that none is rejected.
 
     theta has the density sin^(N-2) theta of two isotropic directions (Wood
-    1994) on [asin 0.05, pi - asin 0.05], below ``max_alpha`` (alpha below
-    it) and ``min_cos`` (acute, cos(alpha) above it), and where the masks
-    hold: ``regime_margin`` off the orientation-regime boundary, where the
-    co-vectors are collinear, ``main_regime`` on its primary side, ``keep``
-    as a check asks.  t1 and v are draw_vectors rows (``unit``: S = 1), and
-    in the whitened frame t2 = S(v) (cos theta t1/S(t1) + sin theta d), d
-    the unit part of v transverse to t1.
+    1994) on [asin 0.05, pi - asin 0.05], with alpha below ``max_alpha``
+    and, if ``min_cos``, acute with cos(alpha) above it, where the mask
+    ``keep(theta)`` holds (``regime_mask``).  t1 and v are draw_vectors
+    rows (``unit``: S = 1); in the whitened frame t2 = S(v) (cos theta
+    t1/S(t1) + sin theta d), d the unit part of v transverse to t1.
     """
     lo = math.asin(0.05)
-    hi = math.pi - lo
-    if max_alpha is not None:
-        hi = min(hi, par.h * max_alpha)
+    hi = min(math.pi - lo, par.h * (math.inf if max_alpha is None else max_alpha))
     if min_cos is not None:
         hi = min(hi, par.h * math.acos(max(min_cos, 0.0)))
     if hi <= lo:
@@ -222,23 +217,26 @@ def draw_pairs(rng, ctx, par, m, unit=False, max_alpha=None, min_cos=None, main_
 
     def angles(size):  # uniform proposals, accepted with probability (sin theta/top)^(N-2)
         theta, bar = rng.uniform(lo, hi, size), rng.uniform(0.0, 1.0, size)
-        gap = co_regime_gap(par, theta / par.h)
-        ok = (bar <= (np.sin(theta) / top) ** (ctx.n - 2)) & (np.abs(gap) >= regime_margin)
-        if main_regime:
-            ok &= gap <= -0.05
+        ok = bar <= (np.sin(theta) / top) ** (ctx.n - 2)
         return theta[ok & keep(theta) if keep else ok]
 
     theta = _accepted(m, angles, "angles")[:, None]
     t1, v = np.moveaxis(_vector_pairs(rng, ctx, m, unit=unit), 1, 0)
-    plain = np.array_equal(ctx.r_ab, np.eye(ctx.n - 1))
-    w1, wv = (t1, v) if plain else (t1 @ ctx.vielbein.T, v @ ctx.vielbein.T)
+    w1, wv = t1 @ ctx.vielbein.T, v @ ctx.vielbein.T
     norm = lambda x: np.linalg.norm(x, axis=-1, keepdims=True)
     along = w1 / norm(w1)
     d = wv
     for _ in range(2):  # a second projection keeps d transverse where v lies near t1
         d = d - np.sum(d * along, axis=-1, keepdims=True) * along
     w2 = norm(wv) * (np.cos(theta) * along + np.sin(theta) * d / norm(d))
-    return t1, w2 if plain else np.linalg.solve(ctx.vielbein, w2.T).T
+    return t1, w2 @ np.linalg.inv(ctx.vielbein).T
+
+
+def regime_mask(par, main=False):
+    """A draw_pairs ``keep`` mask: alpha = theta/h at least 0.05 off the orientation-regime
+    boundary, where the co-vectors are collinear, and with ``main`` on its primary side."""
+    gap = lambda theta: co_regime_gap(par, theta / par.h)
+    return (lambda theta: gap(theta) <= -0.05) if main else (lambda theta: np.abs(gap(theta)) >= 0.05)
 
 
 def _refills(draw, m, trials):
@@ -864,7 +862,8 @@ def check_fundamental_limit(par, ctx, rng, trials, tol):
 
 def check_two_vector_fd(par, ctx, rng, trials, tol):
     m = _budget(trials, 8)
-    t1, t2 = draw_pairs(rng, ctx, par, m, unit=True)
+    # sin theta >= 0.25: off antipodal pairs, where the second difference degrades (3e-5 at sin theta = 0.08)
+    t1, t2 = draw_pairs(rng, ctx, par, m, unit=True, max_alpha=(math.pi - math.asin(0.25)) / par.h)
     n = two_vector_metric(par, ctx, t1, t2).n_lower
     fd = numdiff.mixed_second(lambda x, y: scalar_product(par, ctx, x, y), t1, t2)
     fd_dist = numdiff.mixed_second(lambda x, y: distance_squared(par, ctx, x, y), t1, t2)
@@ -932,7 +931,7 @@ def check_frame(par, ctx, rng, trials, tol):
 
 
 def check_covector_closed(par, ctx, rng, trials, tol):
-    t1, t2 = draw_pairs(rng, ctx, par, trials, max_alpha=0.95 * math.pi, regime_margin=0.05)
+    t1, t2 = draw_pairs(rng, ctx, par, trials, max_alpha=0.95 * math.pi, keep=regime_mask(par))
     cp = covector_pair(par, ctx, t1, t2)
     tv = two_vector_metric(par, ctx, t1, t2)
     inv = tv.pair
@@ -975,7 +974,7 @@ def check_covector_closed(par, ctx, rng, trials, tol):
 
 def check_covector_metric_fd(par, ctx, rng, trials, tol):
     m = _budget(trials, 8)
-    t1, t2 = draw_pairs(rng, ctx, par, m, unit=True, max_alpha=0.95 * math.pi, regime_margin=0.05)
+    t1, t2 = draw_pairs(rng, ctx, par, m, unit=True, max_alpha=0.95 * math.pi, keep=regime_mask(par))
     n = two_vector_metric(par, ctx, t1, t2).n_lower
     fd1 = numdiff.jacobian(lambda y: covector_pair(par, ctx, t1, y).T1, t2)
     fd2 = numdiff.jacobian(lambda x: covector_pair(par, ctx, x, t2).T2, t1)
@@ -983,7 +982,7 @@ def check_covector_metric_fd(par, ctx, rng, trials, tol):
 
 
 def check_covector_inversion(par, ctx, rng, trials, tol):
-    t1, t2 = draw_pairs(rng, ctx, par, trials, max_alpha=0.95 * math.pi, regime_margin=0.05)
+    t1, t2 = draw_pairs(rng, ctx, par, trials, max_alpha=0.95 * math.pi, keep=regime_mask(par))
     cp = covector_pair(par, ctx, t1, t2)
     r1, r2 = invert_covectors(par, ctx, cp.T1, cp.T2, pair_invariants(par, ctx, t1, t2).alpha)
     return trials, _dev(r1 - t1, r2 - t2)
@@ -991,22 +990,24 @@ def check_covector_inversion(par, ctx, rng, trials, tol):
 
 def check_co_angle(par, ctx, rng, trials, tol):
     m = _budget(trials, 8)
-    t1, t2 = draw_pairs(rng, ctx, par, m, main_regime=True)
+    t1, t2 = draw_pairs(rng, ctx, par, m, keep=regime_mask(par, main=True))
     alpha = pair_invariants(par, ctx, t1, t2).alpha
     cp = covector_pair(par, ctx, t1, t2)
     al = np.array([solve_co_angle(par, ctx, big_t1, big_t2) for big_t1, big_t2 in zip(cp.T1, cp.T2)])
-    # the solver returns the root of F = h alpha - 2 phi1(alpha) = -beta: the
-    # pair's own alpha where F(alpha) >= -pi, a smaller one where F(alpha) =
-    # -beta - 2 pi k, k >= 1 (phi1 continuous, as in solve_co_angle)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    own = par.h * alpha - 2.0 * (alpha + np.arctan((1.0 / par.h - 1.0) * sa * ca / (ca * ca + sa * sa / par.h)))
+    # the solver returns the root of F = h alpha - 2 phi1(alpha) = -beta in [-pi, 0]: the pair's own alpha
+    # where F(alpha) >= -pi, a smaller one where F(alpha) = -beta - 2 pi k, k >= 1 (phi1 as in solve_co_angle)
+    def f(a):
+        ca, sa = np.cos(a), np.sin(a)
+        return par.h * a - 2.0 * (a + np.arctan((1.0 / par.h - 1.0) * sa * ca / (ca * ca + sa * sa / par.h)))
+
     # residual of the implicit cosine equation at the returned root
     tt11, tt22, tt12, cap_u, _ = _pair_dots(cp.T1, cp.T2, ctx.r_pq_inv)
     ca, sa = np.cos(al), np.sin(al)
     cc, ss = ca * ca, sa * sa / par.h**2
     rhs = ((cc - ss) * tt12 + 2.0 / par.h * sa * ca * co_orientation(par, al) * cap_u) / (cc + ss)
     rhs = rhs / np.sqrt(tt11 * tt22)
-    forward = np.where(own >= -math.pi, np.abs(al - alpha), np.maximum(al - alpha, 0.0))
+    forward = np.where(f(alpha) >= -math.pi, np.abs(al - alpha), np.maximum(al - alpha, 0.0))
+    forward = forward + np.maximum(-math.pi - f(al), 0.0)  # the returned root on the main branch
     return m, _dev(forward * 1e-3, np.cos(par.h * al) - rhs)  # forward consistency at its own tolerance
 
 
@@ -1311,7 +1312,7 @@ CHECKS = [
     ("twovector.covector_closed", "twovector", "T closed forms vs contraction; product battery; rotation relations; D battery; f value; T -> t at coincidence", check_covector_closed, 1e-9),
     ("twovector.covector_metric_fd", "twovector", "n_pq = dT1_p/dt2^q = dT2_q/dt1^p (FD oracle)", check_covector_metric_fd, 1e-5),
     ("twovector.covector_inversion", "twovector", "roundtrip t -> T -> t", check_covector_inversion, 1e-8),
-    ("twovector.co_angle", "twovector", "implicit equation residual at the root; forward consistency (main regime): the root is the pair's own alpha where h alpha - 2 phi1(alpha) >= -pi, and at most alpha elsewhere", check_co_angle, 1e-12),
+    ("twovector.co_angle", "twovector", "implicit equation residual at the root; forward consistency (main regime): the root is the pair's own alpha where F = h alpha - 2 phi1(alpha) >= -pi, at most alpha elsewhere, and F >= -pi there", check_co_angle, 1e-12),
     ("twovector.oplus", "twovector", "symmetry; exact at g = 0; defining-equation residuals bounded by O(k^2)", check_oplus, 1e-9),
     ("twovector.oplus_order", "twovector", "log-log residual and composition slopes in k within [1.8, 2.2]", check_oplus_order, 0.2),
     ("twovector.ominus", "twovector", "s-vector contractions (v s) = u arccos..., (t1 s) = u arccos...; u(t3 - t1, t3) = u(t1, t3)", check_ominus, 1e-10),

@@ -10,7 +10,7 @@ import finsleroid as fl
 from finsleroid import numdiff
 from finsleroid.oracles import coincidence_limits, two_vector_determinant_reference
 from finsleroid.twovector import co_orientation
-from finsleroid.verify import draw_pairs, draw_vectors
+from finsleroid.verify import draw_pairs, draw_vectors, regime_mask
 
 GS = [0.0, 0.7, -1.1, 1.5]
 
@@ -150,7 +150,7 @@ def test_frame_negative_radicand_raises():
 @pytest.mark.parametrize("g", GS)
 def test_covector_closed_forms(g, ctx, rng):
     par = fl.make_parameter(g)
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 20, max_alpha=0.95 * math.pi, regime_margin=0.05)):
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 20, max_alpha=0.95 * math.pi, keep=regime_mask(par))):
         cp = fl.covector_pair(par, ctx, t1, t2)
         tv = fl.two_vector_metric(par, ctx, t1, t2)
         assert np.max(np.abs(cp.T1 - tv.n_lower @ t2)) < 1e-10
@@ -173,7 +173,7 @@ def test_covector_euclidean(ctx, rng):
 @pytest.mark.parametrize("g", [0.7, -1.1, 1.5])
 def test_covector_products(g, ctx, rng):
     par = fl.make_parameter(g)
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 20, max_alpha=0.95 * math.pi, regime_margin=0.05)):
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 20, max_alpha=0.95 * math.pi, keep=regime_mask(par))):
         inv = fl.pair_invariants(par, ctx, t1, t2)
         cp = fl.covector_pair(par, ctx, t1, t2)
         tt11 = ctx.codot(cp.T1, cp.T1)
@@ -204,7 +204,7 @@ def test_covector_products(g, ctx, rng):
 
 def test_covector_metric_recovery_fd(ctx, rng):
     par = fl.make_parameter(1.1)
-    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1, unit=True, max_alpha=0.95 * math.pi, regime_margin=0.05)
+    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1, unit=True, max_alpha=0.95 * math.pi, keep=regime_mask(par))
     tv = fl.two_vector_metric(par, ctx, t1, t2)
     fd1 = numdiff.jacobian(lambda y: fl.covector_pair(par, ctx, t1, y).T1, t2)
     fd2 = numdiff.jacobian(lambda x: fl.covector_pair(par, ctx, x, t2).T2, t1)
@@ -225,7 +225,7 @@ def test_covectors_tend_to_the_vector(ctx, rng):
 def test_inversion_roundtrip(g, ctx, rng):
     par = fl.make_parameter(g)
     worst = 0.0
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 25, max_alpha=0.95 * math.pi, regime_margin=0.05)):
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 25, max_alpha=0.95 * math.pi, keep=regime_mask(par))):
         inv = fl.pair_invariants(par, ctx, t1, t2)
         cp = fl.covector_pair(par, ctx, t1, t2)
         r1, r2 = fl.invert_covectors(par, ctx, cp.T1, cp.T2, inv.alpha)
@@ -246,7 +246,7 @@ def test_inversion_euclidean_identity(ctx, rng):
 @pytest.mark.parametrize("g", GS)
 def test_co_angle_solver(g, ctx, rng):
     par = fl.make_parameter(g)
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 6, main_regime=True)):
+    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 6, keep=regime_mask(par, main=True))):
         inv = fl.pair_invariants(par, ctx, t1, t2)
         cp = fl.covector_pair(par, ctx, t1, t2)
         al = fl.solve_co_angle(par, ctx, cp.T1, cp.T2)
@@ -343,7 +343,7 @@ def test_co_angle_matches_scan(g, ctx, rng):
     main-regime roots, its own angle among them; the smallest is returned.
     """
     par = fl.make_parameter(g)
-    pairs = list(zip(*draw_pairs(rng, ctx, par, 4, regime_margin=0.05)))
+    pairs = list(zip(*draw_pairs(rng, ctx, par, 4, keep=regime_mask(par))))
     pairs += [wide_pair(rng, ctx, theta) for theta in np.linspace(0.6, 0.98, 8) * math.pi]
     regimes = set()
     for t1, t2 in pairs:

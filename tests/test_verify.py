@@ -299,12 +299,14 @@ def test_draw_pairs_builds_each_pair_in_its_interval(monkeypatch, n):
 
     monkeypatch.setattr(V, "draw_vectors", recorded)
     cases = [(1.5, {}), (1.5, {"max_alpha": 0.6 * np.pi, "unit": True}), (1.5, {"min_cos": 0.3}),
-             (1.5, {"main_regime": True}), (1.5, {"regime_margin": 0.05}), (1.99, {"min_cos": 0.1})]
+             (1.5, {"main": True}), (1.5, {"main": False}), (1.99, {"min_cos": 0.1})]
     for g, kw in cases:
         par = fl.make_parameter(g)
+        if "main" in kw:
+            kw = {"keep": V.regime_mask(par, main=kw["main"]), "main": kw["main"]}
         asked.clear()
         rows.clear()
-        t1, t2 = V.draw_pairs(np.random.default_rng(2), ctx, par, 200, **kw)
+        t1, t2 = V.draw_pairs(np.random.default_rng(2), ctx, par, 200, **{k: v for k, v in kw.items() if k != "main"})
         assert asked == [400]  # no pair rejected, at any g
         np.testing.assert_array_equal(t1, rows[0][0::2])
         dot11, dot22, _, _, theta = _pair_dots(t1, t2, ctx.r_pq)
@@ -316,11 +318,35 @@ def test_draw_pairs_builds_each_pair_in_its_interval(monkeypatch, n):
             hi = min(hi, par.h * np.arccos(kw["min_cos"]))
         assert np.all(theta >= np.arcsin(0.05) - eps) and np.all(theta <= hi + eps)
         gap = co_regime_gap(par, theta / par.h)
-        if kw.get("main_regime"):
-            assert np.all(gap <= -0.05 + eps)
-        assert np.all(np.abs(gap) >= kw.get("regime_margin", 0.0) - eps)
+        if "main" in kw:
+            assert np.all(gap <= -0.05 + eps) if kw["main"] else np.all(np.abs(gap) >= 0.05 - eps)
         if kw.get("unit"):
             np.testing.assert_allclose(np.stack([dot11, dot22]), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_draw_pairs_draws_the_angle_of_two_isotropic_directions(n):
+    # theta has the density sin^(N-2) theta on [asin 0.05, pi - asin 0.05]:
+    # its KS distance to that law is below 0.01 at m = 16000 (the 5 % point
+    # is 0.011), where the laws of exponents N - 3 and N - 1 lie 0.03 to 0.17
+    # away
+    from finsleroid import verify as V
+
+    spd = np.full((n - 1, n - 1), 0.3) + np.diag(np.linspace(0.8, 1.5, n - 1))
+    ctx = fl.MetricContext(n, spd)
+    t1, t2 = V.draw_pairs(np.random.default_rng(3), ctx, fl.make_parameter(1.0), 16000)
+    theta = np.sort(_pair_dots(t1, t2, ctx.r_pq)[4])
+    grid = np.linspace(np.arcsin(0.05), np.pi - np.arcsin(0.05), 20001)
+
+    def ks(k):
+        dens = np.sin(grid) ** k
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]))])
+        at = np.interp(theta, grid, cdf / cdf[-1])
+        i = np.arange(1, len(theta) + 1) / len(theta)
+        return max(np.max(i - at), np.max(at - (i - 1.0 / len(theta))))
+
+    assert ks(n - 2) < 0.01
+    assert min(ks(n - 3), ks(n - 1)) > 0.025
 
 
 def _transposed(f):
@@ -384,6 +410,25 @@ def test_co_angle_check_passes_where_roots_leave_the_pair_angle():
     fn, tol = next((c[3], c[4]) for c in CHECKS if c[0] == "twovector.co_angle")
     samples, residual = fn(fl.make_parameter(1.8), fl.MetricContext(3), np.random.default_rng(0), 200, tol)
     assert samples == 25 and residual < tol
+
+
+def test_co_angle_check_tests_the_branch_of_the_root(monkeypatch):
+    # off the main branch (F(alpha) < -pi, most pairs at g = 1.9) the pair's
+    # own alpha solves the cosine equation and is not above itself: a solver
+    # returning it fails by its branch alone
+    from finsleroid import verify as V
+
+    pair_invariants, own = V.pair_invariants, []
+
+    def recorded(*a):
+        inv = pair_invariants(*a)
+        own[:] = list(inv.alpha)
+        return inv
+
+    monkeypatch.setattr(V, "pair_invariants", recorded)
+    monkeypatch.setattr(V, "solve_co_angle", lambda *a: own.pop(0))
+    fn, tol = next((c[3], c[4]) for c in CHECKS if c[0] == "twovector.co_angle")
+    assert fn(fl.make_parameter(1.9), fl.MetricContext(3), np.random.default_rng(0), 200, tol)[1] > 1e-4
 
 
 def _nan_from_second_call(f, calls):
