@@ -65,10 +65,12 @@ def cmd_eval(args) -> int:
         det_identity = _finite(float(sb.J ** (2 * dim) * np.linalg.det(ctx.r_ab)), "J^(2N) det(r_ab)")
     try:
         ct = cartan_tensor(par, ctx, vec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_p_c_p = float(ct.c_vec_lower @ ct.c_vec_upper)  # N^2 g^2/(4 K^2): past float64 for small K
         cartan = {
-            "c_vec_lower": ct.c_vec_lower,
-            "c_vec_upper": ct.c_vec_upper,
-            "c_p_c_p": float(ct.c_vec_lower @ ct.c_vec_upper),
+            "c_vec_lower": _finite(ct.c_vec_lower, "C_p"),
+            "c_vec_upper": _finite(ct.c_vec_upper, "C^p"),
+            "c_p_c_p": _finite(c_p_c_p, "C_p C^p"),
         }
     except OnAxisError:
         cartan = None

@@ -221,8 +221,11 @@ class MetricContext:
             self._whiten = {"u": self.vielbein.T, "l": e_inv}
             back = {"u": np.ldexp(e_inv.T, self._power), "l": np.ldexp(self.vielbein, -self._power), ".": np.eye(n)}
             # a field of two indices maps as one row of N^2 components, by the
-            # Kronecker product of the maps of its indices
-            self._unwhiten = back | {i + j: np.kron(back[i], back[j]) for i in back for j in back}
+            # Kronecker product of the maps of its indices; where an entry of
+            # that leaves float64, the outputs it maps are not finite, and
+            # _scaled_back names their rows
+            with np.errstate(over="ignore"):
+                self._unwhiten = back | {i + j: np.kron(back[i], back[j]) for i in back for j in back}
             for arr in (*self._whiten.values(), *self._unwhiten.values()):
                 arr.setflags(write=False)
             # a whitened row x A is rounded by at most N eps |x| |A|, and
@@ -261,9 +264,6 @@ class MetricContext:
 
     def lower(self, t) -> np.ndarray:
         return self.r_pq @ np.asarray(t, dtype=float)
-
-    def raise_(self, xi) -> np.ndarray:
-        return self.r_pq_inv @ np.asarray(xi, dtype=float)
 
     def check_rows(self, x, nonzero: bool = False):
         """Validate N-vectors stacked along leading axes, shape (..., N); a
@@ -529,10 +529,11 @@ def _unwhitened(ctx: MetricContext, x, indices):
         return x
     if isinstance(indices, tuple):
         return tuple([_unwhitened(ctx, v, i) for v, i in zip(x, indices)])
-    if len(indices) == 1:
-        return _lower(maps[indices], x)
-    # the fields that the door maps have at most two indices
-    return _lower(maps[indices], x.reshape(x.shape[:-2] + (-1,))).reshape(x.shape)
+    with np.errstate(all="ignore"):  # _scaled_back names a row that leaves float64
+        if len(indices) == 1:
+            return _lower(maps[indices], x)
+        # the fields that the door maps have at most two indices
+        return _lower(maps[indices], x.reshape(x.shape[:-2] + (-1,))).reshape(x.shape)
 
 
 def _scaled_back(x, e, degree, what: str, ctx: MetricContext | None = None, indices="", mapped: bool = False):
@@ -551,11 +552,11 @@ def _scaled_back(x, e, degree, what: str, ctx: MetricContext | None = None, indi
     for a fractional one.  x is an array, None, or a record or tuple of
     them, with ``degree`` and ``indices`` then the tuples of its fields;
     where there is nothing to map or scale it is x itself.
-    NumericalDomainError names the first row where a scaled result is not
-    finite.
+    NumericalDomainError names the first row where a mapped or scaled
+    result is not finite.
     """
     power = 0 if ctx is None or ctx._unwhiten is None else ctx._power
-    if ctx is None or ctx._unwhiten is None or mapped and not power:
+    if ctx is None or ctx._unwhiten is None:
         indices = ""  # nothing to map, nor to scale by index
     if x is None or not indices and (not isinstance(e, np.ndarray) or degree == 0):
         return x
@@ -567,8 +568,6 @@ def _scaled_back(x, e, degree, what: str, ctx: MetricContext | None = None, indi
     if indices and not mapped:
         x = _unwhitened(ctx, x, indices)
     f = power * (indices.count("l") - indices.count("u"))
-    if not isinstance(e, np.ndarray) and not f:
-        return x
     with np.errstate(all="ignore"):  # _require_finite reports it
         if isinstance(e, np.ndarray) and degree != 0:
             shift = e.reshape(e.shape + (1,) * (np.ndim(x) - e.ndim))

@@ -81,6 +81,7 @@ from .geodesics import (
 from .oracles import (
     _chart,
     _phi_a_form,
+    _phi_lz_form,
     _phi_qz_form,
     angular_block_reference,
     cartan_fd_diagnostic,
@@ -373,6 +374,7 @@ def check_phi_branches(par, ctx, rng, trials, tol):
     cot_target = par.h * q[cot] / a[cot]
     return trials, _dev(
         phi[off] - _phi_qz_form(par, q[off], z[off]),
+        phi[off] - _phi_lz_form(par, q[off], z[off]),
         phi[same] - _phi_a_form(par, q[same], z[same]),
         (1.0 / np.tan(phi[cot]) - cot_target) / (1.0 + np.abs(cot_target)),
         # axis values and the plane value
@@ -396,12 +398,15 @@ def check_generating_derivatives(par, ctx, rng, trials, tol):
     d1 = numdiff.derivative(vfun, w)
     d2 = numdiff.derivative(lambda x: x * vfun(x) / quad(x), w)
     dv2q = numdiff.derivative(lambda x: vfun(x) ** 2 / quad(x), w)
+    dv2q2 = numdiff.derivative(lambda x: vfun(x) ** 2 / quad(x) ** 2, w)
     dj = numdiff.derivative(lambda x: generating_j(par, x), w)
     dphi = numdiff.derivative(lambda x: phi_function(par, np.abs(x), np.copysign(1.0, x)), w)
     return trials, _dev(
         d1 - w * v / qw,
         d2 - v / qw**2,
         dv2q + par.g * v * v / qw**2,
+        # at a twentieth: the quotient of V^2/Q^2 rounds coarsest (2e-8 at g = 1.5)
+        (dv2q2 + 2.0 * (par.g + w) * v * v / qw**3) * 0.05,
         dj + 0.5 * par.g * generating_j(par, w) / qw,
         dphi + par.h / qw,
     )
@@ -438,9 +443,16 @@ def check_inverse_metric(par, ctx, rng, trials, tol):
     v = draw_vectors(rng, ctx, trials)
     sb = scalar_bundle(par, ctx, v)
     gu = inverse_metric(par, ctx, v)
+    gm = metric_tensor(par, ctx, v)
+    rl = gradient_covector(par, ctx, v)
     return trials, _dev(
-        gu @ metric_tensor(par, ctx, v) - np.eye(ctx.n),
+        gu @ gm - np.eye(ctx.n),
         gu[:, -1, -1] - (v[:, -1] ** 2 + sb.q**2) / sb.K**2,
+        gu[:, -1, -1] * sb.K**2 / (v[:, -1] ** 2 + sb.q**2) - 1.0,
+        # g_pq R^q = R_p and R_p R^p = K^2 (relative), the exact contractions
+        # of the covector that tensors.gradient_covector checks by differences
+        np.einsum("ipq,iq->ip", gm, v) - rl,
+        np.einsum("ip,ip->i", rl, v) / sb.K**2 - 1.0,
     )
 
 
@@ -526,7 +538,8 @@ def check_cartan_algebraic_form(par, ctx, rng, trials, tol):
         + ha[:, None, :, :] * cv[:, :, None, None]
         - np.einsum("ip,iq,ir->ipqr", cv, cv, cv) / cc[:, None, None, None]
     ) / ctx.n
-    return trials, _dev(ct.c_lower - alg)
+    # with C_pqr R^r = 0 exactly, which tensors.cartan_fd checks beside its differences
+    return trials, _dev(ct.c_lower - alg, np.einsum("ipqr,ir->ipq", ct.c_lower, v))
 
 
 def check_curvature_constancy(par, ctx, rng, trials, tol):
@@ -540,10 +553,13 @@ def check_curvature_constancy(par, ctx, rng, trials, tol):
 def check_sigma_norm(par, ctx, rng, trials, tol):
     v = draw_vectors(rng, ctx, trials)
     k = kfun(par, ctx, v)
-    # the finsleroid surface maps onto the unit sphere
+    t = sigma_map(par, ctx, v)
+    # the finsleroid surface maps onto the unit sphere; sigma is 1-homogeneous
     return trials, _dev(
-        _norms(ctx, sigma_map(par, ctx, v)) - k,
+        _norms(ctx, t) - k,
+        _norms(ctx, t) / k - 1.0,
         _norms(ctx, sigma_map(par, ctx, v / k[:, None])) - 1.0,
+        sigma_map(par, ctx, 2.5 * v) - 2.5 * t,
     )
 
 
@@ -607,7 +623,10 @@ def check_quasi_metric(par, ctx, rng, trials, tol):
         n_l - l_low,
         np.einsum("ip,ip->i", l_up, n_l) - 1.0,
         np.einsum("ip,ipq,iq->i", t, qg.n_lower, t) - s * s,
+        np.einsum("ip,ipq,iq->i", t, qg.n_lower, t) / (s * s) - 1.0,
         qg.h_lower - par.h**2 * (qg.n_lower - l_low[:, :, None] * l_low[:, None, :]),
+        # L-transversality of the curvature in each of its indices
+        *(np.einsum(spec, l_up, qg.curvature) for spec in ("ip,iprqs->irqs", "ir,iprqs->ipqs", "iq,iprqs->iprs", "is,iprqs->iprq")),
     )
 
 
@@ -754,6 +773,8 @@ def check_chord_constants(par, ctx, rng, trials, tol):
         a**2 + b * ds - a * s_end * np.cos(alpha),
         (c * ds) ** 2 + (a**2 + b * ds) ** 2 - a**2 * ch.radius(ch.delta_s[..., None])[0, :, 0] ** 2,
         ds**2 - distance_squared(par, ctx, t1, t2),
+        ds**2 / distance_squared(par, ctx, t1, t2) - 1.0,
+        ch.radius(ch.delta_s[..., None])[0, :, 0] ** 2 / (a**2 + 2.0 * b * ds + ds**2) - 1.0,
         ds**2 - (s_end**2 + a**2 - 2.0 * a * s_end * np.cos(alpha)),
         scalar_product(par, ctx, t1, t2) - a * s_end * np.cos(alpha),
         # radial chords: alpha = 0, Delta s = (lam - 1) a, b = a
@@ -950,6 +971,8 @@ def check_covector_closed(par, ctx, rng, trials, tol):
         dot(t1, cp.T1) + dot(t2, cp.T2) - 2.0 * sp,
         tt11 - inv.dot22 * (cc + ss),
         tt22 - inv.dot11 * (cc + ss),
+        tt11 / (inv.dot22 * (cc + ss)) - 1.0,
+        tt22 / (inv.dot11 * (cc + ss)) - 1.0,
         tt12 - ((cc - ss) * inv.dot12 + 2.0 / par.h * inv.u * sa * ca),
         eps_u - (2.0 / par.h * inv.dot12 * sa * ca - (cc - ss) * inv.u),
         cp.f_scale + eps_u / inv.u,
@@ -963,6 +986,8 @@ def check_covector_closed(par, ctx, rng, trials, tol):
         codot(cp.D1, cp.D2) + tt12,
         codot(cp.D1, cp.D1) - tt11,
         codot(cp.D2, cp.D2) - tt22,
+        codot(cp.D1, cp.D1) / tt11 - 1.0,
+        codot(cp.D2, cp.D2) / tt22 - 1.0,
         codot(cp.D1, cp.T2) - cap_u,
         codot(cp.T1, cp.D2) - cap_u,
         # co-version of the scalar product (read as <T1, T2>): equals the
@@ -1062,6 +1087,7 @@ def check_ominus(par, ctx, rng, trials, tol):
         _dots(v, s_vec, ctx.r_pq) - u13 * ang_a,
         _dots(t1, s_vec, ctx.r_pq) - u13 * ang_b,
         u_v3 - u13,
+        u_v3 / u13 - 1.0,
     )
 
 
@@ -1097,7 +1123,7 @@ def check_finsler_product(par, ctx, rng, trials, tol):
         pp.alpha[0] - angle(par, ctx, t1, t2),
         self_product - kfun(par, ctx, r_vec) ** 2,
         np.einsum("ip,ip->i", pp.m_r[0], r_vec),
-        np.maximum(-(pp.w[0] ** 2), 0.0),
+        np.maximum(-pp.w[0], 0.0),
         (scaled_product - lam[:, 0] * mu[:, 0] * product) / np.maximum(np.abs(product), 1.0),
         np.einsum("ip,ip->i", s_r, r_vec[indep]),
     )

@@ -17,7 +17,3 @@ def ctx2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
-
-
-def make_rng(seed=0):
-    return np.random.default_rng(seed)

@@ -369,6 +369,15 @@ def test_eval_overflowing_determinant_exits_1(capsys, fmt):
     assert err == "error: non-finite det(g_pq) in float64\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_overflowing_cartan_scalar_exits_1(capsys, fmt):
+    # C_p C^p = N^2 g^2/(4 K^2) leaves float64 at a vector near 1e-160,
+    # where every other printed quantity is finite
+    code, out, err = run_cli(capsys, "eval", "--g", "1", "--vector=1e-160,1e-160,1e-160", "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == "error: non-finite C_p C^p in float64\n"
+
+
 def _eval_json(capsys, vector):
     code, out, err = run_cli(capsys, "eval", "--g", "1", f"--vector={vector}", "--format", "json")
     assert (code, err) == (0, "")

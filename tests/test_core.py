@@ -1,5 +1,7 @@
 """Scalar layer: parameter algebra, the quadratic form, Phi branches,
-the metric function and the generating function."""
+the metric function and the generating function.  The identities of each
+layer are the ``core`` checks of ``finsleroid verify``, which the tests
+below run at their own g (see checkgrid)."""
 
 import math
 
@@ -7,8 +9,10 @@ import numpy as np
 import pytest
 
 import finsleroid as fl
-from finsleroid import numdiff
-from finsleroid.oracles import _chart, _phi_a_form, _phi_lz_form, _phi_qz_form
+from finsleroid.oracles import _chart
+from finsleroid.verify import draw_vectors
+
+from checkgrid import verified
 
 GRID = [0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 1.9, -1.9]
 
@@ -28,21 +32,13 @@ def test_parameter_derived_values():
     assert p.big_g == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-15)
 
 
-def test_parameter_sign_flip_exchanges_roots():
-    p = fl.make_parameter(1.2)
-    m = fl.make_parameter(-1.2)
-    assert m.g_plus == pytest.approx(-p.g_minus, abs=1e-15)
-    assert m.g_minus == pytest.approx(-p.g_plus, abs=1e-15)
+def test_parameter_sign_flip_exchanges_roots(ctx3):
+    verified(1.2, ctx3, {"core.parameter_identities": 1e-15})
 
 
 @pytest.mark.parametrize("g", GRID)
-def test_parameter_identities(g):
-    p = fl.make_parameter(g)
-    assert p.g_plus + p.g_minus == pytest.approx(g, abs=1e-14)
-    assert p.g_plus - p.g_minus == pytest.approx(2 * p.h, abs=1e-14)
-    assert p.g_plus**2 + p.g_minus**2 == pytest.approx(2.0, abs=1e-14)
-    assert p.g_up_plus**2 + p.g_up_minus**2 == pytest.approx(2.0, abs=1e-14)
-    assert p.h**2 == pytest.approx(1.0 - g * g / 4.0, abs=1e-15)
+def test_parameter_identities(g, ctx3):
+    verified(g, ctx3, {"core.parameter_identities": 1e-15})
 
 
 @pytest.mark.parametrize("g", [2.0, -2.0, 2.5, float("nan"), float("inf")])
@@ -115,42 +111,19 @@ def test_euclidean_norm_at_g_zero(rng, ctx3):
 
 @pytest.mark.parametrize("g", GRID)
 def test_bundle_identities(g, rng, ctx3):
-    par = fl.make_parameter(g)
-    for _ in range(50):
-        v = rng.uniform(-1, 1, 3)
-        if ctx3.s_norm(v) < 0.1:
-            continue
-        sb = fl.scalar_bundle(par, ctx3, v)
-        assert sb.A**2 + par.h**2 * sb.q**2 == pytest.approx(sb.B, rel=1e-13)
-        assert sb.L**2 + par.h**2 * v[-1] ** 2 == pytest.approx(sb.B, rel=1e-13)
-        assert -math.pi / 2 <= sb.phi <= math.pi / 2
-        assert sb.K == pytest.approx(math.sqrt(sb.B) * sb.J, rel=1e-15)
-        assert sb.B > 0.0
-        if v[-1] != 0.0:
-            w = sb.q / v[-1]
-            qw = _chart(par, ctx3, v, sb)[2]
-            assert qw == pytest.approx(1 + g * w + w * w, rel=1e-12)
-            assert (1 + 0.5 * g * w) ** 2 + par.h**2 * w * w == pytest.approx(qw, rel=1e-12)
-            assert abs(v[-1]) * fl.generating_v(par, w) == pytest.approx(sb.K, rel=1e-13)
+    verified(g, ctx3, {"core.scalar_identities": 1e-13})
+    # two lines the check holds only at its total: K = sqrt(B) J to the
+    # ulp, and the chart oracle's Q = 1 + g w + w^2
+    par, v = fl.make_parameter(g), draw_vectors(rng, ctx3, 50)
+    sb = fl.scalar_bundle(par, ctx3, v)
+    w = sb.q / sb.Z
+    assert np.abs(sb.K / (np.sqrt(sb.B) * sb.J) - 1.0).max() < 1e-15
+    assert np.abs(_chart(par, ctx3, v, sb)[2] / (1.0 + g * w + w * w) - 1.0).max() < 1e-12
 
 
 @pytest.mark.parametrize("g", GRID)
-def test_phi_branch_families_agree(g, rng, ctx3):
-    par = fl.make_parameter(g)
-    for _ in range(200):
-        v = rng.uniform(-1, 1, 3)
-        if ctx3.s_norm(v) < 0.1 or v[-1] == 0.0:
-            continue
-        q, z = ctx3.m(v), v[-1]
-        phi = fl.phi_function(par, q, z)
-        assert phi == pytest.approx(_phi_qz_form(par, q, z), abs=1e-12)
-        assert phi == pytest.approx(_phi_lz_form(par, q, z), abs=1e-12)
-        a = z + 0.5 * g * q
-        if (a > 0) == (z > 0) and a != 0.0:
-            assert phi == pytest.approx(_phi_a_form(par, q, z), abs=1e-12)
-        if a != 0.0 and abs(math.sin(phi)) > 1e-6:
-            cot = math.cos(phi) / math.sin(phi)
-            assert cot == pytest.approx(par.h * q / a, rel=1e-9, abs=1e-9)
+def test_phi_branch_families_agree(g, ctx3):
+    verified(g, ctx3, {"core.phi_branches": 1e-12})
 
 
 @pytest.mark.parametrize("g", GRID)
@@ -180,42 +153,12 @@ def test_generating_v_euclidean():
 
 
 @pytest.mark.parametrize("g", [0.3, -0.9, 1.4])
-def test_generating_v_matches_metric_function(g, rng):
+def test_generating_v_matches_metric_function(g, ctx2):
     # |Z| V(q/Z) = K in 2D, both hemispheres
-    par = fl.make_parameter(g)
-    ctx = fl.MetricContext(2)
-    for _ in range(100):
-        z = rng.uniform(-2, 2)
-        q = rng.uniform(0, 2)
-        if abs(z) < 1e-3 or q + abs(z) < 0.1:
-            continue
-        w = q / z
-        k = fl.kfun(par, ctx, np.array([q, z]))
-        assert abs(z) * fl.generating_v(par, w) == pytest.approx(k, rel=1e-13)
+    verified(g, ctx2, {"core.scalar_identities": 1e-13})
 
 
 @pytest.mark.parametrize("g", [0.0, 0.8, -1.2, 1.5])
-def test_generating_derivative_identities(g, rng):
-    par = fl.make_parameter(g)
-    for w in rng.uniform(-3, 3, 40):
-        if abs(w) < 1e-2:
-            continue
-        qw = 1 + g * w + w * w
-        v = fl.generating_v(par, w)
-        vfun = lambda x: fl.generating_v(par, float(x))
-        assert float(numdiff.derivative(vfun, w)) == pytest.approx(w * v / qw, rel=2e-8, abs=1e-8)
-        assert float(numdiff.second_derivative(vfun, w)) == pytest.approx(
-            v / qw**2, rel=1e-5, abs=1e-5
-        )
-        jfun = lambda x: fl.generating_j(par, float(x))
-        assert float(numdiff.derivative(jfun, w)) == pytest.approx(
-            -0.5 * g * fl.generating_j(par, w) / qw, rel=2e-8, abs=1e-8
-        )
-        v2q = lambda x: vfun(x) ** 2 / (1 + g * x + x * x)
-        assert float(numdiff.derivative(v2q, w)) == pytest.approx(
-            -g * v * v / qw**2, rel=2e-8, abs=1e-8
-        )
-        v2q2 = lambda x: vfun(x) ** 2 / (1 + g * x + x * x) ** 2
-        assert float(numdiff.derivative(v2q2, w)) == pytest.approx(
-            -2 * (g + w) * v * v / qw**3, rel=2e-7, abs=2e-7
-        )
+def test_generating_derivative_identities(g, ctx3):
+    # V', V'', (V^2/Q)', j' and (V^2/Q^2)' by central differences
+    verified(g, ctx3, {"core.generating_derivatives": 1e-8})

@@ -1,5 +1,8 @@
 """Pullback machinery: scalar product, two-vector tensor, gradients,
-geodesics and axis angles in the original coordinates."""
+geodesics and axis angles in the original coordinates.  Their identities
+are the ``finslerops`` checks of ``finsleroid verify``, run on this file's
+grid (see checkgrid); the tests here add g = 0 values, bundle counts and
+errors."""
 
 import math
 import sys
@@ -8,8 +11,9 @@ import numpy as np
 import pytest
 
 import finsleroid as fl
-from finsleroid import numdiff
 from finsleroid.verify import draw_vectors
+
+from checkgrid import on_grid, verified
 
 GS = [0.0, 0.7, -1.1, 1.5]
 
@@ -21,28 +25,8 @@ def ctx(request):
     return fl.MetricContext(request.param)
 
 
-def image_pair(rng, ctx, par, min_frac=0.0, max_alpha=0.9 * math.pi):
-    for r_vec, s_vec in draw_vectors(rng, ctx, 64, min_frac=min_frac, unit=True).reshape(32, 2, ctx.n):
-        try:
-            al = fl.finsler_angle(par, ctx, r_vec, s_vec)
-        except fl.FinsleroidError:
-            continue
-        if al >= max_alpha or al < 1e-3:
-            continue
-        return r_vec, s_vec
-    raise AssertionError("no admissible image pair in 32 draws")
-
-
-@pytest.mark.parametrize("g", GS)
-def test_product_pullback_consistency(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(25):
-        r_vec, s_vec = image_pair(rng, ctx, par)
-        pp = fl.finsler_product(par, ctx, r_vec, s_vec)
-        t1 = fl.sigma_map(par, ctx, r_vec)
-        t2 = fl.sigma_map(par, ctx, s_vec)
-        assert pp.product == pytest.approx(fl.scalar_product(par, ctx, t1, t2), abs=1e-10)
-        assert pp.alpha == pytest.approx(fl.angle(par, ctx, t1, t2), abs=1e-10)
+# <R, S> and the angle equal those of the image pair
+test_product_pullback_consistency = on_grid(GS, {"finslerops.product": 1e-10})
 
 
 def test_product_special_values(ctx, rng):
@@ -58,55 +42,16 @@ def test_product_special_values(ctx, rng):
     )
 
 
-@pytest.mark.parametrize("g", GS)
-def test_product_homogeneity_and_w(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(15):
-        r_vec, s_vec = image_pair(rng, ctx, par)
-        pp = fl.finsler_product(par, ctx, r_vec, s_vec)
-        lam, mu = rng.uniform(0.3, 2.5, 2)
-        scaled = fl.finsler_product(par, ctx, lam * r_vec, mu * s_vec)
-        assert scaled.product == pytest.approx(lam * mu * pp.product, rel=1e-11, abs=1e-11)
-        assert pp.w >= 0.0
-        assert pp.m_r @ r_vec == pytest.approx(0.0, abs=1e-12)
-        if pp.s_r is not None:
-            assert pp.s_r @ r_vec == pytest.approx(0.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("g", [0.7, -1.1, 1.5])
-def test_m_vector_simplification(g, ctx, rng):
-    # simplified components equal the raw display away from the axis
-    par = fl.make_parameter(g)
-    for _ in range(15):
-        r_vec, s_vec = image_pair(rng, ctx, par, min_frac=0.05)
-        mv = fl.m_vector(par, ctx, r_vec, s_vec)
-        sb_r = fl.scalar_bundle(par, ctx, r_vec)
-        sb_s = fl.scalar_bundle(par, ctx, s_vec)
-        dot_bold = float(r_vec[:-1] @ ctx.r_ab @ s_vec[:-1])
-        num = sb_r.A * sb_s.A + par.h**2 * dot_bold
-        h2mn = sb_r.B * sb_s.A - num * sb_r.A
-        assert par.h**2 * mv[-1] == pytest.approx(h2mn, rel=1e-10, abs=1e-10)
-        h2ma = (
-            sb_r.B * (0.5 * par.g * r_vec[:-1] / sb_r.q * sb_s.A + par.h**2 * s_vec[:-1])
-            - num * (0.5 * par.g * r_vec[-1] + sb_r.q) * r_vec[:-1] / sb_r.q
-        ) @ ctx.r_ab
-        assert np.max(np.abs(par.h**2 * mv[:-1] - h2ma)) < 1e-10
-
-
-@pytest.mark.parametrize("g", [0.7, -1.1, 1.5])
-def test_product_gradients_fd(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(4):
-        r_vec, s_vec = image_pair(rng, ctx, par, min_frac=0.15)
-        d_r, d_s = fl.product_gradients(par, ctx, r_vec, s_vec)
-        fprod = lambda x, y: fl.finsler_product(par, ctx, x, y).product
-        assert np.max(np.abs(d_r - numdiff.gradient(lambda x: fprod(x, s_vec), r_vec))) < 1e-6
-        assert np.max(np.abs(d_s - numdiff.gradient(lambda y: fprod(r_vec, y), s_vec))) < 1e-6
+# <lam R, mu S> = lam mu <R, S> (relative), W^2 >= 0, M_p R^p = 0, S_p R^p = 0
+test_product_homogeneity_and_w = on_grid(GS, {"finslerops.product": 1e-12})
+# the simplified M against its display; the gradients' FD oracle (folded in at 1e-3) to 1e-6
+test_m_vector_simplification = on_grid([0.7, -1.1, 1.5], {"finslerops.gradients": 1e-10})
+test_product_gradients_fd = on_grid([0.7, -1.1, 1.5], {"finslerops.gradients": 1e-9})
 
 
 def test_product_gradients_euclidean(ctx, rng):
     par = fl.make_parameter(0.0)
-    r_vec, s_vec = image_pair(rng, ctx, par)
+    r_vec, s_vec = draw_vectors(rng, ctx, 2)
     d_r, d_s = fl.product_gradients(par, ctx, r_vec, s_vec)
     assert np.max(np.abs(d_r - ctx.lower(s_vec))) < 1e-12
     assert np.max(np.abs(d_s - ctx.lower(r_vec))) < 1e-12
@@ -133,7 +78,7 @@ def count_bundles(monkeypatch, fn, *args):
 
 def test_product_gradients_evaluates_each_bundle_once(ctx, rng, monkeypatch):
     par = fl.make_parameter(0.9)
-    r_vec, s_vec = image_pair(rng, ctx, par)
+    r_vec, s_vec = draw_vectors(rng, ctx, 2)
     assert count_bundles(monkeypatch, fl.product_gradients, par, ctx, r_vec, s_vec) == 2
 
 
@@ -150,121 +95,49 @@ def test_product_gradients_evaluates_each_bundle_once(ctx, rng, monkeypatch):
 )
 def test_each_bundle_evaluated_once(fn, vectors, ctx, rng, monkeypatch):
     par = fl.make_parameter(0.9)
-    r_vec, s_vec = image_pair(rng, ctx, par, min_frac=0.15)
+    r_vec, s_vec = draw_vectors(rng, ctx, 2, min_frac=0.15, unit=True)
     args = (r_vec, s_vec)[:vectors]
     assert count_bundles(monkeypatch, fn, par, ctx, *args) == vectors
 
 
 @pytest.mark.parametrize("g", GS)
 def test_two_vector_pullback(g, ctx, rng):
+    # G_pq = sigma_r sigma_s n; its swap symmetry, which the check folds in at
+    # 1e-2 beside its FD oracle, to 1e-7
+    verified(g, ctx, {"finslerops.two_vector": 1e-8})
     par = fl.make_parameter(g)
-    for _ in range(8):
-        r_vec, s_vec = image_pair(rng, ctx, par, min_frac=0.05)
-        big_g = fl.finsler_two_vector_tensor(par, ctx, r_vec, s_vec)
-        t1 = fl.sigma_map(par, ctx, r_vec)
-        t2 = fl.sigma_map(par, ctx, s_vec)
-        sj_r = fl.sigma_jacobian(par, ctx, r_vec)
-        sj_s = fl.sigma_jacobian(par, ctx, s_vec)
-        ntv = fl.two_vector_metric(par, ctx, t1, t2).n_lower
-        assert np.max(np.abs(big_g - np.einsum("rp,sq,rs->pq", sj_r, sj_s, ntv))) < 1e-8
-        assert np.max(np.abs(big_g - fl.finsler_two_vector_tensor(par, ctx, s_vec, r_vec).T)) < 1e-7
+    r, s = np.moveaxis(draw_vectors(rng, ctx, 16, min_frac=0.05, unit=True).reshape(8, 2, ctx.n), 1, 0)
+    near = fl.finsler_angle(par, ctx, r, s) < 0.9 * math.pi
+    big_g = fl.finsler_two_vector_tensor(par, ctx, r[near], s[near])
+    assert np.abs(big_g - np.swapaxes(fl.finsler_two_vector_tensor(par, ctx, s[near], r[near]), 1, 2)).max() < 1e-7
 
 
 def test_two_vector_fd_and_euclidean(ctx, rng):
-    par = fl.make_parameter(1.2)
-    r_vec, s_vec = image_pair(rng, ctx, par, min_frac=0.1)
-    big_g = fl.finsler_two_vector_tensor(par, ctx, r_vec, s_vec)
-    fd = numdiff.mixed_second(
-        lambda x, y: fl.finsler_product(par, ctx, x, y).product, r_vec, s_vec
-    )
-    assert np.max(np.abs(big_g - fd)) < 1e-5
-    par0 = fl.make_parameter(0.0)
-    r0, s0 = image_pair(rng, ctx, par0)
-    assert np.max(np.abs(fl.finsler_two_vector_tensor(par0, ctx, r0, s0) - ctx.r_pq)) < 1e-9
+    verified(1.2, ctx, {"finslerops.two_vector": 1e-7})  # the FD oracle, folded in at 1e-2, to 1e-5
+    r0, s0 = draw_vectors(rng, ctx, 2)
+    assert np.max(np.abs(fl.finsler_two_vector_tensor(fl.make_parameter(0.0), ctx, r0, s0) - ctx.r_pq)) < 1e-9
 
 
-@pytest.mark.parametrize("g", [0.8, 1.5])
-def test_two_vector_coincidence(g, ctx, rng):
-    par = fl.make_parameter(g)
-    r_vec = draw_vectors(rng, ctx, 1, min_frac=0.15, unit=True)[0]
-    v = 0.3 * draw_vectors(rng, ctx, 1, unit=True)[0]
-    errs = []
-    for eps in (1e-1, 1e-2, 1e-3):
-        big_g = fl.finsler_two_vector_tensor(par, ctx, r_vec, r_vec + eps * v)
-        errs.append(float(np.max(np.abs(big_g - fl.metric_tensor(par, ctx, r_vec)))))
-    assert errs[2] < errs[1] < errs[0]
+# G_pq(R, R + eps v) -> g_pq(R) monotonically along eps = 1e-1, 1e-2, 1e-3
+test_two_vector_coincidence = on_grid([0.8, 1.5], {"finslerops.coincidence": 0.5})
 
 
 @pytest.mark.parametrize("g", GS)
-def test_finsler_geodesic(g, ctx, rng):
-    par = fl.make_parameter(g)
-    done = 0
-    for r1, r2 in draw_vectors(rng, ctx, 32).reshape(16, 2, ctx.n):
-        try:
-            ch = fl.finsler_chord(par, ctx, r1, r2)
-        except fl.FinsleroidError:
-            continue
-        done += 1
-        pts = fl.finsler_geodesic(par, ctx, r1, r2, np.array([0.0, ch.delta_s]))
-        assert np.max(np.abs(pts[0] - r1)) < 1e-9
-        assert np.max(np.abs(pts[-1] - r2)) < 1e-9
-        if done == 4:
-            break
-    assert done == 4
-    # straight at g = 0
-    par0 = fl.make_parameter(0.0)
-    r1, r2 = draw_vectors(rng, ctx, 2)
-    try:
-        ch = fl.finsler_chord(par0, ctx, r1, r2)
-        mids = fl.finsler_geodesic(par0, ctx, r1, r2, np.array([0.5 * ch.delta_s]))
-        lerp = r1 + (r2 - r1) * 0.5
-        assert np.max(np.abs(mids[0] - lerp)) < 1e-10
-    except fl.FinsleroidError:
-        pass
+def test_finsler_geodesic(g, ctx):
+    # both endpoints; straight at g = 0, where sigma is the identity and the chord a line
+    verified(g, ctx, {"finslerops.geodesic": 1e-9})
+    verified(0.0, ctx, {"euclidean.degeneration": 1e-10})
 
 
-@pytest.mark.parametrize("g", [0.9, -1.3])
-def test_finsler_arc_length(g, ctx, rng):
-    par = fl.make_parameter(g)
-    done = 0
-    for r1, r2 in draw_vectors(rng, ctx, 32).reshape(16, 2, ctx.n):
-        if done == 2:
-            break
-        try:
-            ch = fl.finsler_chord(par, ctx, r1, r2)
-        except fl.FinsleroidError:
-            continue
-        if math.sqrt(max(ch.a**2 - ch.b**2, 0.0)) < 0.3 * max(ch.a, ch.s_end):
-            continue  # quadrature oracle needs the path away from the origin
-        done += 1
-        segs = 2000
-        pts = fl.finsler_geodesic(par, ctx, r1, r2, np.linspace(0.0, ch.delta_s, segs + 1))
-        mid = 0.5 * (pts[1:] + pts[:-1])
-        dp = pts[1:] - pts[:-1]
-        total = 0.0
-        for i in range(segs):
-            gm = fl.metric_tensor(par, ctx, mid[i])
-            total += math.sqrt(max(float(dp[i] @ gm @ dp[i]), 0.0))
-        assert total == pytest.approx(ch.delta_s, rel=2e-5)
-    assert done == 2
+test_finsler_arc_length = on_grid([0.9, -1.3], {"finslerops.geodesic_arc": 2e-5})
 
 
 @pytest.mark.parametrize("g", GS)
-def test_axis_angles(g, ctx, rng):
-    par = fl.make_parameter(g)
-    e_n = np.zeros(ctx.n)
-    e_n[-1] = 1.0
-    for r_vec in draw_vectors(rng, ctx, 20):
-        a_axis, a_plane = fl.axis_angles(par, ctx, r_vec)
-        assert 0.0 <= a_axis <= math.pi / par.h
-        assert 0.0 <= a_plane <= math.pi / par.h
-        assert a_axis == pytest.approx(fl.finsler_angle(par, ctx, r_vec, e_n), abs=1e-10)
-    assert fl.axis_angles(par, ctx, e_n)[0] == pytest.approx(0.0, abs=1e-14)
-    # euclidean polar angle at g = 0
-    par0 = fl.make_parameter(0.0)
-    r_vec = draw_vectors(rng, ctx, 1)[0]
-    polar = math.acos(np.clip(r_vec[-1] / ctx.s_norm(r_vec), -1, 1))
-    assert fl.axis_angles(par0, ctx, r_vec)[0] == pytest.approx(polar, abs=1e-12)
+def test_axis_angles(g, ctx):
+    # both angles in [0, pi/h], the axis angle that against e_N, 0 at e_N; at g = 0
+    # the euclidean polar angle, as sigma is the identity and the angle euclidean
+    verified(g, ctx, {"finslerops.axis_angles": 1e-14})
+    verified(0.0, ctx, {"euclidean.degeneration": 1e-12})
 
 
 def test_collinear_images_rejected(ctx, rng):

@@ -1,5 +1,7 @@
 """Closed-form geodesics, the deformed angle, scalar product, distance,
-and the auxiliary gradient vectors."""
+and the auxiliary gradient vectors.  Their identities are the
+``geodesics`` checks of ``finsleroid verify``, run on this file's grid (see
+checkgrid); the tests here add frozen examples, limits and errors."""
 
 import math
 
@@ -7,8 +9,9 @@ import numpy as np
 import pytest
 
 import finsleroid as fl
-from finsleroid import numdiff
 from finsleroid.verify import draw_pairs, draw_vectors
+
+from checkgrid import on_grid, verified
 
 GS = [0.0, 0.7, -1.1, 1.5]
 
@@ -18,11 +21,6 @@ def ctx(request):
     if request.param == 3:
         return fl.MetricContext(3, np.array([[1.1, 0.25], [0.25, 0.85]]))
     return fl.MetricContext(request.param)
-
-
-def chord_pair(rng, ctx, par):
-    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1, max_alpha=0.95 * math.pi)
-    return t1, t2
 
 
 def test_angle_frozen_example():
@@ -71,32 +69,10 @@ def test_sine_floor_only_at_whitened_rows(rng):
         assert fl.MetricContext(3, scale * np.eye(2)).sine_floor == 3 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("g", GS)
-def test_angle_additivity_and_scaling(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for t1, t3 in zip(*draw_pairs(rng, ctx, par, 40, max_alpha=0.9 * math.pi)):
-        lam, mu = rng.uniform(0.2, 2.0, 2)
-        t2 = lam * t1 + mu * t3
-        assert fl.angle(par, ctx, t1, t3) == pytest.approx(
-            fl.angle(par, ctx, t1, t2) + fl.angle(par, ctx, t2, t3), abs=1e-10
-        )
-        assert fl.angle(par, ctx, lam * t1, mu * t3) == pytest.approx(
-            fl.angle(par, ctx, t1, t3), abs=5e-13
-        )
-
-
-@pytest.mark.parametrize("g", GS)
-def test_pair_invariants_identities(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 40)):
-        inv = fl.pair_invariants(par, ctx, t1, t2)
-        assert ctx.dot(t1, inv.d1) == pytest.approx(0.0, abs=1e-11)
-        assert ctx.dot(t2, inv.d2) == pytest.approx(0.0, abs=1e-11)
-        assert ctx.dot(inv.d1, inv.d2) == pytest.approx(-inv.dot12, abs=1e-11)
-        assert ctx.dot(inv.d1, inv.d1) == pytest.approx(inv.dot11, rel=1e-11)
-        assert ctx.dot(inv.d2, inv.d2) == pytest.approx(inv.dot22, rel=1e-11)
-        assert ctx.dot(inv.d1, t2) == pytest.approx(inv.u, rel=1e-11)
-        assert ctx.dot(t1, inv.d2) == pytest.approx(inv.u, rel=1e-11)
+# additivity for coplanar triples, scale invariance (to rounding)
+test_angle_additivity_and_scaling = on_grid(GS, {"geodesics.angle_properties": 5e-13})
+# the d-vector battery
+test_pair_invariants_identities = on_grid(GS, {"geodesics.pair_invariants": 1e-13})
 
 
 def test_pair_invariants_collinear(ctx, rng):
@@ -145,48 +121,15 @@ def test_chord_angle_domain():
     assert ok.delta_s > 0.0
 
 
-@pytest.mark.parametrize("g", GS)
-def test_chord_split_identities(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(40):
-        t1, t2 = chord_pair(rng, ctx, par)
-        ch = fl.solve_chord(par, ctx, t1, t2)
-        c = math.sqrt(max(ch.a**2 - ch.b**2, 0.0))
-        assert c * ch.delta_s == pytest.approx(
-            ch.a * ch.s_end * math.sin(ch.alpha), abs=1e-11
-        )
-        assert ch.a**2 + ch.b * ch.delta_s == pytest.approx(
-            ch.a * ch.s_end * math.cos(ch.alpha), abs=1e-11
-        )
-        assert ch.delta_s**2 == pytest.approx(
-            fl.distance_squared(par, ctx, t1, t2), rel=1e-12
-        )
-        # rewritten radius identity S^2(ds) = ds^2 - a^2 + 2(a^2 + b ds)
-        assert ch.radius(ch.delta_s) ** 2 == pytest.approx(
-            ch.delta_s**2 - ch.a**2 + 2.0 * (ch.a**2 + ch.b * ch.delta_s), rel=1e-12
-        )
-
-
-@pytest.mark.parametrize("g", GS)
-def test_geodesic_point_boundary_and_radius(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(25):
-        t1, t2 = chord_pair(rng, ctx, par)
-        ch = fl.solve_chord(par, ctx, t1, t2)
-        assert np.max(np.abs(fl.geodesic_point(ch, 0.0) - t1)) < 1e-11
-        assert np.max(np.abs(fl.geodesic_point(ch, ch.delta_s) - t2)) < 1e-11
-        ss = np.linspace(0.0, ch.delta_s, 9)
-        pts = fl.geodesic_point(ch, ss)
-        radii = np.sqrt(np.einsum("ip,pq,iq->i", pts, ctx.r_pq, pts))
-        assert np.max(np.abs(radii - ch.radius(ss))) < 1e-11
-        # plane curve
-        qmat = np.linalg.qr(np.stack([t1, t2], axis=1))[0]
-        assert np.max(np.abs(pts - pts @ qmat @ qmat.T)) < 1e-11
+# sin/cos split, Delta s^2 = |t2 (-) t1|^2 (relative), the radius at Delta s
+test_chord_split_identities = on_grid(GS, {"geodesics.chord_constants": 1e-12})
+# t(0) = t1, t(Delta s) = t2, radius S(s), plane curve
+test_geodesic_point_boundary_and_radius = on_grid(GS, {"geodesics.endpoints": 1e-11})
 
 
 def test_geodesic_straight_at_g_zero(ctx, rng):
     par = fl.make_parameter(0.0)
-    t1, t2 = chord_pair(rng, ctx, par)
+    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1, max_alpha=0.95 * math.pi)
     ch = fl.solve_chord(par, ctx, t1, t2)
     ss = np.linspace(0.0, ch.delta_s, 11)
     pts = fl.geodesic_point(ch, ss)
@@ -194,39 +137,14 @@ def test_geodesic_straight_at_g_zero(ctx, rng):
     assert np.max(np.abs(pts - lerp)) < 1e-12
 
 
-@pytest.mark.parametrize("g", GS)
-def test_geodesic_ode_residual(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 6, unit=True, max_alpha=0.95 * math.pi)):
-        ch = fl.solve_chord(par, ctx, t1, t2)
-        c2 = ch.a**2 - ch.b**2
-        for s in np.linspace(0.2, 0.8, 3) * ch.delta_s:
-            if ch.radius(s) < 0.3 * max(ch.a, ch.s_end):
-                continue
-            d2 = numdiff.second_derivative(lambda x: fl.geodesic_point(ch, x), float(s))
-            rhs = 0.25 * par.g**2 * c2 * fl.geodesic_point(ch, float(s)) / ch.radius(float(s)) ** 4
-            assert np.max(np.abs(d2 - rhs)) < 1e-6
-
-
-@pytest.mark.parametrize("g", GS)
-def test_geodesic_velocity(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 8, unit=True, max_alpha=0.95 * math.pi)):
-        ch = fl.solve_chord(par, ctx, t1, t2)
-        ss = np.linspace(0.1, 0.9, 6) * ch.delta_s
-        pts = fl.geodesic_point(ch, ss)
-        vel = fl.geodesic_velocity(ch, ss)
-        for i, s in enumerate(ss):
-            fd = numdiff.derivative(lambda x: fl.geodesic_point(ch, x), float(s))
-            assert np.max(np.abs(vel[i] - fd)) < 1e-7
-            assert ctx.dot(pts[i], vel[i]) == pytest.approx(ch.b + s, abs=1e-9)
-            ng = fl.quasi_metric(par, ctx, pts[i]).n_lower
-            assert vel[i] @ ng @ vel[i] == pytest.approx(1.0, abs=1e-8)
+test_geodesic_ode_residual = on_grid(GS, {"geodesics.ode_residual": 1e-6})
+# unit speed, t . t' = b + s, and the FD oracle (folded in at 1e-2) to 1e-7
+test_geodesic_velocity = on_grid(GS, {"geodesics.velocity": 1e-9})
 
 
 def test_geodesic_velocity_constant_at_g_zero(ctx, rng):
     par = fl.make_parameter(0.0)
-    t1, t2 = chord_pair(rng, ctx, par)
+    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1, max_alpha=0.95 * math.pi)
     ch = fl.solve_chord(par, ctx, t1, t2)
     expected = (t2 - t1) / ch.delta_s
     for s in (0.0, 0.3 * ch.delta_s, ch.delta_s):
@@ -235,7 +153,7 @@ def test_geodesic_velocity_constant_at_g_zero(ctx, rng):
 
 def test_in_segment_flag(ctx, rng):
     par = fl.make_parameter(0.6)
-    t1, t2 = chord_pair(rng, ctx, par)
+    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1, max_alpha=0.95 * math.pi)
     ch = fl.solve_chord(par, ctx, t1, t2)
     flags = fl.in_segment(ch, np.array([-0.1, 0.0, 0.5 * ch.delta_s, ch.delta_s, ch.delta_s + 0.1]))
     assert list(flags) == [False, True, True, True, False]
@@ -244,41 +162,24 @@ def test_in_segment_flag(ctx, rng):
     assert np.all(np.isfinite(out))
 
 
-@pytest.mark.parametrize("g", GS)
-def test_arc_length_equals_parameter(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(4):
-        t1, t2 = chord_pair(rng, ctx, par)
-        ch = fl.solve_chord(par, ctx, t1, t2)
-        sg = np.linspace(0.0, ch.delta_s, 1001)
-        pts = fl.geodesic_point(ch, sg)
-        mid = 0.5 * (pts[1:] + pts[:-1])
-        dp = pts[1:] - pts[:-1]
-        s_mid = np.sqrt(np.einsum("ip,pq,iq->i", mid, ctx.r_pq, mid))
-        dr2 = np.einsum("ip,pq,iq->i", dp, ctx.r_pq, dp)
-        ldot = np.einsum("ip,pq,iq->i", mid, ctx.r_pq, dp) / s_mid
-        length = float(np.sum(np.sqrt(dr2 / par.h**2 - 0.25 * par.big_g**2 * ldot**2)))
-        assert length == pytest.approx(ch.delta_s, rel=1e-5)
+test_arc_length_equals_parameter = on_grid(GS, {"geodesics.arc_length": 1e-5})
 
 
 @pytest.mark.parametrize("g", GS)
 def test_length_gradients(g, ctx, rng):
+    # the FD oracle, folded into the check at 1e-3, to 1e-6; the Euler
+    # contraction, which the check holds only at its total, to 1e-10 relative
+    verified(g, ctx, {"geodesics.length_gradients": 1e-9})
     par = fl.make_parameter(g)
-    for t1, t2 in zip(*draw_pairs(rng, ctx, par, 10, unit=True, max_alpha=0.95 * math.pi)):
-        b1, b2 = fl.length_gradients(par, ctx, t1, t2)
-        fd1 = 0.5 * numdiff.gradient(lambda x: fl.distance_squared(par, ctx, x, t2), t1)
-        fd2 = 0.5 * numdiff.gradient(lambda y: fl.distance_squared(par, ctx, t1, y), t2)
-        assert np.max(np.abs(b1 - fd1)) < 1e-6
-        assert np.max(np.abs(b2 - fd2)) < 1e-6
-        # Euler contraction of the 2-homogeneous squared length
-        assert t1 @ b1 + t2 @ b2 == pytest.approx(
-            fl.distance_squared(par, ctx, t1, t2), rel=1e-10
-        )
+    t1, t2 = draw_pairs(rng, ctx, par, 10, unit=True, max_alpha=0.95 * math.pi)
+    b1, b2 = fl.length_gradients(par, ctx, t1, t2)
+    euler = np.einsum("ip,ip->i", t1, b1) + np.einsum("ip,ip->i", t2, b2)
+    assert np.abs(euler / fl.distance_squared(par, ctx, t1, t2) - 1.0).max() < 1e-10
 
 
 def test_length_gradients_euclidean(ctx, rng):
     par = fl.make_parameter(0.0)
-    t1, t2 = chord_pair(rng, ctx, par)
+    (t1,), (t2,) = draw_pairs(rng, ctx, par, 1, max_alpha=0.95 * math.pi)
     b1, b2 = fl.length_gradients(par, ctx, t1, t2)
     assert np.max(np.abs(b1 - ctx.lower(t1 - t2))) < 1e-12
     assert np.max(np.abs(b2 - ctx.lower(t2 - t1))) < 1e-12
@@ -317,18 +218,8 @@ def test_length_gradients_vanish_at_coincidence(ctx, rng):
 
 @pytest.mark.parametrize("g", [0.5, 1.5])
 def test_fundamental_ratio_limit(g, ctx, rng):
+    verified(g, ctx, {"geodesics.fundamental_limit": 1e-3})
     par = fl.make_parameter(g)
-    for t, v in draw_vectors(rng, ctx, 40, unit=True).reshape(20, 2, ctx.n):
-        t2 = t + 1e-4 * v
-        inv = fl.pair_invariants(par, ctx, t, t2)
-        ratio = (
-            inv.dot11
-            * inv.dot22
-            / (par.h * math.sqrt(inv.dot11 * inv.dot22))
-            * math.sin(inv.alpha)
-            / inv.u
-        )
-        assert ratio == pytest.approx(1.0 / par.h**2, abs=1e-3)
     # the error shrinks along a shrinking sequence
     errs = []
     t, v = draw_vectors(rng, ctx, 2, unit=True)

@@ -1,5 +1,7 @@
 """Quasi-euclidean map, its Jacobians, the image metric, Christoffels,
-curvature and the conformal flattening."""
+curvature and the conformal flattening.  Their identities are the
+``quasimap`` checks of ``finsleroid verify``, run on this file's grid (see
+checkgrid); the tests here add limits, g = 0 values, rows and errors."""
 
 import math
 
@@ -8,19 +10,11 @@ import pytest
 
 import finsleroid as fl
 from finsleroid import numdiff
+from finsleroid.verify import draw_vectors
+
+from checkgrid import on_grid
 
 GS = [0.0, 0.7, -1.1, 1.5]
-
-
-def sample(rng, ctx, min_frac=0.0, unit=False):
-    while True:
-        v = rng.uniform(-1, 1, ctx.n)
-        s = ctx.s_norm(v)
-        if s < 0.3:
-            continue
-        if min_frac and (ctx.m(v) < min_frac * s or abs(v[-1]) < min_frac * s):
-            continue
-        return v / s if unit else v
 
 
 @pytest.fixture(params=[2, 3, 5])
@@ -32,62 +26,19 @@ def ctx(request):
 
 def test_identity_map_at_g_zero(ctx, rng):
     par = fl.make_parameter(0.0)
-    v = sample(rng, ctx)
+    v = draw_vectors(rng, ctx, 1)[0]
     assert np.allclose(fl.sigma_map(par, ctx, v), v, atol=1e-15)
     assert np.allclose(fl.mu_map(par, ctx, v), v, atol=1e-15)
     assert np.allclose(fl.sigma_jacobian(par, ctx, v), np.eye(ctx.n), atol=1e-15)
     assert np.allclose(fl.mu_jacobian(par, ctx, v), np.eye(ctx.n), atol=1e-15)
 
 
-@pytest.mark.parametrize("g", GS)
-def test_image_norm_is_metric_function(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(40):
-        v = sample(rng, ctx)
-        t = fl.sigma_map(par, ctx, v)
-        assert ctx.s_norm(t) == pytest.approx(fl.kfun(par, ctx, v), rel=1e-13)
-    # level surface K = 1 lands on the unit sphere
-    v = sample(rng, ctx)
-    vn = v / fl.kfun(par, ctx, v)
-    assert ctx.s_norm(fl.sigma_map(par, ctx, vn)) == pytest.approx(1.0, abs=1e-12)
-    # homogeneity of degree 1
-    assert np.allclose(
-        fl.sigma_map(par, ctx, 2.5 * v), 2.5 * fl.sigma_map(par, ctx, v), atol=1e-13
-    )
-
-
-@pytest.mark.parametrize("g", GS)
-def test_roundtrip(g, ctx, rng):
-    par = fl.make_parameter(g)
-    worst = 0.0
-    for _ in range(250):
-        v = sample(rng, ctx)
-        t = sample(rng, ctx)
-        worst = max(
-            worst,
-            float(np.max(np.abs(fl.mu_map(par, ctx, fl.sigma_map(par, ctx, v)) - v))),
-            float(np.max(np.abs(fl.sigma_map(par, ctx, fl.mu_map(par, ctx, t)) - t))),
-        )
-    assert worst < 1e-10
-    t = sample(rng, ctx)
-    assert fl.kfun(par, ctx, fl.mu_map(par, ctx, t / ctx.s_norm(t))) == pytest.approx(
-        1.0, abs=1e-12
-    )
-
-
-@pytest.mark.parametrize("g", GS)
-def test_sigma_jacobian(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(8):
-        v = sample(rng, ctx, min_frac=0.1, unit=True)
-        sj = fl.sigma_jacobian(par, ctx, v)
-        fd = numdiff.jacobian(lambda x: fl.sigma_map(par, ctx, x), v)
-        assert np.max(np.abs(sj - fd)) < 1e-6
-        sb = fl.scalar_bundle(par, ctx, v)
-        assert float(np.linalg.det(sj)) == pytest.approx(
-            par.h ** (ctx.n - 1) * sb.J**ctx.n, rel=1e-11
-        )
-        assert np.max(np.abs(sj @ v - fl.sigma_map(par, ctx, v))) < 1e-12
+# S(sigma(R)) = K, the level surface K = 1 onto the unit sphere; sigma 1-homogeneous
+test_image_norm_is_metric_function = on_grid(GS, {"quasimap.sigma_norm": 1e-13})
+# mu(sigma(R)) = R, sigma(mu(t)) = t, K(mu(t/S)) = 1
+test_roundtrip = on_grid(GS, {"quasimap.map_roundtrip": 1e-12})
+# the FD oracle; det(d sigma) = h^(N-1) J^N (relative), Euler contraction
+test_sigma_jacobian = on_grid(GS, {"quasimap.sigma_jacobian_fd": 1e-6, "quasimap.sigma_jacobian_exact": 1e-12})
 
 
 def test_sigma_jacobian_on_axis(ctx, rng):
@@ -104,7 +55,7 @@ def test_sigma_jacobian_on_axis(ctx, rng):
         sj = fl.sigma_jacobian(par, ctx, axis)
         fd = numdiff.jacobian(lambda x: fl.sigma_map(par, ctx, x), axis, scale=1e-8)
         assert np.max(np.abs(sj - fd)) < 1e-6
-        s_vec = sample(rng, ctx, min_frac=0.2, unit=True)
+        s_vec = draw_vectors(rng, ctx, 1, min_frac=0.2, unit=True)[0]
         big_g = fl.finsler_two_vector_tensor(par, ctx, axis, s_vec)
         fd = numdiff.mixed_second(
             lambda x, y: fl.finsler_product(par, ctx, x, y).product, axis, s_vec, scale=1e-5
@@ -116,139 +67,26 @@ def test_sigma_jacobian_on_axis(ctx, rng):
         assert np.max(np.abs(fl.mu_jacobian(par, ctx, t) - inverse)) <= 1e-15 * np.max(np.abs(inverse))
 
 
-@pytest.mark.parametrize("g", GS)
-def test_mu_jacobian(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(25):
-        v = sample(rng, ctx, min_frac=0.05)
-        t = fl.sigma_map(par, ctx, v)
-        sj = fl.sigma_jacobian(par, ctx, v)
-        mj = fl.mu_jacobian(par, ctx, t)
-        assert np.max(np.abs(mj @ sj - np.eye(ctx.n))) < 1e-8
-        assert np.max(np.abs(mj @ t - v)) < 1e-12
-        # covector pullbacks
-        rl = fl.gradient_covector(par, ctx, v)
-        tl = ctx.lower(t)
-        assert np.max(np.abs(rl @ mj - tl)) < 1e-11
-        assert np.max(np.abs(tl @ sj - rl)) < 1e-11
-
-
-@pytest.mark.parametrize("g", GS)
-def test_quasi_metric_structure(g, ctx, rng):
-    par = fl.make_parameter(g)
-    det_r = float(np.linalg.det(ctx.r_ab))
-    for _ in range(30):
-        t = sample(rng, ctx)
-        qg = fl.quasi_metric(par, ctx, t)
-        s = ctx.s_norm(t)
-        l_up = t / s
-        l_low = ctx.lower(l_up)
-        assert np.max(np.abs(qg.n_lower @ qg.n_upper - np.eye(ctx.n))) < 1e-12
-        assert float(np.linalg.det(qg.n_lower)) == pytest.approx(
-            par.h ** (2 * (1 - ctx.n)) * det_r, rel=1e-11
-        )
-        assert np.max(np.abs(qg.h_lower @ l_up)) < 1e-14
-        assert np.max(np.abs(qg.n_lower @ l_up - l_low)) < 1e-14
-        assert t @ qg.n_lower @ t == pytest.approx(s * s, rel=1e-14)
-        assert np.max(np.abs(qg.h_lower - par.h**2 * (qg.n_lower - np.outer(l_low, l_low)))) < 1e-14
-
-
-@pytest.mark.parametrize("g", GS)
-def test_metric_pullback(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(15):
-        v = sample(rng, ctx, min_frac=0.05)
-        t = fl.sigma_map(par, ctx, v)
-        sj = fl.sigma_jacobian(par, ctx, v)
-        qg = fl.quasi_metric(par, ctx, t)
-        pulled = np.einsum("rp,sq,rs->pq", sj, sj, qg.n_lower)
-        assert np.max(np.abs(pulled - fl.metric_tensor(par, ctx, v))) < 1e-9
-        pulled_h = np.einsum("rp,sq,rs->pq", sj, sj, qg.h_lower) / par.h**2
-        assert np.max(np.abs(pulled_h - fl.angular_tensor(par, ctx, v))) < 1e-9
-        pushed = np.einsum("rp,sq,pq->rs", sj, sj, fl.inverse_metric(par, ctx, v))
-        assert np.max(np.abs(pushed - qg.n_upper)) < 1e-9
-
-
-@pytest.mark.parametrize("g", GS)
-def test_angle_image_and_units(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(25):
-        v = sample(rng, ctx, min_frac=0.05)
-        t = fl.sigma_map(par, ctx, v)
-        assert fl.phi_angle(par, ctx, t) == pytest.approx(
-            fl.scalar_bundle(par, ctx, v).phi, abs=1e-12
-        )
-        sj = fl.sigma_jacobian(par, ctx, v)
-        mj = fl.mu_jacobian(par, ctx, t)
-        l_up = t / ctx.s_norm(t)
-        lvec = v / fl.kfun(par, ctx, v)
-        assert np.max(np.abs(sj @ lvec - l_up)) < 1e-12
-        assert np.max(np.abs(mj @ l_up - lvec)) < 1e-12
-
-
-@pytest.mark.parametrize("g", GS)
-def test_christoffel_identities(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(20):
-        t = sample(rng, ctx)
-        nc = fl.quasi_metric(par, ctx, t).christoffel
-        assert np.max(np.abs(np.einsum("p,prq->rq", t, nc))) < 1e-13
-        assert np.max(np.abs(np.einsum("pss->p", nc))) < 1e-13
-        assert np.max(np.abs(np.einsum("tsr,ptq->psrq", nc, nc))) < 1e-13
-
-
-@pytest.mark.parametrize("g", [0.7, -1.1, 1.5])
-def test_metric_derivative_closed_form(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(5):
-        t = sample(rng, ctx, unit=True)
-        fd = numdiff.jacobian(lambda x: fl.quasi_metric(par, ctx, x).n_lower, t)
-        assert np.max(np.abs(fd - fl.quasi_metric_derivative(par, ctx, t))) < 1e-7
-
-
-@pytest.mark.parametrize("g", GS)
-def test_curvature_closed_vs_finite_difference(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(5):
-        t = sample(rng, ctx, unit=True)
-        qg = fl.quasi_metric(par, ctx, t)
-        dg = numdiff.jacobian(lambda x: fl.quasi_metric(par, ctx, x).christoffel, t)
-        nc = qg.christoffel
-        mixed = (
-            dg
-            - np.transpose(dg, (0, 1, 3, 2))
-            + np.einsum("pwq,wrs->prqs", nc, nc)
-            - np.einsum("pws,wrq->prqs", nc, nc)
-        )
-        lowered = np.einsum("rw,pwqs->prqs", ctx.r_pq, mixed)
-        assert np.max(np.abs(lowered - qg.curvature)) < 1e-6
-        s = ctx.s_norm(t)
-        for axis_idx in range(4):
-            contracted = np.tensordot(qg.curvature, t / s, axes=([axis_idx], [0]))
-            assert np.max(np.abs(contracted)) < 1e-13
-
-
-@pytest.mark.parametrize("g", GS)
-def test_conformal_flattening(g, ctx, rng):
-    par = fl.make_parameter(g)
-    for _ in range(20):
-        t = sample(rng, ctx)
-        img, f = fl.conformal_flatten(par, ctx, t)
-        assert np.allclose(img, f * t / par.h, atol=1e-14)
-        kj = fl.conformal_jacobian(par, ctx, t)
-        qg = fl.quasi_metric(par, ctx, t)
-        push = np.einsum("pr,qs,rs->pq", kj, kj, qg.n_upper)
-        assert np.max(np.abs(push - f * f * ctx.r_pq_inv)) < 1e-10
-    # FD oracle for the analytic jacobian
-    t = sample(rng, ctx, unit=True)
-    kj = fl.conformal_jacobian(par, ctx, t)
-    fd = numdiff.jacobian(lambda x: fl.conformal_flatten(par, ctx, x)[0], t)
-    assert np.max(np.abs(kj - fd)) < 1e-7
+# d mu d sigma = 1, d mu t = R, the covector pullbacks
+test_mu_jacobian = on_grid(GS, {"quasimap.mu_jacobian": 1e-12})
+# n n^-1 = 1, det(n) (relative), H L = 0, n L = L, n t t = S^2, H = h^2 (n - L L)
+test_quasi_metric_structure = on_grid(GS, {"quasimap.quasi_metric": 1e-14})
+# g_pq, h_pq and g^pq through the jacobian
+test_metric_pullback = on_grid(GS, {"quasimap.metric_pullback": 1e-9})
+# phi(sigma(R)) = Phi(R); unit vectors and covectors through the jacobians
+test_angle_image_and_units = on_grid(GS, {"quasimap.angle_image": 1e-12})
+# t N = 0, trace-free, quadratic contraction
+test_christoffel_identities = on_grid(GS, {"quasimap.christoffel": 1e-13})
+test_metric_derivative_closed_form = on_grid([0.7, -1.1, 1.5], {"quasimap.metric_derivative": 1e-7})
+# the FD-assembled definition; L-transversality in each index
+test_curvature_closed_vs_finite_difference = on_grid(GS, {"quasimap.curvature_fd": 1e-6, "quasimap.quasi_metric": 1e-13})
+# image f t/h, pushforward f^2 r^pq; the FD oracle of the jacobian
+test_conformal_flattening = on_grid(GS, {"quasimap.conformal": 1e-14, "quasimap.conformal_jacobian_fd": 1e-7})
 
 
 def test_conformal_special_values(ctx, rng):
     par0 = fl.make_parameter(0.0)
-    t = sample(rng, ctx)
+    t = draw_vectors(rng, ctx, 1)[0]
     img, f = fl.conformal_flatten(par0, ctx, t)
     assert f == 1.0
     assert np.allclose(img, t, atol=1e-15)

@@ -873,6 +873,24 @@ def test_whitened_row_out_of_range_is_a_domain_error():
         fl.metric_tensor(par, tiny, np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
 
 
+def test_mapped_output_out_of_range_is_a_domain_error():
+    # an output finite in the whitened frame can leave float64 as it is
+    # mapped back: at r_ab = diag(1e-305, 1) g^11 does (from row 0 on, at
+    # g = 1.9), and at diag(1e-320, 1) the map of a two-index field itself
+    # holds entries beyond float64; a typed error naming the first row, with
+    # no warning on the way, building the context included
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.random.default_rng(0).uniform(-1.0, 1.0, (2000, 3))
+        ctx = fl.MetricContext(3, np.diag([1e-305, 1.0]))
+        with pytest.raises(fl.NumericalDomainError, match=r"inverse metric is not finite at this scale \(row 0\)"):
+            fl.inverse_metric(fl.make_parameter(1.9), ctx, rows)
+        tiny = fl.MetricContext(3, np.diag([1e-320, 1.0]))
+        for kernel in (fl.inverse_metric, fl.tensor_stack, fl.cartan_tensor, fl.quasi_metric):
+            with pytest.raises(fl.NumericalDomainError, match=r"is not finite at this scale \(row 0\)"):
+                kernel(fl.make_parameter(1.0), tiny, np.ones((2, 3)))
+
+
 @pytest.mark.parametrize("g", [0.0, 1.0, -1.5])
 def test_image_side_scale_extremes(g):
     # the image-side kernels and axis_angles follow their degree out to the

@@ -16,6 +16,8 @@ from finsleroid.geodesics import _pair_dots
 from finsleroid.twovector import co_regime_gap
 from finsleroid.verify import CHECKS, RunConfig, parse_metric_spec, report_to_json, run_verify
 
+from checkgrid import GATES, check_residual
+
 
 def test_report_structure_and_pass():
     rep = run_verify(RunConfig(g=0.5, dim=3, seed=3, trials=10))
@@ -402,6 +404,89 @@ def test_checks_fail_on_a_faulty_kernel(monkeypatch, check_id):
     name, fault = FAULTS[check_id]
     monkeypatch.setattr(V, name, fault(getattr(V, name)))
     assert fn(par, ctx, np.random.default_rng(5), 16, tol)[1] > tol
+
+
+def _scaled_output(out, field):
+    """A kernel's output with its float value, or the float field ``field``
+    of its record or tuple, scaled by 1 + 1e-6."""
+    scale = lambda x: None if x is None else x * (1 + 1e-6)
+    if field is None:
+        return scale(out)
+    if isinstance(field, int):
+        return tuple(scale(x) if i == field else x for i, x in enumerate(out))
+    if dataclasses.is_dataclass(out):
+        return dataclasses.replace(out, **{field: scale(getattr(out, field))})
+    return out._replace(**{field: scale(getattr(out, field))})
+
+
+# the mutants that the module tests caught while they restated the checks:
+# each public kernel they call, its float output or one float field of its
+# record at a time scaled by 1 + 1e-6, by the check and g of the module grid
+# (N = 3 at a dense r_ab, 16 trials) where the check fails under it. Of the
+# 105 mutants of those kernels the restating tests caught these 90; they
+# missed generating_j, parallelogram_residuals, finsler_product's w, m_r,
+# s_r and g_lower, finsler_chord's fields but delta_s, and axis_angles'
+# plane angle
+CAUGHT = {
+    ("core.parameter_identities", 0.7): ["make_parameter.h", "make_parameter.g", "make_parameter.g_plus", "make_parameter.big_g", "make_parameter.g_minus", "make_parameter.g_up_plus", "make_parameter.g_up_minus", "make_parameter.gamma"],
+    ("core.scalar_identities", 0.7): ["scalar_bundle.q", "scalar_bundle.Z", "scalar_bundle.B", "scalar_bundle.A", "scalar_bundle.L", "scalar_bundle.J", "scalar_bundle.K", "generating_v"],
+    ("quasimap.angle_image", 0.7): ["scalar_bundle.phi", "phi_angle"],
+    ("tensors.gradient_covector", 0.7): ["kfun", "gradient_covector"],
+    ("core.phi_branches", 0.7): ["phi_function"],
+    ("tensors.metric_hessian", 0.7): ["metric_tensor"],
+    ("tensors.inverse_metric", 0.7): ["inverse_metric"],
+    ("tensors.angular_tensor", 0.7): ["angular_tensor"],
+    ("tensors.cartan_fd", -1.1): ["cartan_tensor.c_lower"],
+    ("tensors.cartan_closed_forms", 0.7): ["cartan_tensor.c_mixed", "cartan_tensor.c_vec_lower", "cartan_tensor.c_vec_upper"],
+    ("tensors.curvature_constancy", 0.7): ["curvature_tensor"],
+    ("quasimap.sigma_norm", 0.7): ["sigma_map"],
+    ("quasimap.map_roundtrip", 0.7): ["mu_map"],
+    ("quasimap.sigma_jacobian_fd", 0.7): ["sigma_jacobian"],
+    ("quasimap.mu_jacobian", 0.7): ["mu_jacobian"],
+    ("quasimap.quasi_metric", 0.7): ["quasi_metric.n_lower", "quasi_metric.n_upper", "quasi_metric.h_lower"],
+    ("quasimap.curvature_fd", 1.5): ["quasi_metric.christoffel", "quasi_metric.curvature"],
+    ("quasimap.metric_derivative", 1.5): ["quasi_metric_derivative"],
+    ("quasimap.conformal", 0.7): ["conformal_flatten.0", "conformal_flatten.1", "conformal_jacobian"],
+    ("finslerops.product", 0.7): ["angle", "finsler_product.product", "finsler_product.alpha"],
+    ("geodesics.pair_invariants", 0.7): ["pair_invariants.dot11", "pair_invariants.dot22", "pair_invariants.dot12", "pair_invariants.u", "pair_invariants.d1", "pair_invariants.d2"],
+    ("geodesics.length_gradients", 0.7): ["pair_invariants.alpha", "length_gradients.0", "length_gradients.1"],
+    ("geodesics.chord_constants", 0.7): ["scalar_product", "distance_squared", "solve_chord.s_end", "solve_chord.a", "solve_chord.delta_s", "solve_chord.alpha", "solve_chord.b"],
+    ("geodesics.endpoints", 0.7): ["solve_chord.t1", "solve_chord.t2", "solve_chord.h", "geodesic_point"],
+    ("geodesics.velocity", 0.7): ["geodesic_velocity"],
+    ("twovector.tensor_closed", 0.7): ["two_vector_metric.n_lower"],
+    ("twovector.frame", 0.7): ["two_vector_metric.a1", "two_vector_metric.a2", "frame", "frame_reconstruct"],
+    ("twovector.covector_closed", 0.7): ["covector_pair.T1", "covector_pair.T2", "covector_pair.D1", "covector_pair.D2", "covector_pair.f_scale"],
+    ("twovector.covector_inversion", 0.7): ["invert_covectors.0", "invert_covectors.1"],
+    ("twovector.co_angle", 0.7): ["solve_co_angle"],
+    ("twovector.oplus", 0.0): ["oplus_first_order"],
+    ("twovector.oplus_order", 0.7): ["ominus_first_order"],
+    ("twovector.parallelogram_refine", 0.7): ["parallelogram_refine"],
+    ("finslerops.gradients", 0.7): ["m_vector", "product_gradients.0", "product_gradients.1"],
+    ("finslerops.two_vector", 0.7): ["finsler_two_vector_tensor"],
+    ("finslerops.axis_angles", 0.7): ["finsler_angle", "axis_angles.0"],
+    ("finslerops.geodesic", 0.7): ["finsler_chord.delta_s", "finsler_geodesic"],
+}
+MUTANTS = {mutant: point for point, mutants in CAUGHT.items() for mutant in mutants}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_grid_catches_what_the_module_tests_caught(monkeypatch, mutant):
+    from finsleroid import oracles
+    from finsleroid import verify as V
+
+    name, _, field = mutant.partition(".")
+    field = int(field) if field.isdigit() else field or None
+    kernel = getattr(fl, name)
+    for module in (fl, V, oracles):  # as the tests and the checks call it
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, lambda *a, **kw: _scaled_output(kernel(*a, **kw), field))
+    check_id, g = MUTANTS[mutant]
+    ctx = fl.MetricContext(3, np.array([[1.3, 0.2], [0.2, 0.9]]))
+    try:
+        residual = check_residual(check_id, g, ctx, trials=16)
+    except fl.FinsleroidError:
+        return
+    assert not residual < GATES[check_id][2]
 
 
 def test_co_angle_check_passes_where_roots_leave_the_pair_angle():
