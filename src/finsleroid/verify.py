@@ -554,10 +554,11 @@ def check_sigma_norm(par, ctx, rng, trials, tol):
     v = draw_vectors(rng, ctx, trials)
     k = kfun(par, ctx, v)
     t = sigma_map(par, ctx, v)
+    s = _norms(ctx, t)
     # the finsleroid surface maps onto the unit sphere; sigma is 1-homogeneous
     return trials, _dev(
-        _norms(ctx, t) - k,
-        _norms(ctx, t) / k - 1.0,
+        s - k,
+        s / k - 1.0,
         _norms(ctx, sigma_map(par, ctx, v / k[:, None])) - 1.0,
         sigma_map(par, ctx, 2.5 * v) - 2.5 * t,
     )
@@ -616,14 +617,15 @@ def check_quasi_metric(par, ctx, rng, trials, tol):
     l_up = t / s[:, None]
     l_low = _lower(ctx.r_pq, l_up)
     n_l = np.einsum("ipq,iq->ip", qg.n_lower, l_up)
+    ntt = np.einsum("ip,ipq,iq->i", t, qg.n_lower, t)
     return trials, _dev(
         qg.n_lower @ qg.n_upper - np.eye(ctx.n),
         (np.linalg.det(qg.n_lower) - target_det) / abs(target_det),
         np.einsum("ipq,iq->ip", qg.h_lower, l_up),
         n_l - l_low,
         np.einsum("ip,ip->i", l_up, n_l) - 1.0,
-        np.einsum("ip,ipq,iq->i", t, qg.n_lower, t) - s * s,
-        np.einsum("ip,ipq,iq->i", t, qg.n_lower, t) / (s * s) - 1.0,
+        ntt - s * s,
+        ntt / (s * s) - 1.0,
         qg.h_lower - par.h**2 * (qg.n_lower - l_low[:, :, None] * l_low[:, None, :]),
         # L-transversality of the curvature in each of its indices
         *(np.einsum(spec, l_up, qg.curvature) for spec in ("ip,iprqs->irqs", "ir,iprqs->ipqs", "iq,iprqs->iprs", "is,iprqs->iprq")),
@@ -767,14 +769,16 @@ def check_chord_constants(par, ctx, rng, trials, tol):
     a, s_end, alpha, ds, b = (x[0] for x in (ch.a, ch.s_end, ch.alpha, ch.delta_s, ch.b))
     c2 = a**2 - b**2
     c = np.sqrt(np.maximum(c2, 0.0))
+    radius = ch.radius(ch.delta_s[..., None])[0, :, 0]
+    dist2 = distance_squared(par, ctx, t1, t2)
     return trials, _dev(
         np.maximum(-c2, 0.0),
         c * ds - a * s_end * np.sin(alpha),
         a**2 + b * ds - a * s_end * np.cos(alpha),
-        (c * ds) ** 2 + (a**2 + b * ds) ** 2 - a**2 * ch.radius(ch.delta_s[..., None])[0, :, 0] ** 2,
-        ds**2 - distance_squared(par, ctx, t1, t2),
-        ds**2 / distance_squared(par, ctx, t1, t2) - 1.0,
-        ch.radius(ch.delta_s[..., None])[0, :, 0] ** 2 / (a**2 + 2.0 * b * ds + ds**2) - 1.0,
+        (c * ds) ** 2 + (a**2 + b * ds) ** 2 - a**2 * radius**2,
+        ds**2 - dist2,
+        ds**2 / dist2 - 1.0,
+        radius**2 / (a**2 + 2.0 * b * ds + ds**2) - 1.0,
         ds**2 - (s_end**2 + a**2 - 2.0 * a * s_end * np.cos(alpha)),
         scalar_product(par, ctx, t1, t2) - a * s_end * np.cos(alpha),
         # radial chords: alpha = 0, Delta s = (lam - 1) a, b = a

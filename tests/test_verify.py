@@ -422,26 +422,26 @@ def _scaled_output(out, field):
 # the mutants that the module tests caught while they restated the checks:
 # each public kernel they call, its float output or one float field of its
 # record at a time scaled by 1 + 1e-6, by the check and g of the module grid
-# (N = 3 at a dense r_ab, 16 trials) where the check fails under it. Of the
-# 105 mutants of those kernels the restating tests caught these 90; they
-# missed generating_j, parallelogram_residuals, finsler_product's w, m_r,
-# s_r and g_lower, finsler_chord's fields but delta_s, and axis_angles'
-# plane angle
+# (N = 3 at a dense r_ab, 16 trials) where the check fails under it, by 16x
+# its gate or more where one does (only the finite-difference oracles of the
+# quasi metric's christoffel, curvature and derivative catch those, at 1.06x
+# and 1.5x, as the restating tests did). Of the 105 mutants of those kernels
+# the restating tests caught these 90; they missed generating_j,
+# parallelogram_residuals, finsler_product's w, m_r, s_r and g_lower,
+# finsler_chord's fields but delta_s, and axis_angles' plane angle
 CAUGHT = {
     ("core.parameter_identities", 0.7): ["make_parameter.h", "make_parameter.g", "make_parameter.g_plus", "make_parameter.big_g", "make_parameter.g_minus", "make_parameter.g_up_plus", "make_parameter.g_up_minus", "make_parameter.gamma"],
     ("core.scalar_identities", 0.7): ["scalar_bundle.q", "scalar_bundle.Z", "scalar_bundle.B", "scalar_bundle.A", "scalar_bundle.L", "scalar_bundle.J", "scalar_bundle.K", "generating_v"],
     ("quasimap.angle_image", 0.7): ["scalar_bundle.phi", "phi_angle"],
-    ("tensors.gradient_covector", 0.7): ["kfun", "gradient_covector"],
     ("core.phi_branches", 0.7): ["phi_function"],
-    ("tensors.metric_hessian", 0.7): ["metric_tensor"],
-    ("tensors.inverse_metric", 0.7): ["inverse_metric"],
+    ("tensors.inverse_metric", 0.7): ["gradient_covector", "metric_tensor", "inverse_metric"],
     ("tensors.angular_tensor", 0.7): ["angular_tensor"],
-    ("tensors.cartan_fd", -1.1): ["cartan_tensor.c_lower"],
+    ("tensors.cartan_algebraic_form", 0.7): ["cartan_tensor.c_lower"],
     ("tensors.cartan_closed_forms", 0.7): ["cartan_tensor.c_mixed", "cartan_tensor.c_vec_lower", "cartan_tensor.c_vec_upper"],
     ("tensors.curvature_constancy", 0.7): ["curvature_tensor"],
-    ("quasimap.sigma_norm", 0.7): ["sigma_map"],
+    ("quasimap.sigma_norm", 0.7): ["kfun", "sigma_map"],
     ("quasimap.map_roundtrip", 0.7): ["mu_map"],
-    ("quasimap.sigma_jacobian_fd", 0.7): ["sigma_jacobian"],
+    ("quasimap.sigma_jacobian_exact", 0.7): ["sigma_jacobian"],
     ("quasimap.mu_jacobian", 0.7): ["mu_jacobian"],
     ("quasimap.quasi_metric", 0.7): ["quasi_metric.n_lower", "quasi_metric.n_upper", "quasi_metric.h_lower"],
     ("quasimap.curvature_fd", 1.5): ["quasi_metric.christoffel", "quasi_metric.curvature"],
@@ -459,10 +459,10 @@ CAUGHT = {
     ("twovector.covector_inversion", 0.7): ["invert_covectors.0", "invert_covectors.1"],
     ("twovector.co_angle", 0.7): ["solve_co_angle"],
     ("twovector.oplus", 0.0): ["oplus_first_order"],
-    ("twovector.oplus_order", 0.7): ["ominus_first_order"],
+    ("twovector.ominus", 0.7): ["ominus_first_order"],
     ("twovector.parallelogram_refine", 0.7): ["parallelogram_refine"],
-    ("finslerops.gradients", 0.7): ["m_vector", "product_gradients.0", "product_gradients.1"],
-    ("finslerops.two_vector", 0.7): ["finsler_two_vector_tensor"],
+    ("finslerops.gradients", 0.7): ["m_vector"],
+    ("finslerops.two_vector", 0.7): ["product_gradients.0", "product_gradients.1", "finsler_two_vector_tensor"],
     ("finslerops.axis_angles", 0.7): ["finsler_angle", "axis_angles.0"],
     ("finslerops.geodesic", 0.7): ["finsler_chord.delta_s", "finsler_geodesic"],
 }
@@ -482,11 +482,7 @@ def test_grid_catches_what_the_module_tests_caught(monkeypatch, mutant):
             monkeypatch.setattr(module, name, lambda *a, **kw: _scaled_output(kernel(*a, **kw), field))
     check_id, g = MUTANTS[mutant]
     ctx = fl.MetricContext(3, np.array([[1.3, 0.2], [0.2, 0.9]]))
-    try:
-        residual = check_residual(check_id, g, ctx, trials=16)
-    except fl.FinsleroidError:
-        return
-    assert not residual < GATES[check_id][2]
+    assert not check_residual(check_id, g, ctx, trials=16) < GATES[check_id][2]
 
 
 def test_co_angle_check_passes_where_roots_leave_the_pair_angle():
