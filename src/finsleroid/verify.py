@@ -460,16 +460,21 @@ def check_metric_homogeneity(par, ctx, rng, trials, tol):
     v = draw_vectors(rng, ctx, trials)
     lam = rng.uniform(0.2, 5.0, trials)
     lv = lam[:, None] * v
+    g_v = metric_tensor(par, ctx, v)
     return trials, _dev(
-        metric_tensor(par, ctx, lv) - metric_tensor(par, ctx, v),
+        metric_tensor(par, ctx, lv) - g_v,
+        metric_tensor(par, ctx, 41.0 * v) - g_v,  # and far outside the drawn lambda
         kfun(par, ctx, lv) - lam * kfun(par, ctx, v),
     )
 
 
 def check_angular_tensor(par, ctx, rng, trials, tol):
     v = draw_vectors(rng, ctx, trials, min_frac=1e-6)
-    ha = angular_tensor(par, ctx, v)
-    res = _dev(ha - angular_block_reference(par, ctx, v), np.einsum("ipq,iq->ip", ha, v))
+    # the rows, then the rows with q, then with Z, scaled by 1e-9: near the axis and the plane
+    near = np.concatenate((v, v * np.r_[np.full(ctx.n - 1, 1e-9), 1.0], v * np.r_[np.ones(ctx.n - 1), 1e-9]))
+    hn = angular_tensor(par, ctx, near)
+    res = _dev(hn - angular_block_reference(par, ctx, near), np.einsum("ipq,iq->ip", hn, near))
+    ha = hn[:trials]
     chart = np.abs(v[:, -1]) > 0.1
     if np.count_nonzero(chart):
         vc = v[chart]
@@ -1105,7 +1110,7 @@ def check_parallelogram_refine(par, ctx, rng, trials, tol):
     k = 1.0 / par.h - 1.0
     gap = np.max(np.abs(t3 - oplus_first_order(par, ctx, t1, t2)), axis=-1)
     scale = np.maximum(_norms(ctx, t1), _norms(ctx, t2))
-    return m, _dev(r1, r2, np.maximum(0.0, gap - 60.0 * k * k * scale) * 1e-3)
+    return m, _dev(r1, r2, np.maximum(0.0, gap - 60.0 * k * k * scale) * 1e-2)
 
 
 def check_finsler_product(par, ctx, rng, trials, tol):
@@ -1155,16 +1160,19 @@ def check_finsler_gradients(par, ctx, rng, trials, tol):
     fprod = lambda x, y: finsler_product(par, ctx, x, y).product
     fd_r = numdiff.gradient(lambda x: fprod(x, s), r)
     fd_s = numdiff.gradient(lambda y: fprod(r, y), s)
-    # the simplified M against its unsimplified display
-    mv = m_vector(par, ctx, r, s)
-    sb_r = scalar_bundle(par, ctx, r)
-    sb_s = scalar_bundle(par, ctx, s)
+    # the simplified M against its unsimplified display, on these pairs and
+    # on pairs nearer the axis and the plane than the gradients' oracle allows
+    near = _vector_pairs(rng, ctx, m, min_frac=0.05, unit=True)
+    rm, sm = np.concatenate((r, near[:, 0])), np.concatenate((s, near[:, 1]))
+    mv = m_vector(par, ctx, rm, sm)
+    sb_r = scalar_bundle(par, ctx, rm)
+    sb_s = scalar_bundle(par, ctx, sm)
     col = lambda x: x[:, None]
-    num = sb_r.A * sb_s.A + par.h**2 * _dots(r[:, :-1], s[:, :-1], ctx.r_ab)
+    num = sb_r.A * sb_s.A + par.h**2 * _dots(rm[:, :-1], sm[:, :-1], ctx.r_ab)
     h2mn = sb_r.B * sb_s.A - num * sb_r.A
     h2ma = (
-        col(sb_r.B) * (0.5 * par.g * r[:, :-1] / col(sb_r.q) * col(sb_s.A) + par.h**2 * s[:, :-1])
-        - col(num * (0.5 * par.g * r[:, -1] + sb_r.q)) * r[:, :-1] / col(sb_r.q)
+        col(sb_r.B) * (0.5 * par.g * rm[:, :-1] / col(sb_r.q) * col(sb_s.A) + par.h**2 * sm[:, :-1])
+        - col(num * (0.5 * par.g * rm[:, -1] + sb_r.q)) * rm[:, :-1] / col(sb_r.q)
     ) @ ctx.r_ab
     return m, _dev(
         par.h**2 * mv[:, -1] - h2mn, par.h**2 * mv[:, :-1] - h2ma, (d_r - fd_r) * 1e-3, (d_s - fd_s) * 1e-3
@@ -1238,10 +1246,11 @@ def check_finsler_arc(par, ctx, rng, trials, tol):
     segs = 3000  # pullback paths can graze the axis, where quadrature converges slower
     # the composite rule needs the integrand smooth: keep the chord's
     # closest approach to the origin bounded (same guard as the ODE check)
-    chords = finsler_chord(par, ctx, *_chord_pairs(par, ctx, rng, m, trials, min_c=0.3))
+    r1, r2 = _chord_pairs(par, ctx, rng, m, trials, min_c=0.3)
+    chords = finsler_chord(par, ctx, r1, r2)
     for i in range(m):  # integrated one chord at a time, to keep the metric tensors small
         ch = chords[i]
-        pts = mu_map(par, ctx, geodesic_point(ch, np.linspace(0.0, ch.delta_s, segs + 1)))
+        pts = finsler_geodesic(par, ctx, r1[i], r2[i], np.linspace(0.0, ch.delta_s, segs + 1))
         dp = pts[1:] - pts[:-1]
         gm = metric_tensor(par, ctx, 0.5 * (pts[1:] + pts[:-1]))
         total = float(np.sqrt(np.maximum(np.einsum("ip,ipq,iq->i", dp, gm, dp), 0.0)).sum())
@@ -1293,6 +1302,7 @@ def check_euclidean_degeneration(par, ctx, rng, trials, tol):
         oplus_first_order(p0, ctx, vo, wo) - (vo + wo),
         ominus_first_order(p0, ctx, vo, wo) - (wo - vo),
         geodesic_point(ch, s[:, None])[:, 0] - lerp,
+        finsler_geodesic(p0, ctx, vc, wc, s[:, None])[:, 0] - lerp,
     )
 
 

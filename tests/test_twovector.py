@@ -3,7 +3,6 @@ parallelogram law.  Their identities are the ``twovector`` checks of
 ``finsleroid verify``, run on this file's grid (see checkgrid); the tests
 here add g = 0 values, limits, the scan and mpmath oracles and errors."""
 
-import functools
 import math
 
 import numpy as np
@@ -142,55 +141,48 @@ def regime_gap(par, alpha):
     return math.sin(par.h * alpha - 2.0 * math.atan2(math.sin(alpha) / par.h, math.cos(alpha)))
 
 
-def _angle_terms(h, alpha):
-    """The pair-free terms of the co-angle equation at alpha: cos^2 -
-    sin^2/h^2, (2/h) sin cos, the regime sign eps and cos^2 + sin^2/h^2."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    eps = np.where(np.sin(h * alpha - 2.0 * np.arctan2(sa / h, ca)) > 0.0, -1.0, 1.0)
-    cc, ss = ca * ca, sa * sa / h**2
-    return cc - ss, (2.0 / h) * sa * ca, eps, cc + ss
-
-
-@functools.lru_cache(maxsize=1)
-def _scan_grid(h):
-    grid = np.linspace(1e-12, math.pi / h - 1e-12, 100001)
-    return grid, _angle_terms(h, grid)
-
-
-def co_angle_scan(par, ctx, T1, T2):
+def co_angle_scan(par, ctx, T1, T2, points=100001):
     """Brute-force roots of the co-angle equation, split by regime.
 
     Dense sign-change scan of h*alpha - atan2(sin_side, cos_side) over
-    (0, pi/h), all brackets refined together by bisection, each root kept
-    when the cosine residual is below 1e-10.  Returns (main-regime roots,
-    other roots).
+    (0, pi/h), each bracket refined by bisection and kept when the cosine
+    residual is below 1e-10.  Returns (main-regime roots, other roots).
     """
     h = par.h
     tt11, tt22, tt12 = ctx.codot(T1, T1), ctx.codot(T2, T2), ctx.codot(T1, T2)
     cap_u = math.sqrt(max(tt11 * tt22 - tt12**2, 0.0))
 
-    def sides(alpha, terms=None):
-        diff, cross, eps, total = terms or _angle_terms(h, alpha)
-        den = total * math.sqrt(tt11 * tt22)
-        return (diff * tt12 + cross * eps * cap_u) / den, (cross * tt12 - diff * eps * cap_u) / den
+    def sides(alpha):
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        phi1 = np.arctan2(sa / h, ca)
+        eps = np.where(np.sin(h * alpha - 2.0 * phi1) > 0.0, -1.0, 1.0)
+        cc, ss = ca * ca, sa * sa / h**2
+        den = (cc + ss) * math.sqrt(tt11 * tt22)
+        cos_side = ((cc - ss) * tt12 + (2.0 / h) * sa * ca * eps * cap_u) / den
+        sin_side = ((2.0 / h) * tt12 * sa * ca - (cc - ss) * eps * cap_u) / den
+        return cos_side, sin_side
 
-    def w(alpha, terms=None):
-        cos_side, sin_side = sides(alpha, terms)
+    def w(alpha):
+        cos_side, sin_side = sides(alpha)
         return h * alpha - np.arctan2(sin_side, cos_side)
 
-    grid, terms = _scan_grid(h)
-    vals = w(grid, terms)
+    grid = np.linspace(1e-12, math.pi / h - 1e-12, points)
+    vals = w(grid)
     brackets = np.nonzero((vals[:-1] * vals[1:] < 0.0) & (np.abs(np.diff(vals)) < math.pi))[0]
-    lo, hi, f_lo = grid[brackets], grid[brackets + 1], vals[brackets]
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        f_mid = w(mid)
-        right = f_mid * f_lo > 0.0
-        lo, f_lo, hi = np.where(right, mid, lo), np.where(right, f_mid, f_lo), np.where(right, hi, mid)
-    roots = 0.5 * (lo + hi)
-    roots = roots[np.abs(np.cos(h * roots) - sides(roots)[0]) < 1e-10]
-    main = [r for r in roots if co_orientation(par, r) > 0.0]
-    return main, [r for r in roots if co_orientation(par, r) <= 0.0]
+    main, other = [], []
+    for i in brackets:
+        lo, hi, f_lo = grid[i], grid[i + 1], vals[i]
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            f_mid = float(w(mid))
+            if f_mid * f_lo > 0.0:
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        root = 0.5 * (lo + hi)
+        if abs(math.cos(h * root) - float(sides(root)[0])) < 1e-10:
+            (main if co_orientation(par, root) > 0.0 else other).append(root)
+    return main, other
 
 
 def wide_pair(rng, ctx, theta):

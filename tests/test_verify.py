@@ -485,6 +485,26 @@ def test_grid_catches_what_the_module_tests_caught(monkeypatch, mutant):
     assert not check_residual(check_id, g, ctx, trials=16) < GATES[check_id][2]
 
 
+def test_arc_check_reads_the_interior_of_the_public_geodesic(monkeypatch):
+    # a curve with the geodesic's endpoints that bends off it in between (a
+    # radial scale of 1.25 % at mid-arc) is longer than delta s by ~3e-4;
+    # the endpoint check cannot see it, so the arc check has to; at g = 0
+    # the midpoint leaves the straight line
+    from finsleroid import verify as V
+
+    geodesic = fl.finsler_geodesic
+
+    def bent(par, ctx, r1, r2, s):
+        u = s / np.expand_dims(fl.finsler_chord(par, ctx, r1, r2).delta_s, -1)
+        return geodesic(par, ctx, r1, r2, s) * (1.0 + 0.05 * u * (1.0 - u))[..., None]
+
+    monkeypatch.setattr(V, "finsler_geodesic", bent)
+    ctx = fl.MetricContext(3, np.array([[1.3, 0.2], [0.2, 0.9]]))
+    assert check_residual("finslerops.geodesic", 0.9, ctx, trials=16) < GATES["finslerops.geodesic"][2]
+    assert check_residual("finslerops.geodesic_arc", 0.9, ctx, trials=16) > 10 * GATES["finslerops.geodesic_arc"][2]
+    assert check_residual("euclidean.degeneration", 0.0, ctx, trials=16) > 1e6 * GATES["euclidean.degeneration"][2]
+
+
 def test_co_angle_check_passes_where_roots_leave_the_pair_angle():
     # at g = 1.8 most main-regime pairs have alpha on a branch k >= 1, where
     # the smallest root, the one returned, lies below the pair's own alpha
